@@ -1,23 +1,19 @@
-(* E34: the zero-allocation CSR flow core vs the mutable-adjacency core
-   on warm scheduling churn.
+(* E34: the zero-allocation CSR flow core on warm scheduling churn.
 
-   Both cores serve the identical deterministic churn schedule over a
-   compile_full netgraph — endpoint enables, one warm augmentation, a
-   commit freezing the new circuits, and a periodic release-all — the
-   exact cycle shape of the online engine. The old core is the pre-CSR
-   warm path (Graph capacity writes + Dinic.augment / Mincost.augment +
-   Graph.freeze); the CSR core runs the same cycle on Csr's flat int
-   arrays. The bench records wall time and minor-heap words for both,
-   asserts the two cores commit the same flow on every clean-snapshot
-   round (tie-broken mappings may diverge *within* a release period, so
-   only period-opening rounds are value-comparable), and proves the
-   headline claim with a calibrated Gc.minor_words measurement: one full
-   CSR warm period — enables, solves, commits, release — performs
-   exactly zero minor-heap allocation, including on the 1024-port
-   network. The structured report lands in BENCH_csr.json for the
-   [rsin perf] regression gate. *)
+   The core serves a deterministic churn schedule over a compile_full
+   network — endpoint enables, one warm augmentation, a commit freezing
+   the new circuits, and a periodic release-all — the exact cycle shape
+   of the online engine. The bench records wall time and minor-heap
+   words, checks every round's committed units against a from-scratch
+   solve (Dinic.max_flow, or Mincost.min_cost_max_flow with the cost as
+   well) of a snapshot graph with the same endpoint state and the
+   committed circuits' links taken out, and proves the headline claim
+   with a calibrated Gc.minor_words measurement: one full CSR warm
+   period — enables, solves, commits, release — performs exactly zero
+   minor-heap allocation, including on the 1024-port network. The
+   structured report lands in BENCH_csr.json for the [rsin perf]
+   regression gate. *)
 
-module Graph = Rsin_flow.Graph
 module Csr = Rsin_flow.Csr
 module Dinic = Rsin_flow.Dinic
 module Mincost = Rsin_flow.Mincost
@@ -58,73 +54,21 @@ let make_schedule rng ~np ~nr ~periods ~period_len =
     res_t = Array.init rounds (gen nr);
   }
 
-(* Both runners expose [run_rounds lo hi] over a shared mutable state so
+(* The runner exposes [run_rounds lo hi] over a shared mutable state so
    the allocation probe can time a single period in isolation, plus a
    whole-schedule [run] that resets first (making measured runs
-   repeatable) and a per-round [added] log for the differential check. *)
-
-let old_runner ng sched ~mincost ~prio =
-  let g = Netgraph.graph ng in
-  let source = Netgraph.source ng and sink = Netgraph.sink ng in
-  let net = Netgraph.network ng in
-  let np = Network.n_procs net and nr = Network.n_res net in
-  let sp = Array.init np (fun p -> Option.get (Netgraph.sp_arc ng p)) in
-  let rt = Array.init nr (fun r -> Option.get (Netgraph.rt_arc ng r)) in
-  let frozen = Array.make (Graph.arc_count g) false in
-  let added = Array.make sched.rounds 0 in
-  let commit () =
-    Graph.iter_forward_arcs g (fun a ->
-        if (not frozen.(a / 2)) && Graph.flow g a > 0 then begin
-          Graph.freeze g a;
-          frozen.(a / 2) <- true
-        end)
-  in
-  let release_all () =
-    Graph.iter_forward_arcs g (fun a ->
-        if frozen.(a / 2) then begin
-          frozen.(a / 2) <- false;
-          Graph.thaw g a;
-          Graph.set_flow g a 0
-        end)
-  in
-  let reset () =
-    release_all ();
-    Array.iter (fun a -> Graph.set_capacity g a 0) sp;
-    Array.iter (fun a -> Graph.set_capacity g a 0) rt;
-    if mincost then Array.iteri (fun p a -> Graph.set_cost g a (-prio.(p))) sp
-  in
-  let run_rounds lo hi =
-    for r = lo to hi do
-      let pt = sched.proc_t.(r) and qt = sched.res_t.(r) in
-      for p = 0 to np - 1 do
-        if pt.(p) >= 0 && Graph.original_capacity g sp.(p) <> pt.(p) then
-          Graph.set_capacity g sp.(p) pt.(p)
-      done;
-      for q = 0 to nr - 1 do
-        if qt.(q) >= 0 && Graph.original_capacity g rt.(q) <> qt.(q) then
-          Graph.set_capacity g rt.(q) qt.(q)
-      done;
-      added.(r) <-
-        (if mincost then (Mincost.augment g ~source ~sink).Mincost.flow
-         else fst (Dinic.augment g ~source ~sink));
-      commit ();
-      if (r + 1) mod sched.period_len = 0 then release_all ()
-    done
-  in
-  let run () =
-    reset ();
-    run_rounds 0 (sched.rounds - 1)
-  in
-  (run, added)
+   repeatable), a per-round [added] log, and [checked_run f], an untimed
+   whole-schedule run that calls [f] on every round's solve result. *)
 
 let csr_runner ng sched ~mincost ~prio =
-  let c = Netgraph.csr ng in
+  let c = Netgraph.graph ng in
   let source = Netgraph.source ng and sink = Netgraph.sink ng in
   let net = Netgraph.network ng in
   let np = Network.n_procs net and nr = Network.n_res net in
   let sp = Array.init np (fun p -> Option.get (Netgraph.sp_arc ng p)) in
   let rt = Array.init nr (fun r -> Option.get (Netgraph.rt_arc ng r)) in
   let added = Array.make sched.rounds 0 in
+  let check = ref None in
   let reset () =
     Csr.release_all c;
     Array.iter (fun a -> Csr.set_capacity c a 0) sp;
@@ -142,9 +86,13 @@ let csr_runner ng sched ~mincost ~prio =
         if qt.(q) >= 0 && Csr.original_capacity c rt.(q) <> qt.(q) then
           Csr.set_capacity c rt.(q) qt.(q)
       done;
+      let before = match !check with Some _ -> Csr.total_cost c | None -> 0 in
       added.(r) <-
         (if mincost then Csr.mincost c ~source ~sink
          else Csr.dinic c ~source ~sink);
+      (match !check with
+      | Some f -> f r ~units:added.(r) ~cost:(Csr.total_cost c - before)
+      | None -> ());
       ignore (Csr.commit_new c ~source);
       if (r + 1) mod sched.period_len = 0 then Csr.release_all c
     done
@@ -153,7 +101,47 @@ let csr_runner ng sched ~mincost ~prio =
     reset ();
     run_rounds 0 (sched.rounds - 1)
   in
-  (run, run_rounds, added)
+  let checked_run f =
+    check := Some f;
+    Fun.protect ~finally:(fun () -> check := None) run
+  in
+  (run, checked_run, run_rounds, added)
+
+(* From-scratch reference for one round: the snapshot graph of the
+   network with the committed circuits' links taken down and the
+   switched-on, uncommitted endpoints as requests (at cost -priority
+   under mincost) and free resources. Committed units are unique, and
+   under mincost so is the cost of the new flow. *)
+let reference ng ~mincost ~prio =
+  let c = Netgraph.graph ng in
+  let net = Network.copy (Netgraph.network ng) in
+  Array.iter
+    (fun (a, l) -> if Csr.is_frozen c a then Network.set_link_up net l false)
+    (Netgraph.link_arcs ng);
+  let live arc i =
+    match arc i with
+    | Some a -> Csr.original_capacity c a = 1 && not (Csr.is_frozen c a)
+    | None -> false
+  in
+  let requests =
+    List.filter_map
+      (fun p ->
+        if live (Netgraph.sp_arc ng) p then
+          Some (p, if mincost then -prio.(p) else 0)
+        else None)
+      (List.init (Network.n_procs net) Fun.id)
+  and free =
+    List.filter_map
+      (fun r -> if live (Netgraph.rt_arc ng) r then Some (r, 0) else None)
+      (List.init (Network.n_res net) Fun.id)
+  in
+  let snap = Netgraph.compile net ~requests ~free in
+  let g = Netgraph.graph snap in
+  let source = Netgraph.source snap and sink = Netgraph.sink snap in
+  if mincost then
+    let r = Mincost.min_cost_max_flow g ~source ~sink in
+    (r.Mincost.flow, r.Mincost.cost)
+  else (fst (Dinic.max_flow g ~source ~sink), 0)
 
 (* Calibrated allocation probe: [Gc.minor_words] itself boxes its float
    result, so two back-to-back readings measure that overhead exactly
@@ -172,7 +160,7 @@ let measure_period_alloc run run_rounds period_len =
 let mean a = Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a)
 
 let run ?(quick = false) () =
-  print_endline "== E34: zero-allocation CSR core vs mutable-adjacency core ==";
+  print_endline "== E34: zero-allocation CSR core on warm churn ==";
   Printf.printf
     "  (compile_full warm churn: enable / augment / commit / release-all,\n\
     \   deterministic schedule, seed %d%s)\n\n"
@@ -199,27 +187,28 @@ let run ?(quick = false) () =
       (fun (name, build, mincost, periods) ->
         let period_len = 4 in
         let rng = Prng.create (Hashtbl.hash (name, seed)) in
-        let old_ng = Netgraph.compile_full (build ()) in
-        let csr_ng = Netgraph.compile_full (build ()) in
-        let net = Netgraph.network old_ng in
+        let ng = Netgraph.compile_full (build ()) in
+        let net = Netgraph.network ng in
         let np = Network.n_procs net and nr = Network.n_res net in
         let sched = make_schedule rng ~np ~nr ~periods ~period_len in
         let prio = Array.init np (fun _ -> 1 + Prng.int rng 4) in
-        let old_run, old_added = old_runner old_ng sched ~mincost ~prio in
-        let csr_run, csr_rounds, csr_added =
-          csr_runner csr_ng sched ~mincost ~prio
+        let csr_run, csr_checked_run, csr_rounds, csr_added =
+          csr_runner ng sched ~mincost ~prio
         in
-        let m_old = Bench_report.measure ~warmup:1 ~runs old_run in
         let m_csr = Bench_report.measure ~warmup:1 ~runs csr_run in
-        (* Differential: on every clean-snapshot round the two cores face
-           the same network, so the (unique) optimum must agree. *)
-        for r = 0 to sched.rounds - 1 do
-          if r mod period_len = 0 && old_added.(r) <> csr_added.(r) then begin
-            Printf.eprintf "E34 %s: round %d: old %d units, csr %d units\n" name
-              r old_added.(r) csr_added.(r);
+        (* Differential, untimed: every round's warm augment must commit
+           what a from-scratch solve of the same snapshot does. *)
+        let check r ~units ~cost =
+          let want_units, want_cost = reference ng ~mincost ~prio in
+          if units <> want_units || cost <> want_cost then begin
+            Printf.eprintf
+              "E34 %s: round %d: csr %d units at cost %d, from scratch \
+               %d at %d\n"
+              name r units cost want_units want_cost;
             assert false
           end
-        done;
+        in
+        csr_checked_run check;
         let period_alloc =
           measure_period_alloc csr_run csr_rounds period_len
         in
@@ -230,43 +219,30 @@ let run ?(quick = false) () =
           assert false
         end;
         let case = Bench_report.case report name in
-        Bench_report.record case ~prefix:"old" m_old;
         Bench_report.record case ~prefix:"csr" m_csr;
         let total a = float_of_int (Array.fold_left ( + ) 0 a) in
-        Bench_report.record_count case ~name:"old.committed" ~unit_:"circuits"
-          (total old_added);
         Bench_report.record_count case ~name:"csr.committed" ~unit_:"circuits"
           (total csr_added);
         Bench_report.record_count case ~name:"csr.alloc_per_period"
           ~unit_:"words" period_alloc;
         Bench_report.record_count case ~name:"rounds"
           (float_of_int sched.rounds);
-        let ow = mean m_old.Bench_report.wall_us
-        and cw = mean m_csr.Bench_report.wall_us in
-        let oa = mean m_old.Bench_report.minor_words
-        and ca = mean m_csr.Bench_report.minor_words in
         let per_cycle x = x /. float_of_int sched.rounds in
         [
           name;
           string_of_int sched.rounds;
-          Table.ffix 1 (per_cycle ow);
-          Table.ffix 1 (per_cycle cw);
-          Table.ffix 2 (ow /. cw);
-          Table.ffix 0 (per_cycle oa);
-          Table.ffix 0 (per_cycle ca);
+          Table.ffix 1 (per_cycle (mean m_csr.Bench_report.wall_us));
+          Table.ffix 0 (per_cycle (mean m_csr.Bench_report.minor_words));
           Table.ffix 0 (total csr_added);
         ])
       configs
   in
-  Table.print
-    ~header:
-      [ "net"; "rounds"; "old us/cyc"; "csr us/cyc"; "speedup"; "old w/cyc";
-        "csr w/cyc"; "committed" ]
-    rows;
+  Table.print ~header:[ "net"; "rounds"; "us/cyc"; "w/cyc"; "committed" ] rows;
   print_newline ();
   print_endline
-    "  (checked: clean-round commits identical across cores; one full CSR";
+    "  (checked: every round commits what a from-scratch solve of the same";
   print_endline
-    "   warm period — enables, solves, commits, release — allocates 0 minor";
-  print_endline "   words, 1024-port net included)";
+    "   snapshot does; one full CSR warm period — enables, solves, commits,";
+  print_endline
+    "   release — allocates 0 minor words, 1024-port net included)";
   Printf.printf "  wrote %s\n\n" (Bench_report.write report)

@@ -2,8 +2,8 @@
 
    The E29 comparison, under the priority discipline: the same
    prioritized synthetic workload is served once with the persistent
-   min-cost graph (Warm: priorities ride on the source-arc costs,
-   each cycle is one Mincost.augment over the residual graph) and once
+   min-cost network (Warm: priorities ride on the source-arc costs,
+   each cycle is one Csr.mincost over the residual network) and once
    rebuilding Transformation 2 from scratch every cycle (Rebuild:
    network scan + graph build + from-zero successive shortest paths).
    Work units are comparable, as in E29: capacity/cost updates +

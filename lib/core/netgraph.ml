@@ -1,4 +1,5 @@
 module Graph = Rsin_flow.Graph
+module Csr = Rsin_flow.Csr
 module Network = Rsin_topology.Network
 
 (* The one place in the repository where an MRSIN snapshot is scanned
@@ -7,9 +8,11 @@ module Network = Rsin_topology.Network
    all parameterizations of this compiler; none of them look at
    Network.link_src / Box_in themselves. *)
 
-type t = {
+type 'g t = {
   net : Network.t;
-  graph : Graph.t;
+  graph : 'g;
+  nodes : int;
+  arcs : int;                          (* forward arcs *)
   source : Graph.node;
   sink : Graph.node;
   bypass : Graph.node option;
@@ -20,43 +23,21 @@ type t = {
   rt : int array;                      (* resource  -> r->t arc or -1 *)
   proc_of_node_ : int array;           (* graph node -> processor or -1 *)
   res_of_node_ : int array;            (* graph node -> resource or -1 *)
-  link_of_arc_ : (int, int) Hashtbl.t; (* link arc -> network link *)
-  arc_of_link_ : (int, int) Hashtbl.t; (* network link -> link arc *)
-  link_arcs : (int * int) array;       (* (arc, link), in link-scan order *)
-  mutable csr_ : Rsin_flow.Csr.t option; (* lazy flat emission of [graph] *)
+  arc_of_link_ : int array;            (* network link -> link arc or -1 *)
+  link_of_arc_ : int array;            (* forward arc a/2 -> link or -1 *)
 }
 
-(* Shared free-link scan: one arc per link whose endpoints both survive
-   in the graph. [keep] decides per-link inclusion (snapshot mode keeps
-   free links only; full mode keeps every link, encoding occupancy as
-   capacity 0). *)
-let scan_links net graph ~procs ~ress ~boxes ~cap_of =
-  let link_of_arc = Hashtbl.create 64 in
-  let arc_of_link = Hashtbl.create 64 in
-  let arcs = ref [] in
-  for l = 0 to Network.n_links net - 1 do
-    match cap_of l with
-    | None -> ()
-    | Some cap ->
-      let node_of = function
-        | Network.Proc p -> if procs.(p) >= 0 then Some procs.(p) else None
-        | Network.Res r -> if ress.(r) >= 0 then Some ress.(r) else None
-        | Network.Box_in (b, _) | Network.Box_out (b, _) -> Some boxes.(b)
-      in
-      (match
-         (node_of (Network.link_src net l), node_of (Network.link_dst net l))
-       with
-      | Some u, Some v ->
-        let a = Graph.add_arc graph ~src:u ~dst:v ~cap in
-        Hashtbl.replace link_of_arc a l;
-        Hashtbl.replace arc_of_link l a;
-        arcs := (a, l) :: !arcs
-      | _ -> ())
-  done;
-  (link_of_arc, arc_of_link, Array.of_list (List.rev !arcs))
+let node_of ~procs ~ress ~boxes = function
+  | Network.Proc p -> procs.(p)
+  | Network.Res r -> ress.(r)
+  | Network.Box_in (b, _) | Network.Box_out (b, _) -> boxes.(b)
 
-let reverse_tables graph ~procs ~ress =
-  let n = Graph.node_count graph in
+let free_and_usable net l =
+  match Network.link_state net l with
+  | Network.Free -> Network.usable net l
+  | Network.Occupied _ -> false
+
+let reverse_tables n ~procs ~ress =
   let proc_of = Array.make n (-1) and res_of = Array.make n (-1) in
   Array.iteri (fun p v -> if v >= 0 then proc_of.(v) <- p) procs;
   Array.iteri (fun r v -> if v >= 0 then res_of.(v) <- r) ress;
@@ -110,58 +91,66 @@ let compile ?bypass_cost net ~requests ~free =
   List.iter
     (fun (r, cost) -> rt.(r) <- Graph.add_arc g ~cost ~src:ress.(r) ~dst:sink ~cap:1)
     free;
-  (* B arcs: one per free link whose endpoints survive (step T4 drops
-     occupied links, idle processors and busy resources). *)
-  let link_of_arc_, arc_of_link_, link_arcs =
-    scan_links net g ~procs ~ress ~boxes ~cap_of:(fun l ->
-        match Network.link_state net l with
-        | Network.Free when Network.usable net l -> Some 1
-        | Network.Free | Network.Occupied _ -> None)
-  in
-  let proc_of_node_, res_of_node_ = reverse_tables g ~procs ~ress in
-  { net; graph = g; source; sink; bypass; procs; ress; boxes; sp; rt;
-    proc_of_node_; res_of_node_; link_of_arc_; arc_of_link_; link_arcs;
-    csr_ = None }
+  (* B arcs: one per free, usable link whose endpoints survive (step T4
+     drops occupied links, idle processors and busy resources). *)
+  let arc_of_link_ = Array.make (Network.n_links net) (-1) in
+  let node = node_of ~procs ~ress ~boxes in
+  for l = 0 to Network.n_links net - 1 do
+    if free_and_usable net l then begin
+      let u = node (Network.link_src net l)
+      and v = node (Network.link_dst net l) in
+      if u >= 0 && v >= 0 then
+        arc_of_link_.(l) <- Graph.add_arc g ~src:u ~dst:v ~cap:1
+    end
+  done;
+  let link_of_arc_ = Array.make (Graph.arc_count g) (-1) in
+  Array.iteri (fun l a -> if a >= 0 then link_of_arc_.(a / 2) <- l) arc_of_link_;
+  let nodes = Graph.node_count g in
+  let proc_of_node_, res_of_node_ = reverse_tables nodes ~procs ~ress in
+  { net; graph = g; nodes; arcs = Graph.arc_count g; source; sink; bypass;
+    procs; ress; boxes; sp; rt; proc_of_node_; res_of_node_; arc_of_link_;
+    link_of_arc_ }
 
+(* The full layout is fixed arithmetic, so the CSR is emitted directly:
+   nodes source, sink, boxes, processors, resources; forward arcs s->p
+   per processor, r->t per resource, then one per link in link-id order
+   (every endpoint exists, so every link gets its arc). *)
 let compile_full net =
   let np = Network.n_procs net and nr = Network.n_res net in
-  let g = Graph.create () in
-  let source = Graph.add_node g and sink = Graph.add_node g in
-  let boxes = Array.init (Network.n_boxes net) (fun _ -> Graph.add_node g) in
-  let procs = Array.init np (fun _ -> Graph.add_node g) in
-  let ress = Array.init nr (fun _ -> Graph.add_node g) in
-  let sp = Array.map (fun p -> Graph.add_arc g ~src:source ~dst:p ~cap:0) procs in
-  let rt = Array.map (fun r -> Graph.add_arc g ~src:r ~dst:sink ~cap:0) ress in
-  let link_of_arc_, arc_of_link_, link_arcs =
-    scan_links net g ~procs ~ress ~boxes ~cap_of:(fun l ->
-        match Network.link_state net l with
-        | Network.Free when Network.usable net l -> Some 1
-        | Network.Free | Network.Occupied _ -> Some 0)
+  let nb = Network.n_boxes net and nl = Network.n_links net in
+  let source = 0 and sink = 1 in
+  let boxes = Array.init nb (fun b -> 2 + b) in
+  let procs = Array.init np (fun p -> 2 + nb + p) in
+  let ress = Array.init nr (fun r -> 2 + nb + np + r) in
+  let nodes = 2 + nb + np + nr and link0 = np + nr in
+  let node = node_of ~procs ~ress ~boxes in
+  let csr =
+    Csr.create ~nodes ~arcs:(link0 + nl)
+      ~src:(fun i ->
+        if i < np then source
+        else if i < link0 then ress.(i - np)
+        else node (Network.link_src net (i - link0)))
+      ~dst:(fun i ->
+        if i < np then procs.(i)
+        else if i < link0 then sink
+        else node (Network.link_dst net (i - link0)))
+      ~cap:(fun i ->
+        if i >= link0 && free_and_usable net (i - link0) then 1 else 0)
   in
-  let proc_of_node_, res_of_node_ = reverse_tables g ~procs ~ress in
-  { net; graph = g; source; sink; bypass = None; procs; ress; boxes; sp; rt;
-    proc_of_node_; res_of_node_; link_of_arc_; arc_of_link_; link_arcs;
-    csr_ = None }
+  let proc_of_node_, res_of_node_ = reverse_tables nodes ~procs ~ress in
+  { net; graph = csr; nodes; arcs = link0 + nl; source; sink; bypass = None;
+    procs; ress; boxes;
+    sp = Array.init np (fun p -> 2 * p);
+    rt = Array.init nr (fun r -> 2 * (np + r));
+    proc_of_node_; res_of_node_;
+    arc_of_link_ = Array.init nl (fun l -> 2 * (link0 + l));
+    link_of_arc_ =
+      Array.init (link0 + nl) (fun i -> if i < link0 then -1 else i - link0);
+  }
 
 (* --- accessors ---------------------------------------------------------- *)
 
 let graph t = t.graph
-
-(* CSR emission: both compilers add every node and arc before the result
-   escapes, so the structure is final by the time anyone can ask — the
-   snapshot is taken once and then owns all scheduling state (the mirror
-   Graph goes stale; Incremental's Csr backend routes every state access
-   through the snapshot, and uses the Graph only structurally). Arc
-   indices are shared between the two representations, so sp/rt/link_arcs
-   address either one. *)
-let csr t =
-  match t.csr_ with
-  | Some c -> c
-  | None ->
-    let c = Rsin_flow.Csr.of_graph t.graph in
-    t.csr_ <- Some c;
-    c
-
 let source t = t.source
 let sink t = t.sink
 let bypass t = t.bypass
@@ -197,10 +186,26 @@ let rt_arc t r =
   if r < 0 || r >= Array.length t.rt then invalid_arg "Netgraph.rt_arc";
   if t.rt.(r) >= 0 then Some t.rt.(r) else None
 
-let link_of_arc t a = Hashtbl.find_opt t.link_of_arc_ a
-let arc_of_link t l = Hashtbl.find_opt t.arc_of_link_ l
-let link_arcs t = t.link_arcs
-let size t = (Graph.node_count t.graph, Graph.arc_count t.graph)
+let link_of_arc t a =
+  if a < 0 || a land 1 = 1 || a / 2 >= t.arcs then None
+  else
+    let l = t.link_of_arc_.(a / 2) in
+    if l >= 0 then Some l else None
+
+let arc_of_link t l =
+  if l < 0 || l >= Array.length t.arc_of_link_ then None
+  else
+    let a = t.arc_of_link_.(l) in
+    if a >= 0 then Some a else None
+
+let link_arcs t =
+  let acc = ref [] in
+  for l = Array.length t.arc_of_link_ - 1 downto 0 do
+    if t.arc_of_link_.(l) >= 0 then acc := (t.arc_of_link_.(l), l) :: !acc
+  done;
+  Array.of_list !acc
+
+let size t = (t.nodes, t.arcs)
 
 (* --- flow -> circuits / mapping extraction ------------------------------ *)
 
@@ -232,9 +237,7 @@ let extract t =
         mapping := (t.proc_of_node_.(p), t.res_of_node_.(r)) :: !mapping;
         let arcs = Rsin_flow.Decompose.path_arcs g nodes in
         List.iter (fun a -> alloc_cost := !alloc_cost + Graph.cost g a) arcs;
-        let links =
-          List.filter_map (fun a -> Hashtbl.find_opt t.link_of_arc_ a) arcs
-        in
+        let links = List.filter_map (link_of_arc t) arcs in
         circuits := (t.proc_of_node_.(p), links) :: !circuits
       | _ -> failwith "Netgraph.extract: short path")
     paths;
@@ -249,7 +252,7 @@ let extract t =
 let cut_members t cut =
   List.filter_map
     (fun a ->
-      match Hashtbl.find_opt t.link_of_arc_ a with
+      match link_of_arc t a with
       | Some l -> Some (`Link l)
       | None ->
         let s = Graph.src t.graph a and d = Graph.dst t.graph a in

@@ -18,10 +18,17 @@
     compiling with costs), the bypass→sink arc, the [r→t] arcs, then one
     arc per surviving link in link-id order — so equal inputs compile to
     identical graphs, which the differential and property tests rely
-    on. *)
+    on.
 
-type t
-(** A compiled flow graph together with the MRSIN↔graph correspondence. *)
+    The compiled representation is the type parameter: a snapshot
+    compile yields a [Rsin_flow.Graph.t t] for the from-scratch solvers,
+    and {!compile_full} emits the engine's [Rsin_flow.Csr.t t] directly,
+    with the same node and arc numbering, so every correspondence below
+    reads the same in both. *)
+
+type 'g t
+(** A compiled flow graph of representation ['g] together with the
+    MRSIN↔graph correspondence. *)
 
 (** {1 Compilation} *)
 
@@ -30,7 +37,7 @@ val compile :
   Rsin_topology.Network.t ->
   requests:(int * int) list ->
   free:(int * int) list ->
-  t
+  Rsin_flow.Graph.t t
 (** [compile net ~requests ~free] builds the snapshot flow graph:
     [requests] are [(processor, s-arc cost)] pairs, [free] are
     [(resource port, t-arc cost)] pairs; occupied links, links masked by
@@ -45,70 +52,62 @@ val compile :
     out-of-range indices are rejected with [Invalid_argument]. The
     network is referenced, not copied. *)
 
-val compile_full : Rsin_topology.Network.t -> t
-(** [compile_full net] builds the persistent full-topology graph of the
-    online engine: {e every} processor, box, resource and link gets its
-    node/arc once. Endpoint arcs start with capacity 0 (switched off);
-    link arcs carry capacity 1 when free and usable, 0 when occupied or
+val compile_full : Rsin_topology.Network.t -> Rsin_flow.Csr.t t
+(** [compile_full net] builds the persistent full-topology network of
+    the online engine, straight into {!Rsin_flow.Csr} arrays (no
+    {!Rsin_flow.Graph} is built): {e every} processor, box, resource and
+    link gets its node/arc once, so link [l]'s arc sits at a fixed
+    offset. Endpoint arcs start with capacity 0 (switched off); link
+    arcs carry capacity 1 when free and usable, 0 when occupied or
     masked by a down element. Scheduling state is then expressed purely
-    through O(1)
-    {!Rsin_flow.Graph.set_capacity} / {!Rsin_flow.Graph.set_cost}
-    toggles — the graph is never rebuilt. *)
+    through O(1) {!Rsin_flow.Csr.set_capacity} /
+    {!Rsin_flow.Csr.set_cost} toggles — the network is never rebuilt. *)
 
 (** {1 Accessors} *)
 
-val graph : t -> Rsin_flow.Graph.t
+val graph : 'g t -> 'g
 
-val csr : t -> Rsin_flow.Csr.t
-(** Flat zero-allocation emission of {!graph}, built on first call and
-    cached. Graph arc indices address both representations, so the
-    link↔arc correspondence below applies to the CSR form unchanged.
-    The snapshot does not track later mutations of {!graph} (nor vice
-    versa): a caller that takes the CSR form owns all scheduling state
-    from then on — this is how {!Rsin_engine.Incremental}'s [Csr]
-    backend serves warm cycles without touching the mutable graph. *)
+val source : 'g t -> Rsin_flow.Graph.node
+val sink : 'g t -> Rsin_flow.Graph.node
 
-val source : t -> Rsin_flow.Graph.node
-val sink : t -> Rsin_flow.Graph.node
-
-val bypass : t -> Rsin_flow.Graph.node option
+val bypass : 'g t -> Rsin_flow.Graph.node option
 (** The bypass node, when compiled with [bypass_cost]. *)
 
-val network : t -> Rsin_topology.Network.t
+val network : 'g t -> Rsin_topology.Network.t
 (** The network the graph was compiled from (not a copy). *)
 
-val proc_node : t -> int -> Rsin_flow.Graph.node option
+val proc_node : 'g t -> int -> Rsin_flow.Graph.node option
 (** Graph node of a processor, [None] if it is not in the graph. *)
 
-val res_node : t -> int -> Rsin_flow.Graph.node option
-val box_node : t -> int -> Rsin_flow.Graph.node
+val res_node : 'g t -> int -> Rsin_flow.Graph.node option
+val box_node : 'g t -> int -> Rsin_flow.Graph.node
 
-val proc_of_node : t -> Rsin_flow.Graph.node -> int option
+val proc_of_node : 'g t -> Rsin_flow.Graph.node -> int option
 (** Inverse of {!proc_node}, [None] for non-processor nodes. *)
 
-val res_of_node : t -> Rsin_flow.Graph.node -> int option
+val res_of_node : 'g t -> Rsin_flow.Graph.node -> int option
 
-val sp_arc : t -> int -> Rsin_flow.Graph.arc option
+val sp_arc : 'g t -> int -> Rsin_flow.Graph.arc option
 (** The [s→p] arc of a processor, [None] if it is not in the graph.
     Always present after {!compile_full}. *)
 
-val rt_arc : t -> int -> Rsin_flow.Graph.arc option
+val rt_arc : 'g t -> int -> Rsin_flow.Graph.arc option
 
-val arc_of_link : t -> int -> Rsin_flow.Graph.arc option
+val arc_of_link : 'g t -> int -> Rsin_flow.Graph.arc option
 (** The graph arc compiled from a network link, [None] when the link was
     dropped (occupied, or an endpoint absent). Inverse of
     {!link_of_arc} on its domain: [link_of_arc (arc_of_link l) = Some l]
     for every surviving link [l]. *)
 
-val link_of_arc : t -> Rsin_flow.Graph.arc -> int option
+val link_of_arc : 'g t -> Rsin_flow.Graph.arc -> int option
 (** The network link an arc was compiled from, [None] for endpoint and
     bypass arcs. *)
 
-val link_arcs : t -> (Rsin_flow.Graph.arc * int) array
+val link_arcs : 'g t -> (Rsin_flow.Graph.arc * int) array
 (** All [(arc, link)] pairs, in link-id scan order — the structural view
-    the heterogeneous LP shares capacity over. *)
+    the heterogeneous LP shares capacity over. Built on each call. *)
 
-val size : t -> int * int
+val size : 'g t -> int * int
 (** [(nodes, forward arcs)] of the compiled graph — the construction
     work a rebuild-per-cycle scheduler pays every cycle. *)
 
@@ -125,13 +124,13 @@ type extraction = {
       (** total arc cost of the allocated (non-bypass) paths *)
 }
 
-val extract : t -> extraction
+val extract : Rsin_flow.Graph.t t -> extraction
 (** Decomposes the graph's current integral flow into unit s–t paths and
     translates them back to network terms. Paths through the bypass node
     are reported in [bypassed] rather than allocated. *)
 
 val cut_members :
-  t ->
+  Rsin_flow.Graph.t t ->
   Rsin_flow.Graph.arc list ->
   [ `Link of int | `Proc of int | `Res of int ] list
 (** Translates a cut (e.g. {!Rsin_flow.Edmonds_karp.min_cut}) back to

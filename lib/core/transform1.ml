@@ -4,7 +4,7 @@ module Network = Rsin_topology.Network
 (* Transformation 1 is the zero-cost parameterization of the shared
    Netgraph compiler: no bypass node, every arc cost 0, max flow. *)
 
-type t = { ng : Netgraph.t; requested : int; free_count : int }
+type t = { ng : Graph.t Netgraph.t; requested : int; free_count : int }
 
 type algorithm = Dinic | Edmonds_karp | Push_relabel
 

@@ -7,7 +7,7 @@ module Network = Rsin_topology.Network
    Netgraph. *)
 
 type t = {
-  ng : Netgraph.t;
+  ng : Graph.t Netgraph.t;
   requested : int;
   bypass_cost : int;
   mutable return_arc : int option;

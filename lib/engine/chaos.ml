@@ -163,29 +163,36 @@ let killed_run ~config ~trace ~kill_at net =
 (* --- stream-robustness soak --------------------------------------------- *)
 
 (* Corrupt a JSONL rendering of the trace: garbage lines, truncated
-   objects, unknown event kinds, missing fields — then cut the stream
-   mid-line as a disconnecting client would. The serve loop must drop
-   every bad line with a positioned error and serve everything else. *)
+   objects, unknown event kinds, missing fields, well-formed events the
+   router must refuse (an out-of-range processor or fault element, an
+   arrival line sent twice) — then cut the stream mid-line as a
+   disconnecting client would. The serve loop must drop every bad line
+   or refused event and serve everything else. The out-of-range events
+   carry a far-future slot so that they pass the slot-order check and
+   reach the range checks. *)
 let corruptions =
   [| "{oops"; "not json at all"; "{\"ev\":\"warp\",\"t\":1}";
-     "{\"ev\":\"arrive\"}"; "{\"ev\":\"arrive\",\"t\":"; "[]"; "{}" |]
+     "{\"ev\":\"arrive\"}"; "{\"ev\":\"arrive\",\"t\":"; "[]"; "{}";
+     "{\"t\":999999,\"ev\":\"arrive\",\"id\":-1,\"proc\":999999,\"service\":1}";
+     "{\"t\":999999,\"ev\":\"fault\",\"kind\":\"link\",\"idx\":999999}" |]
 
-let corrupt_lines ~seed lines =
+let corrupt_lines ~seed trace =
   let rng = Prng.create (seed lxor 0x5eed) in
+  let n = Array.length corruptions in
   List.concat_map
-    (fun line ->
+    (fun ev ->
+      let line = String.trim (Workload.trace_to_jsonl [ ev ]) in
       if Prng.int rng 9 = 0 then
-        [ corruptions.(Prng.int rng (Array.length corruptions)); line ]
+        match (Prng.int rng (n + 1), ev) with
+        | k, _ when k < n -> [ corruptions.(k); line ]
+        | _, Workload.Arrive _ -> [ line; line ]
+        | _ -> [ line ]
       else [ line ])
-    lines
+    trace
   @ [ "{\"ev\":\"arrive\",\"t\":999999,\"id\":42" (* disconnect mid-line *) ]
 
 let stream_run ~config ~trace ~seed net =
-  let jsonl = Workload.trace_to_jsonl trace in
-  let lines =
-    corrupt_lines ~seed
-      (String.split_on_char '\n' jsonl |> List.filter (fun l -> l <> ""))
-  in
+  let lines = corrupt_lines ~seed trace in
   let cursor = ref lines in
   let next () =
     match !cursor with
@@ -202,7 +209,12 @@ let stream_run ~config ~trace ~seed net =
     Workload.fold_lines_lenient next
       ~on_error:(fun (_ : Workload.parse_error) -> incr errors)
       ~init:0
-      ~f:(fun n ev -> Serve.feed t ev; n + 1)
+      ~f:(fun n ev ->
+        match Serve.feed t ev with
+        | () -> n + 1
+        | exception Invalid_argument _ ->
+          incr errors;
+          n)
   in
   Serve.drain t;
   let* () = final_check p t in

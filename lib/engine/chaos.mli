@@ -31,7 +31,9 @@ type outcome = {
   topology : string;
   slots : int;
   events : int;             (** storm-trace events served *)
-  stream_errors : int;      (** corrupted lines dropped by the lenient parser *)
+  stream_errors : int;
+      (** corrupted lines dropped by the lenient parser, plus well-formed
+          events [Serve.feed] refused *)
   checks : int;             (** accounting assertions that ran (all held) *)
   faults : int;
   victims : int;

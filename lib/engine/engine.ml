@@ -385,17 +385,7 @@ let create ?obs ?(config = Config.default) ?cycle_hook ?event_hook net =
         | Uniform -> Incremental.Maxflow
         | Priority -> Incremental.Mincost
       in
-      (* The solver registry names select the graph representation here:
-         the -csr pair runs the warm loop on the flat zero-allocation
-         core. Other registry solvers have no warm entry point — the
-         warm augment is inherently Dinic/SSP-shaped — so they keep the
-         default adjacency backend, as before. *)
-      let backend =
-        match config.Config.solver with
-        | "dinic-csr" | "mincost-csr" -> Incremental.Csr
-        | _ -> Incremental.Adjacency
-      in
-      Some (Incremental.create ~discipline:d ~backend net)
+      Some (Incremental.create ~discipline:d net)
     | Rebuild | Token -> None
   in
   let solver_mod =

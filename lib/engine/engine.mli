@@ -21,7 +21,7 @@
     unique even though mappings are not).
 
     Everything a run depends on besides the network and the trace — the
-    strategy, the discipline, the solver/backend, batching, fault
+    strategy, the discipline, the rebuild solver, batching, fault
     injection and the heartbeat period — lives in one validated
     {!Config.t} record. The same record is the per-shard configuration
     {!Serve} ships to each domain of the sharded engine. *)
@@ -51,7 +51,7 @@ type discipline =
       (** each cycle serves a maximum number of requests and, among
           those, maximizes the total priority of the queue heads served
           — Transformation 2 (min-cost flow) per cycle. [Warm] runs it
-          as {!Rsin_flow.Mincost.augment} over the persistent graph with
+          as {!Rsin_flow.Csr.mincost} over the persistent network with
           priorities on the source-arc costs; [Rebuild] as a
           from-scratch {!Rsin_core.Transform2.schedule}. *)
 
@@ -82,11 +82,9 @@ module Config : sig
     discipline : discipline;
     solver : string;
         (** a {!Rsin_flow.Solver} registry name. Picks the from-scratch
-            solver of a [Rebuild]+[Uniform] cycle; for [Warm] the
-            ["dinic-csr"]/["mincost-csr"] names switch the persistent
-            graph to the flat zero-allocation {!Rsin_flow.Csr} backend
-            ({!Incremental.Csr}), any other name keeps the adjacency
-            backend. *)
+            solver of a [Rebuild]+[Uniform] cycle. [Warm] cycles always
+            run on the flat zero-allocation {!Rsin_flow.Csr} core
+            ({!Incremental}), whatever the name. *)
     transmission_time : int;  (** slots a circuit stays established, >= 1 *)
     batch_threshold : int;
         (** minimum pending requests (and free resources, capped by the

@@ -1,14 +1,12 @@
 module Graph = Rsin_flow.Graph
 module Csr = Rsin_flow.Csr
-module Dinic = Rsin_flow.Dinic
-module Mincost = Rsin_flow.Mincost
 module Obs = Rsin_obs.Obs
 module Netgraph = Rsin_core.Netgraph
-module Network = Rsin_topology.Network
 
-(* A persistent flow network over the *whole* topology, compiled once by
-   Netgraph.compile_full. Scheduling state is expressed purely through
-   capacities (and, under the Mincost discipline, costs):
+(* A persistent flow network over the *whole* topology, emitted once by
+   Netgraph.compile_full straight into Csr arrays. Scheduling state is
+   expressed purely through capacities (and, under the Mincost
+   discipline, costs):
 
      s->p arc   cap 1 iff processor p has a pending request;
                 cost -y_p (its priority) under Mincost, 0 under Maxflow
@@ -20,30 +18,20 @@ module Network = Rsin_topology.Network
 
    Circuits that survive from earlier cycles therefore constitute a
    feasible flow of the current network, and a scheduling cycle is one
-   warm augment call on the residual graph — never a rebuild:
-   Dinic.augment under Maxflow, Mincost.augment under Mincost. The
-   residual graph reachable from s is isomorphic to the from-scratch
-   transformation graph of the same snapshot (frozen arcs contribute no
-   residual capacity in either direction; switched-off arcs carry
-   cap 0). Under Maxflow that makes warm cycles allocate exactly as many
-   requests as from-scratch Transformation 1; under Mincost the
-   successive-shortest-path augment maximizes allocation first and then
-   total served priority — the same optimum Transformation 2's bypass
-   costs select, because every extraction freezes the new flow, so each
-   cycle starts from zero unfrozen flow. The differential tests pin both
-   equivalences cycle by cycle. *)
+   warm augment on the residual network — never a rebuild: Csr.dinic
+   under Maxflow, Csr.mincost under Mincost, neither of which allocates.
+   The residual network reachable from s is isomorphic to the
+   from-scratch transformation graph of the same snapshot (frozen arcs
+   contribute no residual capacity in either direction; switched-off
+   arcs carry cap 0). Under Maxflow that makes warm cycles allocate
+   exactly as many requests as from-scratch Transformation 1; under
+   Mincost the successive-shortest-path augment maximizes allocation
+   first and then total served priority — the same optimum
+   Transformation 2's bypass costs select, because every extraction
+   freezes the new flow, so each cycle starts from zero unfrozen flow.
+   The differential tests pin both equivalences cycle by cycle. *)
 
 type discipline = Maxflow | Mincost
-
-(* Which representation holds the scheduling state. [Adjacency] is the
-   original mutable Graph; [Csr] routes every state access (capacity,
-   cost, flow, freeze/thaw) through the flat Netgraph.csr snapshot and
-   solves with the zero-allocation Csr.dinic / Csr.mincost cores, so a
-   warm cycle performs no minor-heap allocation inside the solver. The
-   Graph is still used *structurally* (adjacency iteration during
-   extraction) — the two representations share arc indices and the
-   topology never changes after compile_full, only capacities do. *)
-type backend = Adjacency | Csr
 
 type circuit = {
   proc : int;
@@ -53,67 +41,19 @@ type circuit = {
 }
 
 type t = {
-  ng : Netgraph.t;
+  ng : Csr.t Netgraph.t;
+  csr : Csr.t;                         (* = Netgraph.graph ng *)
   discipline : discipline;
-  csr : Csr.t option;                  (* Some iff backend = Csr *)
-  frozen : bool array;                 (* per forward arc index a/2 *)
   mutable dirty : bool;
   mutable pending_ops : int;           (* capacity updates since last solve *)
   mutable total_work : int;            (* cumulative: updates + arcs scanned *)
 }
 
-let create ?(discipline = Maxflow) ?(backend = Adjacency) net =
+let create ?(discipline = Maxflow) net =
   let ng = Netgraph.compile_full net in
-  let csr = match backend with Adjacency -> None | Csr -> Some (Netgraph.csr ng) in
-  { ng; discipline; csr;
-    frozen = Array.make (Graph.arc_count (Netgraph.graph ng)) false;
+  { ng; csr = Netgraph.graph ng; discipline;
     dirty = false; pending_ops = 0; total_work = 0 }
 
-let backend t = match t.csr with None -> Adjacency | Some _ -> Csr
-
-(* State dispatch: every capacity/cost/flow read or write goes through
-   exactly one of the two representations. *)
-let b_original_capacity t a =
-  match t.csr with
-  | None -> Graph.original_capacity (Netgraph.graph t.ng) a
-  | Some c -> Csr.original_capacity c a
-
-let b_flow t a =
-  match t.csr with
-  | None -> Graph.flow (Netgraph.graph t.ng) a
-  | Some c -> Csr.flow c a
-
-let b_cost t a =
-  match t.csr with
-  | None -> Graph.cost (Netgraph.graph t.ng) a
-  | Some c -> Csr.cost c a
-
-let b_set_capacity t a cap =
-  match t.csr with
-  | None -> Graph.set_capacity (Netgraph.graph t.ng) a cap
-  | Some c -> Csr.set_capacity c a cap
-
-let b_set_cost t a cost =
-  match t.csr with
-  | None -> Graph.set_cost (Netgraph.graph t.ng) a cost
-  | Some c -> Csr.set_cost c a cost
-
-let b_set_flow t a f =
-  match t.csr with
-  | None -> Graph.set_flow (Netgraph.graph t.ng) a f
-  | Some c -> Csr.set_flow c a f
-
-let b_freeze t a =
-  match t.csr with
-  | None -> Graph.freeze (Netgraph.graph t.ng) a
-  | Some c -> Csr.freeze c a
-
-let b_thaw t a =
-  match t.csr with
-  | None -> Graph.thaw (Netgraph.graph t.ng) a
-  | Some c -> Csr.thaw c a
-
-let graph t = Netgraph.graph t.ng
 let netgraph t = t.ng
 let discipline t = t.discipline
 let dirty t = t.dirty
@@ -142,8 +82,8 @@ let touch ?(enables = false) t =
 
 let set_switch t a on =
   let cap = if on then 1 else 0 in
-  if b_original_capacity t a <> cap then begin
-    b_set_capacity t a cap;
+  if Csr.original_capacity t.csr a <> cap then begin
+    Csr.set_capacity t.csr a cap;
     touch t ~enables:on
   end
 
@@ -155,8 +95,8 @@ let set_requesting t ?(priority = 0) p on =
   | Mincost ->
     (* Serving a high-priority request is a cheap path: cost -y_p. *)
     let cost = if on then -priority else 0 in
-    if b_cost t a <> cost then begin
-      b_set_cost t a cost;
+    if Csr.cost t.csr a <> cost then begin
+      Csr.set_cost t.csr a cost;
       touch t
     end);
   set_switch t a on
@@ -167,76 +107,61 @@ let set_link_usable t l on =
   match Netgraph.arc_of_link t.ng l with
   | None -> invalid_arg "Incremental.set_link_usable: bad link"
   | Some a ->
-    if t.frozen.(a / 2) then
+    if Csr.is_frozen t.csr a then
       invalid_arg
         "Incremental.set_link_usable: link carries a committed circuit \
          (release it first)";
     set_switch t a on
-let requesting t p = b_original_capacity t (sp_arc t p) = 1
-let resource_free t r = b_original_capacity t (rt_arc t r) = 1
+
+let requesting t p = Csr.original_capacity t.csr (sp_arc t p) = 1
+let resource_free t r = Csr.original_capacity t.csr (rt_arc t r) = 1
 
 (* Decompose only the flow added by the last augmentation: walk from the
-   source along unfrozen forward arcs with undecomposed flow. Frozen
+   source along unfrozen forward arcs carrying flow, freezing each arc
+   crossed (unit capacities: a frozen arc is a decomposed one). Frozen
    flow belongs to complete committed s-t paths, so the unfrozen flow is
-   itself a conserved integral flow and the greedy walk cannot strand. *)
+   itself a conserved integral flow and the greedy walk cannot strand.
+   Csr.next_flow_arc picks out-arcs newest first, as a first-fit walk
+   over the adjacency graph would, so the circuits match the reference
+   solvers' decomposition. *)
 let extract_new t =
-  let g = graph t in
+  let c = t.csr in
   let sink = sink t in
-  let remaining = Array.make (Graph.arc_count g) 0 in
-  let total = ref 0 in
-  Graph.iter_forward_arcs g (fun a ->
-      if not t.frozen.(a / 2) then remaining.(a / 2) <- b_flow t a);
-  let np = Network.n_procs (Netgraph.network t.ng) in
-  for p = 0 to np - 1 do
-    let a = sp_arc t p in
-    total := !total + remaining.(a / 2)
-  done;
-  let next_arc v =
-    Graph.fold_out g v ~init:None ~f:(fun acc a ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          if Graph.is_forward a && remaining.(a / 2) > 0 then Some a else None)
-  in
-  let n = Graph.node_count g in
+  let n = Csr.node_count c in
   let rec walk v arcs steps =
     if v = sink then List.rev arcs
     else if steps > n then
       failwith "Incremental.extract_new: flow contains a cycle"
     else
-      match next_arc v with
-      | None -> failwith "Incremental.extract_new: stranded flow"
-      | Some a ->
-        remaining.(a / 2) <- remaining.(a / 2) - 1;
-        walk (Graph.dst g a) (a :: arcs) (steps + 1)
+      let a = Csr.next_flow_arc c v in
+      if a < 0 then failwith "Incremental.extract_new: stranded flow";
+      Csr.freeze c a;
+      walk (Csr.dst c a) (a :: arcs) (steps + 1)
   in
-  List.init !total (fun _ ->
-      let arcs = walk (source t) [] 0 in
-      let proc =
-        match arcs with
-        | sp :: _ ->
-          (match Netgraph.proc_of_node t.ng (Graph.dst g sp) with
-          | Some p -> p
-          | None -> failwith "Incremental.extract_new: no processor")
-        | [] -> failwith "Incremental.extract_new: empty path"
-      in
-      let res =
-        match List.rev arcs with
-        | rt :: _ ->
-          (match Netgraph.res_of_node t.ng (Graph.src g rt) with
-          | Some r -> r
-          | None -> failwith "Incremental.extract_new: no resource")
-        | [] -> failwith "Incremental.extract_new: empty path"
-      in
-      let links =
-        List.filter_map (fun a -> Netgraph.link_of_arc t.ng a) arcs
-      in
-      List.iter
-        (fun a ->
-          b_freeze t a;
-          t.frozen.(a / 2) <- true)
-        arcs;
-      { proc; res; links; arcs })
+  let circuit arcs =
+    let proc =
+      match arcs with
+      | sp :: _ ->
+        (match Netgraph.proc_of_node t.ng (Csr.dst c sp) with
+        | Some p -> p
+        | None -> failwith "Incremental.extract_new: no processor")
+      | [] -> failwith "Incremental.extract_new: empty path"
+    in
+    let res =
+      match List.rev arcs with
+      | rt :: _ ->
+        (match Netgraph.res_of_node t.ng (Csr.src c rt) with
+        | Some r -> r
+        | None -> failwith "Incremental.extract_new: no resource")
+      | [] -> failwith "Incremental.extract_new: empty path"
+    in
+    { proc; res; links = List.filter_map (Netgraph.link_of_arc t.ng) arcs; arcs }
+  in
+  let rec paths acc =
+    if Csr.next_flow_arc c (source t) < 0 then List.rev acc
+    else paths (circuit (walk (source t) [] 0) :: acc)
+  in
+  paths []
 
 type solve_result = {
   circuits : circuit list;
@@ -249,28 +174,19 @@ let solve ?obs t =
   t.pending_ops <- 0;
   if not t.dirty then { circuits = []; work = updates; skipped = true }
   else begin
+    let c = t.csr and source = source t and sink = sink t in
     let scanned =
-      match (t.csr, t.discipline) with
-      | None, Maxflow ->
-        let _added, (st : Dinic.stats) =
-          Dinic.augment ?obs (graph t) ~source:(source t) ~sink:(sink t)
-        in
-        st.arcs_scanned
-      | None, Mincost ->
-        let r =
-          Mincost.augment ?obs (graph t) ~source:(source t) ~sink:(sink t)
-        in
-        r.stats.arcs_scanned
-      | Some c, Maxflow ->
-        let _added = Csr.dinic c ~source:(source t) ~sink:(sink t) in
+      match t.discipline with
+      | Maxflow ->
+        let _added = Csr.dinic c ~source ~sink in
         let s = Csr.last_stats c in
         Obs.count obs "flow.dinic_csr.runs" 1;
         Obs.count obs "flow.dinic_csr.phases" s.Csr.passes;
         Obs.count obs "flow.dinic_csr.augmentations" s.Csr.augmentations;
         Obs.count obs "flow.dinic_csr.arcs_scanned" s.Csr.arcs_scanned;
         s.Csr.arcs_scanned
-      | Some c, Mincost ->
-        let _added = Csr.mincost c ~source:(source t) ~sink:(sink t) in
+      | Mincost ->
+        let _added = Csr.mincost c ~source ~sink in
         let s = Csr.last_stats c in
         Obs.count obs "flow.mincost_csr.runs" 1;
         Obs.count obs "flow.mincost_csr.augmentations" s.Csr.augmentations;
@@ -286,19 +202,18 @@ let solve ?obs t =
 let release t (c : circuit) =
   List.iter
     (fun a ->
-      if not t.frozen.(a / 2) then
+      if not (Csr.is_frozen t.csr a) then
         invalid_arg "Incremental.release: circuit not committed";
-      t.frozen.(a / 2) <- false;
-      b_thaw t a;
-      b_set_flow t a 0;
+      Csr.thaw t.csr a;
+      Csr.set_flow t.csr a 0;
       t.pending_ops <- t.pending_ops + 1;
       t.total_work <- t.total_work + 1)
     c.arcs;
   (* The request was served and the resource enters service: switch both
      endpoint arcs off until the engine re-enables them. *)
-  b_set_capacity t (sp_arc t c.proc) 0;
-  if t.discipline = Mincost then b_set_cost t (sp_arc t c.proc) 0;
-  b_set_capacity t (rt_arc t c.res) 0;
+  Csr.set_capacity t.csr (sp_arc t c.proc) 0;
+  if t.discipline = Mincost then Csr.set_cost t.csr (sp_arc t c.proc) 0;
+  Csr.set_capacity t.csr (rt_arc t c.res) 0;
   (* Freed links may unblock a request that was proved unroutable. *)
   t.dirty <- true
 
@@ -321,12 +236,11 @@ let restore_circuit t ~proc ~res ~links =
   let arcs = (sp_arc t proc :: List.map arc_of_link links) @ [ rt_arc t res ] in
   List.iter
     (fun a ->
-      if t.frozen.(a / 2) then
+      if Csr.is_frozen t.csr a then
         invalid_arg "Incremental.restore_circuit: arc already frozen";
-      b_set_capacity t a 1;
-      b_set_flow t a 1;
-      b_freeze t a;
-      t.frozen.(a / 2) <- true)
+      Csr.set_capacity t.csr a 1;
+      Csr.set_flow t.csr a 1;
+      Csr.freeze t.csr a)
     arcs;
   { proc; res; links; arcs }
 
@@ -337,7 +251,4 @@ let restore_flags t ~dirty ~pending_ops ~total_work =
   t.pending_ops <- pending_ops;
   t.total_work <- total_work
 
-let check t =
-  match t.csr with
-  | None -> Graph.check_conservation (graph t) ~source:(source t) ~sink:(sink t)
-  | Some c -> Csr.check_conservation c ~source:(source t) ~sink:(sink t)
+let check t = Csr.check_conservation t.csr ~source:(source t) ~sink:(sink t)

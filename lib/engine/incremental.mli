@@ -1,19 +1,21 @@
 (** Persistent, warm-started scheduling state for the online engine,
     generic over the serving discipline.
 
-    The graph covers the {e whole} topology and is compiled once by
-    {!Rsin_core.Netgraph.compile_full}; request arrivals, resource state
-    changes and circuit releases are O(1) capacity (and, under
-    {!Mincost}, cost) updates, and a scheduling cycle is one warm
-    augment call over the residual graph — {!Rsin_flow.Dinic.augment}
-    under {!Maxflow}, {!Rsin_flow.Mincost.augment} under {!Mincost}.
-    Circuits committed in earlier cycles stay in the graph as {e frozen}
-    feasible flow ({!Rsin_flow.Graph.freeze}), so each cycle only pays
-    for the incremental augmentation — and a cycle in which no capacity
-    was added since the last solve is skipped outright, because neither
-    removed capacity nor a cost update can create an augmenting path.
+    The network covers the {e whole} topology and is emitted once by
+    {!Rsin_core.Netgraph.compile_full} straight into a flat
+    {!Rsin_flow.Csr} network; request arrivals, resource state changes,
+    faults and circuit releases are O(1) capacity (and, under
+    {!Mincost}, cost) writes, and a scheduling cycle is one warm augment
+    over the residual network — {!Rsin_flow.Csr.dinic} under {!Maxflow},
+    {!Rsin_flow.Csr.mincost} under {!Mincost}, neither of which
+    allocates. Circuits committed in earlier cycles stay in the network
+    as {e frozen} feasible flow ({!Rsin_flow.Csr.freeze}), so each cycle
+    only pays for the incremental augmentation — and a cycle in which no
+    capacity was added since the last solve is skipped outright, because
+    neither removed capacity nor a cost update can create an augmenting
+    path.
 
-    The residual graph visible to the solver is isomorphic to the
+    The residual network visible to the solver is isomorphic to the
     from-scratch transformation network of the same snapshot. Under
     {!Maxflow} warm cycles therefore allocate exactly as many requests
     as {!Rsin_core.Transform1.schedule}; under {!Mincost} — where each
@@ -21,7 +23,8 @@
     successive-shortest-path augment maximizes the allocation count
     first and then the total served priority, which is the optimum
     {!Rsin_core.Transform2}'s bypass costs select. The differential
-    tests in [test/test_engine.ml] assert both, cycle by cycle. *)
+    tests in [test/test_engine.ml] and [test/test_csr.ml] assert both,
+    cycle by cycle. *)
 
 type t
 
@@ -30,44 +33,26 @@ type discipline =
   | Mincost   (** Transformation 2 with priorities: among maximum
                   allocations, maximize the total served priority *)
 
-type backend =
-  | Adjacency
-      (** the original mutable {!Rsin_flow.Graph}, solved by the
-          allocating {!Rsin_flow.Dinic.augment} /
-          {!Rsin_flow.Mincost.augment} warm entries *)
-  | Csr
-      (** the flat {!Rsin_flow.Csr} emission of the same graph
-          ({!Rsin_core.Netgraph.csr}): every capacity/cost/flow update
-          and every solve runs on preallocated int arrays, so a warm
-          scheduling cycle performs zero minor-heap allocation inside
-          the solver. Faults, arrivals and releases remain O(1) array
-          writes. Allocation results are identical to [Adjacency] —
-          the differential tests in [test/test_csr.ml] pin this cycle
-          by cycle. *)
-
 type circuit = {
   proc : int;
   res : int;
   links : int list;          (** network links of the committed circuit *)
   arcs : Rsin_flow.Graph.arc list;
-      (** the frozen graph arcs (s→p, links…, r→t); pass back to
-          {!release} unchanged *)
+      (** the frozen arcs (s→p, links…, r→t); pass back to {!release}
+          unchanged *)
 }
 
 type solve_result = {
   circuits : circuit list;  (** newly committed, already frozen *)
   work : int;               (** capacity updates since last solve + arcs scanned *)
-  skipped : bool;           (** clean residual graph, solver not invoked *)
+  skipped : bool;           (** clean residual network, solver not invoked *)
 }
 
-val create :
-  ?discipline:discipline -> ?backend:backend -> Rsin_topology.Network.t -> t
-(** Builds the full-topology flow graph from the network's current link
-    state (occupied links start with capacity 0). All request and
+val create : ?discipline:discipline -> Rsin_topology.Network.t -> t
+(** Builds the full-topology flow network from the network's current
+    link state (occupied links start with capacity 0). All request and
     resource arcs start switched off. The network is only read during
-    compilation, never mutated. Defaults: {!Maxflow}, {!Adjacency}. *)
-
-val backend : t -> backend
+    compilation, never mutated. Default discipline: {!Maxflow}. *)
 
 val set_requesting : t -> ?priority:int -> int -> bool -> unit
 (** [set_requesting t ?priority p on] switches processor [p]'s source
@@ -98,11 +83,12 @@ val requesting : t -> int -> bool
 val resource_free : t -> int -> bool
 
 val solve : ?obs:Rsin_obs.Obs.t -> t -> solve_result
-(** One scheduling cycle: augments from the current residual graph with
-    the discipline's solver and returns the newly allocatable circuits,
-    frozen into the graph. When nothing was enabled since the last
-    solve, returns immediately with [skipped = true] and no solver
-    work. *)
+(** One scheduling cycle: augments from the current residual network
+    with the discipline's solver and returns the newly allocatable
+    circuits, frozen into the network. With [obs], the solver's work is
+    added to the [flow.dinic_csr.*] or [flow.mincost_csr.*] counters.
+    When nothing was enabled since the last solve, returns immediately
+    with [skipped = true] and no solver work. *)
 
 val release : t -> circuit -> unit
 (** Releases a committed circuit: thaws and clears its flow, restores
@@ -136,10 +122,9 @@ val restore_circuit : t -> proc:int -> res:int -> links:int list -> circuit
 val restore_flags : t -> dirty:bool -> pending_ops:int -> total_work:int -> unit
 (** Reinstates the solver bookkeeping serialized in a checkpoint. *)
 
-val graph : t -> Rsin_flow.Graph.t
-
-val netgraph : t -> Rsin_core.Netgraph.t
-(** The underlying compiled correspondence (tests and diagnostics). *)
+val netgraph : t -> Rsin_flow.Csr.t Rsin_core.Netgraph.t
+(** The underlying compiled network and correspondence (tests and
+    diagnostics). *)
 
 val check : t -> (unit, string) result
-(** Flow-conservation check of the persistent graph (tests). *)
+(** Flow-conservation check of the persistent network (tests). *)

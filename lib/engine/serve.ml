@@ -62,7 +62,8 @@ type t = {
   (* Global element id -> (shard, local id) for fault routing. *)
   link_home : (int * int) array;
   box_home : (int * int) array;
-  (* Task id -> shard the arrival was fed to (home or donor). *)
+  (* Task id -> shard the arrival was fed to (home or donor), or
+     [unrouted] while the arrival waits in [buffer]. *)
   task_home : (int, int) Hashtbl.t;
   event_hook : (events:int -> time:int -> unit) option;
   start_ns : int64;
@@ -184,11 +185,11 @@ let pick_donor t ~home =
 
 (* --- Event routing -------------------------------------------------------- *)
 
+let unrouted = -1
+
 let route t ev =
   match ev with
   | Workload.Arrive a ->
-    if a.proc < 0 || a.proc >= Array.length t.shard.Shard.shard_of_proc then
-      invalid_arg "Serve.feed: bad processor in trace";
     let home = t.shard.Shard.shard_of_proc.(a.proc) in
     let feed_to si proc =
       Hashtbl.replace t.task_home a.id si;
@@ -209,8 +210,8 @@ let route t ev =
     (* Cancels chase the task to wherever its arrival was routed; a
        cancel for a task we never saw has nothing to withdraw. *)
     match Hashtbl.find_opt t.task_home c.id with
-    | Some si -> Engine.feed t.engines.(si) ev
-    | None -> ())
+    | Some si when si <> unrouted -> Engine.feed t.engines.(si) ev
+    | Some _ | None -> ())
   | Workload.Fault { t = time; clock; element }
   | Workload.Repair { t = time; clock; element } ->
     let si, element =
@@ -250,19 +251,44 @@ let flush t =
     t.events <- t.events + List.length evs;
     Option.iter (fun f -> f ~events:t.events ~time:slot) t.event_hook
 
+(* Everything [route] and Engine.feed would reject, checked before the
+   event is buffered: raising mid-flush would abort the flush and lose
+   the valid events buffered behind the bad one. O(1) per event. *)
+let validate t ev =
+  match ev with
+  | Workload.Arrive a ->
+    if a.proc < 0 || a.proc >= Array.length t.shard.Shard.shard_of_proc then
+      invalid_arg "Serve.feed: bad processor in trace";
+    if a.service < 1 then invalid_arg "Serve.feed: bad service time in trace";
+    if a.priority < 0 then invalid_arg "Serve.feed: bad priority in trace";
+    if Hashtbl.mem t.task_home a.id then
+      invalid_arg (Printf.sprintf "Serve.feed: duplicate task id %d" a.id)
+  | Workload.Cancel _ -> ()
+  | Workload.Fault { element; _ } | Workload.Repair { element; _ } ->
+    let idx, count =
+      match element with
+      | Fault.Link l -> (l, Array.length t.link_home)
+      | Fault.Box b -> (b, Array.length t.box_home)
+      | Fault.Res r -> (r, Array.length t.shard.Shard.shard_of_res)
+    in
+    if idx < 0 || idx >= count then
+      invalid_arg "Serve.feed: fault element out of range"
+
 let feed t ev =
   if t.drained then invalid_arg "Serve.feed: already drained";
   let time = Workload.event_time ev in
-  if not t.buffering then begin
-    t.buffering <- true;
-    t.cur_slot <- time;
-    t.buffer <- [ ev ]
-  end
-  else if time = t.cur_slot then t.buffer <- ev :: t.buffer
-  else if time < t.cur_slot then
-    invalid_arg "Serve.feed: events must arrive in nondecreasing slot order"
+  if t.buffering && time < t.cur_slot then
+    invalid_arg "Serve.feed: events must arrive in nondecreasing slot order";
+  validate t ev;
+  if t.buffering && time > t.cur_slot then flush t;
+  (* Claimed only now, after the flush: a snapshot taken from the flush's
+     event hook must not see the id of an event not yet buffered. *)
+  (match ev with
+  | Workload.Arrive a -> Hashtbl.replace t.task_home a.id unrouted
+  | _ -> ());
+  if t.buffering && time = t.cur_slot then t.buffer <- ev :: t.buffer
   else begin
-    flush t;
+    t.buffering <- true;
     t.cur_slot <- time;
     t.buffer <- [ ev ]
   end

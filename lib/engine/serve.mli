@@ -110,8 +110,11 @@ val n_domains : t -> int
 
 val feed : t -> Rsin_sim.Workload.trace_event -> unit
 (** Routes one trace event. Raises [Invalid_argument] on decreasing
-    slot order, on an out-of-range processor, or on anything
-    {!Engine.feed} rejects. *)
+    slot order, an out-of-range processor or fault element, a service
+    time below 1, a negative priority, or an arrival whose task id was
+    already fed. All of these are checked before the event is buffered,
+    at O(1) cost, so a rejected event leaves the instance unchanged and
+    never costs the events buffered beside it. *)
 
 val drain : t -> unit
 (** Flushes the last buffered slot, drains every shard in parallel, and

@@ -8,7 +8,7 @@
    - No function on a warm-cycle path allocates: loops are
      tail-recursive functions carrying ints (a [ref] would allocate a
      block), work counters live in the preallocated [stats] record, and
-     all solver scratch is sized once in [of_graph]. *)
+     all solver scratch is sized once in [layout]. *)
 
 type stats = {
   mutable passes : int;
@@ -48,13 +48,19 @@ type t = {
 
 let inf = max_int / 4
 
-let of_graph g =
-  let n = Graph.node_count g in
-  let pairs = Graph.arc_count g in
+(* Lays out [pairs] forward arcs and their partners in CSR order and
+   preallocates all solver scratch. Forward arc [i] is graph arc [2i],
+   from [src i] to [dst i]; its partner [2i+1] runs back. Each row is
+   filled in ascending graph-arc order, so scanning a row from its end
+   visits the arcs newest first — the order of Graph.iter_out. Residual
+   capacities and costs start at 0. *)
+let layout n pairs ~src ~dst =
   let m = 2 * pairs in
+  let tail_of a = if a land 1 = 0 then src (a lsr 1) else dst (a lsr 1) in
   let row_ptr = Array.make (n + 1) 0 in
   for a = 0 to m - 1 do
-    let v = Graph.src g a in
+    let v = tail_of a in
+    if v < 0 || v >= n then invalid_arg "Csr: arc endpoint out of range";
     row_ptr.(v + 1) <- row_ptr.(v + 1) + 1
   done;
   for v = 1 to n do
@@ -63,35 +69,27 @@ let of_graph g =
   let fill = Array.sub row_ptr 0 (max n 1) in
   let pos = Array.make m (-1) in
   let garc = Array.make m (-1) in
+  let head = Array.make m 0 and tail = Array.make m 0 in
   for a = 0 to m - 1 do
-    let v = Graph.src g a in
+    let v = tail_of a in
     let j = fill.(v) in
     fill.(v) <- j + 1;
     pos.(a) <- j;
-    garc.(j) <- a
+    garc.(j) <- a;
+    tail.(j) <- v;
+    head.(j) <- tail_of (a lxor 1)
   done;
-  let head = Array.make m 0 and tail = Array.make m 0 in
-  let rev = Array.make m 0 and cap = Array.make m 0 in
-  let cst = Array.make m 0 in
+  let rev = Array.make m 0 in
   for j = 0 to m - 1 do
-    let a = garc.(j) in
-    head.(j) <- Graph.dst g a;
-    tail.(j) <- Graph.src g a;
-    rev.(j) <- pos.(a lxor 1);
-    cap.(j) <- Graph.capacity g a;
-    cst.(j) <- Graph.cost g a
-  done;
-  let orig = Array.make (max pairs 1) 0 in
-  let frozen = Array.make (max pairs 1) false in
-  for i = 0 to pairs - 1 do
-    orig.(i) <- Graph.original_capacity g (2 * i);
-    (* A frozen arc is the only way the two residual sides stop summing
-       to the original capacity (Graph.freeze zeroes the residual side
-       of a saturated arc), so the flag reconstructs from capacities. *)
-    frozen.(i) <- cap.(pos.(2 * i)) + cap.(pos.(2 * i + 1)) <> orig.(i)
+    rev.(j) <- pos.(garc.(j) lxor 1)
   done;
   let na = max n 1 in
-  { n; pairs; m; row_ptr; head; tail; rev; cap; cst; orig; frozen; pos; garc;
+  { n; pairs; m; row_ptr; head; tail; rev;
+    cap = Array.make m 0;
+    cst = Array.make m 0;
+    orig = Array.make (max pairs 1) 0;
+    frozen = Array.make (max pairs 1) false;
+    pos; garc;
     level = Array.make na (-1);
     queue = Array.make na 0;
     cur = Array.make na 0;
@@ -104,6 +102,32 @@ let of_graph g =
     hv = Array.make (m + na + 1) 0;
     hsize = 0;
     stats = { passes = 0; augmentations = 0; arcs_scanned = 0 } }
+
+let create ~nodes ~arcs ~src ~dst ~cap =
+  if nodes < 0 || arcs < 0 then invalid_arg "Csr.create: negative size";
+  let t = layout nodes arcs ~src ~dst in
+  for i = 0 to arcs - 1 do
+    let c = cap i in
+    if c < 0 then invalid_arg "Csr.create: negative capacity";
+    t.orig.(i) <- c;
+    t.cap.(t.pos.(2 * i)) <- c
+  done;
+  t
+
+let of_graph g =
+  let t =
+    layout (Graph.node_count g) (Graph.arc_count g)
+      ~src:(fun i -> Graph.src g (2 * i))
+      ~dst:(fun i -> Graph.dst g (2 * i))
+  in
+  for j = 0 to t.m - 1 do
+    t.cap.(j) <- Graph.capacity g t.garc.(j);
+    t.cst.(j) <- Graph.cost g t.garc.(j)
+  done;
+  for i = 0 to t.pairs - 1 do
+    t.orig.(i) <- Graph.original_capacity g (2 * i)
+  done;
+  t
 
 let node_count t = t.n
 let arc_count t = t.pairs
@@ -181,6 +205,22 @@ let is_frozen t a =
   check_arc t a;
   check_forward "Csr.is_frozen" a;
   t.frozen.(a lsr 1)
+
+let src t a = check_arc t a; t.tail.(t.pos.(a))
+let dst t a = check_arc t a; t.head.(t.pos.(a))
+
+(* Newest first: from the row's end, like Graph.iter_out. *)
+let rec flow_arc_row t start j =
+  if j < start then -1
+  else
+    let a = t.garc.(j) in
+    if a land 1 = 0 && (not t.frozen.(a lsr 1)) && t.orig.(a lsr 1) > t.cap.(j)
+    then a
+    else flow_arc_row t start (j - 1)
+
+let next_flow_arc t v =
+  if v < 0 || v >= t.n then invalid_arg "Csr.next_flow_arc: bad node";
+  flow_arc_row t t.row_ptr.(v) (t.row_ptr.(v + 1) - 1)
 
 let rec flow_value_row t stop j acc =
   if j >= stop then acc
@@ -399,8 +439,11 @@ let heap_pop t =
     v
   end
 
-let rec dij_row t v stop j =
-  if j < stop then begin
+(* Scans the row from its end, newest arc first — the order in which
+   Mincost relaxes Graph.iter_out, so equal-distance ties resolve to the
+   same predecessor arcs and both cores push the same paths. *)
+let rec dij_row t v start j =
+  if j >= start then begin
     t.stats.arcs_scanned <- t.stats.arcs_scanned + 1;
     (if t.cap.(j) > 0 then begin
        let w = t.head.(j) in
@@ -413,7 +456,7 @@ let rec dij_row t v stop j =
          end
        end
      end);
-    dij_row t v stop (j + 1)
+    dij_row t v start (j - 1)
   end
 
 let rec dij_loop t =
@@ -422,7 +465,7 @@ let rec dij_loop t =
     (* Lazy deletion: stale heap entries are skipped on pop. *)
     if not t.final.(v) then begin
       t.final.(v) <- true;
-      dij_row t v t.row_ptr.(v + 1) t.row_ptr.(v)
+      dij_row t v t.row_ptr.(v) (t.row_ptr.(v + 1) - 1)
     end;
     dij_loop t
   end

@@ -2,10 +2,10 @@
 
     {!Graph} is the flexible builder representation: growable vectors, a
     first/next adjacency list, one bounds-checked accessor per field. It
-    is what every transformation {e compiles into}, and it stays the
-    reference implementation the legacy solvers run on. This module is
-    what a long-running scheduler {e executes on}: the same residual
-    network frozen into flat int arrays —
+    is what the snapshot transformations {e compile into}, and it stays
+    the reference implementation the from-scratch solvers run on. This
+    module is what a long-running scheduler {e executes on}: a residual
+    network in flat int arrays —
 
     - arcs sorted by source node ([row_ptr]/[head]/[tail], the classic
       CSR layout), so a node's out-arcs are one cache-friendly slice
@@ -14,7 +14,7 @@
       parallel int arrays mutated in place;
     - every piece of solver scratch — layered-network BFS queue and
       levels, current-arc cursors, the DFS path stack, Dijkstra
-      potentials/distances/heap — preallocated at {!of_graph} time.
+      potentials/distances/heap — preallocated at construction.
 
     The two production solvers ({!dinic} for Transformation 1 /
     [Maxflow], {!mincost} successive-shortest-paths for Transformation 2
@@ -25,13 +25,15 @@
     allocates nothing at all, which [bench/csr_bench.ml] (E34) asserts
     with a calibrated [Gc.minor_words] delta on a 1024-port network.
 
-    Arcs are addressed by their {e graph} arc index (the value
-    {!Graph.add_arc} returned, residual partner [a lxor 1]), so the
-    link↔arc correspondence of {!Rsin_core.Netgraph} and the frozen-arc
-    bookkeeping of {!Rsin_engine.Incremental} carry over unchanged; the
-    CSR position of an arc is an internal detail. The CSR snapshot and
-    the source graph share no state: mutate one or the other, not
-    both. *)
+    Arcs are addressed by {e graph} arc indices: forward arc [i] is
+    [2 i] (the value {!Graph.add_arc} returns for the [i]-th arc) and
+    its residual partner is [a lxor 1], so the link↔arc correspondence
+    of {!Rsin_core.Netgraph} addresses either representation; the CSR
+    position of an arc is an internal detail. Each row keeps the arcs in
+    graph-arc order, and {!mincost} and {!next_flow_arc} scan it from the
+    end — newest arc first, the order of {!Graph.iter_out} — so they
+    break ties exactly as {!Mincost} and graph-based path extraction
+    do. *)
 
 type t
 
@@ -41,11 +43,25 @@ type stats = {
   mutable arcs_scanned : int;  (** residual arcs examined *)
 }
 
+val create :
+  nodes:int ->
+  arcs:int ->
+  src:(int -> int) ->
+  dst:(int -> int) ->
+  cap:(int -> int) ->
+  t
+(** [create ~nodes ~arcs ~src ~dst ~cap] lays out a network directly in
+    CSR form, without building a {!Graph}: forward arc [i] (graph arc
+    [2 i], for [0 <= i < arcs]) runs from node [src i] to node [dst i]
+    with capacity [cap i], cost 0 and no flow. Each function is called
+    a bounded number of times per arc during construction only. This is
+    how {!Rsin_core.Netgraph.compile_full} emits the online engine's
+    network. O(nodes + arcs). *)
+
 val of_graph : Graph.t -> t
-(** Snapshots the graph — structure, residual capacities (including
-    frozen arcs, whose residual side stays at 0), costs — into CSR form
-    and preallocates all solver scratch. O(nodes + arcs). The graph is
-    not referenced afterwards. *)
+(** Snapshots the graph — structure, residual capacities, costs — into
+    CSR form. O(nodes + arcs). The graph is not referenced afterwards;
+    {!write_flows} copies a solved flow back. *)
 
 val node_count : t -> int
 val arc_count : t -> int
@@ -68,12 +84,32 @@ val set_cost : t -> Graph.arc -> int -> unit
 val set_flow : t -> Graph.arc -> int -> unit
 
 val freeze : t -> Graph.arc -> unit
-(** Locks the saturated forward arc (removes its residual undo
-    capacity) and marks it committed for {!commit_new}/{!release_all}.
-    See {!Graph.freeze}. *)
+(** [freeze t a] locks the flow on saturated forward arc [a] by removing
+    the residual (undo) capacity of its partner, and marks it committed
+    for {!commit_new}/{!release_all}. An augmenting path can then
+    neither use nor reroute the arc — exactly the status of a link
+    carried by an {e established} circuit, which a later scheduling
+    cycle must route around, not through. Raises [Invalid_argument]
+    unless the arc is saturated. *)
 
 val thaw : t -> Graph.arc -> unit
+(** [thaw t a] restores the residual capacity of forward arc [a] to its
+    flow value, undoing {!freeze}. Typically followed by
+    [set_flow t a 0] when the circuit holding the arc is released. *)
+
 val is_frozen : t -> Graph.arc -> bool
+
+val src : t -> Graph.arc -> int
+val dst : t -> Graph.arc -> int
+(** Endpoints of an arc, either side, as {!Graph.src}/{!Graph.dst}. *)
+
+val next_flow_arc : t -> int -> Graph.arc
+(** [next_flow_arc t v] is the forward out-arc of node [v] that carries
+    unfrozen flow and comes first in {!Graph.iter_out}'s order (newest
+    arc first), or [-1] if there is none. Walking a unit of flow with it
+    and freezing each arc crossed decomposes the flow of the last
+    augmentation into paths, choosing the same paths a first-fit walk
+    over the adjacency graph would. No allocation. *)
 
 val flow_value : t -> source:int -> int
 val total_cost : t -> int
@@ -91,8 +127,10 @@ val mincost : t -> source:int -> sink:int -> int
 (** Successive shortest paths with potentials (Dijkstra on reduced
     costs; one Bellman–Ford seed pass when negative costs are present).
     The resulting maximum flow is cost-minimal among maximum flows given
-    a cost-feasible starting state — the same contract as
-    {!Mincost.augment}. *)
+    a cost-feasible starting state (frozen flow exposes no residual arc,
+    so it cannot create a negative cycle). Rows are scanned newest arc
+    first, so on a snapshot it pushes the same paths as
+    {!Mincost.min_cost_max_flow}, arc for arc. *)
 
 val last_stats : t -> stats
 (** Work counters of the most recent solver run. The record is owned by
@@ -122,8 +160,7 @@ val write_flows : t -> Graph.t -> unit
     taken from ({!Graph.set_flow} per forward arc) — how the registry's
     [dinic-csr]/[mincost-csr] solvers leave their result where every
     {!Graph}-based caller (extraction, conservation checks) expects it.
-    Frozen arcs are skipped: their graph-side state is already the
-    committed flow. *)
+    Frozen arcs are skipped: the graph has no notion of them. *)
 
 val check_rev_pairing : t -> (unit, string) result
 (** Structural invariants tying the two representations together:
@@ -132,7 +169,7 @@ val check_rev_pairing : t -> (unit, string) result
     position maps are mutually inverse, each arc lies in its tail's
     [row_ptr] slice, and residual capacities of a pair sum to the
     original capacity (frozen pairs: residual side 0, flow within
-    bounds). The drift tripwire for {!of_graph}. *)
+    bounds). The drift tripwire for {!create} and {!of_graph}. *)
 
 val check_conservation : t -> source:int -> sink:int -> (unit, string) result
 (** Capacity bounds and flow conservation, as

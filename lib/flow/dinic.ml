@@ -73,7 +73,7 @@ let blocking_flow g l ~source ~sink =
 module Obs = Rsin_obs.Obs
 module Tr = Rsin_obs.Trace
 
-let augment ?obs g ~source ~sink =
+let max_flow ?obs g ~source ~sink =
   let phases = ref 0 and augs = ref 0 and scanned = ref 0 and total = ref 0 in
   let tracing = Obs.tracing obs in
   let rec loop () =
@@ -104,4 +104,3 @@ let augment ?obs g ~source ~sink =
   Obs.count obs "flow.dinic.arcs_scanned" stats.arcs_scanned;
   (!total, stats)
 
-let max_flow = augment

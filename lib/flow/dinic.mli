@@ -43,22 +43,11 @@ val max_flow :
   ?obs:Rsin_obs.Obs.t ->
   Graph.t -> source:Graph.node -> sink:Graph.node -> int * stats
 (** Full algorithm: alternate {!build_layers} / {!blocking_flow} until the
-    sink is unreachable. The graph is left holding a maximum flow.
+    sink is unreachable. The graph is left holding a maximum flow. Any
+    flow the graph already carries is kept and only augmented, so the
+    return value is the flow {e added}; the online engine runs the same
+    algorithm warm on its {!Csr} network ({!Csr.dinic}).
 
     With [obs], the returned {!stats} are also added to the
     [flow.dinic.*] registry counters, and a ["dinic.phase"] span is
     emitted per phase with cumulative arcs scanned as the domain clock. *)
-
-val augment :
-  ?obs:Rsin_obs.Obs.t ->
-  Graph.t -> source:Graph.node -> sink:Graph.node -> int * stats
-(** Warm-started entry point: treats whatever flow the graph currently
-    holds as the initial feasible flow and only augments from the
-    residual graph, never rebuilding or resetting. Returns the flow
-    {e added} (the total is [initial + added]) and stats covering only
-    the incremental work. [Graph.reset_flows] followed by {!augment} is
-    the cold path; installing a surviving feasible flow (e.g. with
-    {!Graph.set_flow} / {!Graph.freeze}) and calling {!augment} is the
-    warm path used by the online allocation engine — correct because a
-    feasible flow plus a maximal residual augmentation is a maximum
-    flow, regardless of how the initial flow was obtained. *)

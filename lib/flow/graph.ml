@@ -119,17 +119,6 @@ let set_cost g a c =
   Vec.set g.cost_ a c;
   Vec.set g.cost_ (residual a) (-c)
 
-let freeze g a =
-  check_arc g a;
-  if not (is_forward a) then invalid_arg "Graph.freeze: residual arc";
-  if Vec.get g.cap a <> 0 then invalid_arg "Graph.freeze: arc not saturated";
-  Vec.set g.cap (residual a) 0
-
-let thaw g a =
-  check_arc g a;
-  if not (is_forward a) then invalid_arg "Graph.thaw: residual arc";
-  Vec.set g.cap (residual a) (flow g a)
-
 let reset_flows g =
   for i = 0 to arc_count g - 1 do
     let a = 2 * i in

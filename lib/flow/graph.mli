@@ -11,14 +11,14 @@
     Arcs may carry a lower bound (used by the out-of-kilter solver); it
     defaults to 0 and is ignored by the other algorithms.
 
-    This module is the {e construction and reference} representation:
-    growable ({!Vec}-backed) adjacency built arc by arc, solved by the
-    legacy adjacency solvers, and snapshotted by {!Csr.of_graph} into
-    the flat int-array CSR core that the warm engine's hot path runs on
-    ({!Csr}). The two share arc indices, so everything compiled through
-    {!Rsin_core.Netgraph} addresses either representation unchanged.
-    {!copy} exists for the differential tests, which solve the same
-    snapshot under several solvers side by side. *)
+    This module is the {e snapshot and reference} representation:
+    growable ({!Vec}-backed) adjacency built arc by arc by the
+    from-scratch transformations and solved by the reference solvers.
+    The warm engine runs on the flat int-array {!Csr} core instead,
+    which uses the same arc indices, so everything compiled through
+    {!Rsin_core.Netgraph} is addressed the same way in either
+    representation. {!copy} exists for the differential tests, which
+    solve the same snapshot under several solvers side by side. *)
 
 type t
 type node = int
@@ -96,19 +96,6 @@ val set_cost : t -> arc -> int -> unit
     (its residual partner becomes [-c]). The discipline-generic engine
     uses this to keep request priorities current on the persistent
     graph's source arcs without rebuilding it. *)
-
-val freeze : t -> arc -> unit
-(** [freeze g a] locks the flow on saturated forward arc [a] by removing
-    the residual (undo) capacity of its partner. An augmenting path can
-    then neither use nor reroute the arc — exactly the status of a link
-    carried by an {e established} circuit, which a later scheduling cycle
-    must route around, not through. Raises [Invalid_argument] unless the
-    arc is saturated ([flow = capacity]). *)
-
-val thaw : t -> arc -> unit
-(** [thaw g a] restores the residual capacity of forward arc [a] to its
-    flow value, undoing {!freeze}. Typically followed by
-    [set_flow g a 0] when the circuit holding the arc is released. *)
 
 (** {1 Iteration} *)
 

@@ -127,10 +127,3 @@ let min_cost_flow ?obs g ~source ~sink ~amount =
   run ?obs g ~source ~sink ~amount
 
 let min_cost_max_flow ?obs g ~source ~sink = run ?obs g ~source ~sink ~amount:inf
-
-(* Warm entry: [run] never touches existing flow, so resuming is just
-   running it again. Potentials are re-seeded (Bellman-Ford when
-   negative costs are present) over the *residual* graph of the current
-   flow — frozen arcs expose no residual arc in either direction, so a
-   feasible frozen flow cannot create negative cycles. *)
-let augment ?obs g ~source ~sink = run ?obs g ~source ~sink ~amount:inf

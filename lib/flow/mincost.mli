@@ -33,17 +33,7 @@ val min_cost_max_flow :
   ?obs:Rsin_obs.Obs.t ->
   Graph.t -> source:Graph.node -> sink:Graph.node -> result
 (** Minimum-cost flow among maximum flows. With [obs], the stats are
-    also added to the [flow.mincost.*] registry counters. *)
-
-val augment :
-  ?obs:Rsin_obs.Obs.t ->
-  Graph.t -> source:Graph.node -> sink:Graph.node -> result
-(** Warm entry point mirroring {!Dinic.augment}: starting from the
-    graph's {e current} feasible flow (committed units typically held in
-    place with {!Graph.freeze}), pushes additional flow along successively
-    cheapest residual paths until the sink is unreachable, and returns
-    only the increment in [flow]. Potentials are resumed from the
-    residual graph (one Bellman–Ford pass when negative reduced costs are
-    present, then Dijkstra rounds), so serving a cycle on a warm graph
-    costs only the searches for the {e new} units — the basis of the
-    priority-discipline warm-started engine. *)
+    also added to the [flow.mincost.*] registry counters. Any flow
+    the graph already carries is kept and only augmented; the online
+    engine runs the same rounds warm on its {!Csr} network
+    ({!Csr.mincost}). *)

@@ -90,8 +90,8 @@ end
    resulting flow back, so they satisfy the same Graph-in/Graph-out
    contract as the mutable-adjacency engines. The snapshot conversion
    allocates; the zero-allocation claim is about the solve itself and
-   about warm cycles that keep one Csr.t alive (Incremental's Csr
-   backend, bench/csr_bench.ml). *)
+   about warm cycles that keep one Csr.t alive (the online engine's
+   Incremental, bench/csr_bench.ml). *)
 
 module Dinic_csr_s : S = struct
   let name = "dinic-csr"

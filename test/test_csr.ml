@@ -1,10 +1,12 @@
 (* The flat CSR flow core (Rsin_flow.Csr) vs the mutable-adjacency
    Graph: structural invariants of the emission (check_rev_pairing),
    state-accessor agreement under random mutation, and the differential
-   guarantees of the registry solvers (dinic-csr/mincost-csr) and of the
-   warm engine's Csr backend — identical max-flow value and total served
-   priority on every topology family, including degraded (fault-masked)
-   networks and hundreds of warm churn cycles. *)
+   guarantees of the registry solvers (dinic-csr/mincost-csr) — the
+   same flow on every arc as their adjacency originals — and of the
+   warm engine, which runs on the CSR core only: the allocation and
+   total served priority of a from-scratch transformation on every
+   topology family, including degraded (fault-masked) networks and
+   hundreds of warm churn cycles. *)
 
 module Graph = Rsin_flow.Graph
 module Csr = Rsin_flow.Csr
@@ -150,13 +152,13 @@ let test_mutation_agreement =
             Csr.push c side k
           end
         | _ ->
-          (* freeze/thaw round-trip on a saturated arc. *)
-          if Graph.capacity g a = 0 then begin
-            Graph.freeze g a;
+          (* freeze/thaw round-trip on a saturated arc: the graph has no
+             frozen state, so the round trip must leave the CSR equal
+             to it again. *)
+          if Csr.capacity c a = 0 then begin
             Csr.freeze c a;
             if not (Csr.is_frozen c a) then
               QCheck.Test.fail_report "freeze did not mark the pair";
-            Graph.thaw g a;
             Csr.thaw c a
           end
       done;
@@ -164,23 +166,6 @@ let test_mutation_agreement =
       | Ok () -> ()
       | Error e -> QCheck.Test.fail_reportf "rev pairing after churn: %s" e);
       agree g c)
-
-(* Frozen arcs must survive the snapshot: of_graph on a graph holding
-   frozen flow reproduces the pinned residual state and the flag. *)
-let test_frozen_survives_of_graph () =
-  let g = Graph.create () in
-  let _ = Graph.add_nodes g 3 in
-  let a = Graph.add_arc g ~src:0 ~dst:1 ~cap:1 in
-  let b = Graph.add_arc g ~src:1 ~dst:2 ~cap:2 in
-  Graph.push g a 1;
-  Graph.push g b 1;
-  Graph.freeze g a;
-  let c = Csr.of_graph g in
-  check Alcotest.(result unit string) "pairing" (Ok ()) (Csr.check_rev_pairing c);
-  check Alcotest.bool "frozen flag reconstructed" true (Csr.is_frozen c a);
-  check Alcotest.bool "unfrozen arc not flagged" false (Csr.is_frozen c b);
-  check Alcotest.int "frozen residual side pinned" 0 (Csr.capacity c (a + 1));
-  check Alcotest.int "frozen flow kept" 1 (Csr.flow c a)
 
 (* --- Netgraph emission ---------------------------------------------------- *)
 
@@ -193,41 +178,63 @@ let test_netgraph_emission () =
           ~requests:(List.map (fun p -> (p, 0)) requests)
           ~free:(List.map (fun r -> (r, 0)) free)
       in
-      let c = Netgraph.csr ng in
+      let c = Csr.of_graph (Netgraph.graph ng) in
       check Alcotest.(result unit string) (name ^ ": snapshot pairing") (Ok ())
         (Csr.check_rev_pairing c);
-      check Alcotest.bool (name ^ ": emission is cached") true
-        (Netgraph.csr ng == c);
+      check Alcotest.int (name ^ ": same shape as the graph")
+        (Graph.arc_count (Netgraph.graph ng))
+        (Csr.arc_count c);
       let full = Netgraph.compile_full (Network.copy net) in
-      let cf = Netgraph.csr full in
+      let cf = Netgraph.graph full in
       check Alcotest.(result unit string) (name ^ ": full pairing") (Ok ())
         (Csr.check_rev_pairing cf);
-      check Alcotest.int (name ^ ": same shape as the graph")
-        (Graph.arc_count (Netgraph.graph full))
-        (Csr.arc_count cf))
+      let nodes, arcs = Netgraph.size full in
+      check Alcotest.(pair int int) (name ^ ": size is the CSR's shape")
+        (nodes, arcs)
+        (Csr.node_count cf, Csr.arc_count cf))
     topologies
 
 (* --- Registry differential: CSR solvers vs their adjacency originals ------ *)
 
+(* Solve copies of the same snapshot with two registry solvers and
+   compare the flow on every arc: the CSR pair copies its flow back with
+   Csr.write_flows, so equal tie-breaks show up as equal graphs. This
+   pins the two cores to the same trajectory, not just the same
+   optimum. *)
+let same_flows ~what ~name ~seed g s0 s1 ~source ~sink =
+  let run s =
+    let module S = (val Solver.get s : Solver.S) in
+    let g = Graph.copy g in
+    let f, _w = S.max_flow g ~source ~sink in
+    (match Graph.check_conservation g ~source ~sink with
+    | Ok () -> ()
+    | Error e ->
+      QCheck.Test.fail_reportf "%s seed %d: %s conservation: %s" name seed s e);
+    (f, g)
+  in
+  let f0, g0 = run s0 and f1, g1 = run s1 in
+  if f0 <> f1 then
+    QCheck.Test.fail_reportf "%s seed %d: %s %d, %s %d" name seed s0 f0 s1 f1;
+  Graph.iter_forward_arcs g0 (fun a ->
+      if Graph.flow g0 a <> Graph.flow g1 a then
+        QCheck.Test.fail_reportf
+          "%s seed %d: %s: arc %d carries %d under %s, %d under %s" name seed
+          what a (Graph.flow g0 a) s0 (Graph.flow g1 a) s1)
+
 let test_dinic_csr_differential =
-  qtest "dinic-csr = dinic on every topology incl. degraded" ~count:80
-    QCheck.small_int (fun seed ->
+  qtest "dinic-csr = dinic on every topology incl. degraded, arc for arc"
+    ~count:80 QCheck.small_int (fun seed ->
       List.for_all
         (fun ((name, _) as topo) ->
           let _rng, net, requests, free = scenario seed topo in
-          let solve s =
-            let tr = T1.build net ~requests ~free in
-            (T1.solve_with (Solver.get s) tr).T1.allocated
-          in
-          let reference = solve "dinic" and csr = solve "dinic-csr" in
-          if reference <> csr then
-            QCheck.Test.fail_reportf "%s seed %d: dinic %d, dinic-csr %d" name
-              seed reference csr;
+          let tr = T1.build net ~requests ~free in
+          same_flows ~what:"T1" ~name ~seed (T1.graph tr) "dinic" "dinic-csr"
+            ~source:(T1.source tr) ~sink:(T1.sink tr);
           true)
         topologies)
 
 let test_mincost_csr_differential =
-  qtest "mincost-csr = mincost: flow value and total cost" ~count:80
+  qtest "mincost-csr = mincost: flow value and every arc's flow" ~count:80
     QCheck.small_int (fun seed ->
       List.for_all
         (fun ((name, _) as topo) ->
@@ -235,21 +242,8 @@ let test_mincost_csr_differential =
           let requests = Workload.with_priorities rng ~levels:4 requests in
           let free = Workload.with_priorities rng ~levels:3 free in
           let tr = T2.build net ~requests ~free in
-          let source = T2.source tr and sink = T2.sink tr in
-          let run s =
-            let module S = (val Solver.get s : Solver.S) in
-            let g = Graph.copy (T2.graph tr) in
-            let f, _w = S.max_flow g ~source ~sink in
-            (f, Graph.total_cost g, Graph.check_conservation g ~source ~sink)
-          in
-          let f0, c0, k0 = run "mincost" in
-          let f1, c1, k1 = run "mincost-csr" in
-          if k0 <> Ok () || k1 <> Ok () then
-            QCheck.Test.fail_reportf "%s seed %d: conservation broken" name seed;
-          if (f0, c0) <> (f1, c1) then
-            QCheck.Test.fail_reportf
-              "%s seed %d: mincost (%d, %d), mincost-csr (%d, %d)" name seed f0
-              c0 f1 c1;
+          same_flows ~what:"T2" ~name ~seed (T2.graph tr) "mincost"
+            "mincost-csr" ~source:(T2.source tr) ~sink:(T2.sink tr);
           true)
         topologies)
 
@@ -272,22 +266,16 @@ let test_work_record_consistency () =
   check Alcotest.int "dinic counts the same augmentations" f0
     w0.Solver.augmentations
 
-(* --- Warm churn: Incremental's Csr backend vs Adjacency ------------------- *)
+(* --- Warm churn: Incremental's CSR core vs from-scratch T1/T2 ------------ *)
 
 (* Drive one Incremental engine through a random warm churn sequence —
    enables, solves, staggered partial releases — and compare every solve
    against a from-scratch transformation of the same snapshot, mirrored
    on a reference network where the committed circuits are established
-   for real. Both backends run the identical sequence, each checked
-   against its own reference: tie-broken mappings may diverge between
-   backends (leaving different circuits frozen), so their states are not
-   directly comparable, but each must stay optimal — allocation count
-   and, under Mincost, total served priority — for its own snapshot,
-   cycle by cycle. *)
-let churn_backend discipline backend net seed rounds =
-  let eng = Incremental.create ~discipline ~backend net in
-  check Alcotest.bool "backend recorded" true
-    (Incremental.backend eng = backend);
+   for real: each solve must be optimal — allocation count and, under
+   Mincost, total served priority — for its snapshot, cycle by cycle. *)
+let churn discipline net seed rounds =
+  let eng = Incremental.create ~discipline net in
   let refnet = Network.copy net in
   let np = Network.n_procs net and nr = Network.n_res net in
   let rng = Prng.create seed in
@@ -374,32 +362,23 @@ let churn_backend discipline backend net seed rounds =
   done;
   !cycles
 
-let test_warm_churn_backends () =
-  let csr_cycles = ref 0 in
+let test_warm_churn () =
+  let cycles = ref 0 in
   List.iter
     (fun (_, build) ->
       List.iter
         (fun (discipline, seed) ->
-          (* The Csr backend is the subject; a short Adjacency run keeps
-             the harness itself honest. *)
-          csr_cycles :=
-            !csr_cycles
-            + churn_backend discipline Incremental.Csr (build ()) seed 60;
-          ignore
-            (churn_backend discipline Incremental.Adjacency (build ())
-               (seed + 100) 15))
+          cycles := !cycles + churn discipline (build ()) seed 60)
         [ (Incremental.Maxflow, 21); (Incremental.Mincost, 22) ])
     [ List.nth topologies 0; List.nth topologies 2; List.nth topologies 3 ];
-  check Alcotest.bool "at least 300 warm churn cycles on the Csr backend" true
-    (!csr_cycles >= 300)
+  check Alcotest.bool "at least 300 warm churn cycles" true (!cycles >= 300)
 
-(* --- Engine-level: --solver dinic-csr under fault churn ------------------- *)
+(* --- Engine-level: the default warm config under fault churn ------------- *)
 
-(* The full engine differential of PR 2/PR 4, with the warm loop running
-   on the Csr backend (selected through the registry solver name):
+(* The full engine differential on the default warm configuration:
    every entered cycle must allocate exactly what a from-scratch
    Scheduler run on the same degraded pre-commit snapshot allocates. *)
-let test_engine_csr_differential () =
+let test_engine_differential () =
   let total_cycles = ref 0 in
   List.iter
     (fun (name, build) ->
@@ -433,10 +412,7 @@ let test_engine_csr_differential () =
                  info.Engine.time)
               reference.Scheduler.allocated info.Engine.allocated
           in
-          let config =
-            Engine.Config.v ~solver:"dinic-csr" ~transmission_time:2
-              ~max_defer:8 ()
-          in
+          let config = Engine.Config.v ~transmission_time:2 ~max_defer:8 () in
           let report = Engine.run ~config ~cycle_hook:hook net trace in
           check Alcotest.bool
             (Printf.sprintf "%s seed %d applied faults" name seed)
@@ -447,10 +423,10 @@ let test_engine_csr_differential () =
   check Alcotest.bool "at least 150 engine differential cycles" true
     (!total_cycles >= 150)
 
-(* Priority discipline through --solver mincost-csr: allocation count
-   AND total served priority equal a from-scratch Transformation 2 of
-   the same snapshot, cycle by cycle. *)
-let test_engine_csr_priority_differential () =
+(* Priority discipline on the default warm configuration: allocation
+   count AND total served priority equal a from-scratch Transformation 2
+   of the same snapshot, cycle by cycle. *)
+let test_engine_priority_differential () =
   let total_cycles = ref 0 in
   List.iter
     (fun (name, build) ->
@@ -488,7 +464,7 @@ let test_engine_csr_priority_differential () =
             Engine.run ~cycle_hook:hook
               ~config:
                 (Engine.Config.v ~discipline:Engine.Priority
-                   ~solver:"mincost-csr" ~transmission_time:2 ~max_defer:8 ())
+                   ~transmission_time:2 ~max_defer:8 ())
               net trace
           in
           check Alcotest.bool
@@ -505,7 +481,7 @@ let test_engine_csr_priority_differential () =
 let test_commit_release_cycle () =
   let net = Builders.omega 8 in
   let ng = Netgraph.compile_full net in
-  let c = Netgraph.csr ng in
+  let c = Netgraph.graph ng in
   let source = Netgraph.source ng and sink = Netgraph.sink ng in
   let np = Network.n_procs net and nr = Network.n_res net in
   for p = 0 to np - 1 do
@@ -535,19 +511,17 @@ let suite =
   [
     test_of_graph_invariants;
     test_mutation_agreement;
-    Alcotest.test_case "frozen arcs survive of_graph" `Quick
-      test_frozen_survives_of_graph;
     Alcotest.test_case "Netgraph CSR emission" `Quick test_netgraph_emission;
     test_dinic_csr_differential;
     test_mincost_csr_differential;
     Alcotest.test_case "work records populated consistently" `Quick
       test_work_record_consistency;
-    Alcotest.test_case "warm churn: Csr backend = Adjacency backend" `Slow
-      test_warm_churn_backends;
-    Alcotest.test_case "engine differential via --solver dinic-csr" `Slow
-      test_engine_csr_differential;
-    Alcotest.test_case "engine priority differential via --solver mincost-csr"
-      `Slow test_engine_csr_priority_differential;
+    Alcotest.test_case "warm churn: CSR core = from-scratch T1/T2" `Slow
+      test_warm_churn;
+    Alcotest.test_case "engine differential under fault churn" `Slow
+      test_engine_differential;
+    Alcotest.test_case "engine priority differential vs from-scratch T2" `Slow
+      test_engine_priority_differential;
     Alcotest.test_case "commit_new/release_all round-trip" `Quick
       test_commit_release_cycle;
   ]

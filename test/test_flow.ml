@@ -85,27 +85,32 @@ let test_graph_set_capacity () =
     (Invalid_argument "Graph.set_capacity: residual arc") (fun () ->
       Graph.set_capacity g (Graph.residual e) 3)
 
+(* Freezing is a property of the engine's warm network, so it lives on
+   the CSR form of the graph. *)
 let test_graph_freeze_thaw () =
   let g = Graph.create () in
   let a = Graph.add_node g and b = Graph.add_node g in
   let e = Graph.add_arc g ~src:a ~dst:b ~cap:1 in
+  let c = Csr.of_graph g in
   Alcotest.check_raises "freeze unsaturated"
-    (Invalid_argument "Graph.freeze: arc not saturated") (fun () ->
-      Graph.freeze g e);
-  Graph.push g e 1;
-  Graph.freeze g e;
-  check Alcotest.int "no forward residual" 0 (Graph.capacity g e);
+    (Invalid_argument "Csr.freeze: arc not saturated") (fun () ->
+      Csr.freeze c e);
+  Csr.push c e 1;
+  Csr.freeze c e;
+  check Alcotest.bool "marked frozen" true (Csr.is_frozen c e);
+  check Alcotest.int "no forward residual" 0 (Csr.capacity c e);
   check Alcotest.int "no backward residual" 0
-    (Graph.capacity g (Graph.residual e));
-  check Alcotest.int "flow survives freeze" 1 (Graph.flow g e);
-  Graph.thaw g e;
+    (Csr.capacity c (Graph.residual e));
+  check Alcotest.int "flow survives freeze" 1 (Csr.flow c e);
+  Csr.thaw c e;
+  check Alcotest.bool "no longer frozen" false (Csr.is_frozen c e);
   check Alcotest.int "backward residual restored" 1
-    (Graph.capacity g (Graph.residual e));
-  check Alcotest.int "flow survives thaw" 1 (Graph.flow g e)
+    (Csr.capacity c (Graph.residual e));
+  check Alcotest.int "flow survives thaw" 1 (Csr.flow c e)
 
 (* Warm start: solve, freeze the allocation, open more capacity and
-   augment — the total must match a from-scratch solve of the final
-   graph, and the frozen flow must be untouched. *)
+   augment again — the total must match a from-scratch solve of the
+   final graph, and the frozen flow must be untouched. *)
 let test_dinic_augment_warm () =
   let build () =
     let g = Graph.create () in
@@ -117,16 +122,17 @@ let test_dinic_augment_warm () =
     (g, s, t, sm, mt, sm2, mt2)
   in
   let g, s, t, sm, mt, sm2, mt2 = build () in
-  let v1, _ = Dinic.augment g ~source:s ~sink:t in
+  let c = Csr.of_graph g in
+  let v1 = Csr.dinic c ~source:s ~sink:t in
   check Alcotest.int "first phase" 1 v1;
-  Graph.freeze g sm;
-  Graph.freeze g mt;
-  Graph.set_capacity g sm2 1;
-  Graph.set_capacity g mt2 1;
-  let v2, _ = Dinic.augment g ~source:s ~sink:t in
+  Csr.freeze c sm;
+  Csr.freeze c mt;
+  Csr.set_capacity c sm2 1;
+  Csr.set_capacity c mt2 1;
+  let v2 = Csr.dinic c ~source:s ~sink:t in
   check Alcotest.int "incremental phase adds only the delta" 1 v2;
-  check Alcotest.int "frozen arc kept its flow" 1 (Graph.flow g sm);
-  check Alcotest.int "new flow on the opened arcs" 1 (Graph.flow g sm2);
+  check Alcotest.int "frozen arc kept its flow" 1 (Csr.flow c sm);
+  check Alcotest.int "new flow on the opened arcs" 1 (Csr.flow c sm2);
   (* From scratch on the same final capacities. *)
   let g', s', t', _, _, sm2', mt2' = build () in
   Graph.set_capacity g' sm2' 1;

@@ -226,15 +226,18 @@ let hk_matching_valid =
 
 (* --- Warm successive-shortest-paths vs out-of-kilter ------------------------ *)
 
-(* The priority engine's warm path solves each cycle with
-   Mincost.augment on a graph already carrying feasible flow. Here the
-   warm path is cross-validated against the paper's own solver: push a
-   random partial amount from scratch, finish with [augment], and the
-   resulting flow must match a full out-of-kilter run of the same
-   Transformation-2 instance in total cost, allocation count and
-   allocation-set cost (mappings may tie-break differently). *)
+(* The priority engine's warm path solves each cycle with Csr.mincost
+   on a network already carrying feasible flow. Here the warm path is
+   cross-validated against the paper's own solver: push a random
+   partial amount from scratch, snapshot it into CSR form, finish with
+   [Csr.mincost], and the resulting flow must match a full
+   out-of-kilter run of the same Transformation-2 instance in total
+   cost, allocation count and allocation-set cost (mappings may
+   tie-break differently). The partial flow stays unfrozen: a min-cost
+   flow of the partial amount extends to a min-cost maximum flow only
+   if later paths may reroute it. *)
 let warm_augment_matches_out_of_kilter =
-  qtest "partial flow + Mincost.augment = out-of-kilter on T2" ~count:80
+  qtest "partial flow + Csr.mincost = out-of-kilter on T2" ~count:80
     QCheck.small_int (fun seed ->
       let module Workload = Rsin_sim.Workload in
       let module T2 = Rsin_core.Transform2 in
@@ -257,7 +260,9 @@ let warm_augment_matches_out_of_kilter =
       let source = T2.source warm and sink = T2.sink warm in
       let partial = Prng.int rng (requested + 1) in
       ignore (Mincost.min_cost_flow g ~source ~sink ~amount:partial);
-      let inc = Mincost.augment g ~source ~sink in
+      let c = Csr.of_graph g in
+      let inc = Csr.mincost c ~source ~sink in
+      Csr.write_flows c g;
       let total_warm = Graph.total_cost g in
       (* a bypassed request flows s→p→bypass→sink; subtract those whole
          paths from the total to get the allocated-set cost *)
@@ -282,7 +287,7 @@ let warm_augment_matches_out_of_kilter =
       (* reference: full out-of-kilter solve of a fresh instance *)
       let o = T2.solve ~solver:T2.Out_of_kilter (T2.build net ~requests ~free) in
       Graph.flow_value g ~source = requested
-      && partial + inc.Mincost.flow = requested
+      && partial + inc = requested
       && total_warm = o.T2.total_cost
       && allocated_warm = o.T2.allocated
       && alloc_cost_warm = o.T2.allocation_cost)

@@ -6,6 +6,7 @@
    snapshots of every topology family. *)
 
 module Graph = Rsin_flow.Graph
+module Csr = Rsin_flow.Csr
 module Netgraph = Rsin_core.Netgraph
 module Network = Rsin_topology.Network
 module Builders = Rsin_topology.Builders
@@ -192,7 +193,7 @@ let test_full_compile_covers_everything () =
     (fun (name, build) ->
       let net = build () in
       let ng = Netgraph.compile_full net in
-      let g = Netgraph.graph ng in
+      let c = Netgraph.graph ng in
       Alcotest.(check int)
         (name ^ ": every link compiled")
         (Network.n_links net)
@@ -200,14 +201,45 @@ let test_full_compile_covers_everything () =
       Alcotest.(check int)
         (name ^ ": node per endpoint, box, source and sink")
         (2 + Network.n_boxes net + Network.n_procs net + Network.n_res net)
-        (Graph.node_count g);
+        (Csr.node_count c);
+      Alcotest.(check int)
+        (name ^ ": arc per endpoint and link")
+        (Network.n_procs net + Network.n_res net + Network.n_links net)
+        (Csr.arc_count c);
+      Alcotest.(check (result unit string))
+        (name ^ ": CSR invariants") (Ok ()) (Csr.check_rev_pairing c);
+      (* On an all-free network, a snapshot compile with every endpoint
+         present yields the same numbering: arc for arc, the same ends. *)
+      let snap =
+        Netgraph.compile net
+          ~requests:(List.init (Network.n_procs net) (fun p -> (p, 0)))
+          ~free:(List.init (Network.n_res net) (fun r -> (r, 0)))
+      in
+      let g = Netgraph.graph snap in
+      Alcotest.(check int) (name ^ ": same arc count as the snapshot")
+        (Graph.arc_count g) (Csr.arc_count c);
+      Graph.iter_forward_arcs g (fun a ->
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s: arc %d ends" name a)
+            (Graph.src g a, Graph.dst g a)
+            (Csr.src c a, Csr.dst c a));
       for p = 0 to Network.n_procs net - 1 do
         match Netgraph.sp_arc ng p with
         | Some a ->
           Alcotest.(check int) (name ^ ": sp arc starts off") 0
-            (Graph.original_capacity g a)
+            (Csr.original_capacity c a);
+          Alcotest.(check (option int)) (name ^ ": sp arc enters the processor")
+            (Netgraph.proc_node ng p) (Some (Csr.dst c a))
         | None -> Alcotest.fail (name ^ ": missing sp arc")
-      done)
+      done;
+      Array.iter
+        (fun (a, l) ->
+          Alcotest.(check int) (name ^ ": link arc capacity")
+            (if Network.usable net l
+                && Network.link_state net l = Network.Free
+             then 1 else 0)
+            (Csr.original_capacity c a))
+        (Netgraph.link_arcs ng))
     topologies
 
 let suite =

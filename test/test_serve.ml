@@ -496,6 +496,75 @@ let test_serve_rejects_token () =
       (String.length e >= 12 && String.sub e 0 12 = "Serve.create")
   | Ok _ -> Alcotest.fail "serve accepted token mode"
 
+(* --- Serve: feed-time validation ------------------------------------------ *)
+
+(* Feed [trace] event by event, recording which events Serve.feed
+   rejects, then drain and return the report. *)
+let feed_all net trace =
+  match Serve.create ~domains:1 net with
+  | Error e -> Alcotest.fail e
+  | Ok t ->
+    let rejected =
+      List.filter
+        (fun ev ->
+          match Serve.feed t ev with
+          | () -> false
+          | exception Invalid_argument _ -> true)
+        trace
+    in
+    Serve.drain t;
+    check Alcotest.(result unit string) "accounting" (Ok ())
+      (Serve.check_accounting t);
+    (rejected, Serve.report t)
+
+let arrive t id proc =
+  Workload.Arrive { t; id; proc; service = 2; deadline = None; priority = 0 }
+
+(* A bad processor or fault element buffered among valid events used to
+   raise halfway through the slot's flush and lose the events behind it.
+   Rejected at feed time, it costs only itself. *)
+let test_feed_rejects_out_of_range () =
+  let net = Builders.omega 8 in
+  let bad_proc = arrive 0 2 999 in
+  let bad_fault =
+    Workload.Fault { t = 0; clock = None; element = Fault.Link 9999 }
+  in
+  let bad_box =
+    Workload.Repair { t = 1; clock = None; element = Fault.Box (-1) }
+  in
+  let bad_res = Workload.Fault { t = 1; clock = None; element = Fault.Res 8 } in
+  let trace =
+    [ arrive 0 1 0; bad_proc; arrive 0 3 1; bad_fault; arrive 1 4 2; bad_box;
+      bad_res; arrive 2 5 3 ]
+  in
+  let rejected, r = feed_all net trace in
+  check Alcotest.int "exactly the four bad events rejected" 4
+    (List.length rejected);
+  check Alcotest.bool "the right ones" true
+    (List.for_all (fun ev -> List.memq ev rejected)
+       [ bad_proc; bad_fault; bad_box; bad_res ]);
+  check Alcotest.int "every valid arrival counted" 4 r.Serve.arrivals;
+  check Alcotest.int "every valid arrival served" 4 r.Serve.completed;
+  check Alcotest.int "every valid event routed" 4 r.Serve.events
+
+(* A repeated task id used to enter the engine twice and break the
+   accounting invariant. It is rejected at feed time, whether the first
+   arrival is still buffered or already routed; a cancel then withdraws
+   the one task that id names. *)
+let test_feed_rejects_duplicate_id () =
+  let net = Builders.omega 8 in
+  let cancel t id = Workload.Cancel { t; id } in
+  let trace =
+    [ Workload.Arrive
+        { t = 0; id = 7; proc = 0; service = 5; deadline = None; priority = 0 };
+      arrive 0 7 1; cancel 0 7; arrive 1 8 2; arrive 3 7 3; arrive 3 9 4 ]
+  in
+  let rejected, r = feed_all net trace in
+  check Alcotest.int "both repeats rejected" 2 (List.length rejected);
+  check Alcotest.int "one arrival per id" 3 r.Serve.arrivals;
+  check Alcotest.int "the cancel withdrew task 7" 1 r.Serve.cancelled;
+  check Alcotest.int "the others were served" 2 r.Serve.completed
+
 let suite =
   [
     Alcotest.test_case "multiplane shape and isolation" `Quick
@@ -525,4 +594,8 @@ let suite =
       test_serve_borrowing;
     Alcotest.test_case "starvation when no donor" `Quick test_serve_starvation;
     Alcotest.test_case "token mode rejected" `Quick test_serve_rejects_token;
+    Alcotest.test_case "feed rejects out-of-range events alone" `Quick
+      test_feed_rejects_out_of_range;
+    Alcotest.test_case "feed rejects duplicate task ids" `Quick
+      test_feed_rejects_duplicate_id;
   ]
