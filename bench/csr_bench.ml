@@ -10,12 +10,19 @@
    committed circuits' links taken out, and proves the headline claim
    with a calibrated Gc.minor_words measurement: one full CSR warm
    period — enables, solves, commits, release — performs exactly zero
-   minor-heap allocation, including on the 1024-port network. The
-   structured report lands in BENCH_csr.json for the [rsin perf]
-   regression gate. *)
+   minor-heap allocation, including on the 1024-port network. Each
+   period also runs the borrowing what-if the serving router asks a
+   donor shard (Incremental.headroom): switch the uncommitted source
+   arcs over, augment, test the cut for fabric links, roll back and
+   switch back. Its value and cut are checked against a from-scratch
+   solve and min cut, the rounds after it against their own references
+   (the probe must leave no trace), and it sits inside the measured
+   zero-allocation period. The structured report lands in BENCH_csr.json
+   for the [rsin perf] regression gate. *)
 
 module Csr = Rsin_flow.Csr
 module Dinic = Rsin_flow.Dinic
+module Edmonds_karp = Rsin_flow.Edmonds_karp
 module Mincost = Rsin_flow.Mincost
 module Netgraph = Rsin_core.Netgraph
 module Network = Rsin_topology.Network
@@ -57,8 +64,14 @@ let make_schedule rng ~np ~nr ~periods ~period_len =
 (* The runner exposes [run_rounds lo hi] over a shared mutable state so
    the allocation probe can time a single period in isolation, plus a
    whole-schedule [run] that resets first (making measured runs
-   repeatable), a per-round [added] log, and [checked_run f], an untimed
-   whole-schedule run that calls [f] on every round's solve result. *)
+   repeatable), a per-round [added] log, per-period [headroom] and
+   [limited] logs of the what-if's value and cut, and [checked_run f g],
+   an untimed whole-schedule run that calls [f] on every round's solve
+   result and [g] on every what-if. *)
+
+(* The round of each period after which the what-if runs: mid-period,
+   so the rounds after it check that it left nothing behind. *)
+let probe_round = 1
 
 let csr_runner ng sched ~mincost ~prio =
   let c = Netgraph.graph ng in
@@ -67,8 +80,40 @@ let csr_runner ng sched ~mincost ~prio =
   let np = Network.n_procs net and nr = Network.n_res net in
   let sp = Array.init np (fun p -> Option.get (Netgraph.sp_arc ng p)) in
   let rt = Array.init nr (fun r -> Option.get (Netgraph.rt_arc ng r)) in
+  let links = Array.map fst (Netgraph.link_arcs ng) in
   let added = Array.make sched.rounds 0 in
-  let check = ref None in
+  let periods = sched.rounds / sched.period_len in
+  let headroom = Array.make periods 0 and limited = Array.make periods false in
+  let check = ref None and probe_check = ref None in
+  (* The what-if, as Incremental.headroom runs it on an engine: every
+     uncommitted processor that is not requesting counts as idle. *)
+  let was_on = Array.make np false in
+  let rec crosses_cut j =
+    j < Array.length links
+    &&
+    let a = links.(j) in
+    (Csr.original_capacity c a > 0
+    && (not (Csr.is_frozen c a))
+    && Csr.source_side c (Csr.src c a)
+    && not (Csr.source_side c (Csr.dst c a)))
+    || crosses_cut (j + 1)
+  in
+  let what_if period =
+    for p = 0 to np - 1 do
+      if not (Csr.is_frozen c sp.(p)) then begin
+        was_on.(p) <- Csr.original_capacity c sp.(p) > 0;
+        Csr.set_capacity c sp.(p) (if was_on.(p) then 0 else 1)
+      end
+    done;
+    headroom.(period) <- Csr.dinic c ~source ~sink;
+    limited.(period) <- crosses_cut 0;
+    Csr.rollback c;
+    (match !probe_check with Some g -> g period | None -> ());
+    for p = 0 to np - 1 do
+      if not (Csr.is_frozen c sp.(p)) then
+        Csr.set_capacity c sp.(p) (if was_on.(p) then 1 else 0)
+    done
+  in
   let reset () =
     Csr.release_all c;
     Array.iter (fun a -> Csr.set_capacity c a 0) sp;
@@ -94,6 +139,8 @@ let csr_runner ng sched ~mincost ~prio =
       | Some f -> f r ~units:added.(r) ~cost:(Csr.total_cost c - before)
       | None -> ());
       ignore (Csr.commit_new c ~source);
+      if r mod sched.period_len = probe_round then
+        what_if (r / sched.period_len);
       if (r + 1) mod sched.period_len = 0 then Csr.release_all c
     done
   in
@@ -101,47 +148,62 @@ let csr_runner ng sched ~mincost ~prio =
     reset ();
     run_rounds 0 (sched.rounds - 1)
   in
-  let checked_run f =
+  let checked_run f g =
     check := Some f;
-    Fun.protect ~finally:(fun () -> check := None) run
+    probe_check := Some g;
+    Fun.protect
+      ~finally:(fun () ->
+        check := None;
+        probe_check := None)
+      run
   in
-  (run, checked_run, run_rounds, added)
+  (run, checked_run, run_rounds, added, (headroom, limited))
 
-(* From-scratch reference for one round: the snapshot graph of the
-   network with the committed circuits' links taken down and the
-   switched-on, uncommitted endpoints as requests (at cost -priority
-   under mincost) and free resources. Committed units are unique, and
-   under mincost so is the cost of the new flow. *)
-let reference ng ~mincost ~prio =
+(* The snapshot graph of the network with the committed circuits' links
+   taken down and the switched-on, uncommitted endpoints as requests (at
+   [cost p]) and free resources, with its source and sink. *)
+let snapshot ng ~cost =
   let c = Netgraph.graph ng in
   let net = Network.copy (Netgraph.network ng) in
   Array.iter
     (fun (a, l) -> if Csr.is_frozen c a then Network.set_link_up net l false)
     (Netgraph.link_arcs ng);
-  let live arc i =
-    match arc i with
-    | Some a -> Csr.original_capacity c a = 1 && not (Csr.is_frozen c a)
-    | None -> false
-  in
-  let requests =
+  let live arc n cost =
     List.filter_map
-      (fun p ->
-        if live (Netgraph.sp_arc ng) p then
-          Some (p, if mincost then -prio.(p) else 0)
-        else None)
-      (List.init (Network.n_procs net) Fun.id)
-  and free =
-    List.filter_map
-      (fun r -> if live (Netgraph.rt_arc ng) r then Some (r, 0) else None)
-      (List.init (Network.n_res net) Fun.id)
+      (fun i ->
+        match arc i with
+        | Some a when Csr.original_capacity c a = 1 && not (Csr.is_frozen c a) ->
+          Some (i, cost i)
+        | Some _ | None -> None)
+      (List.init n Fun.id)
   in
-  let snap = Netgraph.compile net ~requests ~free in
-  let g = Netgraph.graph snap in
-  let source = Netgraph.source snap and sink = Netgraph.sink snap in
+  let snap =
+    Netgraph.compile net
+      ~requests:(live (Netgraph.sp_arc ng) (Network.n_procs net) cost)
+      ~free:(live (Netgraph.rt_arc ng) (Network.n_res net) (fun _ -> 0))
+  in
+  (snap, Netgraph.graph snap, Netgraph.source snap, Netgraph.sink snap)
+
+(* From-scratch reference for one round. Committed units are unique,
+   and under mincost (requests at cost -priority) so is the cost of the
+   new flow. *)
+let reference ng ~mincost ~prio =
+  let _, g, source, sink =
+    snapshot ng ~cost:(fun p -> if mincost then -prio.(p) else 0)
+  in
   if mincost then
     let r = Mincost.min_cost_max_flow g ~source ~sink in
     (r.Mincost.flow, r.Mincost.cost)
   else (fst (Dinic.max_flow g ~source ~sink), 0)
+
+(* From-scratch reference for one what-if, read while its source arcs
+   are switched over: Transformation 1's value over the same snapshot,
+   and whether its min cut crosses a fabric link. *)
+let probe_reference ng =
+  let snap, g, source, sink = snapshot ng ~cost:(fun _ -> 0) in
+  let value = fst (Dinic.max_flow g ~source ~sink) in
+  let cut = Netgraph.cut_members snap (Edmonds_karp.min_cut g ~source ~sink) in
+  (value, List.exists (function `Link _ -> true | `Proc _ | `Res _ -> false) cut)
 
 (* Calibrated allocation probe: [Gc.minor_words] itself boxes its float
    result, so two back-to-back readings measure that overhead exactly
@@ -192,7 +254,8 @@ let run ?(quick = false) () =
         let np = Network.n_procs net and nr = Network.n_res net in
         let sched = make_schedule rng ~np ~nr ~periods ~period_len in
         let prio = Array.init np (fun _ -> 1 + Prng.int rng 4) in
-        let csr_run, csr_checked_run, csr_rounds, csr_added =
+        let csr_run, csr_checked_run, csr_rounds, csr_added, (headroom, limited)
+            =
           csr_runner ng sched ~mincost ~prio
         in
         let m_csr = Bench_report.measure ~warmup:1 ~runs csr_run in
@@ -208,7 +271,21 @@ let run ?(quick = false) () =
             assert false
           end
         in
-        csr_checked_run check;
+        (* ...and every what-if must answer what a from-scratch
+           Transformation 1 and min cut of its switched-over snapshot do. *)
+        let probe_check period =
+          let want_value, want_limited = probe_reference ng in
+          if headroom.(period) <> want_value || limited.(period) <> want_limited
+          then begin
+            Printf.eprintf
+              "E34 %s: period %d what-if: csr %d (fabric-limited %b), from \
+               scratch %d (%b)\n"
+              name period headroom.(period) limited.(period) want_value
+              want_limited;
+            assert false
+          end
+        in
+        csr_checked_run check probe_check;
         let period_alloc =
           measure_period_alloc csr_run csr_rounds period_len
         in
@@ -225,6 +302,12 @@ let run ?(quick = false) () =
           (total csr_added);
         Bench_report.record_count case ~name:"csr.alloc_per_period"
           ~unit_:"words" period_alloc;
+        Bench_report.record_count case ~name:"csr.probe_headroom"
+          ~unit_:"circuits" (total headroom);
+        Bench_report.record_count case ~name:"csr.probe_fabric_limited"
+          ~unit_:"probes"
+          (float_of_int
+             (Array.fold_left (fun n b -> if b then n + 1 else n) 0 limited));
         Bench_report.record_count case ~name:"rounds"
           (float_of_int sched.rounds);
         let per_cycle x = x /. float_of_int sched.rounds in
@@ -234,15 +317,21 @@ let run ?(quick = false) () =
           Table.ffix 1 (per_cycle (mean m_csr.Bench_report.wall_us));
           Table.ffix 0 (per_cycle (mean m_csr.Bench_report.minor_words));
           Table.ffix 0 (total csr_added);
+          Table.ffix 0 (total headroom);
         ])
       configs
   in
-  Table.print ~header:[ "net"; "rounds"; "us/cyc"; "w/cyc"; "committed" ] rows;
+  Table.print
+    ~header:[ "net"; "rounds"; "us/cyc"; "w/cyc"; "committed"; "headroom" ]
+    rows;
   print_newline ();
   print_endline
     "  (checked: every round commits what a from-scratch solve of the same";
   print_endline
-    "   snapshot does; one full CSR warm period — enables, solves, commits,";
+    "   snapshot does, and each period's borrowing what-if answers what a";
   print_endline
-    "   release — allocates 0 minor words, 1024-port net included)";
+    "   from-scratch solve and min cut do; one full CSR warm period —";
+  print_endline
+    "   enables, solves, commits, what-if, release — allocates 0 minor";
+  print_endline "   words, 1024-port net included)";
   Printf.printf "  wrote %s\n\n" (Bench_report.write report)

@@ -191,11 +191,12 @@ let solver_arg =
         ~doc:
           (Printf.sprintf
              "Max-flow solver for the optimal (flow-based) scheduling paths: \
-              %s. Schedulers that do not run a flow solver ignore it. The \
-              warm engine's incremental augmentation is part of its \
-              definition, but $(b,dinic-csr) and $(b,mincost-csr) select \
-              where it runs: warm cycles then execute on the flat \
-              zero-allocation CSR core instead of the adjacency graph."
+              %s. Schedulers that do not run a flow solver ignore it. It \
+              picks the from-scratch solver of the snapshot and \
+              rebuild-per-cycle paths; the warm engine ($(b,--mode warm), \
+              the default of $(b,replay) and $(b,serve)) always runs its \
+              incremental augmentation on the flat zero-allocation CSR \
+              core, whatever the name."
              (String.concat ", "
                 (List.map (fun n -> Printf.sprintf "$(b,%s)" n) names))))
 

@@ -980,17 +980,47 @@ let drain t =
 
 let served_upto t = t.served_upto
 
-let pending_procs t =
-  List.filter (fun p -> t.requesting.(p)) (List.init t.np Fun.id)
+let has_free_resource t =
+  let rec scan r = r < t.nr && (res_free t r || scan (r + 1)) in
+  scan 0
 
-let free_resources t = List.filter (res_free t) (List.init t.nr Fun.id)
+(* --- Borrowing headroom ---------------------------------------------------- *)
 
-let idle_procs t =
-  List.filter
-    (fun p -> t.transmitting.(p) = None && t.queues.(p) = [])
-    (List.init t.np Fun.id)
+(* A processor a borrowed arrival can be re-issued at: nothing queued,
+   nothing in flight. *)
+let idle t p =
+  match (t.transmitting.(p), t.queues.(p)) with
+  | None, [] -> true
+  | Some _, _ | None, _ :: _ -> false
 
-let peek_network t = t.net
+let headroom_from_scratch t =
+  let idle_procs = List.filter (idle t) (List.init t.np Fun.id) in
+  match (idle_procs, List.filter (res_free t) (List.init t.nr Fun.id)) with
+  | [], _ | _, [] -> None
+  | target :: _, free ->
+    let fg = Transform1.build t.net ~requests:idle_procs ~free in
+    let outcome = Transform1.solve fg in
+    if outcome.Transform1.allocated = 0 then None
+    else
+      let fabric_limited =
+        List.exists
+          (function `Link _ -> true | `Proc _ | `Res _ -> false)
+          (Transform1.bottleneck fg)
+      in
+      Some (outcome.Transform1.allocated, fabric_limited, target)
+
+let headroom t =
+  match t.inc with
+  | None -> headroom_from_scratch t
+  | Some i ->
+    let rec lowest_idle p =
+      if p >= t.np then None else if idle t p then Some p else lowest_idle (p + 1)
+    in
+    (match lowest_idle 0 with
+    | Some target when has_free_resource t ->
+      let value, fabric_limited = Incremental.headroom i ~idle:(idle t) in
+      if value = 0 then None else Some (value, fabric_limited, target)
+    | Some _ | None -> None)
 
 let report t =
   let left_pending =

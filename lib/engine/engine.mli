@@ -258,19 +258,35 @@ val served_upto : t -> int
 (** Highest slot {!advance}/{!drain} has served, [min_int] before the
     first call. *)
 
-val pending_procs : t -> int list
-(** Processors with a pending (queued, not transmitting) request. *)
+val has_free_resource : t -> bool
+(** Whether some resource port is idle {e and} healthy. Stops at the
+    first one; builds nothing. *)
 
-val free_resources : t -> int list
-(** Resource ports that are idle {e and} healthy. *)
+(** {1 Borrowing headroom}
 
-val idle_procs : t -> int list
-(** Processors with no queued task and no transmission in flight — the
-    candidates a cross-shard borrow can re-target an arrival to. *)
+    What {!Serve} asks a donor shard before re-targeting an arrival to
+    it: Transformation 1 over requests = the idle processors (no queued
+    task, no transmission in flight) and free = the free ports. *)
 
-val peek_network : t -> Rsin_topology.Network.t
-(** The engine's private network copy, for read-only inspection
-    (borrowing headroom probes). Mutating it corrupts the run. *)
+val headroom : t -> (int * bool * int) option
+(** [Some (value, fabric_limited, target)]: a maximum flow could still
+    connect [value > 0] idle processors to free ports; [fabric_limited]
+    when the canonical minimum cut crosses a fabric link (extra load
+    would land on contended wires); [target] is the lowest idle
+    processor. [None] when there is no idle processor, no free port or
+    no routable pair.
+
+    In [Warm] mode this is {!Incremental.headroom}: a what-if on the
+    engine's own network, rolled back before it returns. It changes
+    nothing a later cycle, report or {!snapshot} can see, and answers
+    exactly what {!headroom_from_scratch} answers. Other modes run
+    {!headroom_from_scratch}. Call it between slots. *)
+
+val headroom_from_scratch : t -> (int * bool * int) option
+(** The same answer from a from-scratch {!Rsin_core.Transform1} build
+    and solve of the engine's network, the cut read by
+    {!Rsin_core.Transform1.bottleneck}: the [Rebuild] path, and the
+    reference the warm probe is tested against. *)
 
 val report : t -> report
 (** A snapshot of the run's accounting — pure, callable at any time;

@@ -2,6 +2,7 @@ module Graph = Rsin_flow.Graph
 module Csr = Rsin_flow.Csr
 module Obs = Rsin_obs.Obs
 module Netgraph = Rsin_core.Netgraph
+module Network = Rsin_topology.Network
 
 (* A persistent flow network over the *whole* topology, emitted once by
    Netgraph.compile_full straight into Csr arrays. Scheduling state is
@@ -44,6 +45,9 @@ type t = {
   ng : Csr.t Netgraph.t;
   csr : Csr.t;                         (* = Netgraph.graph ng *)
   discipline : discipline;
+  sp : Graph.arc array;                (* processor -> s->p arc *)
+  link_arcs : Graph.arc array;         (* network link -> link arc *)
+  was_on : bool array;                 (* headroom scratch: s->p caps before *)
   mutable dirty : bool;
   mutable pending_ops : int;           (* capacity updates since last solve *)
   mutable total_work : int;            (* cumulative: updates + arcs scanned *)
@@ -51,7 +55,13 @@ type t = {
 
 let create ?(discipline = Maxflow) net =
   let ng = Netgraph.compile_full net in
+  let np = Network.n_procs net in
   { ng; csr = Netgraph.graph ng; discipline;
+    sp = Array.init np (fun p -> Option.get (Netgraph.sp_arc ng p));
+    link_arcs =
+      Array.init (Network.n_links net) (fun l ->
+          Option.get (Netgraph.arc_of_link ng l));
+    was_on = Array.make np false;
     dirty = false; pending_ops = 0; total_work = 0 }
 
 let netgraph t = t.ng
@@ -62,9 +72,8 @@ let source t = Netgraph.source t.ng
 let sink t = Netgraph.sink t.ng
 
 let sp_arc t p =
-  match Netgraph.sp_arc t.ng p with
-  | Some a -> a
-  | None -> invalid_arg "Incremental: bad processor"
+  if p < 0 || p >= Array.length t.sp then invalid_arg "Incremental: bad processor";
+  t.sp.(p)
 
 let rt_arc t r =
   match Netgraph.rt_arc t.ng r with
@@ -218,6 +227,45 @@ let release t (c : circuit) =
   t.dirty <- true
 
 let pending_ops t = t.pending_ops
+
+(* Borrowing what-if on the live network. Unfrozen flow is zero between
+   solves (every solve freezes what it adds), so switching each
+   uncommitted source arc to "processor idle" leaves exactly the
+   residual network of Transformation 1 over requests = idle processors
+   and free = free ports: frozen arcs (live circuits) and switched-off
+   arcs (busy or down elements) carry no residual either way. Its max
+   flow is the headroom, and the final Dinic BFS is the canonical cut
+   Edmonds_karp.min_cut reads. The arcs are put back with raw Csr
+   writes, leaving [dirty]/[pending_ops]/[total_work] alone, so the
+   next real solve cannot tell a probe ran. *)
+let rec cut_crosses_link t j =
+  j < Array.length t.link_arcs
+  &&
+  let c = t.csr and a = t.link_arcs.(j) in
+  (Csr.original_capacity c a > 0
+  && (not (Csr.is_frozen c a))
+  && Csr.source_side c (Csr.src c a)
+  && not (Csr.source_side c (Csr.dst c a)))
+  || cut_crosses_link t (j + 1)
+
+let headroom t ~idle =
+  let c = t.csr in
+  for p = 0 to Array.length t.sp - 1 do
+    let a = t.sp.(p) in
+    if not (Csr.is_frozen c a) then begin
+      t.was_on.(p) <- Csr.original_capacity c a > 0;
+      Csr.set_capacity c a (if idle p then 1 else 0)
+    end
+  done;
+  let value = Csr.dinic c ~source:(source t) ~sink:(sink t) in
+  let fabric_limited = cut_crosses_link t 0 in
+  Csr.rollback c;
+  for p = 0 to Array.length t.sp - 1 do
+    let a = t.sp.(p) in
+    if not (Csr.is_frozen c a) then
+      Csr.set_capacity c a (if t.was_on.(p) then 1 else 0)
+  done;
+  (value, fabric_limited)
 
 (* Checkpoint restore: re-freeze a circuit that was committed before the
    snapshot into a freshly compiled warm graph. Equivalent to the state

@@ -109,6 +109,26 @@ val pending_ops : t -> int
     {!Engine.snapshot} so a restored engine reports the same per-cycle
     work as the uninterrupted run. *)
 
+val headroom : t -> idle:(int -> bool) -> int * bool
+(** [headroom t ~idle] asks, on the live network, how many of the
+    processors satisfying [idle] a maximum flow could still connect to
+    free ports: [(value, fabric_limited)]. It switches every
+    uncommitted source arc to [idle p], runs {!Rsin_flow.Csr.dinic},
+    reads the canonical min cut ({!Rsin_flow.Csr.source_side}) — the
+    donor is [fabric_limited] when a switched-on, uncommitted link arc
+    crosses it — then rolls the flow back
+    ({!Rsin_flow.Csr.rollback}) and restores every source arc.
+
+    Both answers equal those of a from-scratch
+    {!Rsin_core.Transform1} over requests = idle processors and free =
+    free ports ({!Rsin_core.Transform1.bottleneck} for the cut): frozen
+    and switched-off arcs carry no residual, so the residual networks
+    coincide, max-flow values are unique, and the residual-reachable
+    side is the canonical cut. Must be called between solves (no
+    unfrozen flow). Changes no cost and leaves {!dirty},
+    {!pending_ops} and {!total_work} alone, so nothing a later
+    {!solve} does can tell that a probe ran. *)
+
 val restore_circuit : t -> proc:int -> res:int -> links:int list -> circuit
 (** [restore_circuit t ~proc ~res ~links] re-freezes a circuit recorded
     in a checkpoint into a freshly created [t]: unit flow is forced onto

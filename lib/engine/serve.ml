@@ -1,6 +1,5 @@
 module Network = Rsin_topology.Network
 module Workload = Rsin_sim.Workload
-module Transform1 = Rsin_core.Transform1
 module Fault = Rsin_fault.Fault
 module Domain_pool = Rsin_util.Domain_pool
 module Clock = Rsin_util.Clock
@@ -55,6 +54,8 @@ let pp_report fmt r =
   Format.fprintf fmt "@,horizon %d wall %.0f us (%.0f events/s)@]" r.horizon
     r.wall_us (events_per_sec r)
 
+type probe = Unprobed | Probed of (int * bool * int) option
+
 type t = {
   shard : Shard.t;
   engines : Engine.t array;
@@ -65,6 +66,7 @@ type t = {
   (* Task id -> shard the arrival was fed to (home or donor), or
      [unrouted] while the arrival waits in [buffer]. *)
   task_home : (int, int) Hashtbl.t;
+  probes : probe array;  (* per shard, this routing pass *)
   event_hook : (events:int -> time:int -> unit) option;
   start_ns : int64;
   mutable cur_slot : int;
@@ -127,6 +129,7 @@ let create ?(config = Engine.Config.default) ?domains ?cycle_hook ?event_hook
           link_home;
           box_home;
           task_home = Hashtbl.create 256;
+          probes = Array.make (Array.length parts) Unprobed;
           event_hook;
           start_ns = Clock.now_ns ();
           cur_slot = min_int;
@@ -141,26 +144,17 @@ let create ?(config = Engine.Config.default) ?domains ?cycle_hook ?event_hook
 
 (* --- Borrowing ----------------------------------------------------------- *)
 
-(* Headroom of shard [s]: how many of its idle processors a fresh
-   max-flow could connect to its free ports right now, plus whether the
-   binding min cut runs through fabric links (a fabric-limited donor
-   would put borrowed load on contended wires). *)
-let probe_headroom t s =
-  let e = t.engines.(s) in
-  match (Engine.idle_procs e, Engine.free_resources e) with
-  | [], _ | _, [] -> None
-  | idle, free ->
-    let fg = Transform1.build (Engine.peek_network e) ~requests:idle ~free in
-    let outcome = Transform1.solve fg in
-    if outcome.Transform1.allocated = 0 then None
-    else
-      let fabric_limited =
-        List.exists
-          (function `Link _ -> true | `Proc _ | `Res _ -> false)
-          (Transform1.bottleneck fg)
-      in
-      let target = List.fold_left min (List.hd idle) idle in
-      Some (outcome.Transform1.allocated, fabric_limited, target)
+(* Engine.headroom of shard [s], probed at most once per routing pass:
+   Engine.feed only pushes onto a shard's event heap, so no donor's idle
+   processors, free ports or warm network change until the next
+   advance. [flush] clears the memo after the advance. *)
+let headroom t s =
+  match t.probes.(s) with
+  | Probed h -> h
+  | Unprobed ->
+    let h = Engine.headroom t.engines.(s) in
+    t.probes.(s) <- Probed h;
+    h
 
 (* Largest headroom wins; ties prefer fabric-unlimited donors, then the
    lowest shard index. Returns the donor and its lowest idle (local)
@@ -170,7 +164,7 @@ let pick_donor t ~home =
   Array.iteri
     (fun s _ ->
       if s <> home then
-        match probe_headroom t s with
+        match headroom t s with
         | None -> ()
         | Some (headroom, fabric_limited, target) ->
           let better =
@@ -196,7 +190,7 @@ let route t ev =
       Engine.feed t.engines.(si) (Workload.Arrive { a with proc })
     in
     let feed_home () = feed_to home t.shard.Shard.local_proc.(a.proc) in
-    if Engine.free_resources t.engines.(home) <> [] then feed_home ()
+    if Engine.has_free_resource t.engines.(home) then feed_home ()
     else begin
       match pick_donor t ~home with
       | Some (donor, target) ->
@@ -245,6 +239,7 @@ let flush t =
   | buffered ->
     let slot = t.cur_slot in
     advance_all t ~upto:(slot - 1);
+    Array.fill t.probes 0 (Array.length t.probes) Unprobed;
     let evs = List.rev buffered in
     t.buffer <- [];
     List.iter (route t) evs;
@@ -356,7 +351,64 @@ let abort t =
 
 (* --- Checkpoint / restore ------------------------------------------------- *)
 
-let checkpoint_schema = "rsin-serve-checkpoint/v1"
+let checkpoint_schema = "rsin-serve-checkpoint/v2"
+
+let jint n = Json.Num (float_of_int n)
+
+(* task_home as [first_id, count, shard] triples, one per maximal run of
+   consecutive ids routed to the same shard, ascending. Arrivals are
+   numbered slot by slot, so runs are long; at worst each holds one id. *)
+let task_home_runs t =
+  let ids = Array.of_seq (Hashtbl.to_seq_keys t.task_home) in
+  Array.sort Int.compare ids;
+  let n = Array.length ids in
+  let rec runs i acc =
+    if i >= n then List.rev acc
+    else
+      let si = Hashtbl.find t.task_home ids.(i) in
+      let rec stop j =
+        if
+          j < n
+          && ids.(j) = ids.(j - 1) + 1
+          && Hashtbl.find t.task_home ids.(j) = si
+        then stop (j + 1)
+        else j
+      in
+      let j = stop (i + 1) in
+      runs j (Json.Arr [ jint ids.(i); jint (j - i); jint si ] :: acc)
+  in
+  runs 0 []
+
+(* Inverse of [task_home_runs]. Every routed arrival is one event, so
+   the runs of a checkpoint [snapshot] wrote cover at most [events] ids:
+   a document cannot make restore expand past its own event count. *)
+let restore_task_home t ~events runs =
+  let n_shards = Array.length t.engines in
+  let rec go ~last ~covered = function
+    | [] -> Ok ()
+    | run :: rest -> (
+      match Option.map (List.map Json.to_int) (Json.to_list run) with
+      | Some [ Some first; Some count; Some si ] ->
+        if count < 1 then Error "serve checkpoint: task_home run count below 1"
+        else if (match last with Some l -> first <= l | None -> false) then
+          Error "serve checkpoint: task_home runs not ascending and disjoint"
+        else if si < 0 || si >= n_shards then
+          Error
+            (Printf.sprintf "serve checkpoint: task_home shard %d outside %d \
+                             shard(s)" si n_shards)
+        else if count > events - covered then
+          Error "serve checkpoint: task_home runs cover more ids than events"
+        else if first > max_int - (count - 1) then
+          Error "serve checkpoint: task_home run overflows"
+        else begin
+          for id = first to first + count - 1 do
+            Hashtbl.replace t.task_home id si
+          done;
+          go ~last:(Some (first + count - 1)) ~covered:(covered + count) rest
+        end
+      | _ -> Error "serve checkpoint: malformed task_home run")
+  in
+  go ~last:None ~covered:0 runs
 
 let snapshot t =
   if t.drained then invalid_arg "Serve.snapshot: already drained";
@@ -365,13 +417,6 @@ let snapshot t =
      sitting in its shard's heap. Re-entrant calls from the event hook
      are safe — the buffer is already empty there. *)
   flush t;
-  let jint n = Json.Num (float_of_int n) in
-  let task_home =
-    Hashtbl.fold (fun id si acc -> (id, si) :: acc) t.task_home []
-    |> List.sort compare
-    |> List.map (fun (id, si) ->
-           Json.Obj [ ("task", jint id); ("shard", jint si) ])
-  in
   Json.Obj
     [ ("schema", Json.Str checkpoint_schema);
       ("config", Engine.Config.to_json (Engine.config t.engines.(0)));
@@ -379,7 +424,7 @@ let snapshot t =
       ("events", jint t.events);
       ("borrows", jint t.borrows);
       ("starved", jint t.starved);
-      ("task_home", Json.Arr task_home);
+      ("task_home", Json.Arr (task_home_runs t));
       ( "shards",
         Json.Arr (Array.to_list (Array.map Engine.snapshot t.engines)) ) ]
 
@@ -389,7 +434,9 @@ let restore ?domains ?cycle_hook ?event_hook net j =
     match Option.bind (Json.member "schema" j) Json.to_str with
     | Some s when s = checkpoint_schema -> Ok ()
     | Some s ->
-      Error (Printf.sprintf "serve checkpoint: unsupported schema %S" s)
+      Error
+        (Printf.sprintf "serve checkpoint: unsupported schema %S (want %S)" s
+           checkpoint_schema)
     | None -> Error "serve checkpoint: missing schema"
   in
   let* config =
@@ -433,19 +480,7 @@ let restore ?domains ?cycle_hook ?event_hook net j =
       let* starved = geti "starved" in
       let* () =
         match Json.member "task_home" j with
-        | Some (Json.Arr entries) ->
-          List.fold_left
-            (fun acc ej ->
-              let* () = acc in
-              match
-                ( Option.bind (Json.member "task" ej) Json.to_int,
-                  Option.bind (Json.member "shard" ej) Json.to_int )
-              with
-              | Some id, Some si when si >= 0 && si < Array.length t.engines ->
-                Hashtbl.replace t.task_home id si;
-                Ok ()
-              | _ -> Error "serve checkpoint: malformed task_home entry")
-            (Ok ()) entries
+        | Some (Json.Arr runs) -> restore_task_home t ~events runs
         | _ -> Error "serve checkpoint: missing task_home"
       in
       t.events <- events;

@@ -30,18 +30,24 @@
 
     When an arrival's home shard has no free resource port, the router
     tries to re-target it to a {e donor} shard instead of letting it
-    queue: every other shard with idle processors and free resources is
-    probed with a from-scratch {!Rsin_core.Transform1} max-flow on its
-    private network (requests = its idle processors, free = its free
-    ports), and the probe's min-cut members ({!Rsin_core.Transform1.bottleneck},
-    via [Netgraph.cut_members]) classify the donor: a cut containing
-    [`Link]s means the donor is fabric-limited and extra load would hit
-    contended wires. The donor with the largest headroom wins, ties
-    preferring fabric-unlimited donors, then the lowest shard index;
-    the arrival is re-issued at the donor's lowest idle processor. If
-    no shard has headroom the arrival stays home (and is counted as
-    starved). Everything is deterministic, so borrowing does not
-    perturb the domains=1 vs domains=N equivalence. *)
+    queue. It asks every other shard {!Engine.headroom}: how many of its
+    idle processors a maximum flow could connect to its free ports —
+    Transformation 1 with requests = its idle processors and free = its
+    free ports — and whether the canonical minimum cut crosses fabric
+    links, in which case the donor is fabric-limited and extra load
+    would hit contended wires. In the default [Warm] mode each probe is
+    a what-if on the donor's own warm network: switch the idle
+    processors' source arcs on, augment, read the cut, roll back
+    ({!Incremental.headroom}); it answers exactly what a from-scratch
+    {!Rsin_core.Transform1} would, and leaves nothing a later cycle or
+    checkpoint can see. Each donor is probed at most once per flushed
+    slot: routing only pushes events onto shard heaps, so no donor
+    changes until the next advance. The donor with the largest headroom
+    wins, ties preferring fabric-unlimited donors, then the lowest shard
+    index; the arrival is re-issued at the donor's lowest idle
+    processor. If no shard has headroom the arrival stays home (and is
+    counted as starved). Everything is deterministic, so borrowing does
+    not perturb the domains=1 vs domains=N equivalence. *)
 
 type report = {
   domains : int;        (** domain-pool size actually used *)
@@ -136,15 +142,23 @@ val abort : t -> unit
 
 (** {2 Checkpoint / restore}
 
-    A serve snapshot nests one {!Engine.snapshot} per shard plus the
-    router's own state (slot cursor, borrow/starve counters, the
-    task-to-shard map cancels are chased with). {!snapshot} first
-    flushes the buffered slot, so the checkpoint always lands on a slot
-    boundary: every shard advanced through [cur_slot - 1], every routed
-    event of [cur_slot] in its shard's event heap. Restoring over a
-    pristine instance of the same topology and feeding the remaining
-    trace (slots after the checkpoint) reproduces the uninterrupted
-    run's trajectory byte for byte — the differential test pins this. *)
+    A serve snapshot ([rsin-serve-checkpoint/v2]) nests one
+    {!Engine.snapshot} per shard plus the router's own state (slot
+    cursor, event/borrow/starve counters, and the task-to-shard map
+    cancels are chased with). {!snapshot} first flushes the buffered
+    slot, so the checkpoint always lands on a slot boundary: every shard
+    advanced through [cur_slot - 1], every routed event of [cur_slot] in
+    its shard's event heap. Restoring over a pristine instance of the
+    same topology and feeding the remaining trace (slots after the
+    checkpoint) reproduces the uninterrupted run's trajectory byte for
+    byte — the differential test pins this.
+
+    The task-to-shard map is written as [[first_id, count, shard]]
+    triples, ascending: one per maximal run of consecutive task ids
+    routed to the same shard. Synthetic and recorded traces number
+    arrivals slot by slot, so runs are long; in the worst case each run
+    holds one id and the document is still smaller than one object per
+    id. *)
 
 val snapshot : t -> Rsin_util.Json.t
 (** Raises [Invalid_argument] after {!drain}/{!abort}. Safe to call
@@ -160,7 +174,15 @@ val restore :
 (** Rebuilds a serving instance from {!snapshot} output. The network
     must be a pristine copy of the topology the snapshot was taken on
     (checked per shard); the config travels inside the snapshot. Hooks
-    and the domain count are re-attached fresh. *)
+    and the domain count are re-attached fresh.
+
+    A malformed document is an [Error], never an exception: another
+    schema (a [v1] document included — the message names both), a
+    task-map run with a count below 1, runs that are not ascending and
+    disjoint, a shard index outside the partition, or runs whose counts
+    sum past the document's [events]. Every routed arrival is one event,
+    so every checkpoint {!snapshot} writes passes that last check, and
+    it bounds how many ids a document can make restore expand. *)
 
 val run :
   ?config:Engine.Config.t ->

@@ -359,6 +359,12 @@ let dinic t ~source ~sink =
   reset_stats t;
   dinic_phases t ~source ~sink 0
 
+(* Every run ends on a full BFS that misses the sink, and nothing
+   touches [level] after it, so it holds the residual-reachable set. *)
+let source_side t v =
+  if v < 0 || v >= t.n then invalid_arg "Csr.source_side: bad node";
+  t.level.(v) >= 0
+
 (* ------------------------------------------------------------------ *)
 (* Min-cost successive shortest paths with potentials.                 *)
 
@@ -543,6 +549,14 @@ let release_all t =
   for i = 0 to t.pairs - 1 do
     if t.frozen.(i) then begin
       t.frozen.(i) <- false;
+      t.cap.(t.pos.(2 * i)) <- t.orig.(i);
+      t.cap.(t.pos.(2 * i + 1)) <- 0
+    end
+  done
+
+let rollback t =
+  for i = 0 to t.pairs - 1 do
+    if not t.frozen.(i) then begin
       t.cap.(t.pos.(2 * i)) <- t.orig.(i);
       t.cap.(t.pos.(2 * i + 1)) <- 0
     end

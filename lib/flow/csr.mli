@@ -123,6 +123,14 @@ val total_cost : t -> int
 val dinic : t -> source:int -> sink:int -> int
 (** Layered-network blocking flow (Dinic) with current-arc cursors. *)
 
+val source_side : t -> int -> bool
+(** [source_side t v], read after {!dinic}: whether the run's final BFS
+    reached node [v], i.e. whether [v] is residual-reachable from the
+    source. That set is the source side of the canonical minimum cut,
+    the one {!Edmonds_karp.min_cut} reads; it does not depend on which
+    maximum flow was found. O(1), no allocation. Meaningless after
+    {!mincost}, which leaves the BFS levels alone. *)
+
 val mincost : t -> source:int -> sink:int -> int
 (** Successive shortest paths with potentials (Dijkstra on reduced
     costs; one Bellman–Ford seed pass when negative costs are present).
@@ -152,6 +160,13 @@ val release_all : t -> unit
     {!commit_new}. Endpoint capacities are left untouched; switch them
     off separately if the released circuits' endpoints should go
     idle. *)
+
+val rollback : t -> unit
+(** Zeroes the flow on every unfrozen arc, leaving frozen arcs and all
+    capacities alone: it undoes every augmentation since the last
+    freeze. With {!source_side} it turns the warm network into a
+    what-if probe — toggle endpoint capacities, {!dinic}, read the cut,
+    roll back, toggle back. One O(arcs) scan, no allocation. *)
 
 (** {1 Interop and validation} *)
 

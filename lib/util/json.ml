@@ -28,7 +28,10 @@ let num_string x =
   match Float.classify_float x with
   | FP_nan | FP_infinite -> "null"
   | _ ->
-    if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+    if Float.is_integer x && Float.abs x < 1e15 then
+      (* What "%.0f" prints, without the format interpreter: the value
+         is integral and below 2^53, so int_of_float is exact. *)
+      if x = 0. && Float.sign_bit x then "-0" else string_of_int (int_of_float x)
     else Printf.sprintf "%.17g" x
 
 let to_string v =

@@ -16,6 +16,8 @@ module Shard = Rsin_engine.Shard
 module Serve = Rsin_engine.Serve
 module Domain_pool = Rsin_util.Domain_pool
 module Prng = Rsin_util.Prng
+module Json = Rsin_util.Json
+module Policy = Rsin_guard.Policy
 
 let check = Alcotest.check
 
@@ -486,6 +488,25 @@ let test_serve_starvation () =
        frees up — all nine tasks get circuits eventually. *)
     check Alcotest.int "all nine circuits eventually" 9 r.Serve.allocated
 
+let test_serve_probe_fresh_each_flush () =
+  (* A donor's headroom is probed once per flush, never carried over:
+     plane 1 lends at slot 3, fills up in that same slot, and must turn
+     the next overflow arrival (slot 10) down. *)
+  let net = Builders.multiplane ~planes:2 (Builders.omega 4) in
+  let arrive t id proc =
+    Workload.Arrive { t; id; proc; service = 50; deadline = None; priority = 0 }
+  in
+  let trace =
+    [ arrive 0 0 0; arrive 0 1 1; arrive 0 2 2; arrive 0 3 3;
+      arrive 3 4 0; arrive 3 5 5; arrive 3 6 6; arrive 3 7 7;
+      arrive 10 8 1 ]
+  in
+  match Serve.run ~domains:2 net trace with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    check Alcotest.int "plane 1 lent once" 1 r.Serve.borrows;
+    check Alcotest.int "then had no room" 1 r.Serve.starved
+
 let test_serve_rejects_token () =
   let net = Builders.multiplane ~planes:2 (Builders.omega 4) in
   match
@@ -495,6 +516,217 @@ let test_serve_rejects_token () =
     check Alcotest.bool "error names token mode" true
       (String.length e >= 12 && String.sub e 0 12 = "Serve.create")
   | Ok _ -> Alcotest.fail "serve accepted token mode"
+
+(* --- Engine.headroom: the warm borrowing probe ----------------------------- *)
+
+(* The shards of the serving benchmark's overload network (4 planes of
+   omega:32), each driven alone by an overloaded trace with priorities,
+   deadlines, cancels, faults and a flap-quarantining guard. *)
+let probe_shards () =
+  match Shard.partition (Builders.multiplane ~planes:4 (Builders.omega 32)) with
+  | Error e -> Alcotest.fail e
+  | Ok sh -> Array.map (fun part -> part.Shard.net) sh.Shard.parts
+
+let probe_config discipline =
+  Engine.Config.v ~discipline ~transmission_time:2
+    ~guard:
+      (Some
+         (Policy.v ~queue_bound:4 ~shed_policy:Policy.Deadline_aware ~flap_k:2
+            ~flap_window:25 ()))
+    ()
+
+let probe_trace net ~seed =
+  let slots = 120 in
+  let base =
+    Workload.synthesize ~deadline_slack:24 ~cancel_prob:0.05 ~priority_levels:4
+      (Prng.create seed) net ~slots ~arrival_prob:0.2
+  in
+  let faults =
+    Fault.inject (Prng.create (seed + 1)) net ~horizon:slots ~mtbf:150.
+      ~mttr:10.
+  in
+  Workload.sort_trace (base @ Workload.fault_events faults)
+
+(* Feeds the whole trace, then advances one slot at a time, calling
+   [at_boundary] between slots, and drains. *)
+let drive_slots ?cycle_hook ~config net trace ~at_boundary =
+  let e = Engine.create ?cycle_hook ~config net in
+  List.iter (Engine.feed e) trace;
+  let last = List.fold_left (fun acc ev -> max acc (Workload.event_time ev)) 0 trace in
+  for slot = 0 to last do
+    Engine.advance e ~upto:slot;
+    at_boundary e
+  done;
+  Engine.drain e;
+  e
+
+let test_headroom_matches_from_scratch () =
+  let probes = ref 0 and limited = ref 0 and unlimited = ref 0 in
+  let quarantines = ref 0 in
+  List.iter
+    (fun discipline ->
+      Array.iteri
+        (fun si net ->
+          let trace = probe_trace net ~seed:(31 + si) in
+          let at_boundary e =
+            let warm = Engine.headroom e
+            and reference = Engine.headroom_from_scratch e in
+            incr probes;
+            (match warm with
+            | Some (_, true, _) -> incr limited
+            | Some (_, false, _) -> incr unlimited
+            | None -> ());
+            if warm <> reference then
+              let show = function
+                | None -> "none"
+                | Some (v, fl, p) -> Printf.sprintf "(%d, %b, p%d)" v fl p
+              in
+              Alcotest.failf "%s shard %d, slot %d: warm %s, from scratch %s"
+                (Engine.discipline_name discipline)
+                si (Engine.served_upto e) (show warm) (show reference)
+          in
+          let e =
+            drive_slots ~config:(probe_config discipline) net trace ~at_boundary
+          in
+          quarantines := !quarantines + (Engine.report e).Engine.quarantines)
+        (probe_shards ()))
+    [ Engine.Uniform; Engine.Priority ];
+  (* The runs must reach every kind of answer, and the guard must have
+     quarantined something, or the comparison proves little. *)
+  check Alcotest.bool "fabric-limited donors probed" true (!limited > 0);
+  check Alcotest.bool "fabric-unlimited donors probed" true (!unlimited > 0);
+  check Alcotest.bool "no-headroom answers probed" true
+    (!limited + !unlimited < !probes);
+  check Alcotest.bool "quarantines happened" true (!quarantines > 0)
+
+(* Probing at every slot boundary must not change one bit of what the
+   engine does or could serialize: the cycle log, the report, and the
+   snapshot (which carries the warm solver's dirty flag and work
+   counters) all equal those of a run that never probes. *)
+let test_headroom_leaves_no_trace () =
+  List.iter
+    (fun discipline ->
+      let net = (probe_shards ()).(1) in
+      let trace = probe_trace net ~seed:77 in
+      let run ~probe =
+        let log = Buffer.create 4096 and snaps = Buffer.create 4096 in
+        let cycle_hook _net (info : Engine.cycle_info) =
+          Buffer.add_string log
+            (Printf.sprintf "%d:%s/%s->%s w%d%s\n" info.Engine.time
+               (String.concat "," (List.map string_of_int info.Engine.requests))
+               (String.concat "," (List.map string_of_int info.Engine.free))
+               (String.concat ","
+                  (List.map
+                     (fun (p, r) -> Printf.sprintf "%d-%d" p r)
+                     info.Engine.mapping))
+               info.Engine.work
+               (if info.Engine.skipped then " skipped" else ""))
+        in
+        let at_boundary e =
+          if probe then ignore (Engine.headroom e);
+          Buffer.add_string snaps (Json.to_string (Engine.snapshot e));
+          Buffer.add_char snaps '\n'
+        in
+        let e =
+          drive_slots ~cycle_hook ~config:(probe_config discipline) net trace
+            ~at_boundary
+        in
+        (Buffer.contents log, Engine.report e, Buffer.contents snaps)
+      in
+      let log0, report0, snaps0 = run ~probe:false in
+      let log1, report1, snaps1 = run ~probe:true in
+      let what = Engine.discipline_name discipline in
+      check Alcotest.string (what ^ ": cycle log") log0 log1;
+      check Alcotest.bool (what ^ ": report") true (report0 = report1);
+      check Alcotest.bool (what ^ ": snapshots at every boundary") true
+        (snaps0 = snaps1))
+    [ Engine.Uniform; Engine.Priority ]
+
+(* --- Serve: checkpoint task_home runs -------------------------------------- *)
+
+(* A real checkpoint with borrowed tasks in it, and a way to swap one of
+   its top-level fields. *)
+let borrowing_checkpoint () =
+  let net = Builders.multiplane ~planes:2 (Builders.omega 4) in
+  let arrive t id proc service =
+    Workload.Arrive { t; id; proc; service; deadline = None; priority = 0 }
+  in
+  let t =
+    match Serve.create ~domains:1 net with
+    | Error e -> Alcotest.fail e
+    | Ok t -> t
+  in
+  List.iter (Serve.feed t)
+    [ arrive 0 0 0 50; arrive 0 1 1 50; arrive 0 2 2 50; arrive 0 3 3 50;
+      arrive 3 4 0 5; arrive 3 5 5 5; arrive 4 9 6 5 ];
+  let j = Serve.snapshot t in
+  Serve.abort t;
+  (net, j)
+
+let with_field j k v =
+  match j with
+  | Json.Obj fields ->
+    Json.Obj (List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) fields)
+  | _ -> Alcotest.fail "checkpoint is not an object"
+
+let test_checkpoint_task_home_runs () =
+  let net, j = borrowing_checkpoint () in
+  let run a b c = Json.Arr [ Json.Num a; Json.Num b; Json.Num c ] in
+  (* Ids 0-3 stay home on shard 0, 4 is borrowed by shard 1, 5 lives on
+     shard 1, 9 on shard 1: three runs, the middle one two ids long. *)
+  check Alcotest.string "task_home as id runs" "[[0,4,0],[4,2,1],[9,1,1]]"
+    (Json.to_string (Option.get (Json.member "task_home" j)));
+  (match Serve.restore ~domains:1 net j with
+  | Ok t ->
+    check Alcotest.string "restore then snapshot is the identity"
+      (Json.to_string j)
+      (Json.to_string (Serve.snapshot t));
+    Serve.abort t
+  | Error e -> Alcotest.failf "restore: %s" e);
+  let rejects what doc =
+    match Serve.restore ~domains:1 net doc with
+    | Ok t ->
+      Serve.abort t;
+      Alcotest.failf "%s: restore accepted it" what
+    | Error m -> m
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let v1 =
+    rejects "v1 document"
+      (with_field
+         (with_field j "schema" (Json.Str "rsin-serve-checkpoint/v1"))
+         "task_home"
+         (Json.Arr [ Json.Obj [ ("task", Json.Num 0.); ("shard", Json.Num 0.) ] ]))
+  in
+  check Alcotest.bool "the v1 error names both schemas" true
+    (contains v1 "rsin-serve-checkpoint/v1" && contains v1 "rsin-serve-checkpoint/v2");
+  (* The largest float at or below max_int (2^62 - 1): only a document
+     claiming many events can reach past max_int from it. *)
+  let top = ldexp 1. 62 -. 512. in
+  List.iter
+    (fun (what, events, runs, reason) ->
+      let doc =
+        with_field (with_field j "task_home" (Json.Arr runs)) "events"
+          (Json.Num events)
+      in
+      let m = rejects what doc in
+      if not (contains m reason) then
+        Alcotest.failf "%s: rejected for %S, want %S" what m reason)
+    [ ("count 0", 7., [ run 0. 0. 0. ], "count below 1");
+      ("negative count", 7., [ run 0. (-3.) 0. ], "count below 1");
+      ("overlapping runs", 7., [ run 0. 4. 0.; run 3. 2. 1. ], "not ascending");
+      ("descending runs", 7., [ run 4. 2. 1.; run 0. 4. 0. ], "not ascending");
+      ("shard outside the partition", 7., [ run 0. 4. 2. ], "outside");
+      ("negative shard", 7., [ run 0. 4. (-1.) ], "outside");
+      ("counts past events", 7., [ run 0. 4. 0.; run 4. 1000. 1. ], "than events");
+      ("run past max_int", 1e6, [ run 0. 4. 0.; run top 2000. 1. ], "overflows");
+      ("not a triple", 7., [ run 0. 4. 0.; Json.Arr [ Json.Num 4.; Json.Num 2. ] ],
+       "malformed");
+      ("non-integer id", 7., [ run 0.5 4. 0. ], "malformed") ]
 
 (* --- Serve: feed-time validation ------------------------------------------ *)
 
@@ -593,7 +825,15 @@ let suite =
     Alcotest.test_case "borrowing re-targets overflow" `Quick
       test_serve_borrowing;
     Alcotest.test_case "starvation when no donor" `Quick test_serve_starvation;
+    Alcotest.test_case "donor probes are fresh every flush" `Quick
+      test_serve_probe_fresh_each_flush;
     Alcotest.test_case "token mode rejected" `Quick test_serve_rejects_token;
+    Alcotest.test_case "warm headroom = from-scratch probe every slot" `Quick
+      test_headroom_matches_from_scratch;
+    Alcotest.test_case "headroom probes leave no trace" `Quick
+      test_headroom_leaves_no_trace;
+    Alcotest.test_case "checkpoint task_home runs and their errors" `Quick
+      test_checkpoint_task_home_runs;
     Alcotest.test_case "feed rejects out-of-range events alone" `Quick
       test_feed_rejects_out_of_range;
     Alcotest.test_case "feed rejects duplicate task ids" `Quick

@@ -581,6 +581,22 @@ let json_roundtrip =
       | Ok j' -> Json.equal j j'
       | Error _ -> false)
 
+(* Integral numbers below 1e15 print without Printf; the bytes must stay
+   exactly those of "%.0f", or every checkpoint and trace would change. *)
+let test_json_integers_match_printf () =
+  let same x =
+    check Alcotest.string
+      (Printf.sprintf "%h" x)
+      (Printf.sprintf "%.0f" x)
+      (Json.to_string (Json.Num x))
+  in
+  List.iter same [ -0.; 0.; 1e15 -. 1.; -.(1e15 -. 1.); 1.; -1.; 4503599627370496. ]
+
+let json_integers_random =
+  qtest "json integral numbers print as %.0f"
+    QCheck.(make Gen.(map Float.round (float_range (-1e15 +. 1.) (1e15 -. 1.))))
+    (fun x -> Json.to_string (Json.Num x) = Printf.sprintf "%.0f" x)
+
 let suite =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -625,4 +641,7 @@ let suite =
     Alcotest.test_case "json parse basics" `Quick test_json_parse_basics;
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
     json_roundtrip;
+    Alcotest.test_case "json integers print as %.0f" `Quick
+      test_json_integers_match_printf;
+    json_integers_random;
   ]
