@@ -444,10 +444,11 @@ let feed t ev =
     push t time (Ev_fault (Fault.up_of element, None))
 
 let drop_task t id =
-  (* Remove a still-queued task (cancel or deadline expiry). *)
+  (* Remove a still-queued task (cancel or deadline expiry) and retire
+     its record. *)
   match Hashtbl.find_opt t.tasks id with
   | Some task when task.queued ->
-    task.queued <- false;
+    Hashtbl.remove t.tasks id;
     Array.iteri
       (fun p q ->
         if List.mem id q then begin
@@ -460,6 +461,18 @@ let drop_task t id =
       t.queues;
     true
   | Some _ | None -> false
+
+(* Retire a victim parked in backoff (cancel or deadline expiry): its
+   pending Ev_retry becomes a stale no-op. *)
+let unpark t id =
+  Hashtbl.mem t.retry_pending id
+  && begin
+    Hashtbl.remove t.retry_pending id;
+    Hashtbl.remove t.retry_count id;
+    Hashtbl.remove t.victim_at id;
+    Hashtbl.remove t.tasks id;
+    true
+  end
 
 (* Tear down a circuit still in transmission because a fault severed
    one of its links: release the circuit (net + warm graph), return
@@ -502,6 +515,7 @@ let teardown t now li (l : live) =
     in
     if attempts >= g.Policy.retry_budget then begin
       t.given_up <- t.given_up + 1;
+      Hashtbl.remove t.tasks l.task_id;
       Hashtbl.remove t.retry_count l.task_id;
       Hashtbl.remove t.victim_at l.task_id;
       Obs.count t.obs "engine.guard.given_up" 1
@@ -595,13 +609,21 @@ let apply_fault t now fev =
 let process t now = function
   | Ev_arrive { id; proc; service; deadline; priority } ->
     t.arrivals <- t.arrivals + 1;
+    (* A task terminal on arrival gets no record: [tasks] holds only
+       queued, parked and in-flight tasks. *)
+    let shed_newcomer () =
+      t.shed <- t.shed + 1;
+      Obs.count t.obs "engine.guard.shed" 1
+    in
     (match deadline with
+    | _ when Hashtbl.mem t.tasks id ->
+      (* The id still names a live task: refuse the newcomer rather
+         than overwrite the live record. *)
+      shed_newcomer ()
     | Some d when d <= now ->
       (* Dead on arrival: the deadline is already past, so the task
          expires immediately — it must not sit in the queue forever
          (and certainly must not be served). *)
-      Hashtbl.replace t.tasks id
-        { arrival = now; service; priority; deadline; queued = false };
       t.expired <- t.expired + 1
     | _ -> (
       let admit () =
@@ -612,12 +634,6 @@ let process t now = function
         (match deadline with Some d -> push t d (Ev_deadline id) | None -> ());
         if t.cfg.Config.batch_threshold > 1 then
           push t (now + t.cfg.Config.max_defer) Ev_wake
-      in
-      let shed_newcomer () =
-        Hashtbl.replace t.tasks id
-          { arrival = now; service; priority; deadline; queued = false };
-        t.shed <- t.shed + 1;
-        Obs.count t.obs "engine.guard.shed" 1
       in
       match t.cfg.Config.guard with
       | Some g
@@ -649,8 +665,7 @@ let process t now = function
             q;
           if !best_id = -1 then shed_newcomer ()
           else begin
-            let victim = Hashtbl.find t.tasks !best_id in
-            victim.queued <- false;
+            Hashtbl.remove t.tasks !best_id;
             t.queues.(proc) <- List.filter (fun x -> x <> !best_id) q;
             t.shed <- t.shed + 1;
             Obs.count t.obs "engine.guard.shed" 1;
@@ -662,36 +677,13 @@ let process t now = function
       | Some _ | None -> admit ()));
     true
   | Ev_cancel id ->
-    let dropped = drop_task t id in
-    if dropped then begin
-      t.cancelled <- t.cancelled + 1;
-      true
-    end
-    else if Hashtbl.mem t.retry_pending id then begin
-      (* Cancelling a victim parked in backoff: its pending Ev_retry
-         becomes a stale no-op. *)
-      Hashtbl.remove t.retry_pending id;
-      Hashtbl.remove t.retry_count id;
-      Hashtbl.remove t.victim_at id;
-      t.cancelled <- t.cancelled + 1;
-      true
-    end
-    else false
+    let gone = drop_task t id || unpark t id in
+    if gone then t.cancelled <- t.cancelled + 1;
+    gone
   | Ev_deadline id ->
-    let dropped = drop_task t id in
-    if dropped then begin
-      t.expired <- t.expired + 1;
-      true
-    end
-    else if Hashtbl.mem t.retry_pending id then begin
-      (* The deadline caught the task mid-backoff. *)
-      Hashtbl.remove t.retry_pending id;
-      Hashtbl.remove t.retry_count id;
-      Hashtbl.remove t.victim_at id;
-      t.expired <- t.expired + 1;
-      true
-    end
-    else false
+    let gone = drop_task t id || unpark t id in
+    if gone then t.expired <- t.expired + 1;
+    gone
   | Ev_release li ->
     (match Hashtbl.find_opt t.lives li with
     | Some l when not l.released ->
@@ -709,6 +701,7 @@ let process t now = function
     | Some l ->
       Hashtbl.remove t.lives li;
       t.completed <- t.completed + 1;
+      Hashtbl.remove t.tasks l.task_id;
       Hashtbl.remove t.retry_count l.task_id;
       t.res_idle.(l.lres) <- true;
       sync_res t l.lres;
@@ -1079,13 +1072,32 @@ let accounting t =
     a_parked = Hashtbl.length t.retry_pending;
     a_in_flight = Hashtbl.length t.lives }
 
+(* The task table holds a record for every pending task and for no
+   other: a leaked record is a memory leak, a missing one a later
+   Not_found. *)
+let check_task_table t (a : accounting) =
+  let live = a.a_queued + a.a_parked + a.a_in_flight in
+  let held id = Hashtbl.mem t.tasks id in
+  if
+    Hashtbl.length t.tasks = live
+    && Array.for_all (List.for_all held) t.queues
+    && Hashtbl.fold (fun id _ ok -> ok && held id) t.retry_pending true
+    && Hashtbl.fold (fun _ (l : live) ok -> ok && held l.task_id) t.lives true
+  then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "Engine task table holds %d record(s), not exactly the %d queued + \
+          %d parked + %d in_flight task(s)"
+         (Hashtbl.length t.tasks) a.a_queued a.a_parked a.a_in_flight)
+
 let check_accounting t =
   let a = accounting t in
   let accounted =
     a.a_completed + a.a_cancelled + a.a_expired + a.a_shed + a.a_given_up
     + a.a_queued + a.a_parked + a.a_in_flight
   in
-  if accounted = a.a_arrivals then Ok ()
+  if accounted = a.a_arrivals then check_task_table t a
   else
     Error
       (Printf.sprintf
@@ -1255,28 +1267,19 @@ let snapshot t =
   let down n up = List.filter (fun i -> not (up t.net i)) (List.init n Fun.id) in
   let flagged n f = List.filter (f t.net) (List.init n Fun.id) in
   let nl = Network.n_links t.net and nb = Network.n_boxes t.net in
-  let needed = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun id (task : task) -> if task.queued then Hashtbl.replace needed id ())
-    t.tasks;
-  Hashtbl.iter (fun id _ -> Hashtbl.replace needed id ()) t.retry_pending;
-  Hashtbl.iter (fun _ (l : live) -> Hashtbl.replace needed l.task_id ()) t.lives;
-  let task_ids =
-    List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) needed [])
-  in
+  (* The table holds exactly the queued, parked and in-flight tasks. *)
   let tasks =
-    List.map
-      (fun id ->
-        let task = Hashtbl.find t.tasks id in
-        Json.Obj
-          ([ ("id", jint id); ("arrival", jint task.arrival);
-             ("service", jint task.service); ("priority", jint task.priority);
-             ("queued", Json.Bool task.queued) ]
-          @
-          match task.deadline with
-          | None -> []
-          | Some d -> [ ("deadline", jint d) ]))
-      task_ids
+    Hashtbl.fold (fun id task acc -> (id, task) :: acc) t.tasks []
+    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
+    |> List.map (fun (id, task) ->
+           Json.Obj
+             ([ ("id", jint id); ("arrival", jint task.arrival);
+                ("service", jint task.service); ("priority", jint task.priority);
+                ("queued", Json.Bool task.queued) ]
+             @
+             match task.deadline with
+             | None -> []
+             | Some d -> [ ("deadline", jint d) ]))
   in
   let lives =
     Hashtbl.fold (fun li l acc -> (li, l) :: acc) t.lives []
@@ -1507,6 +1510,9 @@ let restore_exn ?obs ?cycle_hook ?event_hook net j =
       ~total_work:(jgeti ij "total_work")
   | Some _, _ -> rfail "checkpoint: warm snapshot without solver flags"
   | None, _ -> ());
+  (match check_task_table t (accounting t) with
+  | Ok () -> ()
+  | Error m -> rfail "checkpoint: %s" m);
   t
 
 let restore ?obs ?cycle_hook ?event_hook net j =

@@ -243,7 +243,14 @@ val feed : t -> Rsin_sim.Workload.trace_event -> unit
     with an out-of-range processor, a service time < 1 or a negative
     priority (["Engine.feed: ..."]), or on any event timed at or before
     a slot the engine has already served — streamed input must stay
-    ahead of {!advance}. *)
+    ahead of {!advance}.
+
+    Task ids name live tasks only: the engine forgets a task once it is
+    completed, cancelled, expired, shed or given up. An arrival whose
+    id a queued, parked or in-flight task still holds is refused and
+    counted as [shed] (guard or not), leaving the live task untouched;
+    an id whose task has finished may be used again. {!Serve} rejects
+    repeated ids before they reach an engine. *)
 
 val advance : t -> upto:int -> unit
 (** Serves every queued event (and every cycle, release, completion,
@@ -315,8 +322,11 @@ type accounting = {
 val accounting : t -> accounting
 
 val check_accounting : t -> (unit, string) result
-(** [Ok ()] iff arrivals equal the sum of the other buckets; the error
-    string names every bucket for diagnosis. *)
+(** [Ok ()] iff arrivals equal the sum of the other buckets {e and} the
+    engine's task table holds a record for exactly the queued, parked
+    and in-flight tasks — a task's record is dropped when it reaches a
+    terminal bucket, and none is made for one terminal on arrival. The
+    error string names every bucket for diagnosis. *)
 
 val config : t -> Config.t
 
@@ -334,7 +344,9 @@ val config : t -> Config.t
 
 val snapshot : t -> Rsin_util.Json.t
 (** Raises [Invalid_argument] if called mid-slot in [Token] mode while
-    clocked faults are buffered (checkpoint only between slots). *)
+    clocked faults are buffered (checkpoint only between slots). Its
+    task list is the engine's task table, which holds only live tasks,
+    so the cost follows the live load, not the number of tasks served. *)
 
 val restore :
   ?obs:Rsin_obs.Obs.t ->
@@ -346,7 +358,9 @@ val restore :
 (** Rebuilds an engine from {!snapshot} output over a pristine (all-up,
     no circuits) instance of the {e same} topology the snapshot was
     taken on — name and dimensions are checked. Hooks and observer are
-    re-attached fresh (they are not part of the state). *)
+    re-attached fresh (they are not part of the state). A document
+    whose task list holds a record for a task that is neither queued,
+    parked nor in flight (or lacks one that is) is an [Error]. *)
 
 (** {1 One-shot runs} *)
 

@@ -54,6 +54,99 @@ let pp_report fmt r =
   Format.fprintf fmt "@,horizon %d wall %.0f us (%.0f events/s)@]" r.horizon
     r.wall_us (events_per_sec r)
 
+(* --- Router task map --------------------------------------------------------- *)
+
+module Task_map = struct
+  (* Maximal ascending runs of ids routed to one shard, three ints per
+     run — first id, count, shard — in one flat array: the form the
+     checkpoint writes. Routing in ascending id order only extends the
+     newest run or appends one. An id routed at or below the newest
+     run's last id (no generator does it) goes to [stray], which
+     [iter_runs] sorts and merges in. *)
+  type t = {
+    mutable runs : int array;
+    mutable n : int;  (* runs in use *)
+    stray : (int, int) Hashtbl.t;
+  }
+
+  let create () = { runs = Array.make 48 0; n = 0; stray = Hashtbl.create 8 }
+
+  (* The newest run's last id, above every stray; min_int when empty. *)
+  let max_id m =
+    if m.n = 0 then min_int
+    else
+      let i = 3 * (m.n - 1) in
+      m.runs.(i) + m.runs.(i + 1) - 1
+
+  (* Ids [first .. first + count - 1], all above [max_id m]. *)
+  let append m ~first ~count ~shard =
+    let i = 3 * (m.n - 1) in
+    if m.n > 0 && first - 1 = max_id m && m.runs.(i + 2) = shard then
+      m.runs.(i + 1) <- m.runs.(i + 1) + count
+    else begin
+      let i = 3 * m.n in
+      if i = Array.length m.runs then begin
+        let bigger = Array.make (2 * i) 0 in
+        Array.blit m.runs 0 bigger 0 i;
+        m.runs <- bigger
+      end;
+      m.runs.(i) <- first;
+      m.runs.(i + 1) <- count;
+      m.runs.(i + 2) <- shard;
+      m.n <- m.n + 1
+    end
+
+  let find m id =
+    (* Binary search for the last run starting at or below [id]. *)
+    let lo = ref 0 and hi = ref m.n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if m.runs.(3 * mid) <= id then lo := mid + 1 else hi := mid
+    done;
+    let i = 3 * (!lo - 1) in
+    if i >= 0 && id <= m.runs.(i) + m.runs.(i + 1) - 1 then Some m.runs.(i + 2)
+    else Hashtbl.find_opt m.stray id
+
+  let mem m id = Option.is_some (find m id)
+
+  let add m id shard =
+    if id > max_id m then append m ~first:id ~count:1 ~shard
+    else if mem m id then
+      invalid_arg (Printf.sprintf "Serve.Task_map.add: id %d already routed" id)
+    else Hashtbl.replace m.stray id shard
+
+  let iter_runs m f =
+    (* One pending run, flushed to [f] when the next one does not
+       continue it. *)
+    let first = ref 0 and count = ref 0 and shard = ref 0 in
+    let emit fi c s =
+      if !count > 0 && fi = !first + !count && s = !shard then
+        count := !count + c
+      else begin
+        if !count > 0 then f !first !count !shard;
+        first := fi;
+        count := c;
+        shard := s
+      end
+    in
+    let strays = Array.of_seq (Hashtbl.to_seq m.stray) in
+    Array.sort (fun (a, _) (b, _) -> Int.compare a b) strays;
+    let k = ref 0 in
+    let strays_below bound =
+      while !k < Array.length strays && fst strays.(!k) < bound do
+        let id, s = strays.(!k) in
+        emit id 1 s;
+        incr k
+      done
+    in
+    for r = 0 to m.n - 1 do
+      strays_below m.runs.(3 * r);
+      emit m.runs.(3 * r) m.runs.((3 * r) + 1) m.runs.((3 * r) + 2)
+    done;
+    strays_below max_int;
+    if !count > 0 then f !first !count !shard
+end
+
 type probe = Unprobed | Probed of (int * bool * int) option
 
 type t = {
@@ -63,9 +156,16 @@ type t = {
   (* Global element id -> (shard, local id) for fault routing. *)
   link_home : (int * int) array;
   box_home : (int * int) array;
-  (* Task id -> shard the arrival was fed to (home or donor), or
-     [unrouted] while the arrival waits in [buffer]. *)
-  task_home : (int, int) Hashtbl.t;
+  (* Task id -> shard the arrival was fed to (home or donor). An
+     arrival waiting in [buffer] is not in it yet. *)
+  task_home : Task_map.t;
+  (* Highest task id fed so far, routed or buffered: an arrival above it
+     is new without a lookup. *)
+  mutable claimed_top : int;
+  (* The buffered arrivals' ids, indexed only once the slot sees an id
+     at or below [claimed_top], then kept current until the flush. *)
+  slot_ids : (int, unit) Hashtbl.t;
+  mutable slot_indexed : bool;
   probes : probe array;  (* per shard, this routing pass *)
   event_hook : (events:int -> time:int -> unit) option;
   start_ns : int64;
@@ -128,7 +228,10 @@ let create ?(config = Engine.Config.default) ?domains ?cycle_hook ?event_hook
           pool = Domain_pool.create (min domains (Array.length parts));
           link_home;
           box_home;
-          task_home = Hashtbl.create 256;
+          task_home = Task_map.create ();
+          claimed_top = min_int;
+          slot_ids = Hashtbl.create 16;
+          slot_indexed = false;
           probes = Array.make (Array.length parts) Unprobed;
           event_hook;
           start_ns = Clock.now_ns ();
@@ -179,14 +282,12 @@ let pick_donor t ~home =
 
 (* --- Event routing -------------------------------------------------------- *)
 
-let unrouted = -1
-
 let route t ev =
   match ev with
   | Workload.Arrive a ->
     let home = t.shard.Shard.shard_of_proc.(a.proc) in
     let feed_to si proc =
-      Hashtbl.replace t.task_home a.id si;
+      Task_map.add t.task_home a.id si;
       Engine.feed t.engines.(si) (Workload.Arrive { a with proc })
     in
     let feed_home () = feed_to home t.shard.Shard.local_proc.(a.proc) in
@@ -202,10 +303,11 @@ let route t ev =
     end
   | Workload.Cancel c -> (
     (* Cancels chase the task to wherever its arrival was routed; a
-       cancel for a task we never saw has nothing to withdraw. *)
-    match Hashtbl.find_opt t.task_home c.id with
-    | Some si when si <> unrouted -> Engine.feed t.engines.(si) ev
-    | Some _ | None -> ())
+       cancel for a task we never saw, or whose arrival waits behind it
+       in this slot, has nothing to withdraw. *)
+    match Task_map.find t.task_home c.id with
+    | Some si -> Engine.feed t.engines.(si) ev
+    | None -> ())
   | Workload.Fault { t = time; clock; element }
   | Workload.Repair { t = time; clock; element } ->
     let si, element =
@@ -242,13 +344,35 @@ let flush t =
     Array.fill t.probes 0 (Array.length t.probes) Unprobed;
     let evs = List.rev buffered in
     t.buffer <- [];
+    if t.slot_indexed then begin
+      Hashtbl.clear t.slot_ids;
+      t.slot_indexed <- false
+    end;
     List.iter (route t) evs;
     t.events <- t.events + List.length evs;
     Option.iter (fun f -> f ~events:t.events ~time:slot) t.event_hook
 
+(* Whether [id] is routed or buffered; asked only for an id at or below
+   [claimed_top]. The slot's first such question indexes its buffered
+   arrivals once; [feed] keeps the index current until the flush. *)
+let claimed t id =
+  Task_map.mem t.task_home id
+  || begin
+    if not t.slot_indexed then begin
+      List.iter
+        (function
+          | Workload.Arrive a -> Hashtbl.replace t.slot_ids a.id ()
+          | _ -> ())
+        t.buffer;
+      t.slot_indexed <- true
+    end;
+    Hashtbl.mem t.slot_ids id
+  end
+
 (* Everything [route] and Engine.feed would reject, checked before the
    event is buffered: raising mid-flush would abort the flush and lose
-   the valid events buffered behind the bad one. O(1) per event. *)
+   the valid events buffered behind the bad one. O(1) per event, but for
+   the duplicate check of an id not above every earlier one. *)
 let validate t ev =
   match ev with
   | Workload.Arrive a ->
@@ -256,7 +380,7 @@ let validate t ev =
       invalid_arg "Serve.feed: bad processor in trace";
     if a.service < 1 then invalid_arg "Serve.feed: bad service time in trace";
     if a.priority < 0 then invalid_arg "Serve.feed: bad priority in trace";
-    if Hashtbl.mem t.task_home a.id then
+    if a.id <= t.claimed_top && claimed t a.id then
       invalid_arg (Printf.sprintf "Serve.feed: duplicate task id %d" a.id)
   | Workload.Cancel _ -> ()
   | Workload.Fault { element; _ } | Workload.Repair { element; _ } ->
@@ -276,10 +400,11 @@ let feed t ev =
     invalid_arg "Serve.feed: events must arrive in nondecreasing slot order";
   validate t ev;
   if t.buffering && time > t.cur_slot then flush t;
-  (* Claimed only now, after the flush: a snapshot taken from the flush's
-     event hook must not see the id of an event not yet buffered. *)
+  (* Claimed only now, after the flush, which resets the slot's index. *)
   (match ev with
-  | Workload.Arrive a -> Hashtbl.replace t.task_home a.id unrouted
+  | Workload.Arrive a ->
+    if a.id > t.claimed_top then t.claimed_top <- a.id;
+    if t.slot_indexed then Hashtbl.replace t.slot_ids a.id ()
   | _ -> ());
   if t.buffering && time = t.cur_slot then t.buffer <- ev :: t.buffer
   else begin
@@ -356,32 +481,18 @@ let checkpoint_schema = "rsin-serve-checkpoint/v2"
 let jint n = Json.Num (float_of_int n)
 
 (* task_home as [first_id, count, shard] triples, one per maximal run of
-   consecutive ids routed to the same shard, ascending. Arrivals are
-   numbered slot by slot, so runs are long; at worst each holds one id. *)
+   consecutive ids routed to the same shard, ascending: the map's own
+   runs, copied out. Arrivals are numbered slot by slot, so runs are
+   long; at worst each holds one id. *)
 let task_home_runs t =
-  let ids = Array.of_seq (Hashtbl.to_seq_keys t.task_home) in
-  Array.sort Int.compare ids;
-  let n = Array.length ids in
-  let rec runs i acc =
-    if i >= n then List.rev acc
-    else
-      let si = Hashtbl.find t.task_home ids.(i) in
-      let rec stop j =
-        if
-          j < n
-          && ids.(j) = ids.(j - 1) + 1
-          && Hashtbl.find t.task_home ids.(j) = si
-        then stop (j + 1)
-        else j
-      in
-      let j = stop (i + 1) in
-      runs j (Json.Arr [ jint ids.(i); jint (j - i); jint si ] :: acc)
-  in
-  runs 0 []
+  let acc = ref [] in
+  Task_map.iter_runs t.task_home (fun first count si ->
+      acc := Json.Arr [ jint first; jint count; jint si ] :: !acc);
+  List.rev !acc
 
-(* Inverse of [task_home_runs]. Every routed arrival is one event, so
-   the runs of a checkpoint [snapshot] wrote cover at most [events] ids:
-   a document cannot make restore expand past its own event count. *)
+(* Inverse of [task_home_runs], appending whole runs. Every routed
+   arrival is one event, so the runs of a checkpoint [snapshot] wrote
+   cover at most [events] ids. *)
 let restore_task_home t ~events runs =
   let n_shards = Array.length t.engines in
   let rec go ~last ~covered = function
@@ -401,9 +512,7 @@ let restore_task_home t ~events runs =
         else if first > max_int - (count - 1) then
           Error "serve checkpoint: task_home run overflows"
         else begin
-          for id = first to first + count - 1 do
-            Hashtbl.replace t.task_home id si
-          done;
+          Task_map.append t.task_home ~first ~count ~shard:si;
           go ~last:(Some (first + count - 1)) ~covered:(covered + count) rest
         end
       | _ -> Error "serve checkpoint: malformed task_home run")
@@ -478,22 +587,28 @@ let restore ?domains ?cycle_hook ?event_hook net j =
       let* events = geti "events" in
       let* borrows = geti "borrows" in
       let* starved = geti "starved" in
+      let* cur_slot =
+        match Json.member "cur_slot" j with
+        | Some Json.Null | None -> Ok None
+        | Some v -> (
+          match Json.to_int v with
+          | Some s -> Ok (Some s)
+          | None -> Error "serve checkpoint: bad field \"cur_slot\"")
+      in
       let* () =
         match Json.member "task_home" j with
         | Some (Json.Arr runs) -> restore_task_home t ~events runs
         | _ -> Error "serve checkpoint: missing task_home"
       in
+      t.claimed_top <- Task_map.max_id t.task_home;
       t.events <- events;
       t.borrows <- borrows;
       t.starved <- starved;
-      (match Json.member "cur_slot" j with
-      | Some Json.Null | None -> ()
-      | Some v -> (
-        match Json.to_int v with
-        | Some s ->
-          t.cur_slot <- s;
-          t.buffering <- true
-        | None -> ()));
+      (match cur_slot with
+      | Some s ->
+        t.cur_slot <- s;
+        t.buffering <- true
+      | None -> ());
       Ok ()
     with
     | Ok () -> Ok t

@@ -83,6 +83,34 @@ val events_per_sec : report -> float
 
 val pp_report : Format.formatter -> report -> unit
 
+(** The router's task-to-shard map, held in the form the checkpoint
+    writes: maximal ascending [(first_id, count, shard)] runs in one
+    flat array. Routing ids in ascending order — every generator and
+    recorded trace does — extends the newest run in place or appends
+    one, allocating only when the array grows; a lookup
+    binary-searches the run starts. An id added at or below the newest
+    run's last id is kept in a per-id side table that
+    {!Task_map.iter_runs} sorts and merges in: an out-of-order id costs
+    a table entry and its share of that sort, never a shift of the
+    array. *)
+module Task_map : sig
+  type t
+
+  val create : unit -> t
+
+  val add : t -> int -> int -> unit
+  (** [add m id shard]. Raises [Invalid_argument] when [id] is already
+      in the map. *)
+
+  val find : t -> int -> int option
+  val mem : t -> int -> bool
+
+  val iter_runs : t -> (int -> int -> int -> unit) -> unit
+  (** [iter_runs m f] calls [f first count shard] once per maximal run
+      of consecutive ids on one shard, in ascending id order. O(runs)
+      when every id was added in ascending order. *)
+end
+
 type t
 
 val create :
@@ -119,8 +147,13 @@ val feed : t -> Rsin_sim.Workload.trace_event -> unit
     slot order, an out-of-range processor or fault element, a service
     time below 1, a negative priority, or an arrival whose task id was
     already fed. All of these are checked before the event is buffered,
-    at O(1) cost, so a rejected event leaves the instance unchanged and
-    never costs the events buffered beside it. *)
+    so a rejected event leaves the instance unchanged and never costs
+    the events buffered beside it. Each check is O(1) for an arrival
+    whose id is above every id fed before it; a lower id is looked up
+    in the task map and in the slot's buffered ids (indexed once per
+    slot, on first need). A cancel is dropped when its task id was
+    never fed, or when the arrival it names is buffered behind it in
+    the same slot. *)
 
 val drain : t -> unit
 (** Flushes the last buffered slot, drains every shard in parallel, and
@@ -158,7 +191,12 @@ val abort : t -> unit
     routed to the same shard. Synthetic and recorded traces number
     arrivals slot by slot, so runs are long; in the worst case each run
     holds one id and the document is still smaller than one object per
-    id. *)
+    id. The router holds the map in that same form ({!Task_map}), so a
+    snapshot copies the runs out: O(runs), with no sort and no per-id
+    lookup, however many tasks the instance has served. The shard
+    snapshots cost what the live load costs: each engine keeps records
+    only for its queued, parked and in-flight tasks
+    ({!Engine.snapshot}). *)
 
 val snapshot : t -> Rsin_util.Json.t
 (** Raises [Invalid_argument] after {!drain}/{!abort}. Safe to call
@@ -176,13 +214,18 @@ val restore :
     (checked per shard); the config travels inside the snapshot. Hooks
     and the domain count are re-attached fresh.
 
+    The task-map runs are appended whole, never expanded per id; runs
+    a document leaves split but contiguous on one shard are coalesced,
+    so restoring and snapshotting again writes maximal runs.
+
     A malformed document is an [Error], never an exception: another
     schema (a [v1] document included — the message names both), a
     task-map run with a count below 1, runs that are not ascending and
-    disjoint, a shard index outside the partition, or runs whose counts
-    sum past the document's [events]. Every routed arrival is one event,
-    so every checkpoint {!snapshot} writes passes that last check, and
-    it bounds how many ids a document can make restore expand. *)
+    disjoint, a shard index outside the partition, runs whose counts
+    sum past the document's [events], a run reaching past [max_int], or
+    a [cur_slot] that is neither null nor an integer. Every routed
+    arrival is one event, so every checkpoint {!snapshot} writes passes
+    the [events] check. *)
 
 val run :
   ?config:Engine.Config.t ->

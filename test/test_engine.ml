@@ -330,6 +330,39 @@ let test_deadline_dead_on_arrival () =
         + rep.Engine.left_pending))
     [ Engine.Warm; Engine.Rebuild; Engine.Token ]
 
+(* The task table holds only live tasks, so an arrival reusing an id a
+   live task still holds must not overwrite its record: it is shed and
+   accounted, queued or in flight alike. The original completes, and
+   once it has, the id is free again. The table is checked every slot. *)
+let test_repeated_live_id () =
+  let net = Builders.omega 8 in
+  let arrive t proc service =
+    Workload.Arrive { t; id = 7; proc; service; deadline = None; priority = 0 }
+  in
+  List.iter
+    (fun mode ->
+      let name = Engine.mode_name mode in
+      let e = Engine.create ~config:(Engine.Config.v ~mode ()) net in
+      (* Slot 0: admitted, then a repeat while it is queued; slot 2: a
+         repeat while it is in flight; slot 20: reuse after completion. *)
+      List.iter (Engine.feed e)
+        [ arrive 0 0 5; arrive 0 3 1; arrive 2 1 2; arrive 20 2 3 ];
+      for slot = 0 to 30 do
+        Engine.advance e ~upto:slot;
+        check
+          Alcotest.(result unit string)
+          (Printf.sprintf "%s: accounting at slot %d" name slot)
+          (Ok ()) (Engine.check_accounting e)
+      done;
+      let r = Engine.report e in
+      check Alcotest.int (name ^ ": four arrivals") 4 r.Engine.arrivals;
+      check Alcotest.int (name ^ ": both live repeats shed") 2 r.Engine.shed;
+      check Alcotest.int (name ^ ": original and reuse allocated") 2
+        r.Engine.allocated;
+      check Alcotest.int (name ^ ": original and reuse completed") 2
+        r.Engine.completed)
+    [ Engine.Warm; Engine.Rebuild ]
+
 (* --- Token mode ------------------------------------------------------------ *)
 
 (* Every token-mode cycle allocates exactly what centralized Dinic
@@ -540,6 +573,7 @@ let suite =
     Alcotest.test_case "batched admission" `Quick test_batching_defers;
     Alcotest.test_case "deadline dead on arrival" `Quick
       test_deadline_dead_on_arrival;
+    Alcotest.test_case "repeated live id is shed" `Quick test_repeated_live_id;
     Alcotest.test_case "token differential vs dinic" `Slow
       test_token_differential;
     Alcotest.test_case "token mode under clocked faults" `Quick

@@ -192,12 +192,20 @@ let test_retry_budget_gives_up () =
   let trace = fault_trace net ~slots:150 ~seed:3 in
   let run budget =
     let policy = Policy.v ~queue_bound:0 ~retry_budget:budget ~flap_k:0 () in
-    Engine.run ~config:(guarded_config ~policy ()) net
-         (List.map
-            (function
-              | Workload.Arrive a -> Workload.Arrive { a with deadline = None }
-              | e -> e)
-            trace)
+    let e = Engine.create ~config:(guarded_config ~policy ()) net in
+    List.iter
+      (fun ev ->
+        Engine.feed e
+          (match ev with
+          | Workload.Arrive a -> Workload.Arrive { a with deadline = None }
+          | ev -> ev))
+      trace;
+    Engine.drain e;
+    (* A task given up leaves no record in the engine's task table. *)
+    (match Engine.check_accounting e with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "budget %d: %s" budget msg);
+    Engine.report e
   in
   let generous = run 64 and strict = run 0 in
   check Alcotest.bool "storm victimizes" true (generous.Engine.victims > 0);
@@ -325,8 +333,35 @@ let test_restore_rejects_garbage () =
   (* A snapshot of one topology must not restore onto another. *)
   let e = Engine.create (Builders.omega 8) in
   let j = Engine.snapshot e in
-  match Engine.restore net j with
+  (match Engine.restore net j with
   | Ok _ -> Alcotest.fail "wrong topology accepted"
+  | Error _ -> ());
+  (* The task list must be exactly the queued, parked and in-flight
+     tasks: a record for any other task is refused. *)
+  let e = Engine.create net in
+  Engine.feed e
+    (Workload.Arrive
+       { t = 0; id = 1; proc = 0; service = 5; deadline = None; priority = 0 });
+  Engine.advance e ~upto:0;
+  let extra =
+    Json.Obj
+      [ ("id", Json.Num 2.); ("arrival", Json.Num 0.); ("service", Json.Num 1.);
+        ("priority", Json.Num 0.); ("queued", Json.Bool false) ]
+  in
+  let j =
+    match Engine.snapshot e with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function
+             | "tasks", Json.Arr ts -> ("tasks", Json.Arr (ts @ [ extra ]))
+             | kv -> kv)
+           fields)
+    | _ -> Alcotest.fail "snapshot is not an object"
+  in
+  ignore (get_ok ~what:"restore" (Engine.restore net (Engine.snapshot e)));
+  match Engine.restore net j with
+  | Ok _ -> Alcotest.fail "record of a finished task accepted"
   | Error _ -> ()
 
 let test_serve_checkpoint_differential () =

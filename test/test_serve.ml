@@ -642,6 +642,144 @@ let test_headroom_leaves_no_trace () =
         (snaps0 = snaps1))
     [ Engine.Uniform; Engine.Priority ]
 
+(* --- Serve.Task_map: differential against sort-and-merge ------------------ *)
+
+(* The reference is how the checkpoint derived its runs before the map
+   was held as runs: collect (id, shard) pairs, sort, merge maximal
+   runs of consecutive ids on one shard. *)
+let reference_runs pairs =
+  List.sort compare pairs
+  |> List.fold_left
+       (fun acc (id, s) ->
+         match acc with
+         | (first, count, s') :: rest when s' = s && first + count = id ->
+           (first, count + 1, s) :: rest
+         | _ -> (id, 1, s) :: acc)
+       []
+  |> List.rev
+
+let map_runs m =
+  let acc = ref [] in
+  Serve.Task_map.iter_runs m (fun first count s ->
+      acc := (first, count, s) :: !acc);
+  List.rev !acc
+
+type order = Ascending | Descending | Shuffled
+
+(* An id stream: contiguous or gapped ids in one of three orders, each
+   on a shard that sticks for a while so that runs form. *)
+let task_map_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* order = oneofl [ Ascending; Descending; Shuffled ] in
+    let* gapped = bool in
+    let* n = int_range 0 50 in
+    let* start = int_range (-5) 40 in
+    let* steps = list_repeat n (if gapped then int_range 1 4 else return 1) in
+    let* switches = list_repeat n (pair (int_range 0 2) (int_range 0 2)) in
+    let* keys = list_repeat n int in
+    let ids =
+      List.rev (snd (List.fold_left (fun (id, acc) d -> (id + d, id :: acc))
+                       (start, []) steps))
+    in
+    let shards =
+      List.rev
+        (snd
+           (List.fold_left
+              (fun (s, acc) (roll, s') ->
+                let s = if roll = 0 then s' else s in
+                (s, s :: acc))
+              (0, []) switches))
+    in
+    let stream = List.combine ids shards in
+    return
+      (match order with
+      | Ascending -> stream
+      | Descending -> List.rev stream
+      | Shuffled ->
+        List.map snd (List.sort compare (List.combine keys stream)))
+  in
+  QCheck.make gen
+    ~print:(fun stream ->
+      String.concat " "
+        (List.map (fun (id, s) -> Printf.sprintf "%d@%d" id s) stream))
+
+let test_task_map_qcheck =
+  QCheck.Test.make ~count:300 ~name:"Task_map = sort-and-merge reference"
+    task_map_arb (fun stream ->
+      let m = Serve.Task_map.create () in
+      let ids = List.map fst stream in
+      let lo = List.fold_left min 0 ids - 2
+      and hi = List.fold_left max 0 ids + 2 in
+      let added = Hashtbl.create 64 in
+      List.iteri
+        (fun step (id, s) ->
+          Serve.Task_map.add m id s;
+          Hashtbl.replace added id s;
+          (* Every id in range, added or not — gaps and ids still to
+             come included. *)
+          for probe = lo to hi do
+            let want = Hashtbl.find_opt added probe in
+            if Serve.Task_map.find m probe <> want then
+              QCheck.Test.fail_reportf "step %d: find %d" step probe;
+            if Serve.Task_map.mem m probe <> (want <> None) then
+              QCheck.Test.fail_reportf "step %d: mem %d" step probe;
+            if want <> None then
+              match Serve.Task_map.add m probe 0 with
+              | () -> QCheck.Test.fail_reportf "step %d: re-added %d" step probe
+              | exception Invalid_argument _ -> ()
+          done;
+          if map_runs m <> reference_runs (List.of_seq (Hashtbl.to_seq added))
+          then QCheck.Test.fail_reportf "step %d: runs differ" step)
+        stream;
+      true)
+
+(* Ids that arrive below earlier ones — across slots and inside one —
+   are still checked for repeats, still chased by cancels, and still
+   written as the same maximal runs. *)
+let test_out_of_order_ids () =
+  let net = Builders.multiplane ~planes:2 (Builders.omega 4) in
+  let arrive t id proc =
+    Workload.Arrive { t; id; proc; service = 2; deadline = None; priority = 0 }
+  in
+  let t =
+    match Serve.create ~domains:1 net with
+    | Error e -> Alcotest.fail e
+    | Ok t -> t
+  in
+  let fed ev =
+    match Serve.feed t ev with
+    | () -> true
+    | exception Invalid_argument _ -> false
+  in
+  let outcomes =
+    List.map fed
+      [ arrive 0 10 0; arrive 0 11 1;
+        arrive 1 5 2; arrive 1 6 3; arrive 1 12 4;
+        Workload.Cancel { t = 2; id = 5 }; arrive 2 4 5;
+        arrive 2 6 6 (* routed *); arrive 2 4 7 (* buffered *) ]
+  in
+  check Alcotest.(list bool) "repeats rejected, routed or buffered"
+    [ true; true; true; true; true; true; true; false; false ]
+    outcomes;
+  let j = Serve.snapshot t in
+  check Alcotest.string "strays merged into maximal runs"
+    "[[4,1,1],[5,2,0],[10,2,0],[12,1,1]]"
+    (Json.to_string (Option.get (Json.member "task_home" j)));
+  Serve.abort t;
+  match Serve.restore ~domains:1 net j with
+  | Error e -> Alcotest.failf "restore: %s" e
+  | Ok t ->
+    check Alcotest.(list bool) "the restored map rejects repeats too"
+      [ false; false; true ]
+      (List.map
+         (fun ev ->
+           match Serve.feed t ev with
+           | () -> true
+           | exception Invalid_argument _ -> false)
+         [ arrive 3 5 0; arrive 3 12 1; arrive 3 13 2 ]);
+    Serve.abort t
+
 (* --- Serve: checkpoint task_home runs -------------------------------------- *)
 
 (* A real checkpoint with borrowed tasks in it, and a way to swap one of
@@ -681,6 +819,17 @@ let test_checkpoint_task_home_runs () =
     check Alcotest.string "restore then snapshot is the identity"
       (Json.to_string j)
       (Json.to_string (Serve.snapshot t));
+    Serve.abort t
+  | Error e -> Alcotest.failf "restore: %s" e);
+  (* Restore coalesces runs a document left split, so it writes back
+     what a map built id by id would. *)
+  (match
+     Serve.restore ~domains:1 net
+       (with_field j "task_home" (Json.Arr [ run 0. 2. 0.; run 2. 3. 0. ]))
+   with
+  | Ok t ->
+    check Alcotest.string "adjacent runs on one shard coalesce" "[[0,5,0]]"
+      (Json.to_string (Option.get (Json.member "task_home" (Serve.snapshot t))));
     Serve.abort t
   | Error e -> Alcotest.failf "restore: %s" e);
   let rejects what doc =
@@ -726,7 +875,13 @@ let test_checkpoint_task_home_runs () =
       ("run past max_int", 1e6, [ run 0. 4. 0.; run top 2000. 1. ], "overflows");
       ("not a triple", 7., [ run 0. 4. 0.; Json.Arr [ Json.Num 4.; Json.Num 2. ] ],
        "malformed");
-      ("non-integer id", 7., [ run 0.5 4. 0. ], "malformed") ]
+      ("non-integer id", 7., [ run 0.5 4. 0. ], "malformed") ];
+  (* A slot cursor that is neither null nor an integer must be refused:
+     accepted, the router would buffer events for slots its shards have
+     already served, and the next flush would raise. *)
+  let m = rejects "string cur_slot" (with_field j "cur_slot" (Json.Str "soon")) in
+  check Alcotest.bool "the cur_slot error names the field" true
+    (contains m "cur_slot")
 
 (* --- Serve: feed-time validation ------------------------------------------ *)
 
@@ -832,6 +987,8 @@ let suite =
       test_headroom_matches_from_scratch;
     Alcotest.test_case "headroom probes leave no trace" `Quick
       test_headroom_leaves_no_trace;
+    QCheck_alcotest.to_alcotest test_task_map_qcheck;
+    Alcotest.test_case "out-of-order task ids" `Quick test_out_of_order_ids;
     Alcotest.test_case "checkpoint task_home runs and their errors" `Quick
       test_checkpoint_task_home_runs;
     Alcotest.test_case "feed rejects out-of-range events alone" `Quick
