@@ -5,16 +5,15 @@
    last packet arrives; the circuit RSIN schedules destination-free
    requests and ties the resource up only for transmission + service.
 
-   Packet mode runs twice: on the buffered VOQ fabric with iSLIP
-   arbitration (lib/packet, via the trace-driven Replay layer) and on
-   the legacy slot-model Packet_net, kept as a cross-check — both must
-   show the same Section-II shape (reserved >> serving as load grows)
-   even though their switch models differ. The fabric's numbers land in
+   Packet mode runs on the buffered VOQ fabric with iSLIP arbitration
+   (lib/packet, via the trace-driven Replay layer). The run asserts the
+   Section-II shape on the fabric itself: below saturation it carries
+   the offered load, and at every load its resources are reserved at
+   least 1.3x as often as they serve. The fabric's numbers land in
    BENCH_packet.json for the [rsin perf] regression gate. *)
 
 module Network = Rsin_topology.Network
 module Builders = Rsin_topology.Builders
-module Packet_net = Rsin_sim.Packet_net
 module Dynamic = Rsin_sim.Dynamic
 module Replay = Rsin_packet.Replay
 module Arbiter = Rsin_packet.Arbiter
@@ -24,8 +23,9 @@ module Bench_report = Rsin_obs.Bench_report
 
 let seed = 777
 
-(* The same Bernoulli arrival / geometric service law Packet_net draws
-   internally, materialized as a task trace for the fabric replay. *)
+(* The Bernoulli arrival / geometric service law Dynamic draws
+   internally for the circuit rows, materialized as a task trace for
+   the fabric replay. *)
 let synthesize rng net ~slots ~arrival ~flits ~mean_service =
   let np = Network.n_procs net in
   let tasks = ref [] in
@@ -72,11 +72,6 @@ let packet_vs_circuit ?(quick = false) () =
          in
          Bench_report.record case ~prefix:"fabric" m;
          let fb = Option.get !fb in
-         let pk =
-           Packet_net.run (Prng.create seed) net
-             { Packet_net.arrival_prob = arrival; packets_per_task = packets;
-               mean_service; buffer_capacity = 2; slots; warmup }
-         in
          let ck =
            Dynamic.run (Prng.create seed) net
              { Dynamic.arrival_prob = arrival; transmission_time = packets;
@@ -88,18 +83,16 @@ let packet_vs_circuit ?(quick = false) () =
            fb.Replay.reserved_idle;
          Bench_report.record_count case ~name:"fabric.conflicts"
            (float_of_int fb.Replay.conflicts);
-         Bench_report.record_count case ~name:"slot_model.completed"
-           (float_of_int pk.Packet_net.completed);
          Bench_report.record_count case ~name:"circuit.completed"
            (float_of_int ck.Dynamic.completed);
-         (* cross-check: both packet models exhibit the Section-II
-            reservation overhead — reserved never below serving *)
+         (* below saturation the fabric carries what is offered *)
+         let offered = arrival *. float_of_int (Network.n_procs net) in
+         if arrival <= 0.05 then
+           assert (Float.abs (fb.Replay.throughput -. offered) <= 0.1 *. offered);
+         (* the Section-II reservation overhead, at every load *)
          assert (
            fb.Replay.reserved_utilization
-           >= fb.Replay.serving_utilization -. 1e-9);
-         assert (
-           pk.Packet_net.reserved_utilization
-           >= pk.Packet_net.serving_utilization -. 1e-9);
+           >= 1.3 *. fb.Replay.serving_utilization);
          (* circuit mode: the resource is held for transmission+service,
             so serving == reserved; response = wait + transmission +
             service *)
@@ -111,11 +104,6 @@ let packet_vs_circuit ?(quick = false) () =
              Table.fpct fb.Replay.serving_utilization;
              Table.fpct fb.Replay.reserved_utilization;
              Table.ffix 1 fb.Replay.mean_response ];
-           [ Table.ffix 3 arrival; "packet/slot";
-             Table.ffix 3 pk.Packet_net.throughput;
-             Table.fpct pk.Packet_net.serving_utilization;
-             Table.fpct pk.Packet_net.reserved_utilization;
-             Table.ffix 1 pk.Packet_net.mean_response ];
            [ Table.ffix 3 arrival; "circuit";
              Table.ffix 3 ck.Dynamic.throughput;
              Table.fpct ck.Dynamic.resource_utilization;
@@ -123,9 +111,10 @@ let packet_vs_circuit ?(quick = false) () =
              Table.ffix 1 ck_response ] ])
        [ 0.01; 0.03; 0.05; 0.07; 0.09 ]);
   print_endline
-    "(both packet models exhaust the pool by RESERVATION long before the\n\
-    \ resources do useful work - at arrival 0.07 they are reserved near\n\
-    \ 100% of the time while serving far less - and response times blow\n\
-    \ up, while the circuit-switched RSIN keeps climbing: exactly the\n\
-    \ paper's Section II argument for circuit switching)";
+    "(the packet fabric holds each resource reserved over twice as long\n\
+    \ as it serves; from arrival 0.07 the pool is reserved ~90% of the\n\
+    \ time while serving under 40%, so its throughput stalls near 1\n\
+    \ task/slot and response times blow up, while the circuit-switched\n\
+    \ RSIN keeps climbing: exactly the paper's Section II argument for\n\
+    \ circuit switching)";
   Printf.printf "  wrote %s\n\n" (Bench_report.write report)

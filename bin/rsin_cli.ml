@@ -216,15 +216,11 @@ let common_term =
   in
   Term.(const mk $ seed_arg $ trace_out_arg $ trace_format_arg $ solver_arg)
 
-(* [None] for the default solver so default runs keep their historical
-   entry points (same counters, same trace spans). *)
-let solver_of c = if c.solver = "dinic" then None else Some (Solver.get c.solver)
+let solver_of c = Solver.get c.solver
 
 let schedule_t1 ?obs c net ~requests ~free =
   let module T1 = Rsin_core.Transform1 in
-  match solver_of c with
-  | None -> T1.schedule ?obs net ~requests ~free
-  | Some s -> T1.solve_with ?obs s (T1.build net ~requests ~free)
+  T1.solve_with ?obs (solver_of c) (T1.build net ~requests ~free)
 
 (* Runs [f] with a recording observer when --trace-out was given (writing
    the trace afterwards), with no observer otherwise. *)
@@ -316,11 +312,7 @@ let schedule_cmd =
       match scheduler with
       | `Optimal ->
         let tr = Rsin_core.Transform1.build net ~requests ~free in
-        let o =
-          match solver_of c with
-          | None -> Rsin_core.Transform1.solve ?obs tr
-          | Some s -> Rsin_core.Transform1.solve_with ?obs s tr
-        in
+        let o = Rsin_core.Transform1.solve_with ?obs (solver_of c) tr in
         if explain then begin
           let cut = Rsin_core.Transform1.bottleneck tr in
           Printf.printf "bottleneck (min cut, %d elements):\n" (List.length cut);
@@ -518,7 +510,7 @@ let blocking_cmd =
       (List.map
          (fun s ->
            let e =
-             Blocking.estimate ?obs ~config:cfg ?solver:(solver_of c)
+             Blocking.estimate ?obs ~config:cfg ~solver:(solver_of c)
                ~scheduler:s (Prng.create c.seed)
                (fun () ->
                  match parse_net spec with
@@ -565,7 +557,7 @@ let simulate_cmd =
     in
     with_obs c.trace_out c.trace_format @@ fun obs ->
     let m =
-      Dynamic.run ?obs ?solver:(solver_of c) (Prng.create c.seed) net params
+      Dynamic.run ?obs ~solver:(solver_of c) (Prng.create c.seed) net params
     in
     Table.print
       ~header:[ "metric"; "value" ]

@@ -6,8 +6,6 @@ module Network = Rsin_topology.Network
 
 type t = { ng : Graph.t Netgraph.t; requested : int; free_count : int }
 
-type algorithm = Dinic | Edmonds_karp | Push_relabel
-
 type outcome = {
   mapping : (int * int) list;
   circuits : (int * int list) list;
@@ -44,11 +42,6 @@ let box_node t b = Netgraph.box_node t.ng b
 let max_allocatable (t : t) = min t.requested t.free_count
 let size t = Netgraph.size t.ng
 
-let algorithm_name = function
-  | Dinic -> "dinic"
-  | Edmonds_karp -> "edmonds-karp"
-  | Push_relabel -> "push-relabel"
-
 let solve_with ?obs (module S : Rsin_flow.Solver.S) t =
   let g = graph t and source = source t and sink = sink t in
   Graph.reset_flows g;
@@ -69,8 +62,7 @@ let solve_with ?obs (module S : Rsin_flow.Solver.S) t =
     blocked = t.requested - allocated;
     augmentations = augs; arcs_scanned = scanned }
 
-let solve ?obs ?(algorithm = Dinic) t =
-  solve_with ?obs (Rsin_flow.Solver.get (algorithm_name algorithm)) t
+let solve ?obs t = solve_with ?obs (Rsin_flow.Solver.get "dinic") t
 
 let bottleneck t =
   let cut =
@@ -78,8 +70,7 @@ let bottleneck t =
   in
   Netgraph.cut_members t.ng cut
 
-let schedule ?obs ?algorithm net ~requests ~free =
-  solve ?obs ?algorithm (build net ~requests ~free)
+let schedule ?obs net ~requests ~free = solve ?obs (build net ~requests ~free)
 
 let commit net outcome =
   List.map (fun (_p, links) -> Network.establish net links) outcome.circuits

@@ -18,16 +18,6 @@
 type t
 (** A built flow network together with the MRSIN↔graph correspondence. *)
 
-type algorithm = Dinic | Edmonds_karp | Push_relabel
-(** Legacy solver selector, kept for existing call-sites; each case
-    delegates to the {!Rsin_flow.Solver} registry entry of the same
-    name ({!algorithm_name}). New code should prefer {!solve_with} with
-    a registry module. *)
-
-val algorithm_name : algorithm -> string
-(** Registry name of the legacy selector: ["dinic"], ["edmonds-karp"],
-    ["push-relabel"]. *)
-
 type outcome = {
   mapping : (int * int) list;
       (** allocated (processor, resource) pairs *)
@@ -59,22 +49,21 @@ val proc_node : t -> int -> Rsin_flow.Graph.node option
 val res_node : t -> int -> Rsin_flow.Graph.node option
 val box_node : t -> int -> Rsin_flow.Graph.node
 
-val solve : ?obs:Rsin_obs.Obs.t -> ?algorithm:algorithm -> t -> outcome
-(** Runs the max-flow algorithm (default [Dinic]) and extracts the
-    optimal mapping and circuits. Idempotent per [t] — the underlying
-    graph keeps its flow. [obs] is passed through to the flow solver
-    (its operation counters land in the [flow.*] registry metrics) and
-    also receives [transform1.*] allocation counters. *)
-
 val solve_with : ?obs:Rsin_obs.Obs.t -> (module Rsin_flow.Solver.S) -> t -> outcome
-(** Like {!solve} but with an explicit registry solver, e.g.
-    [solve_with (Rsin_flow.Solver.get "push-relabel") t]. The outcome's
-    [augmentations]/[arcs_scanned] are the registry's normalized
-    {!Rsin_flow.Solver.work} counters. *)
+(** Runs the given registry max-flow solver, e.g.
+    [solve_with (Rsin_flow.Solver.get "push-relabel") t], and extracts
+    the optimal mapping and circuits. Idempotent per [t] — the
+    underlying graph keeps its flow. [obs] is passed through to the
+    flow solver (its operation counters land in the [flow.*] registry
+    metrics) and also receives [transform1.*] allocation counters. The
+    outcome's [augmentations]/[arcs_scanned] are the registry's
+    normalized {!Rsin_flow.Solver.work} counters. *)
+
+val solve : ?obs:Rsin_obs.Obs.t -> t -> outcome
+(** [solve_with] the registry's ["dinic"]. *)
 
 val schedule :
   ?obs:Rsin_obs.Obs.t ->
-  ?algorithm:algorithm ->
   Rsin_topology.Network.t -> requests:int list -> free:int list -> outcome
 (** [build] + [solve]. Does not modify the network. *)
 

@@ -286,8 +286,8 @@ type t = {
   np : int;
   nr : int;
   inc : Incremental.t option;
-  solver_mod : (module Rsin_flow.Solver.S) option;
-      (* non-default registry solver for Rebuild+Uniform cycles *)
+  solver_mod : (module Rsin_flow.Solver.S);
+      (* registry solver for Rebuild+Uniform cycles *)
   (* Engine-visible scheduling state. In Warm mode [requesting] and the
      effective resource freedom (idle && up) mirror the incremental
      graph's switched-on endpoint arcs (committed circuits' frozen arcs
@@ -388,11 +388,7 @@ let create ?obs ?(config = Config.default) ?cycle_hook ?event_hook net =
       Some (Incremental.create ~discipline:d net)
     | Rebuild | Token -> None
   in
-  let solver_mod =
-    match config.Config.solver with
-    | "dinic" -> None
-    | name -> Some (Solver.get name)
-  in
+  let solver_mod = Solver.get config.Config.solver in
   let t =
     { cfg = config; obs; cycle_hook; event_hook; net; np; nr; inc; solver_mod;
       requesting = Array.make np false;
@@ -865,11 +861,7 @@ let try_cycle t now =
           match t.cfg.Config.discipline with
           | Uniform ->
             let tr = Transform1.build t.net ~requests:pending ~free in
-            let o =
-              match t.solver_mod with
-              | None -> Transform1.solve ?obs tr
-              | Some s -> Transform1.solve_with ?obs s tr
-            in
+            let o = Transform1.solve_with ?obs t.solver_mod tr in
             let _nodes, arcs = Transform1.size tr in
             let work =
               Network.n_links t.net + arcs + o.Transform1.arcs_scanned
@@ -1510,7 +1502,7 @@ let restore_exn ?obs ?cycle_hook ?event_hook net j =
       ~total_work:(jgeti ij "total_work")
   | Some _, _ -> rfail "checkpoint: warm snapshot without solver flags"
   | None, _ -> ());
-  (match check_task_table t (accounting t) with
+  (match check_accounting t with
   | Ok () -> ()
   | Error m -> rfail "checkpoint: %s" m);
   t

@@ -359,8 +359,10 @@ val restore :
     no circuits) instance of the {e same} topology the snapshot was
     taken on — name and dimensions are checked. Hooks and observer are
     re-attached fresh (they are not part of the state). A document
-    whose task list holds a record for a task that is neither queued,
-    parked nor in flight (or lacks one that is) is an [Error]. *)
+    that fails {!check_accounting} — counters whose buckets do not sum
+    to the arrivals, or a task list holding a record for a task that is
+    neither queued, parked nor in flight (or lacking one that is) — is
+    an [Error]. *)
 
 (** {1 One-shot runs} *)
 

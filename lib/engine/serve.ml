@@ -509,8 +509,6 @@ let restore_task_home t ~events runs =
                              shard(s)" si n_shards)
         else if count > events - covered then
           Error "serve checkpoint: task_home runs cover more ids than events"
-        else if first > max_int - (count - 1) then
-          Error "serve checkpoint: task_home run overflows"
         else begin
           Task_map.append t.task_home ~first ~count ~shard:si;
           go ~last:(Some (first + count - 1)) ~covered:(covered + count) rest

@@ -222,10 +222,10 @@ val restore :
     schema (a [v1] document included — the message names both), a
     task-map run with a count below 1, runs that are not ascending and
     disjoint, a shard index outside the partition, runs whose counts
-    sum past the document's [events], a run reaching past [max_int], or
-    a [cur_slot] that is neither null nor an integer. Every routed
-    arrival is one event, so every checkpoint {!snapshot} writes passes
-    the [events] check. *)
+    sum past the document's [events], a number that is not an integer
+    within ±2{^53} ({!Rsin_util.Json.to_int}), or a [cur_slot] that is
+    neither null nor an integer. Every routed arrival is one event, so
+    every checkpoint {!snapshot} writes passes the [events] check. *)
 
 val run :
   ?config:Engine.Config.t ->

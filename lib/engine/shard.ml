@@ -72,50 +72,13 @@ let find_components net =
   |> List.sort (fun a b ->
          compare (List.nth_opt a.c_procs 0) (List.nth_opt b.c_procs 0))
 
-(* Longest-processing-time packing of components onto [shards] groups,
-   weighted by resource count: heaviest component first, each onto the
-   currently lightest group (ties to the lowest group index). *)
-let pack ~shards comps =
-  let n = min shards (List.length comps) in
-  let order =
-    List.stable_sort
-      (fun a b -> compare (List.length b.c_ress) (List.length a.c_ress))
-      comps
-  in
-  let groups = Array.make n [] and load = Array.make n 0 in
-  List.iter
-    (fun c ->
-      let g = ref 0 in
-      for i = 1 to n - 1 do
-        if load.(i) < load.(!g) then g := i
-      done;
-      groups.(!g) <- c :: groups.(!g);
-      load.(!g) <- load.(!g) + List.length c.c_ress)
-    order;
-  (* Drop any empty groups (shards > components) and order groups by
-     their smallest processor id so shard numbering is stable. *)
-  Array.to_list groups
-  |> List.filter (fun g -> g <> [])
-  |> List.map (fun g ->
-         let procs =
-           List.concat_map (fun c -> c.c_procs) g |> List.sort_uniq compare
-         in
-         let ress =
-           List.concat_map (fun c -> c.c_ress) g |> List.sort_uniq compare
-         in
-         let boxes =
-           List.concat_map (fun c -> c.c_boxes) g |> List.sort_uniq compare
-         in
-         (procs, ress, boxes))
-  |> List.sort compare
-
-(* Rebuild one group of components as a standalone network. Local ids
-   ascend with the global ids; since Network numbers boxes stage-major,
-   the ascending global order is already stage-major locally. *)
-let extract base idx (procs, ress, boxes) =
-  let procs = Array.of_list procs
-  and ress = Array.of_list ress
-  and boxes = Array.of_list boxes in
+(* Rebuild one component as a standalone network. Local ids ascend
+   with the global ids; since Network numbers boxes stage-major, the
+   ascending global order is already stage-major locally. *)
+let extract base idx c =
+  let procs = Array.of_list c.c_procs
+  and ress = Array.of_list c.c_ress
+  and boxes = Array.of_list c.c_boxes in
   let n_stages = Network.stages base in
   let lbox = Array.make (Network.n_boxes base) (-1) in
   Array.iteri (fun l g -> lbox.(g) <- l) boxes;
@@ -195,7 +158,7 @@ let extract base idx (procs, ress, boxes) =
   Array.iteri (fun lj gj -> Network.set_res_up net lj (Network.res_up base gj)) ress;
   { net; procs; ress; boxes; links }
 
-let partition ?shards base =
+let partition base =
   let np = Network.n_procs base and nr = Network.n_res base in
   if Network.circuits base <> [] then
     Error "Shard.partition: network carries live circuits"
@@ -210,13 +173,8 @@ let partition ?shards base =
         "Shard.partition: a component has processors but no resource ports \
          (or vice versa)"
     | None -> (
-      let shards =
-        match shards with Some s -> max 1 s | None -> List.length comps
-      in
       try
-        let parts =
-          pack ~shards comps |> List.mapi (extract base) |> Array.of_list
-        in
+        let parts = List.mapi (extract base) comps |> Array.of_list in
         let shard_of_proc = Array.make np (-1)
         and shard_of_res = Array.make nr (-1)
         and local_proc = Array.make np (-1)

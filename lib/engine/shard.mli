@@ -7,10 +7,10 @@
     per-component maxima (no augmenting path crosses components because
     no link does). [Shard.partition] makes that structure explicit: it
     finds the connected components of the link graph with a union–find
-    pass, packs them into at most [shards] balanced groups, and rebuilds
-    each group as a standalone {!Rsin_topology.Network.t} with local
-    index spaces plus the local↔global maps the serving engine needs to
-    route events in and merge reports out.
+    pass and rebuilds each component as a standalone
+    {!Rsin_topology.Network.t} with local index spaces plus the
+    local↔global maps the serving engine needs to route events in and
+    merge reports out.
 
     Because components are never split, running one warm
     {!Engine}/{!Incremental} instance per shard is {e exact}, not an
@@ -41,16 +41,14 @@ type t = private {
   local_res : int array;      (** global resource port -> local index *)
 }
 
-val partition : ?shards:int -> Rsin_topology.Network.t -> (t, string) result
-(** [partition ~shards net] splits [net] into at most [shards] parts
-    (default: one per connected component). Components are packed onto
-    shards by longest-processing-time on resource count, so shard loads
-    stay balanced even when [shards] < #components. Errors (never
-    raises) when [net] carries live circuits, when a component has
-    processors but no resource ports (or vice versa), or when a
-    component's boxes do not span every stage — any of which would make
-    the extracted sub-network ill-formed. Down elements of [net] are
-    mirrored into the shard networks. *)
+val partition : Rsin_topology.Network.t -> (t, string) result
+(** [partition net] splits [net] into one part per connected component,
+    ordered by smallest processor id. Errors (never raises) when [net]
+    carries live circuits, when a component has processors but no
+    resource ports (or vice versa), or when a component's boxes do not
+    span every stage — any of which would make the extracted sub-network
+    ill-formed. Down elements of [net] are mirrored into the shard
+    networks. *)
 
 val n_shards : t -> int
 

@@ -5,10 +5,9 @@
     flits, every switchbox holds one virtual output queue (VOQ) per
     {e (input port, output port)} pair, and each cycle a per-box
     {!Arbiter} computes a conflict-free matching over the VOQ heads.
-    VOQs remove head-of-line blocking (the slot model in
-    [Rsin_sim.Packet_net] keeps it, deliberately — it is the naive
-    baseline); bounded VOQ depth plus credit checks (a grant requires
-    space in the downstream VOQ) give lossless backpressure.
+    VOQs remove head-of-line blocking; bounded VOQ depth plus credit
+    checks (a grant requires space in the downstream VOQ) give
+    lossless backpressure.
 
     One {!step} is one slot of the engine clock:
 

@@ -58,6 +58,9 @@ let run ?obs ?vq_depth ?(warmup = 0) ?(max_slots = 100_000) ?(faults = [])
   in
   let next_id = ref 0 in
   let bound = ref 0 and completed = ref 0 and dropped = ref 0 in
+  (* completions from slot [warmup] on: throughput's numerator, over the
+     same measured slots as its denominator *)
+  let measured_completed = ref 0 in
   let faults_applied = ref 0 and repairs_applied = ref 0 in
   let responses = ref [] and max_response = ref 0 in
   let serving_acc = ref 0 and reserved_acc = ref 0 and idle_acc = ref 0 in
@@ -122,6 +125,7 @@ let run ?obs ?vq_depth ?(warmup = 0) ?(max_slots = 100_000) ?(faults = [])
           | None -> ());
           Hashtbl.remove live task;
           incr completed;
+          if now >= warmup then incr measured_completed;
           st.reserved_by <- -1;
           st.busy_until <- -1
         end)
@@ -211,7 +215,7 @@ let run ?obs ?vq_depth ?(warmup = 0) ?(max_slots = 100_000) ?(faults = [])
        else Array.fold_left ( +. ) 0. responses /. float_of_int (Array.length responses));
     p95_response = Stats.percentile responses 95.;
     max_response = !max_response;
-    throughput = float_of_int !completed /. slots;
+    throughput = float_of_int !measured_completed /. slots;
     serving_utilization = per_res !serving_acc;
     reserved_utilization = per_res !reserved_acc;
     reserved_idle;

@@ -36,7 +36,9 @@ type report = {
   mean_response : float;    (** arrival → service completion, completed tasks *)
   p95_response : float;
   max_response : int;
-  throughput : float;       (** completions per measured slot *)
+  throughput : float;
+      (** completions per measured slot, both counted from slot
+          [warmup] on *)
   serving_utilization : float;
   reserved_utilization : float;
   reserved_idle : float;

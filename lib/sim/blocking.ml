@@ -33,15 +33,12 @@ type estimate = {
   trials_used : int;
 }
 
-let allocated_of ?obs ?solver scheduler rng net ~requests ~free =
+let allocated_of ?obs ?(solver = Rsin_flow.Solver.get "dinic") scheduler rng
+    net ~requests ~free =
   match scheduler with
   | Optimal ->
-    let o =
-      match solver with
-      | None -> Transform1.schedule ?obs net ~requests ~free
-      | Some s -> Transform1.solve_with ?obs s (Transform1.build net ~requests ~free)
-    in
-    o.Transform1.allocated
+    (Transform1.solve_with ?obs solver (Transform1.build net ~requests ~free))
+      .Transform1.allocated
   | Distributed -> (Token_sim.run ?obs net ~requests ~free).Token_sim.allocated
   | First_fit ->
     (Heuristic.schedule net ~requests ~free Heuristic.First_fit)

@@ -37,7 +37,8 @@ type res_state = { mutable busy_until : int (* -1 = free *) }
 module Obs = Rsin_obs.Obs
 module Tr = Rsin_obs.Trace
 
-let run ?obs ?(scheduler = Optimal) ?(cycle_threshold = 1) ?solver rng net params =
+let run ?obs ?(scheduler = Optimal) ?(cycle_threshold = 1)
+    ?(solver = Rsin_flow.Solver.get "dinic") rng net params =
   if cycle_threshold < 1 then invalid_arg "Dynamic.run: cycle_threshold";
   if params.arrival_prob < 0. || params.arrival_prob > 1. then
     invalid_arg "Dynamic.run: arrival_prob";
@@ -102,12 +103,8 @@ let run ?obs ?(scheduler = Optimal) ?(cycle_threshold = 1) ?solver rng net param
       let mapping, circuits =
         match scheduler with
         | Optimal ->
-          let o =
-            match solver with
-            | None -> Transform1.schedule ?obs net ~requests ~free
-            | Some s ->
-              Transform1.solve_with ?obs s (Transform1.build net ~requests ~free)
-          in
+          let tr = Transform1.build net ~requests ~free in
+          let o = Transform1.solve_with ?obs solver tr in
           (o.Transform1.mapping, o.Transform1.circuits)
         | First_fit ->
           let o = Heuristic.schedule net ~requests ~free Heuristic.First_fit in

@@ -295,35 +295,11 @@ let parse_line lineno line =
 (* The streaming core under every reader: pull lines one at a time from
    [next_line], parse, fold. Constant memory in the input length — the
    accumulator is whatever the caller builds — and events are delivered
-   in file order, so a serve loop can act on each line as it arrives. *)
-let fold_line_source next_line ~init ~f =
-  let rec go lineno acc =
-    match next_line () with
-    | None -> Ok acc
-    | Some line ->
-      let lineno = lineno + 1 in
-      if String.trim line = "" then go lineno acc
-      else (
-        match
-          try parse_line lineno line with
-          | Malformed _ as e -> raise e
-          | e ->
-            (* belt and braces: any parser slip on hostile input still
-               surfaces as a positioned error, never a raw exception *)
-            raise (Malformed (lineno, Printexc.to_string e))
-        with
-        | events -> go lineno (List.fold_left f acc events)
-        | exception Malformed (line, message) -> Error { line; message })
-  in
-  go 0 init
-
-let fold_trace_channel ic ~init ~f =
-  fold_line_source (fun () -> In_channel.input_line ic) ~init ~f
-
-(* Lenient variant for long-lived serving: a malformed line is handed
-   to [on_error] and dropped instead of aborting the whole stream, and
-   a read error (client disconnect mid-line) ends the stream cleanly —
-   a serve socket must survive hostile or truncated input. *)
+   in file order, so a serve loop can act on each line as it arrives.
+   A malformed line is handed to [on_error] and dropped instead of
+   aborting the whole stream — a serve socket must survive hostile or
+   truncated input; the strict readers below stop by raising out of
+   [on_error]. *)
 let fold_lines_lenient next_line ~on_error ~init ~f =
   let rec go lineno acc =
     match next_line () with
@@ -349,6 +325,17 @@ let fold_trace_channel_lenient ic ~on_error ~init ~f =
     (fun () -> try In_channel.input_line ic with Sys_error _ -> None)
     ~on_error ~init ~f
 
+(* All events of [next_line] in time order, or the first malformed
+   line. *)
+let read_lines next_line =
+  match
+    fold_lines_lenient next_line
+      ~on_error:(fun { line; message } -> raise (Malformed (line, message)))
+      ~init:[] ~f:(fun acc ev -> ev :: acc)
+  with
+  | rev -> Ok (sort_trace (List.rev rev))
+  | exception Malformed (line, message) -> Error { line; message }
+
 let import text =
   (* One cursor over [text]; no per-line string list is materialized. *)
   let pos = ref 0 in
@@ -365,17 +352,7 @@ let import text =
       pos := stop + 1;
       Some (String.sub text start (stop - start))
   in
-  match fold_line_source next_line ~init:[] ~f:(fun acc ev -> ev :: acc) with
-  | Ok rev -> Ok (sort_trace (List.rev rev))
-  | Error e -> Error e
-
-let failwith_parse { line; message } =
-  failwith (Printf.sprintf "Workload.trace_of_jsonl: line %d: %s" line message)
-
-let trace_of_jsonl text =
-  match import text with
-  | Ok trace -> trace
-  | Error e -> failwith_parse e
+  read_lines next_line
 
 let write_trace file trace =
   let oc = open_out file in
@@ -389,9 +366,13 @@ let read_trace file =
     ~finally:(fun () -> close_in ic)
     (fun () ->
       (* Streamed line at a time; the whole file is never in memory. *)
-      match fold_trace_channel ic ~init:[] ~f:(fun acc ev -> ev :: acc) with
-      | Ok rev -> sort_trace (List.rev rev)
-      | Error e -> failwith_parse e)
+      match read_lines (fun () -> In_channel.input_line ic) with
+      | Ok trace -> trace
+      | Error { line; message } ->
+        (* the historical prefix: the CLI prints this text, and the
+           cram tests pin it *)
+        failwith
+          (Printf.sprintf "Workload.trace_of_jsonl: line %d: %s" line message))
 
 let hetero_spec ?(levels = 1) rng ~types ~requests ~free =
   let prio () = if levels <= 1 then 0 else 1 + Prng.int rng levels in

@@ -127,27 +127,23 @@ val trace_to_jsonl : trace_event list -> string
 type parse_error = { line : int; message : string }
 (** A malformed trace line: 1-based line number plus what was wrong. *)
 
-val fold_trace_channel :
-  in_channel -> init:'a -> f:('a -> trace_event -> 'a) -> ('a, parse_error) result
-(** Streams a JSONL trace from a channel {e line at a time}: each line
-    is parsed and folded into the accumulator before the next one is
-    read, so memory is constant in the input length — this is what lets
-    [rsin serve] treat an unbounded stdin/socket stream as a workload
-    and what {!read_trace} replays arbitrarily large trace files with.
-    Events are delivered in file order (not time-sorted); blank lines
-    are skipped. A malformed line stops the fold with the same
-    line-numbered {!parse_error} as {!import}. *)
-
 val fold_lines_lenient :
   (unit -> string option) ->
   on_error:(parse_error -> unit) ->
   init:'a ->
   f:('a -> trace_event -> 'a) ->
   'a
-(** The lenient streaming core over an arbitrary line source ([None] =
-    end of stream): malformed lines go to [on_error] and are dropped,
-    the fold always runs to the end of the source. The chaos harness
-    drives this directly with corrupted in-memory streams. *)
+(** The one streaming core under every reader, over an arbitrary line
+    source ([None] = end of stream). Each line is parsed and folded
+    into the accumulator before the next one is read, so memory is
+    constant in the input length — this is what lets [rsin serve]
+    treat an unbounded stdin/socket stream as a workload and what
+    {!read_trace} replays arbitrarily large trace files with. Events
+    are delivered in file order (not time-sorted); blank lines are
+    skipped. A malformed line goes to [on_error] with its line-numbered
+    {!parse_error} and is dropped; the fold runs to the end of the
+    source unless [on_error] raises. The chaos harness drives this
+    directly with corrupted in-memory streams. *)
 
 val fold_trace_channel_lenient :
   in_channel ->
@@ -155,31 +151,30 @@ val fold_trace_channel_lenient :
   init:'a ->
   f:('a -> trace_event -> 'a) ->
   'a
-(** {!fold_trace_channel} for long-lived serving: a malformed line is
-    reported to [on_error] and {e dropped} — the fold continues with
-    the next line instead of aborting — and a [Sys_error] while reading
-    (a client disconnecting mid-line) ends the stream cleanly like EOF.
-    The robustness contract of [rsin serve]: hostile or truncated input
-    never takes the server down. *)
+(** {!fold_lines_lenient} over a channel, for long-lived serving: a
+    malformed line is reported to [on_error] and {e dropped} — the fold
+    continues with the next line instead of aborting — and a
+    [Sys_error] while reading (a client disconnecting mid-line) ends
+    the stream cleanly like EOF. The robustness contract of
+    [rsin serve]: hostile or truncated input never takes the server
+    down. *)
 
 val import : string -> (trace_event list, parse_error) result
 (** Inverse of {!trace_to_jsonl}; result is time-sorted. Malformed or
     truncated input — bad JSON shape, missing or non-integer fields,
     unknown event kinds, out-of-range values — yields a line-numbered
-    [Error] instead of an exception. Streams over the string with the
-    same line-at-a-time core as {!fold_trace_channel}. *)
-
-val trace_of_jsonl : string -> trace_event list
-(** {!import} for callers that prefer exceptions. Raises [Failure] with
-    the offending line number on malformed input. *)
+    [Error] instead of an exception: the first such line stops the
+    read. Streams over the string with the line-at-a-time core
+    {!fold_lines_lenient}. *)
 
 val write_trace : string -> trace_event list -> unit
 (** Writes the JSONL form to a file. *)
 
 val read_trace : string -> trace_event list
-(** Reads a JSONL trace file through {!fold_trace_channel} (line at a
+(** Reads a JSONL trace file through {!fold_lines_lenient} (line at a
     time, never the whole file in memory), returning the events
-    time-sorted. Raises [Sys_error] or [Failure]. *)
+    time-sorted. Raises [Sys_error], or [Failure] naming the first
+    malformed line (["Workload.trace_of_jsonl: line N: ..."]). *)
 
 val hetero_spec :
   ?levels:int ->

@@ -312,8 +312,14 @@ let member k = function
 
 let to_num = function Num x -> Some x | _ -> None
 
+(* Every integer of magnitude <= 2^53 is an exact double; past it a
+   number may stand for several integers, and [int_of_float] beyond
+   [max_int] is unspecified. *)
+let max_exact_int = 0x1p53
+
 let to_int = function
-  | Num x when Float.is_integer x -> Some (int_of_float x)
+  | Num x when Float.is_integer x && Float.abs x <= max_exact_int ->
+    Some (int_of_float x)
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None

@@ -44,6 +44,10 @@ val member : string -> t -> t option
 
 val to_num : t -> float option
 val to_int : t -> int option
+(** [Some n] for an integral number of magnitude at most 2{^53}, where
+    every integer is exact; [None] for anything else, so a document
+    never yields an int it does not name. *)
+
 val to_str : t -> string option
 val to_list : t -> t list option
 val to_obj : t -> (string * t) list option

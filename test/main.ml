@@ -23,9 +23,9 @@ let () =
       ("switchbox", Test_switchbox.suite);
       ("queueing", Test_queueing.suite);
       ("taskgraph", Test_taskgraph.suite);
-      ("packet", Test_packet.suite);
       ("arbiter", Test_arbiter.suite);
       ("fabric", Test_fabric.suite);
+      ("packet", Test_fabric.packet_suite);
       ("edge", Test_edge.suite);
       ("integration", Test_integration.suite);
       ("balance", Test_balance.suite);

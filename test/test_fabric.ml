@@ -361,6 +361,109 @@ let test_replay_fault_drops_service () =
   check Alcotest.int "none complete" 0 r.Replay.completed;
   check Alcotest.int "faults applied" 8 r.Replay.faults_applied
 
+(* --- Replay under a Bernoulli load: the Section-II packet network ------ *)
+
+(* Bernoulli arrivals per processor per slot with geometric service,
+   the task trace E24 replays. *)
+let bernoulli_tasks rng net ~slots ~arrival ~flits ~mean_service =
+  let tasks = ref [] in
+  for s = 0 to slots - 1 do
+    for p = 0 to Network.n_procs net - 1 do
+      if Prng.bernoulli rng arrival then
+        tasks :=
+          { Replay.arrival = s; proc = p;
+            service = 1 + Prng.geometric rng (1. /. mean_service); flits }
+          :: !tasks
+    done
+  done;
+  List.rev !tasks
+
+let replay_load ?obs ?(slots = 2000) ?(warmup = 400) ?(flits = 3) ~seed
+    ~arrival net =
+  let tasks =
+    bernoulli_tasks (Prng.create seed) net ~slots ~arrival ~flits
+      ~mean_service:4.
+  in
+  Replay.run ?obs ~vq_depth:2 ~warmup ~arbiter:(module Arbiter.Islip)
+    (Prng.create seed) net tasks
+
+let test_replay_load_sanity () =
+  let r = replay_load ~seed:1 ~arrival:0.05 (Builders.omega 8) in
+  check Alcotest.bool "completes tasks" true (r.Replay.completed > 0);
+  check Alcotest.bool "serving <= reserved" true
+    (r.Replay.serving_utilization <= r.Replay.reserved_utilization +. 1e-9);
+  check Alcotest.bool "utilizations in range" true
+    (r.Replay.reserved_utilization <= 1.0 && r.Replay.serving_utilization >= 0.);
+  check Alcotest.bool "responses measured" true (r.Replay.mean_response > 0.);
+  (* Throughput counts completions and slots from [warmup] on alike:
+     below saturation it tracks the offered load, 8 x 0.05 = 0.40. *)
+  let offered = 0.05 *. 8. in
+  if Float.abs (r.Replay.throughput -. offered) > 0.1 *. offered then
+    Alcotest.failf "throughput %.3f, offered %.3f" r.Replay.throughput offered
+
+let test_replay_response_floor () =
+  (* 3 flits, a path pipeline and service >= 1: responses below ~6
+     slots are impossible at any load *)
+  let r = replay_load ~seed:2 ~arrival:0.01 (Builders.omega 8) in
+  check Alcotest.bool "response above physical floor" true
+    (r.Replay.mean_response >= 6.)
+
+let test_replay_load_monotonicity () =
+  let run arrival =
+    replay_load ~slots:4000 ~warmup:800 ~seed:3 ~arrival (Builders.omega 16)
+  in
+  let low = run 0.01 and high = run 0.08 in
+  check Alcotest.bool "throughput grows with load" true
+    (high.Replay.throughput > low.Replay.throughput);
+  check Alcotest.bool "reservation grows with load" true
+    (high.Replay.reserved_utilization > low.Replay.reserved_utilization)
+
+let test_replay_reservation_overhead () =
+  (* the paper's claim: with multi-flit tasks, reserved > serving by a
+     visible margin (the resource idles while the flits arrive) *)
+  let r =
+    replay_load ~slots:4000 ~flits:6 ~seed:4 ~arrival:0.05 (Builders.omega 16)
+  in
+  check Alcotest.bool "reservation overhead visible" true
+    (r.Replay.reserved_utilization > 1.3 *. r.Replay.serving_utilization)
+
+let test_replay_single_flit () =
+  let r = replay_load ~flits:1 ~seed:5 ~arrival:0.05 (Builders.omega 8) in
+  check Alcotest.bool "single-flit tasks complete" true (r.Replay.completed > 0);
+  check Alcotest.int "every task completes" r.Replay.arrivals r.Replay.completed
+
+let test_replay_validation () =
+  Alcotest.check_raises "bad buffer depth"
+    (Invalid_argument "Fabric.create: vq_depth must be >= 1") (fun () ->
+      ignore
+        (Replay.run ~vq_depth:0 ~arbiter:(module Arbiter.Islip) (Prng.create 1)
+           (Builders.omega 8) []));
+  (* multipath networks run: routing picks among the candidate ports *)
+  let r = replay_load ~seed:1 ~arrival:0.05 (Builders.benes 8) in
+  check Alcotest.bool "benes completes tasks" true (r.Replay.completed > 0);
+  check Alcotest.int "every task completes" r.Replay.arrivals r.Replay.completed
+
+let test_replay_reserved_idle_gauge () =
+  let obs = Rsin_obs.Obs.create () in
+  let r =
+    replay_load ~obs ~slots:4000 ~flits:6 ~seed:7 ~arrival:0.05
+      (Builders.omega 16)
+  in
+  check Alcotest.bool "idle overhead positive" true (r.Replay.reserved_idle > 0.);
+  let m = obs.Rsin_obs.Obs.metrics in
+  (match Rsin_obs.Metrics.find m "packet.reserved_idle" with
+  | Some (Rsin_obs.Metrics.Gauge g) ->
+    check (Alcotest.float 1e-9) "gauge matches" r.Replay.reserved_idle g
+  | _ -> Alcotest.fail "packet.reserved_idle gauge missing");
+  match Rsin_obs.Metrics.find m "packet.response" with
+  | Some (Rsin_obs.Metrics.Histogram h) ->
+    check Alcotest.int "one response per completion" r.Replay.completed h.n
+  | _ -> Alcotest.fail "packet.response histogram missing"
+
+let test_replay_deterministic () =
+  let run () = replay_load ~seed:6 ~arrival:0.05 (Builders.omega 8) in
+  check Alcotest.bool "same seed, same report" true (run () = run ())
+
 let suite =
   [
     qtest "routing total and consistent on healthy nets" net_arb
@@ -390,4 +493,19 @@ let suite =
       test_replay_reserved_idle;
     Alcotest.test_case "replay: resource death drops its task" `Quick
       test_replay_fault_drops_service;
+  ]
+
+(* The Section-II packet network: Replay under a Bernoulli task load. *)
+let packet_suite =
+  [
+    Alcotest.test_case "sanity" `Quick test_replay_load_sanity;
+    Alcotest.test_case "response floor" `Quick test_replay_response_floor;
+    Alcotest.test_case "load monotonicity" `Quick test_replay_load_monotonicity;
+    Alcotest.test_case "reservation overhead" `Quick
+      test_replay_reservation_overhead;
+    Alcotest.test_case "single-packet tasks" `Quick test_replay_single_flit;
+    Alcotest.test_case "validation" `Quick test_replay_validation;
+    Alcotest.test_case "reserved-idle gauge" `Quick
+      test_replay_reserved_idle_gauge;
+    Alcotest.test_case "deterministic" `Quick test_replay_deterministic;
   ]

@@ -360,9 +360,35 @@ let test_restore_rejects_garbage () =
     | _ -> Alcotest.fail "snapshot is not an object"
   in
   ignore (get_ok ~what:"restore" (Engine.restore net (Engine.snapshot e)));
-  match Engine.restore net j with
+  (match Engine.restore net j with
   | Ok _ -> Alcotest.fail "record of a finished task accepted"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* The counters must account for every arrival: a snapshot whose
+     arrivals no longer equal the sum of the buckets is refused, and so
+     is one too large to be an exact integer. *)
+  let with_arrivals n =
+    let counters = function
+      | Json.Obj cs ->
+        Json.Obj
+          (List.map
+             (function "arrivals", _ -> ("arrivals", Json.Num n) | kv -> kv)
+             cs)
+      | c -> c
+    in
+    match Engine.snapshot e with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function "counters", c -> ("counters", counters c) | kv -> kv)
+           fields)
+    | _ -> Alcotest.fail "snapshot is not an object"
+  in
+  List.iter
+    (fun n ->
+      match Engine.restore net (with_arrivals n) with
+      | Ok _ -> Alcotest.failf "arrivals tampered to %g accepted" n
+      | Error _ -> ())
+    [ 5.; 1e300 ]
 
 let test_serve_checkpoint_differential () =
   (* Same differential through the sharded server, checkpointing on a

@@ -274,8 +274,8 @@ let test_trace_jsonl_roundtrip () =
     Workload.synthesize ~deadline_slack:30 ~cancel_prob:0.2 (Prng.create 6) net
       ~slots:60 ~arrival_prob:0.4
   in
-  let back = Workload.trace_of_jsonl (Workload.trace_to_jsonl trace) in
-  check Alcotest.bool "round trip preserves the trace" true (trace = back);
+  let back = Workload.import (Workload.trace_to_jsonl trace) in
+  check Alcotest.bool "round trip preserves the trace" true (back = Ok trace);
   (* File form too. *)
   let file = Filename.temp_file "rsin_trace" ".jsonl" in
   Fun.protect
@@ -287,9 +287,9 @@ let test_trace_jsonl_roundtrip () =
 let test_trace_jsonl_rejects_garbage () =
   List.iter
     (fun bad ->
-      match Workload.trace_of_jsonl bad with
-      | _ -> Alcotest.fail ("accepted: " ^ bad)
-      | exception Failure _ -> ())
+      match Workload.import bad with
+      | Ok _ -> Alcotest.fail ("accepted: " ^ bad)
+      | Error _ -> ())
     [ "not json";
       "{\"t\":0,\"ev\":\"arrive\",\"id\":0}";
       "{\"t\":0,\"ev\":\"nope\",\"id\":0}";

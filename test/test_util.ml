@@ -1,4 +1,4 @@
-(* Tests for the rsin_util substrate: PRNG, heap, bitset, stats, DSU,
+(* Tests for the rsin_util substrate: PRNG, heap, stats, DSU,
    vec and table rendering. *)
 
 open Rsin_util
@@ -208,52 +208,6 @@ let test_heap_duplicates () =
   in
   drain ();
   check Alcotest.(list int) "dups preserved" [ 2; 2; 2; 1; 1 ] !out
-
-(* --- Bitset -------------------------------------------------------------- *)
-
-let bitset_model =
-  qtest "bitset agrees with a list model" ~count:300
-    QCheck.(pair (int_range 1 100) (list (int_range 0 99)))
-    (fun (n, ops) ->
-      let b = Bitset.create n in
-      let model = Hashtbl.create 16 in
-      List.iteri
-        (fun i x ->
-          let x = x mod n in
-          if i mod 3 = 2 then begin
-            Bitset.remove b x;
-            Hashtbl.remove model x
-          end
-          else begin
-            Bitset.add b x;
-            Hashtbl.replace model x ()
-          end)
-        ops;
-      Bitset.cardinal b = Hashtbl.length model
-      && List.for_all (fun x -> Hashtbl.mem model x) (Bitset.to_list b))
-
-let test_bitset_basics () =
-  let b = Bitset.create 20 in
-  check Alcotest.int "capacity" 20 (Bitset.capacity b);
-  Bitset.add b 0;
-  Bitset.add b 19;
-  Bitset.add b 7;
-  check Alcotest.bool "mem 19" true (Bitset.mem b 19);
-  check Alcotest.bool "not mem 8" false (Bitset.mem b 8);
-  check Alcotest.(list int) "to_list sorted" [ 0; 7; 19 ] (Bitset.to_list b);
-  let c = Bitset.copy b in
-  Bitset.remove b 7;
-  check Alcotest.bool "copy unaffected" true (Bitset.mem c 7);
-  Bitset.union_into b c;
-  check Alcotest.bool "union restores" true (Bitset.mem b 7);
-  check Alcotest.bool "equal" true (Bitset.equal b c);
-  Bitset.clear b;
-  check Alcotest.int "cleared" 0 (Bitset.cardinal b)
-
-let test_bitset_bounds () =
-  let b = Bitset.create 4 in
-  Alcotest.check_raises "out of range" (Invalid_argument "Bitset: index out of range")
-    (fun () -> Bitset.add b 4)
 
 (* --- Stats --------------------------------------------------------------- *)
 
@@ -541,6 +495,20 @@ let test_json_accessors () =
     (Option.get Option.(bind (Json.member "b" j) Json.to_bool));
   check Alcotest.bool "absent member" true (Json.member "zzz" j = None)
 
+let test_json_to_int_exact () =
+  (* Only integers a double holds exactly come back: beyond 2^53 a
+     number names several ints, and past max_int [int_of_float] is
+     unspecified (it turns 1e300 into 0). *)
+  let p53 = ldexp 1. 53 in
+  let to_int x = Json.to_int (Json.Num x) in
+  check Alcotest.(option int) "2^53" (Some (1 lsl 53)) (to_int p53);
+  check Alcotest.(option int) "-2^53" (Some (-(1 lsl 53))) (to_int (-.p53));
+  check Alcotest.(option int) "2^53 + 2" None (to_int (p53 +. 2.));
+  check Alcotest.(option int) "-(2^53 + 2)" None (to_int (-.(p53 +. 2.)));
+  check Alcotest.(option int) "1e300" None (to_int 1e300);
+  check Alcotest.(option int) "4.7e18" None (to_int 4.7e18);
+  check Alcotest.(option int) "non-integral" None (to_int 0.5)
+
 let json_gen =
   let open QCheck.Gen in
   let scalar =
@@ -618,9 +586,6 @@ let suite =
     heap_sorts;
     Alcotest.test_case "heap basics" `Quick test_heap_basics;
     Alcotest.test_case "heap duplicates" `Quick test_heap_duplicates;
-    bitset_model;
-    Alcotest.test_case "bitset basics" `Quick test_bitset_basics;
-    Alcotest.test_case "bitset bounds" `Quick test_bitset_bounds;
     Alcotest.test_case "stats known values" `Quick test_stats_known;
     Alcotest.test_case "stats empty" `Quick test_stats_empty;
     stats_welford_matches_naive;
@@ -640,6 +605,8 @@ let suite =
     loghist_brackets_exact;
     Alcotest.test_case "json parse basics" `Quick test_json_parse_basics;
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
+    Alcotest.test_case "json to_int is exact or None" `Quick
+      test_json_to_int_exact;
     json_roundtrip;
     Alcotest.test_case "json integers print as %.0f" `Quick
       test_json_integers_match_printf;
