@@ -948,15 +948,16 @@ let engine_inject_faults cfg net trace c =
 let heartbeat_hooks ~label cfg =
   let module Engine = Rsin_engine.Engine in
   let heartbeat = cfg.Engine.Config.heartbeat in
-  let cycles = ref 0 and alloc = ref 0 and work = ref 0 in
+  (* Atomic: serve's shards cycle on several domains at once. *)
+  let cycles = Atomic.make 0 and alloc = Atomic.make 0 and work = Atomic.make 0 in
   let pulses = ref 0 in
   if heartbeat = 0 then (None, None)
   else
     ( Some
         (fun _net (info : Engine.cycle_info) ->
-          incr cycles;
-          alloc := !alloc + info.Engine.allocated;
-          work := !work + info.Engine.work),
+          Atomic.incr cycles;
+          ignore (Atomic.fetch_and_add alloc info.Engine.allocated);
+          ignore (Atomic.fetch_and_add work info.Engine.work)),
       Some
         (fun ~events ~time ->
           if events / heartbeat > !pulses then begin
@@ -964,7 +965,8 @@ let heartbeat_hooks ~label cfg =
             Printf.eprintf
               "heartbeat[%s]: slot=%d events=%d cycles=%d allocated=%d \
                work=%d\n%!"
-              label time events !cycles !alloc !work
+              label time events (Atomic.get cycles) (Atomic.get alloc)
+              (Atomic.get work)
           end) )
 
 (* --- replay ------------------------------------------------------------------- *)
@@ -1280,10 +1282,13 @@ let serve_cmd =
     end;
     let cycle_hook, event_hook = heartbeat_hooks ~label:"serve" cfg in
     let cycle_hook =
-      (* The engines run on separate domains, but the heartbeat tallies
-         are only read by the event hook, which fires on the routing
-         domain after the barrier — no cycle of any shard is in flight
-         then, so the plain counters are safe. *)
+      (* The shards cycle on the pool's domains, concurrently with each
+         other and, once a sealed slot's advance is in flight, with the
+         routing domain between feeds; the tallies are atomic for that.
+         The event hook reads them on the routing domain after that
+         advance is joined and before the next one starts, so each
+         heartbeat counts every cycle through the slot before the one
+         just routed. *)
       Option.map (fun h -> fun ~shard:_ snapshot info -> h snapshot info) cycle_hook
     in
     (* Periodic checkpoints piggyback on the per-slot event hook: the

@@ -167,6 +167,11 @@ type t = {
   slot_ids : (int, unit) Hashtbl.t;
   mutable slot_indexed : bool;
   probes : probe array;  (* per shard, this routing pass *)
+  (* The shards' advance through [advanced], started by the feed that
+     sealed the last slot and running while the caller feeds the next
+     one; joined before anything reads or writes an engine. *)
+  mutable advancing : Domain_pool.batch option;
+  mutable advanced : int;  (* every shard advanced, or advancing, through *)
   event_hook : (events:int -> time:int -> unit) option;
   start_ns : int64;
   mutable cur_slot : int;
@@ -233,6 +238,8 @@ let create ?(config = Engine.Config.default) ?domains ?cycle_hook ?event_hook
           slot_ids = Hashtbl.create 16;
           slot_indexed = false;
           probes = Array.make (Array.length parts) Unprobed;
+          advancing = None;
+          advanced = min_int;
           event_hook;
           start_ns = Clock.now_ns ();
           cur_slot = min_int;
@@ -329,18 +336,34 @@ let route t ev =
     in
     Engine.feed t.engines.(si) ev'
 
-(* Advance every shard through [upto] in parallel; each task owns its
+(* One task per shard advancing it through [upto]; each task owns its
    engine, so the only shared state is the work-stealing cursor. *)
-let advance_all t ~upto =
-  Domain_pool.run_tasks t.pool
-    (Array.map (fun e () -> Engine.advance e ~upto) t.engines)
+let advance_tasks t ~upto =
+  Array.map (fun e () -> Engine.advance e ~upto) t.engines
 
+(* Waits for the advance in flight; an engine's exception surfaces
+   here, once. *)
+let join t =
+  match t.advancing with
+  | None -> ()
+  | Some b ->
+    t.advancing <- None;
+    Domain_pool.finish b
+
+(* Routes the buffered slot on shards complete through the slot before
+   it. Starts nothing: a flush from [snapshot] falls mid-slot, and
+   advancing through the slot would put its later events at or before
+   the shards' [served_upto]. *)
 let flush t =
+  join t;
   match t.buffer with
   | [] -> ()
   | buffered ->
     let slot = t.cur_slot in
-    advance_all t ~upto:(slot - 1);
+    if t.advanced < slot - 1 then begin
+      Domain_pool.run_tasks t.pool (advance_tasks t ~upto:(slot - 1));
+      t.advanced <- slot - 1
+    end;
     Array.fill t.probes 0 (Array.length t.probes) Unprobed;
     let evs = List.rev buffered in
     t.buffer <- [];
@@ -399,7 +422,15 @@ let feed t ev =
   if t.buffering && time < t.cur_slot then
     invalid_arg "Serve.feed: events must arrive in nondecreasing slot order";
   validate t ev;
-  if t.buffering && time > t.cur_slot then flush t;
+  if t.buffering && time > t.cur_slot then begin
+    (* [ev] seals the buffered slot: route it (the event hook fires
+       there, before anything is in flight), then let the shards run
+       through [time - 1] while the caller feeds slot [time]. *)
+    flush t;
+    t.advancing <-
+      Some (Domain_pool.start t.pool (advance_tasks t ~upto:(time - 1)));
+    t.advanced <- time - 1
+  end;
   (* Claimed only now, after the flush, which resets the slot's index. *)
   (match ev with
   | Workload.Arrive a ->
@@ -424,6 +455,7 @@ let drain t =
   end
 
 let report t =
+  join t;
   let per_shard = Array.map Engine.report t.engines in
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 per_shard in
   {
@@ -455,6 +487,7 @@ let report t =
   }
 
 let check_accounting t =
+  join t;
   let errs =
     Array.to_list t.engines
     |> List.mapi (fun i e ->
@@ -467,8 +500,11 @@ let check_accounting t =
 
 let abort t =
   (* Crash simulation / emergency stop: shut the pool down without
-     flushing or draining. The instance only accepts [report] after. *)
+     flushing or draining. The instance only accepts [report] after.
+     The advance in flight still has to finish first; what it raises is
+     dropped, so an instance whose engine failed can still be stopped. *)
   if not t.drained then begin
+    (try join t with _ -> ());
     t.wall_us <- Clock.elapsed_us ~since:t.start_ns;
     t.drained <- true;
     Domain_pool.shutdown t.pool
@@ -522,7 +558,8 @@ let snapshot t =
   (* Flush first so the snapshot lands on a slot boundary: every shard
      advanced through cur_slot - 1 and every routed event of cur_slot
      sitting in its shard's heap. Re-entrant calls from the event hook
-     are safe — the buffer is already empty there. *)
+     are safe — the buffer is already empty there, and nothing is in
+     flight. *)
   flush t;
   Json.Obj
     [ ("schema", Json.Str checkpoint_schema);
@@ -621,5 +658,6 @@ let run ?config ?domains ?cycle_hook ?event_hook net trace =
        drain t;
        Ok (report t)
      with e ->
-       Domain_pool.shutdown t.pool;
-       raise e)
+       let bt = Printexc.get_raw_backtrace () in
+       abort t;
+       Printexc.raise_with_backtrace e bt)

@@ -8,23 +8,34 @@
     the sharded engine allocates {e exactly} what the single-engine
     Dinic would — the differential suite pins this cycle by cycle.
 
-    {2 Slot lockstep}
+    {2 Pipelined slots}
 
     Events are consumed in nondecreasing slot order (the JSONL trace
     format [rsin serve] streams from stdin or a socket is already
-    sorted). All events of slot [T] are buffered; when the first event
-    of a later slot arrives, the loop
-    {ol {- advances every shard engine through slot [T - 1] {e in
-    parallel} (work-stealing over the pool);}
-    {- at the barrier, routes the buffered slot-[T] events {e
-    sequentially} — translating global processor/resource/element ids
-    to shard-local ones and making any borrowing decisions;}
-    {- feeds each translated event to its shard and moves on.}}
-    Every routing decision therefore reads shard states that are
-    complete through [T - 1] and is made on one domain in trace order —
-    which is why the allocation trajectory is identical for every
-    domain count, [--domains 1] included (the determinism qcheck pins
-    that too).
+    sorted). All events of slot [T] are buffered. The first event of a
+    later slot [T'] seals the buffer, and {!feed} then
+    {ol {- joins the advance already in flight, which brings every
+    shard through [T - 1];}
+    {- routes the buffered slot-[T] events {e sequentially} —
+    translating global processor/resource/element ids to shard-local
+    ones, making any borrowing decisions, and feeding each translated
+    event to its shard — and fires [event_hook];}
+    {- starts the advance of every shard through [T' - 1] on the domain
+    pool (work-stealing, {!Rsin_util.Domain_pool.start}) and returns.}}
+    The shards then serve slot [T] while the caller parses and feeds
+    slot [T']: the paper's scheduler loop, whose requests arriving
+    mid-cycle wait for the next cycle. Every routing decision still
+    reads shard states that are complete through [T - 1] and is made on
+    one domain in trace order — which is why the allocation trajectory
+    is identical for every domain count, [--domains 1] included (the
+    determinism qcheck pins that too).
+
+    Every function that reads or writes an engine — a sealing {!feed},
+    {!snapshot}, {!drain}, {!report}, {!check_accounting} and {!abort}
+    — joins the advance in flight first. An exception an engine raises
+    on the pool (from [cycle_hook], say) is re-raised by the first of
+    them to join it, once; {!abort} drops it, so an instance whose
+    engine failed can still be stopped.
 
     {2 Borrowing}
 
@@ -135,15 +146,21 @@ val create :
     [cycle_hook] is the per-shard {!Engine.create} hook plus the shard
     index; it fires on the domain serving that shard, concurrently with
     other shards' hooks, so it must only touch per-shard state (the
-    differential tests give each shard its own log buffer).
+    differential tests give each shard its own log buffer). Since the
+    advance runs while the caller is between feeds, the caller may read
+    what the hook writes only from [event_hook] or after {!drain}.
     [event_hook] fires on the routing domain once per flushed slot with
-    the cumulative event count — the serve heartbeat. *)
+    the cumulative event count — the serve heartbeat — after the slot is
+    routed and before the next advance starts, so no cycle is in flight
+    while it runs. *)
 
 val shard : t -> Shard.t
 val n_domains : t -> int
 
 val feed : t -> Rsin_sim.Workload.trace_event -> unit
-(** Routes one trace event. Raises [Invalid_argument] on decreasing
+(** Buffers one trace event; the first event of a later slot first
+    routes the buffered slot and starts the next advance (see
+    {e Pipelined slots} above). Raises [Invalid_argument] on decreasing
     slot order, an out-of-range processor or fault element, a service
     time below 1, a negative priority, or an arrival whose task id was
     already fed. All of these are checked before the event is buffered,
@@ -168,8 +185,9 @@ val check_accounting : t -> (unit, string) result
     soak asserts this after every flushed slot. *)
 
 val abort : t -> unit
-(** Crash simulation / emergency stop: shuts the domain pool down
-    {e without} flushing the buffered slot or draining the shards. The
+(** Crash simulation / emergency stop: waits for the advance in flight
+    (dropping its exception), then shuts the domain pool down {e
+    without} flushing the buffered slot or draining the shards. The
     instance only accepts {!report} afterwards. Idempotent; used by the
     chaos harness to model a kill between checkpoint and completion. *)
 
@@ -200,7 +218,10 @@ val abort : t -> unit
 
 val snapshot : t -> Rsin_util.Json.t
 (** Raises [Invalid_argument] after {!drain}/{!abort}. Safe to call
-    from [event_hook] (the buffer is already flushed there). *)
+    from [event_hook] (the buffer is already flushed there). Called
+    mid-slot, it routes the events buffered so far but starts no
+    advance, so the slot's later events still reach shards that have
+    not served it. *)
 
 val restore :
   ?domains:int ->

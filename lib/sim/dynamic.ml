@@ -18,6 +18,7 @@ type metrics = {
   throughput : float;
   offered_load : float;
   resource_utilization : float;
+  serving_utilization : float;
   mean_queue : float;
   mean_wait : float;
   completed : int;
@@ -32,7 +33,10 @@ type proc_state = {
   mutable transmitting : (int * int) option; (* circuit id, release slot *)
 }
 
-type res_state = { mutable busy_until : int (* -1 = free *) }
+type res_state = {
+  mutable busy_until : int; (* -1 = free *)
+  mutable serving_from : int; (* first slot past the transmission *)
+}
 
 module Obs = Rsin_obs.Obs
 module Tr = Rsin_obs.Trace
@@ -48,13 +52,13 @@ let run ?obs ?(scheduler = Optimal) ?(cycle_threshold = 1)
   Network.clear_circuits net;
   let np = Network.n_procs net and nr = Network.n_res net in
   let procs = Array.init np (fun _ -> { queue = []; transmitting = None }) in
-  let ress = Array.init nr (fun _ -> { busy_until = -1 }) in
+  let ress = Array.init nr (fun _ -> { busy_until = -1; serving_from = 0 }) in
   (* Geometric service with the requested mean: success prob 1/mean,
      support >= 1. *)
   let service_time () = 1 + Prng.geometric rng (1. /. params.mean_service) in
   let arrivals = ref 0 and completed = ref 0 in
   let waits = Stats.accum () and queue_depth = Stats.accum () in
-  let busy_frac = Stats.accum () in
+  let busy_frac = Stats.accum () and serving_frac = Stats.accum () in
   let cycles = ref 0 and blocked_cycles = ref 0 and futile_cycles = ref 0 in
   let sched_clocks = ref 0 in
   let horizon = params.warmup + params.slots in
@@ -129,6 +133,7 @@ let run ?obs ?(scheduler = Optimal) ?(cycle_threshold = 1)
               Stats.observe waits (float_of_int (slot - arrival))
           | [] -> assert false);
           procs.(p).transmitting <- Some (id, slot + params.transmission_time);
+          ress.(r).serving_from <- slot + params.transmission_time;
           ress.(r).busy_until <- slot + params.transmission_time + service_time ())
         mapping circuits
     end;
@@ -136,6 +141,13 @@ let run ?obs ?(scheduler = Optimal) ?(cycle_threshold = 1)
     if measuring slot then begin
       let busy = Array.fold_left (fun acc r -> if r.busy_until >= 0 then acc + 1 else acc) 0 ress in
       Stats.observe busy_frac (float_of_int busy /. float_of_int nr);
+      let serving =
+        Array.fold_left
+          (fun acc r ->
+            if r.busy_until >= 0 && slot >= r.serving_from then acc + 1 else acc)
+          0 ress
+      in
+      Stats.observe serving_frac (float_of_int serving /. float_of_int nr);
       let queued = Array.fold_left (fun acc p -> acc + List.length p.queue) 0 procs in
       Stats.observe queue_depth (float_of_int queued /. float_of_int np)
     end;
@@ -161,6 +173,7 @@ let run ?obs ?(scheduler = Optimal) ?(cycle_threshold = 1)
   { throughput = float_of_int !completed /. slots;
     offered_load = float_of_int !arrivals /. slots;
     resource_utilization = Stats.mean busy_frac;
+    serving_utilization = Stats.mean serving_frac;
     mean_queue = Stats.mean queue_depth;
     mean_wait = (if Stats.count waits = 0 then nan else Stats.mean waits);
     completed = !completed;

@@ -32,7 +32,12 @@ type scheduler =
 type metrics = {
   throughput : float;           (** tasks completed per slot *)
   offered_load : float;         (** tasks arriving per slot *)
-  resource_utilization : float; (** mean fraction of resources busy *)
+  resource_utilization : float;
+      (** mean fraction of resources busy: held by a task, through its
+          transmission and its service *)
+  serving_utilization : float;
+      (** mean fraction of resources serving: busy and past the task's
+          transmission phase *)
   mean_queue : float;           (** mean tasks queued per processor *)
   mean_wait : float;            (** mean slots from arrival to circuit *)
   completed : int;

@@ -229,16 +229,31 @@ let parse_fields line lineno =
              in
              (unquote key, unquote value))
 
+(* Checkpoints write ints as JSON numbers, which hold every integer up
+   to 2^53 exactly and no more (Json.to_int): an id past it would be
+   written as another task's. *)
+let max_exact_int = 1 lsl 53
+
+let int_value lineno k v =
+  match int_of_string_opt v with
+  | Some n when n >= -max_exact_int && n <= max_exact_int -> n
+  | Some _ ->
+    raise (Malformed (lineno, Printf.sprintf "field %S is past +/-2^53" k))
+  | None ->
+    raise (Malformed (lineno, Printf.sprintf "field %S is not an integer" k))
+
+let opt_int_field lineno fields k =
+  match List.assoc_opt k fields with
+  | None -> None
+  | Some v -> Some (int_value lineno k v)
+
 let parse_line lineno line =
   let fields = parse_fields line lineno in
   let fail msg = raise (Malformed (lineno, msg)) in
   let int_field k =
     match List.assoc_opt k fields with
     | None -> fail (Printf.sprintf "missing field %S" k)
-    | Some v ->
-      (match int_of_string_opt v with
-      | Some n -> n
-      | None -> fail (Printf.sprintf "field %S is not an integer" k))
+    | Some v -> int_value lineno k v
   in
   match List.assoc_opt "ev" fields with
   | Some "arrive" ->
@@ -247,24 +262,14 @@ let parse_line lineno line =
     let proc = int_field "proc" in
     if proc < 0 then fail "field \"proc\" must be >= 0";
     let priority =
-      match List.assoc_opt "priority" fields with
+      match opt_int_field lineno fields "priority" with
       | None -> 0
-      | Some v ->
-        (match int_of_string_opt v with
-        | Some y when y >= 0 -> y
-        | Some _ -> fail "field \"priority\" must be >= 0"
-        | None -> fail "field \"priority\" is not an integer")
+      | Some y when y >= 0 -> y
+      | Some _ -> fail "field \"priority\" must be >= 0"
     in
     [ Arrive
         { t = int_field "t"; id = int_field "id"; proc; service;
-          deadline =
-            (match List.assoc_opt "deadline" fields with
-            | None -> None
-            | Some v ->
-              (match int_of_string_opt v with
-              | Some d -> Some d
-              | None -> fail "field \"deadline\" is not an integer"));
-          priority } ]
+          deadline = opt_int_field lineno fields "deadline"; priority } ]
   | Some "cancel" -> [ Cancel { t = int_field "t"; id = int_field "id" } ]
   | Some (("fault" | "repair") as which) ->
     let idx = int_field "idx" in
@@ -278,13 +283,9 @@ let parse_line lineno line =
       | None -> fail "missing field \"kind\""
     in
     let clock =
-      match List.assoc_opt "clock" fields with
-      | None -> None
-      | Some v ->
-        (match int_of_string_opt v with
-        | Some c when c >= 0 -> Some c
-        | Some _ -> fail "field \"clock\" must be >= 0"
-        | None -> fail "field \"clock\" is not an integer")
+      match opt_int_field lineno fields "clock" with
+      | Some c when c < 0 -> fail "field \"clock\" must be >= 0"
+      | clock -> clock
     in
     let t = int_field "t" in
     if which = "fault" then [ Fault { t; clock; element } ]

@@ -162,7 +162,8 @@ val fold_trace_channel_lenient :
 val import : string -> (trace_event list, parse_error) result
 (** Inverse of {!trace_to_jsonl}; result is time-sorted. Malformed or
     truncated input — bad JSON shape, missing or non-integer fields,
-    unknown event kinds, out-of-range values — yields a line-numbered
+    unknown event kinds, out-of-range values, any integer past ±2{^53}
+    (a checkpoint could not write it exactly) — yields a line-numbered
     [Error] instead of an exception: the first such line stops the
     read. Streams over the string with the line-at-a-time core
     {!fold_lines_lenient}. *)

@@ -5,10 +5,19 @@
 
     A pool of size [n] owns [n - 1] spawned worker domains; the caller's
     domain is always worker 0, so [create 1] spawns nothing and every
-    job runs inline — the degenerate single-core pool behaves exactly
-    like plain sequential code, which is what makes
-    [serve --domains 1] a valid determinism reference. Workers park on
-    a condition variable between calls, so an idle pool burns no CPU. *)
+    task runs inline, in {!finish} — the degenerate single-core pool
+    behaves exactly like plain sequential code, which is what makes
+    [serve --domains 1] a valid determinism reference.
+
+    A batch is handed over through one atomic generation counter per
+    worker. A waiting domain — a worker between batches, or the caller
+    in {!finish} — polls for a bounded 50 us, a few park/wake round
+    trips, before it parks on a condition variable, so back-to-back
+    batches cost no futex wake-up, and an idle pool burns at most that
+    spin before it sleeps. The spin is on only when the pool fits the
+    machine ([size <= Domain.recommended_domain_count ()]); an
+    oversubscribed pool parks at once, since a spinning worker would
+    take the core the domain it waits for needs. *)
 
 type t
 
@@ -18,20 +27,35 @@ val create : int -> t
 
 val size : t -> int
 
-val run : t -> (int -> unit) -> unit
-(** [run pool f] executes [f w] once per worker [w] (0 on the calling
-    domain, the rest concurrently) and returns when all have finished.
-    If any call raised, the first worker's exception (lowest [w]) is
-    re-raised after every worker has stopped. Not reentrant. *)
+type batch
+(** A set of tasks handed to the pool by {!start} and not yet
+    {!finish}ed. *)
+
+val start : t -> (unit -> unit) array -> batch
+(** [start pool tasks] hands [tasks] to the spawned workers and returns
+    at once, so the caller can do other work while they run. Tasks are
+    split into one chunk per worker (the caller's included), each
+    claimed through an atomic cursor; a worker that drains its own chunk
+    steals from the others, so a handful of slow tasks cannot idle the
+    rest of the pool. Order of execution is unspecified — tasks must be
+    independent of each other and of whatever the caller does before
+    {!finish}. At most one batch is in flight per pool: raises
+    [Invalid_argument] when one already is, or when the pool is shut
+    down. *)
+
+val finish : batch -> unit
+(** [finish b] makes the caller claim and run every task of [b] no
+    worker has claimed yet — its own chunk first, then the others' —
+    and then waits until the workers have finished theirs. Every task
+    runs exactly once, even when some raise; the first exception raised
+    is then re-raised here, with its backtrace, and the pool stays
+    usable. Call it exactly once per batch. *)
 
 val run_tasks : t -> (unit -> unit) array -> unit
-(** [run_tasks pool tasks] runs every task to completion across the
-    pool. Tasks are split into per-worker chunks claimed through atomic
-    cursors; a worker that drains its own chunk steals from the others,
-    so a handful of slow tasks cannot idle the rest of the pool. Order
-    of execution is unspecified — tasks must be independent. Exceptions
-    propagate as in {!run}. *)
+(** [run_tasks pool tasks] is [finish (start pool tasks)]: it runs every
+    task to completion across the pool. *)
 
 val shutdown : t -> unit
-(** Terminates and joins the worker domains. The pool must not be used
+(** Finishes a batch still in flight (dropping its exception), then
+    terminates and joins the worker domains. The pool must not be used
     afterwards. Idempotent. *)

@@ -161,16 +161,53 @@ let test_pool_run_tasks () =
       let pool = Domain_pool.create workers in
       let n = 97 in
       let hits = Array.init n (fun _ -> Atomic.make 0) in
-      Domain_pool.run_tasks pool
-        (Array.init n (fun i () -> Atomic.incr hits.(i)));
+      let tasks = Array.init n (fun i () -> Atomic.incr hits.(i)) in
+      Domain_pool.run_tasks pool tasks;
+      (* [start] returns at once; [finish] runs what no worker claimed
+         and waits for the rest. A pool of one runs everything there. *)
+      let b = Domain_pool.start pool tasks in
+      if workers = 1 then
+        check Alcotest.int "a pool of one runs no task before finish" n
+          (Array.fold_left (fun acc a -> acc + Atomic.get a) 0 hits);
+      Domain_pool.finish b;
       Domain_pool.shutdown pool;
       Array.iteri
         (fun i a ->
           check Alcotest.int
-            (Printf.sprintf "%d workers: task %d ran once" workers i)
-            1 (Atomic.get a))
+            (Printf.sprintf "%d workers: task %d ran once per batch" workers i)
+            2 (Atomic.get a))
         hits)
     [ 1; 2; 4 ]
+
+(* Thousands of batches through the spin-then-park handoff, in four
+   patterns: back to back (the waiting side is still spinning); after a
+   sleep past the spin budget (the workers have parked); with one task
+   sleeping past it (the caller parks in [finish]); and with the caller
+   sleeping between [start] and [finish] (the workers finish first). A
+   lost wake-up hangs here. *)
+let test_pool_handoff_soak () =
+  let nap () = Unix.sleepf 2e-4 in
+  List.iter
+    (fun workers ->
+      let pool = Domain_pool.create workers in
+      let runs = Atomic.make 0 in
+      let batches = 3000 in
+      for k = 1 to batches do
+        let tasks =
+          Array.init 4 (fun i () ->
+              if k mod 8 = 6 && i = 3 then nap ();
+              Atomic.incr runs)
+        in
+        if k mod 8 = 5 then nap ();
+        let b = Domain_pool.start pool tasks in
+        if k mod 8 = 7 then nap ();
+        Domain_pool.finish b
+      done;
+      Domain_pool.shutdown pool;
+      check Alcotest.int
+        (Printf.sprintf "%d workers: every task ran once" workers)
+        (4 * batches) (Atomic.get runs))
+    [ 2; 4 ]
 
 let test_pool_exception () =
   let pool = Domain_pool.create 2 in
@@ -180,9 +217,24 @@ let test_pool_exception () =
          [| (fun () -> ()); (fun () -> failwith "boom"); (fun () -> ()) |];
        false
      with Failure m -> m = "boom");
+  (* A started batch keeps a task's exception for [finish], after every
+     other task has run. *)
+  let ran = Atomic.make 0 in
+  let b =
+    Domain_pool.start pool
+      (Array.init 8 (fun i () ->
+           if i = 5 then failwith "late" else Atomic.incr ran))
+  in
+  check Alcotest.bool "a started batch raises at finish" true
+    (try
+       Domain_pool.finish b;
+       false
+     with Failure m -> m = "late");
+  check Alcotest.int "every other task ran" 7 (Atomic.get ran);
   (* The pool survives a failed batch. *)
   let ok = ref false in
   Domain_pool.run_tasks pool [| (fun () -> ok := true) |];
+  Domain_pool.finish (Domain_pool.start pool [| (fun () -> ()) |]);
   Domain_pool.shutdown pool;
   check Alcotest.bool "pool usable after failure" true !ok
 
@@ -940,6 +992,97 @@ let test_feed_rejects_duplicate_id () =
   check Alcotest.int "the cancel withdrew task 7" 1 r.Serve.cancelled;
   check Alcotest.int "the others were served" 2 r.Serve.completed
 
+(* --- Serve: the pipelined advance ----------------------------------------- *)
+
+exception Raised_at of int * string
+
+(* One arrival per slot, so every slot cycles. A cycle hook that raises
+   at slot 5 does so in the advance the slot-6 feed starts on the pool;
+   the slot-7 feed joins it and raises, at every domain count. At slot
+   10 the advance is joined by [drain]. [abort] stops the instance
+   either way. *)
+let test_serve_engine_exception () =
+  let net = Builders.multiplane ~planes:2 (Builders.omega 4) in
+  let trace =
+    List.init 12 (fun s ->
+        Workload.Arrive
+          { t = s; id = s; proc = s mod 8; service = 2; deadline = None;
+            priority = 0 })
+  in
+  List.iter
+    (fun (domains, bad, want) ->
+      let t =
+        match
+          Serve.create ~domains
+            ~cycle_hook:(fun ~shard:_ _ info ->
+              if info.Engine.time = bad then failwith "hook")
+            net
+        with
+        | Error e -> Alcotest.fail e
+        | Ok t -> t
+      in
+      let got =
+        match
+          List.iter
+            (fun ev ->
+              try Serve.feed t ev
+              with Failure m -> raise (Raised_at (Workload.event_time ev, m)))
+            trace;
+          Serve.drain t
+        with
+        | () -> "nothing raised"
+        | exception Raised_at (slot, m) ->
+          Printf.sprintf "feed of slot %d: %s" slot m
+        | exception Failure m -> "drain: " ^ m
+      in
+      check Alcotest.string
+        (Printf.sprintf "domains %d, hook fails at slot %d" domains bad)
+        want got;
+      Serve.abort t;
+      check Alcotest.int "the aborted instance still reports" domains
+        (Serve.report t).Serve.domains)
+    [ (1, 5, "feed of slot 7: hook"); (2, 5, "feed of slot 7: hook");
+      (1, 10, "drain: hook"); (2, 10, "drain: hook") ]
+
+(* A snapshot mid-slot routes the events buffered so far and starts no
+   advance, so the slot's later events still reach shards that have not
+   served it: the run ends on the same report and the same checkpoint
+   bytes as a run that never took the snapshot. *)
+let test_serve_mid_slot_snapshot () =
+  let net = Builders.multiplane ~planes:2 (Builders.omega 8) in
+  let trace =
+    Workload.synthesize ~deadline_slack:10 ~cancel_prob:0.1 (Prng.create 5)
+      net ~slots:40 ~arrival_prob:0.4
+  in
+  let mid = 20 in
+  let at_mid = List.filter (fun ev -> Workload.event_time ev = mid) trace in
+  check Alcotest.bool "the snapshot slot has several events" true
+    (List.length at_mid > 1);
+  let serve ~domains ~snap =
+    match Serve.create ~domains net with
+    | Error e -> Alcotest.fail e
+    | Ok t ->
+      List.iter
+        (fun ev ->
+          Serve.feed t ev;
+          if snap && ev == List.hd at_mid then ignore (Serve.snapshot t))
+        trace;
+      let bytes = Json.to_string (Serve.snapshot t) in
+      Serve.drain t;
+      (bytes, { (Serve.report t) with Serve.wall_us = 0. })
+  in
+  List.iter
+    (fun domains ->
+      let bytes, report = serve ~domains ~snap:false in
+      let bytes', report' = serve ~domains ~snap:true in
+      check Alcotest.string
+        (Printf.sprintf "domains %d: same checkpoint bytes" domains)
+        bytes bytes';
+      check Alcotest.bool
+        (Printf.sprintf "domains %d: same report" domains)
+        true (report = report'))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "multiplane shape and isolation" `Quick
@@ -959,6 +1102,7 @@ let suite =
       test_pool_run_tasks;
     Alcotest.test_case "domain pool propagates exceptions" `Quick
       test_pool_exception;
+    Alcotest.test_case "domain pool handoff soak" `Quick test_pool_handoff_soak;
     Alcotest.test_case "serve merged differential vs dinic" `Slow
       test_serve_merged_differential;
     Alcotest.test_case "serve single shard = plain engine" `Quick
@@ -982,4 +1126,8 @@ let suite =
       test_feed_rejects_out_of_range;
     Alcotest.test_case "feed rejects duplicate task ids" `Quick
       test_feed_rejects_duplicate_id;
+    Alcotest.test_case "engine exception surfaces at the next join" `Quick
+      test_serve_engine_exception;
+    Alcotest.test_case "mid-slot snapshot changes nothing" `Quick
+      test_serve_mid_slot_snapshot;
   ]

@@ -314,6 +314,51 @@ let test_import_error_lines () =
                 \"clock\":-3}",
         2 ) ]
 
+(* A checkpoint writes ints as doubles, exact only up to 2^53: an id of
+   2^53 + 1 used to be read, then checkpointed as 2^53. Every int field
+   past +/-2^53 is now a line-numbered error; 2^53 itself still reads. *)
+let test_import_rejects_inexact_ints () =
+  let p53 = 1 lsl 53 in
+  let good = "{\"t\":0,\"ev\":\"arrive\",\"id\":0,\"proc\":1,\"service\":2}\n" in
+  let arrive ?(t = 1) ?(id = 1) ?(proc = 1) ?(service = 2) ?(deadline = 5)
+      ?(priority = 0) () =
+    Printf.sprintf
+      "{\"t\":%d,\"ev\":\"arrive\",\"id\":%d,\"proc\":%d,\"service\":%d,\
+       \"deadline\":%d,\"priority\":%d}"
+      t id proc service deadline priority
+  in
+  let fault ?(t = 1) ?(idx = 0) ?(clock = 0) () =
+    Printf.sprintf
+      "{\"t\":%d,\"ev\":\"fault\",\"kind\":\"link\",\"idx\":%d,\"clock\":%d}"
+      t idx clock
+  in
+  (match Workload.import (good ^ arrive ~id:p53 ~deadline:(-p53) ()) with
+  | Ok [ _; Workload.Arrive a ] ->
+    check Alcotest.int "id 2^53 reads" p53 a.id;
+    check Alcotest.(option int) "deadline -2^53 reads" (Some (-p53))
+      a.deadline
+  | Ok _ -> Alcotest.fail "wrong events"
+  | Error e -> Alcotest.failf "line %d: %s" e.Workload.line e.Workload.message);
+  List.iter
+    (fun (field, line) ->
+      match Workload.import (good ^ line) with
+      | Ok _ -> Alcotest.failf "accepted %s past 2^53" field
+      | Error e ->
+        check Alcotest.int (field ^ ": error line") 2 e.Workload.line;
+        check Alcotest.string (field ^ ": message")
+          (Printf.sprintf "field %S is past +/-2^53" field)
+          e.Workload.message)
+    [ ("t", arrive ~t:(p53 + 1) ());
+      ("id", arrive ~id:(p53 + 1) ());
+      ("id", Printf.sprintf "{\"t\":1,\"ev\":\"cancel\",\"id\":%d}" (-p53 - 1));
+      ("proc", arrive ~proc:(p53 + 1) ());
+      ("service", arrive ~service:max_int ());
+      ("deadline", arrive ~deadline:(p53 + 1) ());
+      ("priority", arrive ~priority:(p53 + 1) ());
+      ("t", fault ~t:min_int ());
+      ("idx", fault ~idx:(p53 + 1) ());
+      ("clock", fault ~clock:(p53 + 1) ()) ]
+
 (* The clocked fault form round-trips, and clock-free events keep the
    original on-disk format (no "clock" key at all). *)
 let test_clocked_fault_roundtrip () =
@@ -397,6 +442,8 @@ let suite =
     Alcotest.test_case "trace jsonl rejects garbage" `Quick
       test_trace_jsonl_rejects_garbage;
     Alcotest.test_case "import error lines" `Quick test_import_error_lines;
+    Alcotest.test_case "import rejects ints past 2^53" `Quick
+      test_import_rejects_inexact_ints;
     Alcotest.test_case "clocked fault roundtrip" `Quick
       test_clocked_fault_roundtrip;
     import_fuzz;
