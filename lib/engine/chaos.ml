@@ -351,24 +351,22 @@ let run ?(quick = false) ?(seed = 0xC4A05) ?slots () =
       (default_topologies ())
     |> Result.map List.rev
 
-let jint n = Json.Num (float_of_int n)
-
 let outcome_json o =
   Json.Obj
     [ ("topology", Json.Str o.topology);
-      ("slots", jint o.slots);
-      ("events", jint o.events);
-      ("stream_errors", jint o.stream_errors);
-      ("accounting_checks", jint o.checks);
-      ("faults", jint o.faults);
-      ("victims", jint o.victims);
-      ("shed", jint o.shed);
-      ("given_up", jint o.given_up);
-      ("retries", jint o.retries);
-      ("quarantines", jint o.quarantines);
-      ("arrivals", jint o.arrivals);
-      ("completed", jint o.completed);
-      ("baseline_completed", jint o.baseline_completed);
+      ("slots", Json.int o.slots);
+      ("events", Json.int o.events);
+      ("stream_errors", Json.int o.stream_errors);
+      ("accounting_checks", Json.int o.checks);
+      ("faults", Json.int o.faults);
+      ("victims", Json.int o.victims);
+      ("shed", Json.int o.shed);
+      ("given_up", Json.int o.given_up);
+      ("retries", Json.int o.retries);
+      ("quarantines", Json.int o.quarantines);
+      ("arrivals", Json.int o.arrivals);
+      ("completed", Json.int o.completed);
+      ("baseline_completed", Json.int o.baseline_completed);
       ("throughput_retained", Json.Num o.throughput_retained);
       ("restore_identical", Json.Bool o.restore_identical);
       ("token_soak", Json.Bool o.token_soak) ]

@@ -1,6 +1,7 @@
 module Heap = Rsin_util.Heap
 module Stats = Rsin_util.Stats
 module Json = Rsin_util.Json
+module D = Json.Decode
 module Network = Rsin_topology.Network
 module Transform1 = Rsin_core.Transform1
 module Transform2 = Rsin_core.Transform2
@@ -116,10 +117,10 @@ module Config = struct
       [ ("mode", Json.Str (mode_name t.mode));
         ("discipline", Json.Str (discipline_name t.discipline));
         ("solver", Json.Str t.solver);
-        ("transmission_time", Json.Num (float_of_int t.transmission_time));
-        ("batch_threshold", Json.Num (float_of_int t.batch_threshold));
-        ("max_defer", Json.Num (float_of_int t.max_defer));
-        ("heartbeat", Json.Num (float_of_int t.heartbeat));
+        ("transmission_time", Json.int t.transmission_time);
+        ("batch_threshold", Json.int t.batch_threshold);
+        ("max_defer", Json.int t.max_defer);
+        ("heartbeat", Json.int t.heartbeat);
         ( "faults",
           match t.faults with
           | None -> Json.Null
@@ -132,66 +133,32 @@ module Config = struct
           match t.guard with None -> Json.Null | Some g -> Policy.to_json g )
       ]
 
-  let ( let* ) = Result.bind
-
-  (* Every field is optional in the document (missing = default), but a
-     present field of the wrong shape is an error, not a silent default:
-     a config that decodes must mean what it says. *)
+  (* A field not given takes [make]'s default, and [make] re-validates;
+     a field given with the wrong shape is an error, not a silent
+     default: a config that decodes must mean what it says. *)
   let of_json j =
-    let field name conv ~default =
-      match Json.member name j with
-      | None | Some Json.Null -> Ok default
-      | Some v -> (
-        match conv v with
-        | Some x -> Ok x
-        | None -> Error (Printf.sprintf "Engine.Config: bad field %S" name))
-    in
-    match Json.to_obj j with
-    | None -> Error "Engine.Config: expected a JSON object"
-    | Some _ ->
-      let* mode =
-        let* s = field "mode" Json.to_str ~default:"warm" in
-        mode_of_name s
-      in
-      let* discipline =
-        let* s = field "discipline" Json.to_str ~default:"uniform" in
-        discipline_of_name s
-      in
-      let* solver = field "solver" Json.to_str ~default:"dinic" in
-      let* transmission_time =
-        field "transmission_time" Json.to_int ~default:1
-      in
-      let* batch_threshold = field "batch_threshold" Json.to_int ~default:1 in
-      let* max_defer = field "max_defer" Json.to_int ~default:16 in
-      let* heartbeat = field "heartbeat" Json.to_int ~default:0 in
-      let* faults =
-        match Json.member "faults" j with
-        | None | Some Json.Null -> Ok None
-        | Some fj -> (
-          match
-            ( Option.bind (Json.member "mtbf" fj) Json.to_num,
-              Option.bind (Json.member "mttr" fj) Json.to_num,
-              match Json.member "granularity" fj with
-              | None -> Some `Slot
-              | Some g -> (
-                match Json.to_str g with
-                | Some "slot" -> Some `Slot
-                | Some "clock" -> Some `Clock
-                | Some _ | None -> None) )
-          with
-          | Some mtbf, Some mttr, Some granularity ->
-            Ok (Some { mtbf; mttr; granularity })
-          | _ -> Error "Engine.Config: bad field \"faults\"")
-      in
-      let* guard =
-        match Json.member "guard" j with
-        | None | Some Json.Null -> Ok None
-        | Some gj ->
-          let* g = Policy.of_json gj in
-          Ok (Some g)
-      in
-      make ~mode ~discipline ~solver ~transmission_time ~batch_threshold
-        ~max_defer ~heartbeat ~faults ~guard ()
+    Result.join
+    @@ D.run ~what:"Engine.Config" (fun () ->
+           let named k of_name = D.opt k (fun v -> D.ok (of_name (D.str v))) j in
+           let int k = D.opt k D.int j in
+           let fault_plan fj =
+             { mtbf = D.field "mtbf" D.num fj;
+               mttr = D.field "mttr" D.num fj;
+               granularity =
+                 (match D.opt "granularity" D.str fj with
+                 | None | Some "slot" -> `Slot
+                 | Some "clock" -> `Clock
+                 | Some g -> D.fail "unknown granularity %S" g) }
+           in
+           make ?mode:(named "mode" mode_of_name)
+             ?discipline:(named "discipline" discipline_of_name)
+             ?solver:(D.opt "solver" D.str j)
+             ?transmission_time:(int "transmission_time")
+             ?batch_threshold:(int "batch_threshold")
+             ?max_defer:(int "max_defer") ?heartbeat:(int "heartbeat")
+             ~faults:(D.opt "faults" fault_plan j)
+             ~guard:(D.opt "guard" (fun v -> D.ok (Policy.of_json v)) j)
+             ())
 end
 
 type cycle_info = {
@@ -421,16 +388,23 @@ let create ?obs ?(config = Config.default) ?cycle_hook ?event_hook net =
   for r = 0 to nr - 1 do sync_res t r done;
   t
 
+(* What an arrival must satisfy before it may enter the event heap,
+   from a trace or from a checkpoint. *)
+let arrival_error t ~proc ~service ~priority =
+  if proc < 0 || proc >= t.np then Some "bad processor"
+  else if service < 1 then Some "bad service time"
+  else if priority < 0 then Some "bad priority"
+  else None
+
 let feed t ev =
   let time = Workload.event_time ev in
   if time <= t.served_upto then
     invalid_arg "Engine.feed: event at or before an already-served slot";
   match ev with
   | Workload.Arrive { t = time; id; proc; service; deadline; priority } ->
-    if proc < 0 || proc >= t.np then
-      invalid_arg "Engine.feed: bad processor in trace";
-    if service < 1 then invalid_arg "Engine.feed: bad service time in trace";
-    if priority < 0 then invalid_arg "Engine.feed: bad priority in trace";
+    Option.iter
+      (fun m -> invalid_arg ("Engine.feed: " ^ m ^ " in trace"))
+      (arrival_error t ~proc ~service ~priority);
     push t time (Ev_arrive { id; proc; service; deadline; priority })
   | Workload.Cancel { t = time; id } -> push t time (Ev_cancel id)
   | Workload.Fault { t = time; clock; element } ->
@@ -533,6 +507,21 @@ let set_elt_quarantined net e q =
   | Fault.Box b -> Network.set_box_quarantined net b q
   | Fault.Res r -> Network.set_res_quarantined net r q
 
+(* Re-derives each free link the element touches from the network's
+   usable mask, and a resource port's arc: a repair or a lifted
+   quarantine must not re-enable a link still masked by another down
+   element or held by a pre-established circuit. *)
+let resync_element t e =
+  (match t.inc with
+  | Some i ->
+    List.iter
+      (fun l ->
+        if Network.link_state t.net l = Network.Free then
+          Incremental.set_link_usable i l (Network.usable t.net l))
+      (Fault.affected_links t.net e)
+  | None -> ());
+  match e with Fault.Res r -> sync_res t r | Fault.Link _ | Fault.Box _ -> ()
+
 let apply_fault t now fev =
   let element = Fault.element fev in
   Fault.apply t.net fev;
@@ -562,41 +551,18 @@ let apply_fault t now fev =
         if t.tracing then
           Obs.instant t.obs "engine.quarantine" ~ts:now
             ~args:
-              [ ( "element",
-                  Tr.Str
-                    (match element with
-                    | Fault.Link l -> Printf.sprintf "link%d" l
-                    | Fault.Box b -> Printf.sprintf "box%d" b
-                    | Fault.Res r -> Printf.sprintf "res%d" r) );
+              [ ("element", Tr.Str (Fault.element_name element));
                 ("until", Tr.Int until) ]
       | None -> ())
     | None -> ()
   end
   else t.repairs <- t.repairs + 1;
-  (* Re-derive every affected link's capacity from the network — a
-     repair must not re-enable a link still masked by another down
-     element or held by a pre-established circuit. *)
-  (match t.inc with
-  | Some i ->
-    List.iter
-      (fun l ->
-        if Network.link_state t.net l = Network.Free then
-          Incremental.set_link_usable i l (Network.usable t.net l))
-      (Fault.affected_links t.net element)
-  | None -> ());
-  (match element with
-  | Fault.Res r -> sync_res t r
-  | Fault.Link _ | Fault.Box _ -> ());
+  resync_element t element;
   if t.tracing then
     Obs.instant t.obs "engine.fault" ~ts:now
       ~args:
         [ ("event", Tr.Str (if Fault.is_down fev then "down" else "up"));
-          ( "element",
-            Tr.Str
-              (match element with
-              | Fault.Link l -> Printf.sprintf "link%d" l
-              | Fault.Box b -> Printf.sprintf "box%d" b
-              | Fault.Res r -> Printf.sprintf "res%d" r) );
+          ("element", Tr.Str (Fault.element_name element));
           ("victims", Tr.Int t.victims) ]
 
 (* Returns true when the event changed engine state (used for the
@@ -725,19 +691,8 @@ let process t now = function
   | Ev_unquarantine e ->
     (match t.flap with Some fl -> Flap.release fl e | None -> ());
     set_elt_quarantined t.net e false;
-    (* Same re-derivation as a repair: the element may still be masked
-       by a genuinely down neighbour. *)
-    (match t.inc with
-    | Some i ->
-      List.iter
-        (fun l ->
-          if Network.link_state t.net l = Network.Free then
-            Incremental.set_link_usable i l (Network.usable t.net l))
-        (Fault.affected_links t.net e)
-    | None -> ());
-    (match e with
-    | Fault.Res r -> sync_res t r
-    | Fault.Link _ | Fault.Box _ -> ());
+    (* The element may still be masked by a genuinely down neighbour. *)
+    resync_element t e;
     true
   | Ev_wake -> false
 
@@ -1113,109 +1068,95 @@ let check_accounting t =
 
 let checkpoint_schema = "rsin-engine-checkpoint/v1"
 
-exception Restore_error of string
+let json_ints l = Json.Arr (List.map Json.int l)
 
-let rfail fmt = Printf.ksprintf (fun m -> raise (Restore_error m)) fmt
-
-let jint n = Json.Num (float_of_int n)
-
-let jints l = Json.Arr (List.map jint l)
-
-let elt_fields = function
-  | Fault.Link l -> ("link", l)
-  | Fault.Res r -> ("res", r)
-  | Fault.Box b -> ("box", b)
-
-let elt_json e =
-  let kind, idx = elt_fields e in
-  [ ("kind", Json.Str kind); ("idx", jint idx) ]
-
-let elt_of_fields j =
-  match
-    ( Option.bind (Json.member "kind" j) Json.to_str,
-      Option.bind (Json.member "idx" j) Json.to_int )
-  with
-  | Some "link", Some i -> Fault.Link i
-  | Some "res", Some i -> Fault.Res i
-  | Some "box", Some i -> Fault.Box i
-  | _ -> rfail "checkpoint: malformed element"
+(* Every checkpointed counter, in the order the snapshot writes them:
+   [snapshot] and [restore] both walk this one table. *)
+let counters : (string * (t -> int) * (t -> int -> unit)) list =
+  [ ("arrivals", (fun t -> t.arrivals), fun t n -> t.arrivals <- n);
+    ("allocated", (fun t -> t.allocated), fun t n -> t.allocated <- n);
+    ("completed", (fun t -> t.completed), fun t n -> t.completed <- n);
+    ("cancelled", (fun t -> t.cancelled), fun t n -> t.cancelled <- n);
+    ("expired", (fun t -> t.expired), fun t n -> t.expired <- n);
+    ("cycles", (fun t -> t.cycles), fun t n -> t.cycles <- n);
+    ( "skipped_cycles",
+      (fun t -> t.skipped_cycles),
+      fun t n -> t.skipped_cycles <- n );
+    ("solver_work", (fun t -> t.solver_work), fun t n -> t.solver_work <- n);
+    ("faults", (fun t -> t.faults), fun t n -> t.faults <- n);
+    ("repairs", (fun t -> t.repairs), fun t n -> t.repairs <- n);
+    ("victims", (fun t -> t.victims), fun t n -> t.victims <- n);
+    ("shed", (fun t -> t.shed), fun t n -> t.shed <- n);
+    ("given_up", (fun t -> t.given_up), fun t n -> t.given_up <- n);
+    ("retries", (fun t -> t.retries), fun t n -> t.retries <- n);
+    ("quarantines", (fun t -> t.quarantines), fun t n -> t.quarantines <- n);
+    ("busy_slots", (fun t -> t.busy_slots), fun t n -> t.busy_slots <- n);
+    ("horizon", (fun t -> t.horizon), fun t n -> t.horizon <- n);
+    ("max_wait", (fun t -> t.max_wait), fun t n -> t.max_wait <- n);
+    ("events_seen", (fun t -> t.events_seen), fun t n -> t.events_seen <- n);
+    ("next_live", (fun t -> t.next_live), fun t n -> t.next_live <- n);
+    ("next_seq", (fun t -> t.next_seq), fun t n -> t.next_seq <- n) ]
 
 let ev_to_json = function
   | Ev_arrive { id; proc; service; deadline; priority } ->
     Json.Obj
-      ([ ("ev", Json.Str "arrive"); ("id", jint id); ("proc", jint proc);
-         ("service", jint service); ("priority", jint priority) ]
-      @ match deadline with None -> [] | Some d -> [ ("deadline", jint d) ])
-  | Ev_cancel id -> Json.Obj [ ("ev", Json.Str "cancel"); ("id", jint id) ]
-  | Ev_release li -> Json.Obj [ ("ev", Json.Str "release"); ("li", jint li) ]
-  | Ev_complete li -> Json.Obj [ ("ev", Json.Str "complete"); ("li", jint li) ]
+      ([ ("ev", Json.Str "arrive"); ("id", Json.int id);
+         ("proc", Json.int proc); ("service", Json.int service);
+         ("priority", Json.int priority) ]
+      @ match deadline with None -> [] | Some d -> [ ("deadline", Json.int d) ])
+  | Ev_cancel id -> Json.Obj [ ("ev", Json.Str "cancel"); ("id", Json.int id) ]
+  | Ev_release li -> Json.Obj [ ("ev", Json.Str "release"); ("li", Json.int li) ]
+  | Ev_complete li ->
+    Json.Obj [ ("ev", Json.Str "complete"); ("li", Json.int li) ]
   | Ev_fault (fev, clock) ->
     Json.Obj
       ([ ("ev", Json.Str "fault");
          ("dir", Json.Str (if Fault.is_down fev then "down" else "up")) ]
-      @ elt_json (Fault.element fev)
-      @ match clock with None -> [] | Some c -> [ ("clock", jint c) ])
-  | Ev_deadline id -> Json.Obj [ ("ev", Json.Str "deadline"); ("id", jint id) ]
+      @ Fault.element_fields (Fault.element fev)
+      @ match clock with None -> [] | Some c -> [ ("clock", Json.int c) ])
+  | Ev_deadline id ->
+    Json.Obj [ ("ev", Json.Str "deadline"); ("id", Json.int id) ]
   | Ev_wake -> Json.Obj [ ("ev", Json.Str "wake") ]
-  | Ev_retry id -> Json.Obj [ ("ev", Json.Str "retry"); ("id", jint id) ]
-  | Ev_unquarantine e -> Json.Obj (("ev", Json.Str "unquarantine") :: elt_json e)
+  | Ev_retry id -> Json.Obj [ ("ev", Json.Str "retry"); ("id", Json.int id) ]
+  | Ev_unquarantine e ->
+    Json.Obj (("ev", Json.Str "unquarantine") :: Fault.element_fields e)
 
-let jget j k =
-  match Json.member k j with
-  | Some v -> v
-  | None -> rfail "checkpoint: missing field %S" k
-
-let jgeti j k =
-  match Json.to_int (jget j k) with
-  | Some n -> n
-  | None -> rfail "checkpoint: field %S is not an integer" k
-
-let jgeti_opt j k = Option.bind (Json.member k j) Json.to_int
-
-let jgets j k =
-  match Json.to_str (jget j k) with
-  | Some s -> s
-  | None -> rfail "checkpoint: field %S is not a string" k
-
-let jgetl j k =
-  match Json.to_list (jget j k) with
-  | Some l -> l
-  | None -> rfail "checkpoint: field %S is not an array" k
-
-let jgetil j k =
-  List.map
-    (fun v ->
-      match Json.to_int v with
-      | Some n -> n
-      | None -> rfail "checkpoint: field %S holds a non-integer" k)
-    (jgetl j k)
-
-let jgetb j k =
-  match jget j k with
-  | Json.Bool b -> b
-  | _ -> rfail "checkpoint: field %S is not a boolean" k
-
-let ev_of_json j =
-  let elt () = elt_of_fields j in
-  match jgets j "ev" with
+(* A restored heap event carries only what live input could: an arrival
+   passes [feed]'s checks, and an element names one of the network's. *)
+let ev_of_json t j =
+  let element () =
+    let e = Fault.decode_element j in
+    if not (Fault.in_range t.net e) then
+      D.fail "%s is not an element of %s" (Fault.element_name e)
+        (Network.name t.net);
+    e
+  in
+  let id () = D.field "id" D.int j and li () = D.field "li" D.int j in
+  match D.field "ev" D.str j with
   | "arrive" ->
+    let proc = D.field "proc" D.int j and service = D.field "service" D.int j in
+    let priority = D.field "priority" D.int j in
+    (match arrival_error t ~proc ~service ~priority with
+    | Some m -> D.fail "%s" m
+    | None -> ());
     Ev_arrive
-      { id = jgeti j "id"; proc = jgeti j "proc"; service = jgeti j "service";
-        deadline = jgeti_opt j "deadline"; priority = jgeti j "priority" }
-  | "cancel" -> Ev_cancel (jgeti j "id")
-  | "release" -> Ev_release (jgeti j "li")
-  | "complete" -> Ev_complete (jgeti j "li")
+      { id = id (); proc; service; priority; deadline = D.opt "deadline" D.int j }
+  | "cancel" -> Ev_cancel (id ())
+  | "release" -> Ev_release (li ())
+  | "complete" -> Ev_complete (li ())
   | "fault" ->
-    let dir = jgets j "dir" in
-    if dir <> "down" && dir <> "up" then
-      rfail "checkpoint: bad fault direction %S" dir;
-    let mk = if dir = "down" then Fault.down_of else Fault.up_of in
-    Ev_fault (mk (elt ()), jgeti_opt j "clock")
-  | "deadline" -> Ev_deadline (jgeti j "id")
+    let mk =
+      match D.field "dir" D.str j with
+      | "down" -> Fault.down_of
+      | "up" -> Fault.up_of
+      | dir -> D.fail "bad fault direction %S" dir
+    in
+    Ev_fault (mk (element ()), D.opt "clock" D.int j)
+  | "deadline" -> Ev_deadline (id ())
   | "wake" -> Ev_wake
-  | "retry" -> Ev_retry (jgeti j "id")
-  | "unquarantine" -> Ev_unquarantine (elt ())
-  | k -> rfail "checkpoint: unknown event kind %S" k
+  | "retry" -> Ev_retry (id ())
+  | "unquarantine" -> Ev_unquarantine (element ())
+  | k -> D.fail "unknown event kind %S" k
 
 (* A fresh accumulator holds +/-infinity extremes, which the Json
    printer would turn into null — so extremes are only present when
@@ -1223,22 +1164,18 @@ let ev_of_json j =
 let accum_to_json a =
   let n, mean, m2, lo, hi = Stats.accum_state a in
   Json.Obj
-    (("n", jint n)
+    (("n", Json.int n)
     ::
     (if n = 0 then []
      else
        [ ("mean", Json.Num mean); ("m2", Json.Num m2); ("lo", Json.Num lo);
          ("hi", Json.Num hi) ]))
 
-let accum_restore_json a j =
-  let num k =
-    match Json.to_num (jget j k) with
-    | Some x -> x
-    | None -> rfail "checkpoint: field %S is not a number" k
-  in
-  let n = jgeti j "n" in
-  if n = 0 then Stats.accum_restore a (0, 0., 0., infinity, neg_infinity)
-  else Stats.accum_restore a (n, num "mean", num "m2", num "lo", num "hi")
+let accum_restore a j =
+  let num k = D.field k D.num j in
+  match D.field "n" D.int j with
+  | 0 -> Stats.accum_restore a (0, 0., 0., infinity, neg_infinity)
+  | n -> Stats.accum_restore a (n, num "mean", num "m2", num "lo", num "hi")
 
 (* Drain-and-readd: the heap has no iterator, but keys are preserved
    so the engine continues unperturbed afterwards. *)
@@ -1265,24 +1202,27 @@ let snapshot t =
     |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
     |> List.map (fun (id, task) ->
            Json.Obj
-             ([ ("id", jint id); ("arrival", jint task.arrival);
-                ("service", jint task.service); ("priority", jint task.priority);
+             ([ ("id", Json.int id); ("arrival", Json.int task.arrival);
+                ("service", Json.int task.service);
+                ("priority", Json.int task.priority);
                 ("queued", Json.Bool task.queued) ]
              @
              match task.deadline with
              | None -> []
-             | Some d -> [ ("deadline", jint d) ]))
+             | Some d -> [ ("deadline", Json.int d) ]))
   in
   let lives =
     Hashtbl.fold (fun li l acc -> (li, l) :: acc) t.lives []
     |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
     |> List.map (fun (li, (l : live)) ->
            Json.Obj
-             [ ("li", jint li); ("proc", jint l.lproc); ("res", jint l.lres);
-               ("task", jint l.task_id); ("committed_at", jint l.committed_at);
-               ("service", jint l.lservice); ("released", Json.Bool l.released);
+             [ ("li", Json.int li); ("proc", Json.int l.lproc);
+               ("res", Json.int l.lres); ("task", Json.int l.task_id);
+               ("committed_at", Json.int l.committed_at);
+               ("service", Json.int l.lservice);
+               ("released", Json.Bool l.released);
                ( "links",
-                 jints
+                 json_ints
                    (if l.released then []
                     else snd (List.find (fun (id, _) -> id = l.net_id)
                                 (Network.circuits t.net))) ) ])
@@ -1290,12 +1230,13 @@ let snapshot t =
   let int_pairs tbl ka kb =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort compare
-    |> List.map (fun (k, v) -> Json.Obj [ (ka, jint k); (kb, jint v) ])
+    |> List.map (fun (k, v) -> Json.Obj [ (ka, Json.int k); (kb, Json.int v) ])
   in
   let heap =
     List.map
       (fun ((time, seq), ev) ->
-        Json.Obj [ ("t", jint time); ("seq", jint seq); ("ev", ev_to_json ev) ])
+        Json.Obj
+          [ ("t", Json.int time); ("seq", Json.int seq); ("ev", ev_to_json ev) ])
       (heap_entries t)
   in
   Json.Obj
@@ -1304,35 +1245,25 @@ let snapshot t =
       ( "net",
         Json.Obj
           [ ("name", Json.Str (Network.name t.net));
-            ("n_procs", jint t.np); ("n_res", jint t.nr);
-            ("n_links", jint nl); ("n_boxes", jint nb);
-            ("link_down", jints (down nl Network.link_up));
-            ("box_down", jints (down nb Network.box_up));
-            ("res_down", jints (down t.nr Network.res_up));
-            ("link_quarantined", jints (flagged nl Network.link_quarantined));
-            ("box_quarantined", jints (flagged nb Network.box_quarantined));
-            ("res_quarantined", jints (flagged t.nr Network.res_quarantined)) ] );
+            ("n_procs", Json.int t.np); ("n_res", Json.int t.nr);
+            ("n_links", Json.int nl); ("n_boxes", Json.int nb);
+            ("link_down", json_ints (down nl Network.link_up));
+            ("box_down", json_ints (down nb Network.box_up));
+            ("res_down", json_ints (down t.nr Network.res_up));
+            ("link_quarantined", json_ints (flagged nl Network.link_quarantined));
+            ("box_quarantined", json_ints (flagged nb Network.box_quarantined));
+            ( "res_quarantined",
+              json_ints (flagged t.nr Network.res_quarantined) ) ] );
       ( "counters",
-        Json.Obj
-          [ ("arrivals", jint t.arrivals); ("allocated", jint t.allocated);
-            ("completed", jint t.completed); ("cancelled", jint t.cancelled);
-            ("expired", jint t.expired); ("cycles", jint t.cycles);
-            ("skipped_cycles", jint t.skipped_cycles);
-            ("solver_work", jint t.solver_work); ("faults", jint t.faults);
-            ("repairs", jint t.repairs); ("victims", jint t.victims);
-            ("shed", jint t.shed); ("given_up", jint t.given_up);
-            ("retries", jint t.retries); ("quarantines", jint t.quarantines);
-            ("busy_slots", jint t.busy_slots); ("horizon", jint t.horizon);
-            ("max_wait", jint t.max_wait); ("events_seen", jint t.events_seen);
-            ("next_live", jint t.next_live); ("next_seq", jint t.next_seq) ] );
+        Json.Obj (List.map (fun (k, get, _) -> (k, Json.int (get t))) counters) );
       ( "served_upto",
-        if t.served_upto = min_int then Json.Null else jint t.served_upto );
+        if t.served_upto = min_int then Json.Null else Json.int t.served_upto );
       ("waits", accum_to_json t.waits);
       ("readmissions", accum_to_json t.readmissions);
       ("tasks", Json.Arr tasks);
-      ("queues", Json.Arr (Array.to_list (Array.map jints t.queues)));
+      ("queues", Json.Arr (Array.to_list (Array.map json_ints t.queues)));
       ( "requesting",
-        jints
+        json_ints
           (List.filter (fun p -> t.requesting.(p)) (List.init t.np Fun.id)) );
       ("lives", Json.Arr lives);
       ("victim_at", Json.Arr (int_pairs t.victim_at "task" "at"));
@@ -1347,171 +1278,164 @@ let snapshot t =
         | Some i ->
           Json.Obj
             [ ("dirty", Json.Bool (Incremental.dirty i));
-              ("pending_ops", jint (Incremental.pending_ops i));
-              ("total_work", jint (Incremental.total_work i)) ] ) ]
+              ("pending_ops", Json.int (Incremental.pending_ops i));
+              ("total_work", Json.int (Incremental.total_work i)) ] ) ]
 
+(* Raises [D.Error], or [Invalid_argument] where the network or the warm
+   graph refuses what the document asks of it. *)
 let restore_exn ?obs ?cycle_hook ?event_hook net j =
-  (match Json.to_obj j with
-  | Some _ -> ()
-  | None -> rfail "checkpoint: expected a JSON object");
-  let schema = jgets j "schema" in
+  let schema = D.field "schema" D.str j in
   if schema <> checkpoint_schema then
-    rfail "checkpoint: unsupported schema %S (want %S)" schema checkpoint_schema;
-  let config =
-    match Config.of_json (jget j "config") with
-    | Ok c -> c
-    | Error m -> rfail "%s" m
-  in
+    D.fail "unsupported schema %S (want %S)" schema checkpoint_schema;
+  let config = D.field "config" (fun v -> D.ok (Config.of_json v)) j in
   if not (Network.all_up net && Network.circuits net = []) then
-    rfail "checkpoint: restore needs a pristine network";
-  let nj = jget j "net" in
-  if jgets nj "name" <> Network.name net
-     || jgeti nj "n_procs" <> Network.n_procs net
-     || jgeti nj "n_res" <> Network.n_res net
-     || jgeti nj "n_links" <> Network.n_links net
-     || jgeti nj "n_boxes" <> Network.n_boxes net
-  then
-    rfail "checkpoint: network mismatch (snapshot taken on %s %dx%d)"
-      (jgets nj "name") (jgeti nj "n_procs") (jgeti nj "n_res");
+    D.fail "restore needs a pristine network";
+  let np = Network.n_procs net and nr = Network.n_res net in
+  let nl = Network.n_links net and nb = Network.n_boxes net in
+  (* Health and quarantine flags, applied once the engine exists. *)
+  let flags =
+    D.field "net"
+      (fun nj ->
+        let name = D.field "name" D.str nj and dim k = D.field k D.int nj in
+        if name <> Network.name net || dim "n_procs" <> np || dim "n_res" <> nr
+           || dim "n_links" <> nl || dim "n_boxes" <> nb
+        then
+          D.fail "network mismatch (snapshot taken on %s %dx%d)" name
+            (dim "n_procs") (dim "n_res");
+        let ids k n = D.field k (D.list (D.index n)) nj in
+        [ (ids "link_down" nl, fun net l -> Network.set_link_up net l false);
+          (ids "box_down" nb, fun net b -> Network.set_box_up net b false);
+          (ids "res_down" nr, fun net r -> Network.set_res_up net r false);
+          ( ids "link_quarantined" nl,
+            fun net l -> Network.set_link_quarantined net l true );
+          ( ids "box_quarantined" nb,
+            fun net b -> Network.set_box_quarantined net b true );
+          ( ids "res_quarantined" nr,
+            fun net r -> Network.set_res_quarantined net r true ) ])
+      j
+  in
   let t = create ?obs ~config ?cycle_hook ?event_hook net in
-  (* Health and quarantine flags, then re-derive every warm link
-     capacity and resource arc from them. *)
-  List.iter (fun l -> Network.set_link_up t.net l false) (jgetil nj "link_down");
-  List.iter (fun b -> Network.set_box_up t.net b false) (jgetil nj "box_down");
-  List.iter (fun r -> Network.set_res_up t.net r false) (jgetil nj "res_down");
-  List.iter
-    (fun l -> Network.set_link_quarantined t.net l true)
-    (jgetil nj "link_quarantined");
-  List.iter
-    (fun b -> Network.set_box_quarantined t.net b true)
-    (jgetil nj "box_quarantined");
-  List.iter
-    (fun r -> Network.set_res_quarantined t.net r true)
-    (jgetil nj "res_quarantined");
+  (* Re-derive every warm link capacity and resource arc from the
+     flags. *)
+  List.iter (fun (ids, set) -> List.iter (set t.net) ids) flags;
   (match t.inc with
   | Some i ->
-    for l = 0 to Network.n_links t.net - 1 do
+    for l = 0 to nl - 1 do
       Incremental.set_link_usable i l (Network.usable t.net l)
     done
   | None -> ());
-  for r = 0 to t.nr - 1 do sync_res t r done;
+  for r = 0 to nr - 1 do sync_res t r done;
   (* Tasks and queues before requesting flags: set_requesting reads the
      queue head's priority. *)
   List.iter
-    (fun tj ->
-      Hashtbl.replace t.tasks (jgeti tj "id")
-        { arrival = jgeti tj "arrival"; service = jgeti tj "service";
-          priority = jgeti tj "priority"; deadline = jgeti_opt tj "deadline";
-          queued = jgetb tj "queued" })
-    (jgetl j "tasks");
-  let queues = jgetl j "queues" in
-  if List.length queues <> t.np then rfail "checkpoint: queue count mismatch";
+    (fun (id, task) -> Hashtbl.replace t.tasks id task)
+    (D.field "tasks"
+       (D.list (fun tj ->
+            ( D.field "id" D.int tj,
+              { arrival = D.field "arrival" D.int tj;
+                service = D.field "service" D.int tj;
+                priority = D.field "priority" D.int tj;
+                deadline = D.opt "deadline" D.int tj;
+                queued = D.field "queued" D.bool tj } )))
+       j);
+  let queues = D.field "queues" (D.list (D.list D.int)) j in
+  if List.length queues <> np then D.fail "queue count mismatch";
   List.iteri
-    (fun p qj ->
-      t.queues.(p) <-
-        List.map
-          (fun v ->
-            match Json.to_int v with
-            | Some id when Hashtbl.mem t.tasks id -> id
-            | Some id -> rfail "checkpoint: queued task %d has no record" id
-            | None -> rfail "checkpoint: non-integer task id in queue")
-          (match Json.to_list qj with
-          | Some l -> l
-          | None -> rfail "checkpoint: queue %d is not an array" p))
+    (fun p q ->
+      List.iter
+        (fun id ->
+          if not (Hashtbl.mem t.tasks id) then
+            D.fail "queued task %d has no record" id)
+        q;
+      t.queues.(p) <- q)
     queues;
-  List.iter (fun p -> set_requesting t p true) (jgetil j "requesting");
+  List.iter
+    (fun p -> set_requesting t p true)
+    (D.field "requesting" (D.list (D.index np)) j);
   (* Live circuits, in table order: establishing on the restored
      network re-derives net ids; the warm graph gets each circuit's
      arcs frozen exactly as commit left them. Released entries hold no
      links — only the resource. *)
-  List.iter
-    (fun lj ->
-      let li = jgeti lj "li" in
-      let lproc = jgeti lj "proc" and lres = jgeti lj "res" in
-      let task_id = jgeti lj "task" in
-      if not (Hashtbl.mem t.tasks task_id) then
-        rfail "checkpoint: live circuit for unknown task %d" task_id;
-      let released = jgetb lj "released" in
-      let links = jgetil lj "links" in
-      let net_id, inc_circuit =
-        if released then (-1, None)
-        else
-          ( Network.establish t.net links,
-            Option.map
-              (fun i -> Incremental.restore_circuit i ~proc:lproc ~res:lres ~links)
-              t.inc )
-      in
-      Hashtbl.replace t.lives li
-        { net_id; lproc; lres; task_id; committed_at = jgeti lj "committed_at";
-          lservice = jgeti lj "service"; inc = inc_circuit; released };
-      if not released then t.transmitting.(lproc) <- Some task_id;
-      t.res_idle.(lres) <- false;
-      if released then sync_res t lres)
-    (jgetl j "lives");
-  let pairs key ka kb f =
-    List.iter (fun pj -> f (jgeti pj ka) (jgeti pj kb)) (jgetl j key)
+  let restore_live lj =
+    let li = D.field "li" D.int lj in
+    let lproc = D.field "proc" (D.index np) lj in
+    let lres = D.field "res" (D.index nr) lj in
+    let task_id = D.field "task" D.int lj in
+    if not (Hashtbl.mem t.tasks task_id) then
+      D.fail "live circuit for unknown task %d" task_id;
+    let released = D.field "released" D.bool lj in
+    let links = D.field "links" (D.list (D.index nl)) lj in
+    let net_id, inc_circuit =
+      if released then (-1, None)
+      else
+        ( Network.establish t.net links,
+          Option.map
+            (fun i -> Incremental.restore_circuit i ~proc:lproc ~res:lres ~links)
+            t.inc )
+    in
+    Hashtbl.replace t.lives li
+      { net_id; lproc; lres; task_id;
+        committed_at = D.field "committed_at" D.int lj;
+        lservice = D.field "service" D.int lj; inc = inc_circuit; released };
+    if not released then t.transmitting.(lproc) <- Some task_id;
+    t.res_idle.(lres) <- false;
+    if released then sync_res t lres
   in
-  pairs "victim_at" "task" "at" (Hashtbl.replace t.victim_at);
-  pairs "retry_pending" "task" "proc" (Hashtbl.replace t.retry_pending);
-  pairs "retry_count" "task" "count" (Hashtbl.replace t.retry_count);
-  (match (jget j "flap", config.Config.guard) with
-  | Json.Null, _ | _, None -> ()
-  | fj, Some g -> (
-    match Flap.of_json g fj with
-    | Ok fl -> t.flap <- Some fl
-    | Error m -> rfail "%s" m));
-  let c = jget j "counters" in
-  t.arrivals <- jgeti c "arrivals";
-  t.allocated <- jgeti c "allocated";
-  t.completed <- jgeti c "completed";
-  t.cancelled <- jgeti c "cancelled";
-  t.expired <- jgeti c "expired";
-  t.cycles <- jgeti c "cycles";
-  t.skipped_cycles <- jgeti c "skipped_cycles";
-  t.solver_work <- jgeti c "solver_work";
-  t.faults <- jgeti c "faults";
-  t.repairs <- jgeti c "repairs";
-  t.victims <- jgeti c "victims";
-  t.shed <- jgeti c "shed";
-  t.given_up <- jgeti c "given_up";
-  t.retries <- jgeti c "retries";
-  t.quarantines <- jgeti c "quarantines";
-  t.busy_slots <- jgeti c "busy_slots";
-  t.horizon <- jgeti c "horizon";
-  t.max_wait <- jgeti c "max_wait";
-  t.events_seen <- jgeti c "events_seen";
-  t.next_live <- jgeti c "next_live";
-  t.served_upto <-
-    (match jget j "served_upto" with
-    | Json.Null -> min_int
-    | v -> (
-      match Json.to_int v with
-      | Some s -> s
-      | None -> rfail "checkpoint: bad served_upto"));
-  accum_restore_json t.waits (jget j "waits");
-  accum_restore_json t.readmissions (jget j "readmissions");
-  List.iter
-    (fun ej ->
-      Heap.add t.heap (jgeti ej "t", jgeti ej "seq") (ev_of_json (jget ej "ev")))
-    (jgetl j "heap");
-  t.next_seq <- jgeti c "next_seq";
-  (match (t.inc, jget j "inc") with
-  | Some i, (Json.Obj _ as ij) ->
-    Incremental.restore_flags i ~dirty:(jgetb ij "dirty")
-      ~pending_ops:(jgeti ij "pending_ops")
-      ~total_work:(jgeti ij "total_work")
-  | Some _, _ -> rfail "checkpoint: warm snapshot without solver flags"
-  | None, _ -> ());
-  (match check_accounting t with
-  | Ok () -> ()
-  | Error m -> rfail "checkpoint: %s" m);
+  ignore (D.field "lives" (D.list restore_live) j);
+  let pairs key ka kb b tbl =
+    List.iter
+      (fun (k, v) -> Hashtbl.replace tbl k v)
+      (D.field key (D.list (fun pj -> (D.field ka D.int pj, D.field kb b pj))) j)
+  in
+  pairs "victim_at" "task" "at" D.int t.victim_at;
+  pairs "retry_pending" "task" "proc" (D.index np) t.retry_pending;
+  pairs "retry_count" "task" "count" D.int t.retry_count;
+  Option.iter
+    (fun g ->
+      Option.iter
+        (fun fl -> t.flap <- Some fl)
+        (D.opt "flap" (fun v -> D.ok (Flap.of_json g v)) j))
+    config.Config.guard;
+  D.field "counters"
+    (fun c -> List.iter (fun (k, _, set) -> set t (D.field k D.int c)) counters)
+    j;
+  (* Every live index was handed out below next_live: one at or past it
+     would be overwritten by a later commit. *)
+  Hashtbl.iter
+    (fun li _ ->
+      if li >= t.next_live then
+        D.fail "live circuit %d at or past next_live %d" li t.next_live)
+    t.lives;
+  t.served_upto <- Option.value ~default:min_int (D.opt "served_upto" D.int j);
+  D.field "waits" (accum_restore t.waits) j;
+  D.field "readmissions" (accum_restore t.readmissions) j;
+  ignore
+    (D.field "heap"
+       (D.list (fun ej ->
+            Heap.add t.heap
+              (D.field "t" D.int ej, D.field "seq" D.int ej)
+              (D.field "ev" (ev_of_json t) ej)))
+       j);
+  Option.iter
+    (fun i ->
+      let flags ij =
+        Incremental.restore_flags i ~dirty:(D.field "dirty" D.bool ij)
+          ~pending_ops:(D.field "pending_ops" D.int ij)
+          ~total_work:(D.field "total_work" D.int ij)
+      in
+      if D.opt "inc" flags j = None then
+        D.fail "warm snapshot without solver flags")
+    t.inc;
+  D.ok (check_accounting t);
   t
 
 let restore ?obs ?cycle_hook ?event_hook net j =
-  match restore_exn ?obs ?cycle_hook ?event_hook net j with
-  | t -> Ok t
-  | exception Restore_error m -> Error m
-  | exception Invalid_argument m -> Error m
+  match
+    D.run ~what:"checkpoint" (fun () ->
+        restore_exn ?obs ?cycle_hook ?event_hook net j)
+  with
+  | r -> r
+  | exception Invalid_argument m -> Error ("checkpoint: " ^ m)
 
 let config t = t.cfg
 

@@ -150,9 +150,11 @@ module Config : sig
   val to_json : t -> Rsin_util.Json.t
 
   val of_json : Rsin_util.Json.t -> (t, string) result
-  (** Inverse of {!to_json}; missing fields take their defaults, and the
-      result is re-validated through {!make}, so a decoded config is as
-      trustworthy as a constructed one. *)
+  (** Inverse of {!to_json} under {!Rsin_util.Json.Decode}'s rule: a
+      field absent or [null] takes its default, a field of the wrong
+      shape is an error, and the result is re-validated through
+      {!make}, so a decoded config is as trustworthy as a constructed
+      one. *)
 end
 
 type cycle_info = {
@@ -362,7 +364,14 @@ val restore :
     that fails {!check_accounting} — counters whose buckets do not sum
     to the arrivals, or a task list holding a record for a task that is
     neither queued, parked nor in flight (or lacking one that is) — is
-    an [Error]. *)
+    an [Error]. So is an index outside the network, and a heap event
+    live input could not carry: an arrival {!feed} would refuse, or a
+    fault or quarantine on an element the network lacks.
+
+    The document decodes through {!Rsin_util.Json.Decode} under its
+    rule (absent or [null] is "not given"; a wrong shape is an error),
+    and restore never raises: every refusal is an [Error] naming the
+    path to the offending value. *)
 
 (** {1 One-shot runs} *)
 

@@ -167,11 +167,11 @@ type t = {
   slot_ids : (int, unit) Hashtbl.t;
   mutable slot_indexed : bool;
   probes : probe array;  (* per shard, this routing pass *)
-  (* The shards' advance through [advanced], started by the feed that
-     sealed the last slot and running while the caller feeds the next
-     one; joined before anything reads or writes an engine. *)
+  (* The shards' advance through the slot before [cur_slot], started by
+     the feed that sealed the last slot and running while the caller
+     feeds the next one; joined before anything reads or writes an
+     engine. *)
   mutable advancing : Domain_pool.batch option;
-  mutable advanced : int;  (* every shard advanced, or advancing, through *)
   event_hook : (events:int -> time:int -> unit) option;
   start_ns : int64;
   mutable cur_slot : int;
@@ -239,7 +239,6 @@ let create ?(config = Engine.Config.default) ?domains ?cycle_hook ?event_hook
           slot_indexed = false;
           probes = Array.make (Array.length parts) Unprobed;
           advancing = None;
-          advanced = min_int;
           event_hook;
           start_ns = Clock.now_ns ();
           cur_slot = min_int;
@@ -351,19 +350,18 @@ let join t =
     Domain_pool.finish b
 
 (* Routes the buffered slot on shards complete through the slot before
-   it. Starts nothing: a flush from [snapshot] falls mid-slot, and
-   advancing through the slot would put its later events at or before
-   the shards' [served_upto]. *)
+   it, which [join] alone ensures: the feed that sealed the previous
+   slot started that advance; before the first sealed slot the shards
+   hold nothing to serve; and a restored instance's shards are served
+   through it by the checkpoint. Starts nothing: a flush from
+   [snapshot] falls mid-slot, and advancing through the slot would put
+   its later events at or before the shards' [served_upto]. *)
 let flush t =
   join t;
   match t.buffer with
   | [] -> ()
   | buffered ->
     let slot = t.cur_slot in
-    if t.advanced < slot - 1 then begin
-      Domain_pool.run_tasks t.pool (advance_tasks t ~upto:(slot - 1));
-      t.advanced <- slot - 1
-    end;
     Array.fill t.probes 0 (Array.length t.probes) Unprobed;
     let evs = List.rev buffered in
     t.buffer <- [];
@@ -407,13 +405,7 @@ let validate t ev =
       invalid_arg (Printf.sprintf "Serve.feed: duplicate task id %d" a.id)
   | Workload.Cancel _ -> ()
   | Workload.Fault { element; _ } | Workload.Repair { element; _ } ->
-    let idx, count =
-      match element with
-      | Fault.Link l -> (l, Array.length t.link_home)
-      | Fault.Box b -> (b, Array.length t.box_home)
-      | Fault.Res r -> (r, Array.length t.shard.Shard.shard_of_res)
-    in
-    if idx < 0 || idx >= count then
+    if not (Fault.in_range t.shard.Shard.base element) then
       invalid_arg "Serve.feed: fault element out of range"
 
 let feed t ev =
@@ -428,8 +420,7 @@ let feed t ev =
        through [time - 1] while the caller feeds slot [time]. *)
     flush t;
     t.advancing <-
-      Some (Domain_pool.start t.pool (advance_tasks t ~upto:(time - 1)));
-    t.advanced <- time - 1
+      Some (Domain_pool.start t.pool (advance_tasks t ~upto:(time - 1)))
   end;
   (* Claimed only now, after the flush, which resets the slot's index. *)
   (match ev with
@@ -514,7 +505,7 @@ let abort t =
 
 let checkpoint_schema = "rsin-serve-checkpoint/v2"
 
-let jint n = Json.Num (float_of_int n)
+module D = Json.Decode
 
 (* task_home as [first_id, count, shard] triples, one per maximal run of
    consecutive ids routed to the same shard, ascending: the map's own
@@ -523,35 +514,32 @@ let jint n = Json.Num (float_of_int n)
 let task_home_runs t =
   let acc = ref [] in
   Task_map.iter_runs t.task_home (fun first count si ->
-      acc := Json.Arr [ jint first; jint count; jint si ] :: !acc);
+      acc := Json.Arr [ Json.int first; Json.int count; Json.int si ] :: !acc);
   List.rev !acc
 
 (* Inverse of [task_home_runs], appending whole runs. Every routed
    arrival is one event, so the runs of a checkpoint [snapshot] wrote
    cover at most [events] ids. *)
-let restore_task_home t ~events runs =
+let restore_task_home t ~events v =
   let n_shards = Array.length t.engines in
-  let rec go ~last ~covered = function
-    | [] -> Ok ()
-    | run :: rest -> (
-      match Option.map (List.map Json.to_int) (Json.to_list run) with
-      | Some [ Some first; Some count; Some si ] ->
-        if count < 1 then Error "serve checkpoint: task_home run count below 1"
-        else if (match last with Some l -> first <= l | None -> false) then
-          Error "serve checkpoint: task_home runs not ascending and disjoint"
-        else if si < 0 || si >= n_shards then
-          Error
-            (Printf.sprintf "serve checkpoint: task_home shard %d outside %d \
-                             shard(s)" si n_shards)
-        else if count > events - covered then
-          Error "serve checkpoint: task_home runs cover more ids than events"
-        else begin
-          Task_map.append t.task_home ~first ~count ~shard:si;
-          go ~last:(Some (first + count - 1)) ~covered:(covered + count) rest
-        end
-      | _ -> Error "serve checkpoint: malformed task_home run")
+  let covered = ref 0 in
+  let run v =
+    let first, count, si =
+      match D.list D.int v with
+      | [ first; count; si ] -> (first, count, si)
+      | _ | (exception D.Error _) -> D.fail "malformed task_home run"
+    in
+    if count < 1 then D.fail "task_home run count below 1";
+    if first <= Task_map.max_id t.task_home then
+      D.fail "task_home runs not ascending and disjoint";
+    if si < 0 || si >= n_shards then
+      D.fail "task_home shard %d outside %d shard(s)" si n_shards;
+    if count > events - !covered then
+      D.fail "task_home runs cover more ids than events";
+    Task_map.append t.task_home ~first ~count ~shard:si;
+    covered := !covered + count
   in
-  go ~last:None ~covered:0 runs
+  ignore (D.list run v)
 
 let snapshot t =
   if t.drained then invalid_arg "Serve.snapshot: already drained";
@@ -564,90 +552,58 @@ let snapshot t =
   Json.Obj
     [ ("schema", Json.Str checkpoint_schema);
       ("config", Engine.Config.to_json (Engine.config t.engines.(0)));
-      ("cur_slot", if t.buffering then jint t.cur_slot else Json.Null);
-      ("events", jint t.events);
-      ("borrows", jint t.borrows);
-      ("starved", jint t.starved);
+      ("cur_slot", if t.buffering then Json.int t.cur_slot else Json.Null);
+      ("events", Json.int t.events);
+      ("borrows", Json.int t.borrows);
+      ("starved", Json.int t.starved);
       ("task_home", Json.Arr (task_home_runs t));
       ( "shards",
         Json.Arr (Array.to_list (Array.map Engine.snapshot t.engines)) ) ]
 
+(* The shards and the router's state, into an instance [create] made
+   from the document's config. *)
+let restore_into t ?cycle_hook j =
+  let parts = t.shard.Shard.parts in
+  let shards = D.field "shards" (D.list Fun.id) j in
+  if List.length shards <> Array.length parts then
+    D.fail "%d shard snapshot(s) for %d shard(s)" (List.length shards)
+      (Array.length parts);
+  List.iteri
+    (fun i sj ->
+      let cycle_hook =
+        Option.map (fun hook -> fun net info -> hook ~shard:i net info) cycle_hook
+      in
+      match Engine.restore ?cycle_hook parts.(i).Shard.net sj with
+      | Ok e -> t.engines.(i) <- e
+      | Error m -> D.fail "shard %d: %s" i m)
+    shards;
+  let events = D.field "events" D.int j in
+  D.field "task_home" (restore_task_home t ~events) j;
+  t.claimed_top <- Task_map.max_id t.task_home;
+  t.events <- events;
+  t.borrows <- D.field "borrows" D.int j;
+  t.starved <- D.field "starved" D.int j;
+  Option.iter
+    (fun s ->
+      t.cur_slot <- s;
+      t.buffering <- true)
+    (D.opt "cur_slot" D.int j)
+
 let restore ?domains ?cycle_hook ?event_hook net j =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Option.bind (Json.member "schema" j) Json.to_str with
-    | Some s when s = checkpoint_schema -> Ok ()
-    | Some s ->
-      Error
-        (Printf.sprintf "serve checkpoint: unsupported schema %S (want %S)" s
-           checkpoint_schema)
-    | None -> Error "serve checkpoint: missing schema"
-  in
+  let ( let* ) = Result.bind and what = "serve checkpoint" in
   let* config =
-    match Json.member "config" j with
-    | Some cj -> Engine.Config.of_json cj
-    | None -> Error "serve checkpoint: missing config"
-  in
-  let geti k =
-    match Option.bind (Json.member k j) Json.to_int with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "serve checkpoint: bad field %S" k)
+    D.run ~what (fun () ->
+        let schema = D.field "schema" D.str j in
+        if schema <> checkpoint_schema then
+          D.fail "unsupported schema %S (want %S)" schema checkpoint_schema;
+        D.field "config" (fun v -> D.ok (Engine.Config.of_json v)) j)
   in
   let* t = create ~config ?domains ?cycle_hook ?event_hook net in
-  let fail e = abort t; Error e in
-  match Option.bind (Json.member "shards" j) Json.to_list with
-  | None -> fail "serve checkpoint: missing shards"
-  | Some shards when List.length shards <> Array.length t.engines ->
-    fail
-      (Printf.sprintf "serve checkpoint: %d shard snapshot(s) for %d shard(s)"
-         (List.length shards) (Array.length t.engines))
-  | Some shards -> (
-    let parts = t.shard.Shard.parts in
-    let rec go i = function
-      | [] -> Ok ()
-      | sj :: rest -> (
-        let cycle_hook =
-          Option.map
-            (fun hook -> fun net info -> hook ~shard:i net info)
-            cycle_hook
-        in
-        match Engine.restore ?cycle_hook parts.(i).Shard.net sj with
-        | Ok e ->
-          t.engines.(i) <- e;
-          go (i + 1) rest
-        | Error m -> Error (Printf.sprintf "shard %d: %s" i m))
-    in
-    match
-      let* () = go 0 shards in
-      let* events = geti "events" in
-      let* borrows = geti "borrows" in
-      let* starved = geti "starved" in
-      let* cur_slot =
-        match Json.member "cur_slot" j with
-        | Some Json.Null | None -> Ok None
-        | Some v -> (
-          match Json.to_int v with
-          | Some s -> Ok (Some s)
-          | None -> Error "serve checkpoint: bad field \"cur_slot\"")
-      in
-      let* () =
-        match Json.member "task_home" j with
-        | Some (Json.Arr runs) -> restore_task_home t ~events runs
-        | _ -> Error "serve checkpoint: missing task_home"
-      in
-      t.claimed_top <- Task_map.max_id t.task_home;
-      t.events <- events;
-      t.borrows <- borrows;
-      t.starved <- starved;
-      (match cur_slot with
-      | Some s ->
-        t.cur_slot <- s;
-        t.buffering <- true
-      | None -> ());
-      Ok ()
-    with
-    | Ok () -> Ok t
-    | Error m -> fail m)
+  match D.run ~what (fun () -> restore_into t ?cycle_hook j) with
+  | Ok () -> Ok t
+  | Error m ->
+    abort t;
+    Error m
 
 let run ?config ?domains ?cycle_hook ?event_hook net trace =
   match create ?config ?domains ?cycle_hook ?event_hook net with

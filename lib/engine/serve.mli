@@ -246,7 +246,10 @@ val restore :
     sum past the document's [events], a number that is not an integer
     within ±2{^53} ({!Rsin_util.Json.to_int}), or a [cur_slot] that is
     neither null nor an integer. Every routed arrival is one event, so
-    every checkpoint {!snapshot} writes passes the [events] check. *)
+    every checkpoint {!snapshot} writes passes the [events] check. The
+    document, and each shard's through {!Engine.restore}, decodes under
+    {!Rsin_util.Json.Decode}'s rule, and the error names the path to
+    the offending value. *)
 
 val run :
   ?config:Engine.Config.t ->

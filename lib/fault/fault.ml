@@ -1,4 +1,6 @@
 module Prng = Rsin_util.Prng
+module Json = Rsin_util.Json
+module D = Json.Decode
 module Network = Rsin_topology.Network
 
 type element = Link of int | Box of int | Res of int
@@ -15,6 +17,36 @@ let element = function
   | Link_down l | Link_up l -> Link l
   | Box_down b | Box_up b -> Box b
   | Res_down r | Res_up r -> Res r
+
+let kind_idx = function
+  | Link l -> ("link", l)
+  | Box b -> ("box", b)
+  | Res r -> ("res", r)
+
+let element_fields e =
+  let kind, idx = kind_idx e in
+  [ ("kind", Json.Str kind); ("idx", Json.int idx) ]
+
+let decode_element j =
+  let idx = D.field "idx" D.int j in
+  match D.field "kind" D.str j with
+  | "link" -> Link idx
+  | "box" -> Box idx
+  | "res" -> Res idx
+  | k -> D.fail "unknown element kind %S" k
+
+let element_name e =
+  let kind, idx = kind_idx e in
+  kind ^ string_of_int idx
+
+let in_range net e =
+  let idx, n =
+    match e with
+    | Link l -> (l, Network.n_links net)
+    | Box b -> (b, Network.n_boxes net)
+    | Res r -> (r, Network.n_res net)
+  in
+  idx >= 0 && idx < n
 
 let is_down = function
   | Link_down _ | Box_down _ | Res_down _ -> true

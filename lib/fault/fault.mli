@@ -31,6 +31,27 @@ type event =
 val element : event -> element
 (** The element an event concerns. *)
 
+(** {1 The element codec}
+
+    Checkpoints write an element as two fields, ["kind"] ([link], [box]
+    or [res]) and ["idx"]: inline in an engine heap event, or as the
+    whole object under the guard's ["element"] fields. *)
+
+val element_fields : element -> (string * Rsin_util.Json.t) list
+(** [[("kind", Str "link"); ("idx", Num 3.)]] for [Link 3]. *)
+
+val decode_element : Rsin_util.Json.t -> element
+(** Reads the two fields of {!element_fields} from an object, under
+    {!Rsin_util.Json.Decode}'s rule; an unknown kind is an error. Raises
+    {!Rsin_util.Json.Decode.Error}. *)
+
+val element_name : element -> string
+(** The element's name in trace instants: ["link3"], ["box0"], ["res5"]. *)
+
+val in_range : Rsin_topology.Network.t -> element -> bool
+(** Whether the element's index names a link, box or resource port of
+    the network. *)
+
 val down_of : element -> event
 val up_of : element -> event
 

@@ -48,23 +48,7 @@ let active t =
   Hashtbl.fold (fun e until acc -> (e, until) :: acc) t.quarantined []
   |> List.sort (fun (a, _) (b, _) -> compare_elt a b)
 
-let elt_to_json e =
-  let kind, idx =
-    match e with
-    | Fault.Link i -> ("link", i)
-    | Fault.Box i -> ("box", i)
-    | Fault.Res i -> ("res", i)
-  in
-  Json.Obj [ ("kind", Json.Str kind); ("idx", Json.Num (float_of_int idx)) ]
-
-let elt_of_json j =
-  match (Option.bind (Json.member "kind" j) Json.to_str,
-         Option.bind (Json.member "idx" j) Json.to_int) with
-  | Some "link", Some i -> Ok (Fault.Link i)
-  | Some "box", Some i -> Ok (Fault.Box i)
-  | Some "res", Some i -> Ok (Fault.Res i)
-  | Some k, Some _ -> Error (Printf.sprintf "Guard.Flap: unknown element kind %S" k)
-  | _ -> Error "Guard.Flap: malformed element"
+let element_json e = Json.Obj (Fault.element_fields e)
 
 let to_json t =
   let history =
@@ -72,69 +56,29 @@ let to_json t =
     |> List.sort (fun (a, _) (b, _) -> compare_elt a b)
     |> List.map (fun (e, slots) ->
            Json.Obj
-             [ ("element", elt_to_json e);
-               ("slots",
-                Json.Arr (List.map (fun s -> Json.Num (float_of_int s)) slots)) ])
+             [ ("element", element_json e);
+               ("slots", Json.Arr (List.map Json.int slots)) ])
   in
   let quarantined =
     List.map
       (fun (e, until) ->
-        Json.Obj
-          [ ("element", elt_to_json e); ("until", Json.Num (float_of_int until)) ])
+        Json.Obj [ ("element", element_json e); ("until", Json.int until) ])
       (active t)
   in
   Json.Obj [ ("history", Json.Arr history); ("quarantined", Json.Arr quarantined) ]
 
 let of_json policy j =
-  let ( let* ) = Result.bind in
-  let list_field k =
-    match Json.member k j with
-    | Some v ->
-      (match Json.to_list v with
-      | Some l -> Ok l
-      | None -> Error (Printf.sprintf "Guard.Flap: field %S is not an array" k))
-    | None -> Ok []
-  in
-  let* history = list_field "history" in
-  let* quarantined = list_field "quarantined" in
-  let t = create policy in
-  let* () =
-    List.fold_left
-      (fun acc entry ->
-        let* () = acc in
-        let* e =
-          match Json.member "element" entry with
-          | Some ej -> elt_of_json ej
-          | None -> Error "Guard.Flap: history entry without element"
-        in
-        match Option.bind (Json.member "slots" entry) Json.to_list with
-        | Some slots ->
-          let* slots =
-            List.fold_left
-              (fun acc s ->
-                let* acc = acc in
-                match Json.to_int s with
-                | Some n -> Ok (n :: acc)
-                | None -> Error "Guard.Flap: non-integer fault slot")
-              (Ok []) slots
-          in
-          Hashtbl.replace t.history e (List.rev slots);
-          Ok ()
-        | None -> Error "Guard.Flap: history entry without slots")
-      (Ok ()) history
-  in
-  let* () =
-    List.fold_left
-      (fun acc entry ->
-        let* () = acc in
-        let* e =
-          match Json.member "element" entry with
-          | Some ej -> elt_of_json ej
-          | None -> Error "Guard.Flap: quarantine entry without element"
-        in
-        match Option.bind (Json.member "until" entry) Json.to_int with
-        | Some until -> Hashtbl.replace t.quarantined e until; Ok ()
-        | None -> Error "Guard.Flap: quarantine entry without until")
-      (Ok ()) quarantined
-  in
-  Ok t
+  let module D = Json.Decode in
+  D.run ~what:"Guard.Flap" (fun () ->
+      let t = create policy in
+      let entry k d =
+        D.list (fun v ->
+            (D.field "element" Fault.decode_element v, D.field k d v))
+      in
+      List.iter
+        (fun (e, slots) -> Hashtbl.replace t.history e slots)
+        (D.field "history" (entry "slots" (D.list D.int)) j);
+      List.iter
+        (fun (e, until) -> Hashtbl.replace t.quarantined e until)
+        (D.field "quarantined" (entry "until" D.int) j);
+      t)

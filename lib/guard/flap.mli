@@ -39,3 +39,7 @@ val active : t -> (Rsin_fault.Fault.element * int) list
 val to_json : t -> Rsin_util.Json.t
 
 val of_json : Policy.t -> Rsin_util.Json.t -> (t, string) result
+(** Inverse of {!to_json} under {!Rsin_util.Json.Decode}'s rule: both
+    lists are required (absent or [null] is an error, not an empty
+    list), and elements decode through
+    {!Rsin_fault.Fault.decode_element}. *)

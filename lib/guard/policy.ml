@@ -54,49 +54,30 @@ let shed_policy_of_string = function
 
 let to_json t =
   Json.Obj
-    [ ("queue_bound", Json.Num (float_of_int t.queue_bound));
+    [ ("queue_bound", Json.int t.queue_bound);
       ("shed_policy", Json.Str (shed_policy_to_string t.shed_policy));
-      ("retry_base", Json.Num (float_of_int t.retry_base));
-      ("retry_cap", Json.Num (float_of_int t.retry_cap));
-      ("retry_jitter", Json.Num (float_of_int t.retry_jitter));
-      ("retry_budget", Json.Num (float_of_int t.retry_budget));
-      ("seed", Json.Num (float_of_int t.seed));
-      ("flap_k", Json.Num (float_of_int t.flap_k));
-      ("flap_window", Json.Num (float_of_int t.flap_window));
-      ("quarantine_slots", Json.Num (float_of_int t.quarantine_slots)) ]
+      ("retry_base", Json.int t.retry_base);
+      ("retry_cap", Json.int t.retry_cap);
+      ("retry_jitter", Json.int t.retry_jitter);
+      ("retry_budget", Json.int t.retry_budget);
+      ("seed", Json.int t.seed);
+      ("flap_k", Json.int t.flap_k);
+      ("flap_window", Json.int t.flap_window);
+      ("quarantine_slots", Json.int t.quarantine_slots) ]
 
+(* A field not given takes [make]'s default; [make] re-validates. *)
 let of_json j =
-  let ( let* ) = Result.bind in
-  match j with
-  | Json.Obj _ ->
-    let int_field k default =
-      match Json.member k j with
-      | None -> Ok (default ())
-      | Some v ->
-        (match Json.to_int v with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "Guard.Policy: field %S is not an integer" k))
-    in
-    let d = default in
-    let* queue_bound = int_field "queue_bound" (fun () -> d.queue_bound) in
-    let* retry_base = int_field "retry_base" (fun () -> d.retry_base) in
-    let* retry_cap = int_field "retry_cap" (fun () -> d.retry_cap) in
-    let* retry_jitter = int_field "retry_jitter" (fun () -> d.retry_jitter) in
-    let* retry_budget = int_field "retry_budget" (fun () -> d.retry_budget) in
-    let* seed = int_field "seed" (fun () -> d.seed) in
-    let* flap_k = int_field "flap_k" (fun () -> d.flap_k) in
-    let* flap_window = int_field "flap_window" (fun () -> d.flap_window) in
-    let* quarantine_slots =
-      int_field "quarantine_slots" (fun () -> d.quarantine_slots)
-    in
-    let* shed_policy =
-      match Json.member "shed_policy" j with
-      | None -> Ok d.shed_policy
-      | Some v ->
-        (match Json.to_str v with
-        | Some s -> shed_policy_of_string s
-        | None -> Error "Guard.Policy: field \"shed_policy\" is not a string")
-    in
-    make ~queue_bound ~shed_policy ~retry_base ~retry_cap ~retry_jitter
-      ~retry_budget ~seed ~flap_k ~flap_window ~quarantine_slots ()
-  | _ -> Error "Guard.Policy: expected an object"
+  let module D = Json.Decode in
+  Result.join
+  @@ D.run ~what:"Guard.Policy" (fun () ->
+         let int k = D.opt k D.int j in
+         make ?queue_bound:(int "queue_bound")
+           ?shed_policy:
+             (D.opt "shed_policy"
+                (fun v -> D.ok (shed_policy_of_string (D.str v)))
+                j)
+           ?retry_base:(int "retry_base") ?retry_cap:(int "retry_cap")
+           ?retry_jitter:(int "retry_jitter")
+           ?retry_budget:(int "retry_budget") ?seed:(int "seed")
+           ?flap_k:(int "flap_k") ?flap_window:(int "flap_window")
+           ?quarantine_slots:(int "quarantine_slots") ())

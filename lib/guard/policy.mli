@@ -86,6 +86,7 @@ val shed_policy_of_string : string -> (shed_policy, string) result
 val to_json : t -> Rsin_util.Json.t
 
 val of_json : Rsin_util.Json.t -> (t, string) result
-(** Missing fields take their defaults; out-of-range values and
-    malformed shapes are errors (everything re-validates through
+(** Under {!Rsin_util.Json.Decode}'s rule: a field absent or [null]
+    takes its default, a field of the wrong shape is an error, and
+    out-of-range values are errors (everything re-validates through
     {!make}). *)

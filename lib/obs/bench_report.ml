@@ -141,7 +141,7 @@ let metric_to_json m =
   Json.Obj
     [ ("kind", Json.Str (kind_to_string m.kind));
       ("unit", Json.Str m.unit_);
-      ("n", Json.Num (float_of_int m.n));
+      ("n", Json.int m.n);
       ("mean", Json.Num m.mean);
       ("ci95", Json.Num m.ci95);
       ("p50", Json.Num m.p50);
@@ -152,7 +152,7 @@ let metric_to_json m =
 let to_json t =
   Json.Obj
     [ ("bench", Json.Str t.bench);
-      ("schema", Json.Num (float_of_int schema_version));
+      ("schema", Json.int schema_version);
       ("quick", Json.Bool t.q);
       ("env", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) t.e));
       ( "cases",
@@ -168,76 +168,37 @@ let to_json t =
                           c.metrics) ) ])
              t.cases) ) ]
 
-let ( let* ) r f = Result.bind r f
-
-let req what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "BENCH schema: missing or bad %s" what)
+module D = Json.Decode
 
 let metric_of_json j =
-  let num k = req k Option.(bind (Json.member k j) Json.to_num) in
-  let* kind_s = req "kind" Option.(bind (Json.member "kind" j) Json.to_str) in
-  let* kind = req "kind" (kind_of_string kind_s) in
-  let* unit_ = req "unit" Option.(bind (Json.member "unit" j) Json.to_str) in
-  let* n = req "n" Option.(bind (Json.member "n" j) Json.to_int) in
-  let* mean = num "mean" in
-  let* ci95 = num "ci95" in
-  let* p50 = num "p50" in
-  let* p95 = num "p95" in
-  let* lo = num "min" in
-  let* hi = num "max" in
-  Ok { kind; unit_; n; mean; ci95; p50; p95; lo; hi }
+  let num k = D.field k D.num j in
+  { kind =
+      D.field "kind"
+        (fun v ->
+          let s = D.str v in
+          match kind_of_string s with
+          | Some k -> k
+          | None -> D.fail "unknown metric kind %S" s)
+        j;
+    unit_ = D.field "unit" D.str j;
+    n = D.field "n" D.int j;
+    mean = num "mean"; ci95 = num "ci95"; p50 = num "p50"; p95 = num "p95";
+    lo = num "min"; hi = num "max" }
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+let case_of_json j =
+  { case_name = D.field "case" D.str j;
+    metrics = List.rev (D.field "metrics" (D.assoc metric_of_json) j) }
 
 let of_json j =
-  let* bench = req "bench" Option.(bind (Json.member "bench" j) Json.to_str) in
-  let* schema =
-    req "schema" Option.(bind (Json.member "schema" j) Json.to_int)
-  in
-  if schema <> schema_version then
-    Error (Printf.sprintf "BENCH schema: version %d, expected %d" schema
-             schema_version)
-  else
-    let* q = req "quick" Option.(bind (Json.member "quick" j) Json.to_bool) in
-    let* env_fields =
-      req "env" Option.(bind (Json.member "env" j) Json.to_obj)
-    in
-    let* e =
-      map_result
-        (fun (k, v) ->
-          let* s = req ("env." ^ k) (Json.to_str v) in
-          Ok (k, s))
-        env_fields
-    in
-    let* case_list =
-      req "cases" Option.(bind (Json.member "cases" j) Json.to_list)
-    in
-    let* cases =
-      map_result
-        (fun cj ->
-          let* name =
-            req "case" Option.(bind (Json.member "case" cj) Json.to_str)
-          in
-          let* mfields =
-            req "metrics" Option.(bind (Json.member "metrics" cj) Json.to_obj)
-          in
-          let* metrics =
-            map_result
-              (fun (mname, mj) ->
-                let* m = metric_of_json mj in
-                Ok (mname, m))
-              mfields
-          in
-          Ok { case_name = name; metrics = List.rev metrics })
-        case_list
-    in
-    Ok { bench; q; e; cases = List.rev cases }
+  D.run ~what:"BENCH schema" (fun () ->
+      let bench = D.field "bench" D.str j in
+      let schema = D.field "schema" D.int j in
+      if schema <> schema_version then
+        D.fail "version %d, expected %d" schema schema_version;
+      { bench;
+        q = D.field "quick" D.bool j;
+        e = D.field "env" (D.assoc D.str) j;
+        cases = List.rev (D.field "cases" (D.list case_of_json) j) })
 
 let equal a b =
   a.bench = b.bench && a.q = b.q && a.e = b.e
@@ -280,8 +241,7 @@ let read_file path =
         ~finally:(fun () -> close_in ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    let* j = Json.parse s in
-    of_json j
+    Result.bind (Json.parse s) of_json
   with Sys_error msg -> Error msg
 
 (* --- comparison ---------------------------------------------------------- *)

@@ -105,6 +105,9 @@ val record_counters : case -> ?prefix:string -> Metrics.t -> unit
 
 val to_json : t -> Rsin_util.Json.t
 val of_json : Rsin_util.Json.t -> (t, string) result
+(** Inverse of {!to_json}; every field is required, under
+    {!Rsin_util.Json.Decode}'s rule. *)
+
 val equal : t -> t -> bool
 
 val filename : t -> string

@@ -10,9 +10,13 @@
     The epoch is arbitrary (typically boot time): only differences
     between two readings are meaningful. *)
 
-val now_ns : unit -> int64
+external now_ns : unit -> (int64[@unboxed])
+  = "rsin_clock_monotonic_ns_bytecode" "rsin_clock_monotonic_ns_native"
+[@@noalloc]
 (** Current monotonic time in nanoseconds since an arbitrary epoch.
-    [@@noalloc] on the native-code path. *)
+    Declared [external] here, not only in clock.ml, so every native
+    caller calls the stub directly and gets its unboxed result: a
+    reading allocates nothing, and a spin loop may poll it. *)
 
 val elapsed_us : since:int64 -> float
 (** Microseconds elapsed since an earlier {!now_ns} reading. *)

@@ -7,14 +7,9 @@
    the core. *)
 let spin_ns = 50_000
 
-(* The clock stub itself: [Clock.now_ns] is a [val] in its interface,
-   so a call through it returns a boxed int64, and a spin loop must not
-   allocate (every minor collection stops every domain). *)
-external now_ns : unit -> (int64[@unboxed])
-  = "rsin_clock_monotonic_ns_bytecode" "rsin_clock_monotonic_ns_native"
-[@@noalloc]
-
-let now () = Int64.to_int (now_ns ())
+(* [Clock.now_ns] allocates nothing, and a spin loop must not allocate
+   (every minor collection stops every domain). *)
+let now () = Int64.to_int (Clock.now_ns ())
 
 (* Where one waiter parks once its spin runs out. *)
 type spot = { parked : bool Atomic.t; mu : Mutex.t; cv : Condition.t }

@@ -326,3 +326,78 @@ let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr l -> Some l | _ -> None
 let to_obj = function Obj f -> Some f | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
+
+let int n = Num (float_of_int n)
+
+module Decode = struct
+  exception Error of { path : string; msg : string }
+
+  let fail fmt = Printf.ksprintf (fun msg -> raise (Error { path = ""; msg })) fmt
+
+  (* Re-raises an error from below [seg] with [seg] prefixed to its
+     path: a field name joins with '.', an index does not. *)
+  let reraise seg path msg =
+    let path =
+      if path = "" then seg
+      else if path.[0] = '[' then seg ^ path
+      else seg ^ "." ^ path
+    in
+    raise (Error { path; msg })
+
+  let at k d v = try d v with Error { path; msg } -> reraise k path msg
+
+  let int v =
+    match to_int v with
+    | Some n -> n
+    | None -> fail "not an integer within +/-2^53"
+
+  let index n v =
+    let i = int v in
+    if i < 0 || i >= n then fail "%d is outside [0, %d)" i n;
+    i
+
+  let num v = match v with Num x -> x | _ -> fail "not a number"
+  let str v = match v with Str s -> s | _ -> fail "not a string"
+  let bool v = match v with Bool b -> b | _ -> fail "not a boolean"
+
+  let list d v =
+    match v with
+    | Arr l -> (
+      let i = ref 0 in
+      try
+        List.map
+          (fun x ->
+            let y = d x in
+            incr i;
+            y)
+          l
+      with Error { path; msg } -> reraise (Printf.sprintf "[%d]" !i) path msg)
+    | _ -> fail "not an array"
+
+  let assoc d v =
+    match v with
+    | Obj fields -> List.map (fun (k, x) -> (k, at k d x)) fields
+    | _ -> fail "not an object"
+
+  let given k v =
+    match v with
+    | Obj fields -> (
+      match List.assoc_opt k fields with None | Some Null -> None | x -> x)
+    | _ -> fail "not an object"
+
+  let field k d v =
+    match given k v with
+    | Some x -> at k d x
+    | None -> fail "missing field %S" k
+
+  let opt k d v = match given k v with Some x -> Some (at k d x) | None -> None
+
+  let ok = function Ok x -> x | Stdlib.Error m -> fail "%s" m
+
+  let run ~what f =
+    match f () with
+    | x -> Ok x
+    | exception Error { path = ""; msg } -> Stdlib.Error (what ^ ": " ^ msg)
+    | exception Error { path; msg } ->
+      Stdlib.Error (what ^ ": " ^ path ^ ": " ^ msg)
+end

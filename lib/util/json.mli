@@ -23,6 +23,11 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+val int : int -> t
+(** [Num] of an integer, as the checkpoint, config and report writers
+    emit one. Round-trips through {!Decode.int} for magnitudes up to
+    2{^53}. *)
+
 val parse : string -> (t, string) result
 (** Parses one JSON document (leading/trailing whitespace allowed).
     Errors carry a character offset and a short description. *)
@@ -52,3 +57,59 @@ val to_str : t -> string option
 val to_list : t -> t list option
 val to_obj : t -> (string * t) list option
 val to_bool : t -> bool option
+
+(** {1 Decoding}
+
+    One vocabulary for every document the repository reads back
+    (checkpoints, [Engine.Config], the guard's policy and flap state,
+    BENCH reports), under one rule: an absent field and a [null] field
+    both mean "not given" (an error for {!Decode.field}, [None] for
+    {!Decode.opt}), and a field given with the wrong shape is an error,
+    never read as absent. Decoders raise {!Decode.Error} and compose by
+    application, as in [Decode.(field "heap" (list (field "t" int))) j];
+    only {!Decode.run}, at the document's boundary, turns the exception
+    into an [Error]. *)
+module Decode : sig
+  exception Error of { path : string; msg : string }
+  (** [path] locates the offending value from the point {!run} was
+      called, as fields joined by ['.'] and array indices in brackets
+      (["heap[3].ev.proc"]); [""] for the document itself. *)
+
+  val fail : ('a, unit, string, 'b) format4 -> 'a
+  (** Raises {!Error} at the current value with the formatted message:
+      how a decoder refuses a value it read. *)
+
+  val int : t -> int
+  (** An integral number of magnitude at most 2{^53} (see {!to_int}). *)
+
+  val index : int -> t -> int
+  (** [index n]: an {!int} in \[0, n): an element of an array of
+      length [n]. *)
+
+  val num : t -> float
+  val str : t -> string
+  val bool : t -> bool
+
+  val list : (t -> 'a) -> t -> 'a list
+  (** An array, each element decoded in order. *)
+
+  val assoc : (t -> 'a) -> t -> (string * 'a) list
+  (** An object, each field's value decoded, in document order. *)
+
+  val field : string -> (t -> 'a) -> t -> 'a
+  (** [field k d v]: the required field [k] of object [v], decoded by
+      [d]. Absent or [null] is an error naming [k]. *)
+
+  val opt : string -> (t -> 'a) -> t -> 'a option
+  (** [opt k d v]: the optional field [k]; [None] when it is absent or
+      [null], [Some (d x)] otherwise — a wrong shape is still an error. *)
+
+  val ok : ('a, string) result -> 'a
+  (** Lifts a [result] into the vocabulary: [Error m] raises {!Error}
+      with [m], so a separately decodable document, such as a config
+      embedded in a checkpoint, nests under the field that holds it. *)
+
+  val run : what:string -> (unit -> 'a) -> ('a, string) result
+  (** [run ~what f]: [Ok (f ())], or the {!Error} [f] raised as
+      ["what: path: msg"] (["what: msg"] at the document itself). *)
+end

@@ -426,6 +426,215 @@ let test_serve_checkpoint_differential () =
   check Alcotest.int "quarantines identical" full.Serve.quarantines
     r.Serve.quarantines
 
+(* --- Restore: one decoder, one rule ----------------------------------------- *)
+
+type step = K of string | I of int
+
+(* [doc] with the node at [path] replaced by [f node], or removed from
+   its parent where [f] gives [None]. *)
+let rec update path f doc =
+  match (path, doc) with
+  | [], v -> Option.value (f v) ~default:Json.Null
+  | [ K k ], Json.Obj fs ->
+    Json.Obj
+      (List.filter_map
+         (fun (k', v) ->
+           if k' = k then Option.map (fun v -> (k', v)) (f v) else Some (k', v))
+         fs)
+  | [ I i ], Json.Arr xs ->
+    Json.Arr
+      (List.concat
+         (List.mapi (fun j v -> if j = i then Option.to_list (f v) else [ v ]) xs))
+  | K k :: rest, Json.Obj fs ->
+    Json.Obj
+      (List.map (fun (k', v) -> (k', if k' = k then update rest f v else v)) fs)
+  | I i :: rest, Json.Arr xs ->
+    Json.Arr (List.mapi (fun j v -> if j = i then update rest f v else v) xs)
+  | _ -> Alcotest.fail "no node at that path"
+
+let set path v = update path (fun _ -> Some v)
+
+(* An engine checkpoint whose heap holds an arrival (entry 0, with a
+   deadline) and a link fault (entry 1). *)
+let heap_checkpoint net =
+  let e = Engine.create ~config:(guarded_config ()) net in
+  Engine.feed e
+    (Workload.Arrive
+       { t = 3; id = 1; proc = 0; service = 2; deadline = Some 9; priority = 0 });
+  Engine.feed e (Workload.Fault { t = 4; clock = None; element = Fault.Link 0 });
+  Engine.advance e ~upto:1;
+  Engine.snapshot e
+
+let refused ~what net doc =
+  match Engine.restore net doc with
+  | Ok _ -> Alcotest.failf "%s: restore accepted it" what
+  | Error _ -> ()
+
+(* A heap event [feed] would refuse raises from the engine's advance at
+   the first slot that reaches it, so restore must refuse it instead. *)
+let test_restore_rejects_heap_arrival () =
+  let net = Builders.omega 8 in
+  let j = heap_checkpoint net in
+  ignore (get_ok ~what:"untampered" (Engine.restore net j));
+  let ev k = [ K "heap"; I 0; K "ev"; K k ] in
+  refused ~what:"arrival on processor 999" net (set (ev "proc") (Json.int 999) j);
+  refused ~what:"arrival on processor -1" net (set (ev "proc") (Json.int (-1)) j);
+  refused ~what:"arrival with service 0" net (set (ev "service") (Json.int 0) j);
+  refused ~what:"arrival with priority -1" net
+    (set (ev "priority") (Json.int (-1)) j)
+
+let test_restore_rejects_heap_element () =
+  let net = Builders.omega 8 in
+  let j = heap_checkpoint net in
+  let ev = [ K "heap"; I 1; K "ev" ] in
+  let idx = ev @ [ K "idx" ] in
+  refused ~what:"fault on link 9999" net (set idx (Json.int 9999) j);
+  refused ~what:"fault on box -1" net
+    (set (ev @ [ K "kind" ]) (Json.Str "box") (set idx (Json.int (-1)) j));
+  refused ~what:"unquarantine of resource 99" net
+    (set ev
+       (Json.Obj
+          [ ("ev", Json.Str "unquarantine"); ("kind", Json.Str "res");
+            ("idx", Json.int 99) ])
+       j)
+
+(* Every decoder reads an absent field and a null one alike, and
+   refuses a field given with the wrong shape. One row per document
+   kind: a field of a real document, and the decoder with its result
+   re-encoded so two decodes compare. *)
+let test_decoders_share_one_rule () =
+  let net = Builders.omega 8 in
+  let serve_net = Builders.multiplane ~planes:2 (Builders.omega 4) in
+  let serve_doc =
+    let t = get_ok ~what:"create" (Serve.create ~domains:1 serve_net) in
+    Serve.feed t
+      (Workload.Arrive
+         { t = 0; id = 0; proc = 0; service = 3; deadline = None; priority = 0 });
+    let j = Serve.snapshot t in
+    Serve.abort t;
+    j
+  in
+  let policy = Policy.v ~queue_bound:7 ~flap_k:3 () in
+  let flap = Flap.create policy in
+  ignore (Flap.record_fault flap ~now:2 (Fault.Box 1));
+  let module B = Rsin_obs.Bench_report in
+  let bench = B.create ~quick:true ~env:[ ("os", "x") ] "b" in
+  B.record_count (B.case bench "c") ~name:"m" 1.;
+  let encoded to_json r = Result.map (fun x -> Json.to_string (to_json x)) r in
+  let engine j = encoded Engine.snapshot (Engine.restore net j) in
+  let serve j =
+    match Serve.restore ~domains:1 serve_net j with
+    | Ok t ->
+      let s = Json.to_string (Serve.snapshot t) in
+      Serve.abort t;
+      Ok s
+    | Error m -> Error m
+  in
+  let config j = encoded Engine.Config.to_json (Engine.Config.of_json j) in
+  let policy_ j = encoded Policy.to_json (Policy.of_json j) in
+  let flap_ j = encoded Flap.to_json (Flap.of_json policy j) in
+  let bench_ j = encoded B.to_json (B.of_json j) in
+  let rows =
+    [ ("engine heap deadline", engine, heap_checkpoint net,
+       [ K "heap"; I 0; K "ev"; K "deadline" ]);
+      ("engine served_upto", engine, heap_checkpoint net, [ K "served_upto" ]);
+      ("serve cur_slot", serve, serve_doc, [ K "cur_slot" ]);
+      ("config max_defer", config, Engine.Config.to_json (guarded_config ()),
+       [ K "max_defer" ]);
+      ("policy queue_bound", policy_, Policy.to_json policy, [ K "queue_bound" ]);
+      ("flap history", flap_, Flap.to_json flap, [ K "history" ]);
+      ("bench quick", bench_, B.to_json bench, [ K "quick" ]) ]
+  in
+  List.iter
+    (fun (what, decode, doc, path) ->
+      ignore (get_ok ~what (decode doc));
+      let absent = decode (update path (fun _ -> None) doc) in
+      (match (absent, decode (set path Json.Null doc)) with
+      | Ok absent, Ok null ->
+        check Alcotest.string (what ^ ": null is absent") absent null
+      | Error _, Error _ -> ()
+      | Ok _, Error m ->
+        Alcotest.failf "%s: absent decodes, null is refused: %s" what m
+      | Error m, Ok _ ->
+        Alcotest.failf "%s: null decodes, absent is refused: %s" what m);
+      match decode (set path (Json.Str "x") doc) with
+      | Ok _ -> Alcotest.failf "%s: a string decodes" what
+      | Error _ -> ())
+    rows
+
+(* A real serve checkpoint with live circuits, parked victims,
+   quarantines, flap windows and a busy heap. *)
+let serve_checkpoint =
+  lazy
+    (let net = Builders.multiplane ~planes:2 (Builders.omega 8) in
+     let trace =
+       Workload.sort_trace
+         (Workload.synthesize ~mean_service:4.0 ~deadline_slack:8
+            (Prng.create 5) net ~slots:40 ~arrival_prob:0.5
+         @ Workload.fault_events
+             (Fault.inject (Prng.create 6) net ~horizon:40 ~mtbf:15.0 ~mttr:5.0))
+     in
+     let policy =
+       Policy.v ~queue_bound:4 ~retry_budget:3 ~flap_k:2 ~flap_window:25 ()
+     in
+     let cfg = Engine.Config.v ~guard:(Some policy) () in
+     let t = get_ok ~what:"create" (Serve.create ~config:cfg ~domains:1 net) in
+     List.iter (Serve.feed t) trace;
+     let j = Serve.snapshot t in
+     Serve.abort t;
+     (net, j))
+
+(* Every node of [doc], as the path to it. *)
+let rec node_paths prefix doc =
+  let below =
+    match doc with
+    | Json.Obj fs ->
+      List.concat_map (fun (k, v) -> node_paths (K k :: prefix) v) fs
+    | Json.Arr xs ->
+      List.concat (List.mapi (fun i v -> node_paths (I i :: prefix) v) xs)
+    | _ -> []
+  in
+  List.rev prefix :: below
+
+let swap_type = function
+  | Json.Num _ -> Json.Str "x"
+  | Json.Str _ -> Json.Bool true
+  | Json.Bool _ -> Json.Num 1.
+  | Json.Null -> Json.Arr []
+  | Json.Arr _ -> Json.Obj []
+  | Json.Obj _ -> Json.Arr []
+
+let test_restore_never_raises =
+  let paths =
+    lazy (Array.of_list (node_paths [] (snd (Lazy.force serve_checkpoint))))
+  in
+  (* An integer where there is a number, a change of type elsewhere. *)
+  let number n = function Json.Num _ -> Json.int n | v -> swap_type v in
+  let mutations =
+    [| ("drop", fun _ -> None);
+       ("swap type", fun v -> Some (swap_type v));
+       ("-1", fun v -> Some (number (-1) v));
+       ("1e9", fun v -> Some (number 1_000_000_000 v)) |]
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"serve restore of a one-node mutation returns, never raises"
+    QCheck.(pair (float_bound_exclusive 1.) (int_bound 3))
+    (fun (at, m) ->
+      let net, j = Lazy.force serve_checkpoint in
+      let paths = Lazy.force paths in
+      let path = paths.(int_of_float (at *. float_of_int (Array.length paths))) in
+      let name, f = mutations.(m) in
+      match Serve.restore ~domains:1 net (update path f j) with
+      | Ok t ->
+        Serve.abort t;
+        true
+      | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "%s at %s raised %s" name
+          (String.concat "."
+             (List.map (function K k -> k | I i -> string_of_int i) path))
+          (Printexc.to_string e))
+
 (* --- Borrowing under donor faults (qcheck, 3 topologies) ------------------- *)
 
 let borrow_storm_topologies =
@@ -573,6 +782,13 @@ let suite =
     Alcotest.test_case "restore rejects garbage" `Quick test_restore_rejects_garbage;
     Alcotest.test_case "serve checkpoint differential" `Quick
       test_serve_checkpoint_differential;
+    Alcotest.test_case "restore rejects a heap arrival feed would refuse" `Quick
+      test_restore_rejects_heap_arrival;
+    Alcotest.test_case "restore rejects a heap element the network lacks" `Quick
+      test_restore_rejects_heap_element;
+    Alcotest.test_case "decoders share one rule" `Quick
+      test_decoders_share_one_rule;
+    QCheck_alcotest.to_alcotest test_restore_never_raises;
     Alcotest.test_case "borrow while donor faults same slot" `Quick
       test_borrow_donor_faults_same_slot;
     QCheck_alcotest.to_alcotest test_borrow_donor_fault_qcheck;

@@ -396,6 +396,18 @@ let test_clock_elapsed () =
   check Alcotest.int "time_us returns the result" 42 r;
   check Alcotest.bool "time_us measures >= 0" true (us >= 0.)
 
+(* Declared [external] in clock.mli, the stub hands every caller an
+   unboxed int64: a boxing wrapper would cost 3 words per reading. *)
+let test_clock_allocates_nothing () =
+  let sink = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sink := !sink lxor Int64.to_int (Clock.now_ns ())
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !sink);
+  check (Alcotest.float 0.) "minor words over 10,000 readings" 0. words
+
 (* --- log-bucketed histogram and exact percentiles ------------------------ *)
 
 let test_loghist_quantiles () =
@@ -509,6 +521,48 @@ let test_json_to_int_exact () =
   check Alcotest.(option int) "4.7e18" None (to_int 4.7e18);
   check Alcotest.(option int) "non-integral" None (to_int 0.5)
 
+(* One rule: absent and null are "not given", a wrong shape is an
+   error, and the error names the path from the document's root. *)
+let test_json_decode () =
+  let module D = Json.Decode in
+  let doc s = Result.get_ok (Json.parse s) in
+  let run d s = D.run ~what:"doc" (fun () -> d (doc s)) in
+  let b = D.field "a" (D.list (D.field "b" D.int)) in
+  check Alcotest.(result (list int) string) "required fields" (Ok [ 1; 2 ])
+    (run b {|{"a":[{"b":1},{"b":2}]}|});
+  check Alcotest.(result (list int) string) "path to a wrong shape"
+    (Error "doc: a[1].b: not an integer within +/-2^53")
+    (run b {|{"a":[{"b":1},{"b":"x"}]}|});
+  check Alcotest.(result (list int) string) "null is missing"
+    (Error "doc: a[0]: missing field \"b\"")
+    (run b {|{"a":[{"b":null}]}|});
+  check Alcotest.(result (list int) string) "absent is missing"
+    (Error "doc: missing field \"a\"") (run b {|{}|});
+  check Alcotest.(result (list int) string) "not an object"
+    (Error "doc: a[0]: not an object") (run b {|{"a":[3]}|});
+  let o = D.opt "k" D.str in
+  check Alcotest.(result (option string) string) "optional absent" (Ok None)
+    (run o {|{}|});
+  check Alcotest.(result (option string) string) "optional null" (Ok None)
+    (run o {|{"k":null}|});
+  check Alcotest.(result (option string) string) "optional given"
+    (Ok (Some "v")) (run o {|{"k":"v"}|});
+  check Alcotest.(result (option string) string) "optional of the wrong shape"
+    (Error "doc: k: not a string") (run o {|{"k":1}|});
+  check Alcotest.(result (list (pair string int)) string) "assoc in order"
+    (Ok [ ("y", 2); ("x", 1) ])
+    (run (D.assoc D.int) {|{"y":2,"x":1}|});
+  check Alcotest.(result int string) "index in range" (Ok 2)
+    (run (D.field "i" (D.index 3)) {|{"i":2}|});
+  check Alcotest.(result int string) "index out of range"
+    (Error "doc: i: 3 is outside [0, 3)")
+    (run (D.field "i" (D.index 3)) {|{"i":3}|});
+  check Alcotest.(result int string) "a result lifted under its field"
+    (Error "doc: c: Sub: bad")
+    (run (D.field "c" (fun _ -> D.ok (Error "Sub: bad"))) {|{"c":{}}|});
+  check Alcotest.(result int string) "fail at the root"
+    (Error "doc: no") (run (fun _ -> D.fail "no") {|{}|})
+
 let json_gen =
   let open QCheck.Gen in
   let scalar =
@@ -599,6 +653,8 @@ let suite =
     Alcotest.test_case "table ragged rows" `Quick test_table_ragged_rows;
     Alcotest.test_case "clock monotone" `Quick test_clock_monotone;
     Alcotest.test_case "clock elapsed" `Quick test_clock_elapsed;
+    Alcotest.test_case "clock now_ns allocates nothing" `Quick
+      test_clock_allocates_nothing;
     Alcotest.test_case "loghist quantiles" `Quick test_loghist_quantiles;
     Alcotest.test_case "loghist edge cases" `Quick test_loghist_edge_cases;
     Alcotest.test_case "percentile" `Quick test_percentile;
@@ -607,6 +663,7 @@ let suite =
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
     Alcotest.test_case "json to_int is exact or None" `Quick
       test_json_to_int_exact;
+    Alcotest.test_case "json decode: one rule, one path" `Quick test_json_decode;
     json_roundtrip;
     Alcotest.test_case "json integers print as %.0f" `Quick
       test_json_integers_match_printf;
