@@ -17,10 +17,27 @@
    switch back. Its value and cut are checked against a from-scratch
    solve and min cut, the rounds after it against their own references
    (the probe must leave no trace), and it sits inside the measured
-   zero-allocation period. The structured report lands in BENCH_csr.json
-   for the [rsin perf] regression gate. *)
+   zero-allocation period.
+
+   The slot around the solve is held to the same bar on omega:256 and
+   omega:16, the planes of the serving benchmark's steady and sparse
+   workloads. A warm Incremental churn (endpoint switches, solves with
+   their one-pass extraction into the per-processor slots, releases), a
+   warm run of adds and pops on the engine's event heap, and the cycle
+   gate read from the engine's kept pending and free counts must each
+   allocate 0 minor words, or the bench fails. Warm Engine.advance is
+   then measured in minor words per trace event on both planes and
+   reported, not gated: task records, the live-circuit table and the
+   links handed to Network.establish still allocate.
+
+   The structured report lands in BENCH_csr.json for the [rsin perf]
+   regression gate. *)
 
 module Csr = Rsin_flow.Csr
+module Incremental = Rsin_engine.Incremental
+module Engine = Rsin_engine.Engine
+module Workload = Rsin_sim.Workload
+module Event_heap = Rsin_util.Event_heap
 module Dinic = Rsin_flow.Dinic
 module Edmonds_karp = Rsin_flow.Edmonds_karp
 module Mincost = Rsin_flow.Mincost
@@ -207,19 +224,141 @@ let probe_reference ng =
 
 (* Calibrated allocation probe: [Gc.minor_words] itself boxes its float
    result, so two back-to-back readings measure that overhead exactly
-   (a reading's box is charged to the *next* delta). The net allocation
-   of one full CSR warm period must then be zero to the word. *)
+   (a reading's box is charged to the *next* delta). [words f] is the
+   net minor words of [f ()]. *)
+let words f =
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  f ();
+  let c = Gc.minor_words () in
+  c -. b -. (b -. a)
+
+(* The net allocation of one full CSR warm period: it must be zero to
+   the word. *)
 let measure_period_alloc run run_rounds period_len =
   run ();
   (* state is clean: the schedule length is a multiple of the period *)
-  let a = Gc.minor_words () in
-  let b = Gc.minor_words () in
-  let overhead = b -. a in
-  run_rounds 0 (period_len - 1);
-  let c = Gc.minor_words () in
-  c -. b -. overhead
+  words (fun () -> run_rounds 0 (period_len - 1))
 
 let mean a = Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a)
+
+(* --- The slot around the solve ------------------------------------------ *)
+
+(* A warm Incremental churn in the engine's cycle shape, every target
+   precomputed so the loop itself allocates nothing: each round releases
+   the circuits committed two rounds before (transmission time 2),
+   switches every endpoint no circuit holds, and solves. Returns the
+   rounds runner and the count of circuits committed. *)
+let incremental_runner net ~rounds =
+  let inc = Incremental.create net in
+  let np = Network.n_procs net and nr = Network.n_res net in
+  let rng = Prng.create (Hashtbl.hash (Network.name net, seed)) in
+  let draw n p =
+    Array.init rounds (fun _ -> Array.init n (fun _ -> Prng.float rng 1.0 < p))
+  in
+  let proc_on = draw np 0.5 and res_on = draw nr 0.6 in
+  let held = Array.init 2 (fun _ -> Array.make np 0) and n_held = Array.make 2 0 in
+  let res_busy = Array.make nr false in
+  let committed = ref 0 in
+  let run_rounds lo hi =
+    for r = lo to hi do
+      let b = r land 1 in
+      for k = 0 to n_held.(b) - 1 do
+        let p = held.(b).(k) in
+        res_busy.(Incremental.circuit_res inc p) <- false;
+        Incremental.release inc p
+      done;
+      for p = 0 to np - 1 do
+        if not (Incremental.holds inc p) then
+          Incremental.set_requesting inc ~priority:0 p proc_on.(r).(p)
+      done;
+      for q = 0 to nr - 1 do
+        if not res_busy.(q) then Incremental.set_resource_free inc q res_on.(r).(q)
+      done;
+      let n = Incremental.solve inc in
+      for k = 0 to n - 1 do
+        let p = Incremental.found inc k in
+        held.(b).(k) <- p;
+        res_busy.(Incremental.circuit_res inc p) <- true
+      done;
+      n_held.(b) <- n;
+      committed := !committed + n
+    done
+  in
+  (run_rounds, committed)
+
+(* An engine on [net] past its first [warm] slots of a synthesized
+   trace, the rest still queued, and a counter of the events it has
+   served. *)
+let warm_engine ?config net ~slots ~arrival ~warm =
+  let served = ref 0 in
+  let e =
+    Engine.create ?config ~event_hook:(fun ~events ~time:_ -> served := events) net
+  in
+  List.iter (Engine.feed e)
+    (Workload.synthesize (Prng.create seed) net ~slots ~arrival_prob:arrival);
+  Engine.advance e ~upto:warm;
+  (e, served)
+
+(* The per-plane slot checks: hard-fail on any minor word from the
+   warm Incremental churn, the event heap or the cycle gate; then warm
+   Engine.advance words per event, reported. *)
+let slot_row report ~quick (name, net, arrival, slots) =
+  let fail what w =
+    Printf.eprintf "E34 %s: %s allocated %.0f minor words (want 0)\n" name what w;
+    assert false
+  in
+  let rounds = if quick then 24 else 64 in
+  let run_rounds, committed = incremental_runner net ~rounds in
+  run_rounds 0 ((rounds / 2) - 1);
+  let solve_words = words (fun () -> run_rounds (rounds / 2) (rounds - 1)) in
+  if solve_words <> 0. then fail "warm Incremental.solve churn" solve_words;
+  let h = Event_heap.create () and n = 4 * Network.n_procs net in
+  let heap_period () =
+    for i = 0 to n - 1 do
+      Event_heap.add h ~time:(i * 7919 mod 97) ~seq:i i
+    done;
+    for _ = 1 to n do
+      ignore (Event_heap.pop h)
+    done
+  in
+  heap_period ();
+  let heap_words = words heap_period in
+  if heap_words <> 0. then fail "event heap add/pop" heap_words;
+  let gate_words =
+    List.fold_left
+      (fun acc config ->
+        let e, _ = warm_engine ~config net ~slots:60 ~arrival ~warm:30 in
+        acc
+        +. words (fun () ->
+               for now = 31 to 1030 do
+                 ignore (Engine.cycle_due e ~now)
+               done))
+      0.
+      [ Engine.Config.default; Engine.Config.v ~batch_threshold:4 () ]
+  in
+  if gate_words <> 0. then fail "cycle gate" gate_words;
+  let slots = if quick then slots / 4 else slots in
+  let e, served = warm_engine net ~slots ~arrival ~warm:(slots / 4) in
+  let before = !served in
+  let advance_words = words (fun () -> Engine.drain e) in
+  let per_event = advance_words /. float_of_int (!served - before) in
+  let case = Bench_report.case report ("slot:" ^ name) in
+  Bench_report.record_count case ~name:"slot.solve_words" ~unit_:"words"
+    solve_words;
+  Bench_report.record_count case ~name:"slot.heap_words" ~unit_:"words"
+    heap_words;
+  Bench_report.record_count case ~name:"slot.gate_words" ~unit_:"words"
+    gate_words;
+  Bench_report.record_count case ~name:"slot.committed" ~unit_:"circuits"
+    (float_of_int !committed);
+  (* An allocation figure, held to the gate's time-and-alloc tolerance:
+     it is not a deterministic count across compiler versions. *)
+  Bench_report.record_samples case ~name:"slot.advance_words_per_event"
+    ~kind:Bench_report.Alloc ~unit_:"words" [| per_event |];
+  [ name; string_of_int rounds; Table.ffix 0 solve_words;
+    Table.ffix 0 heap_words; Table.ffix 0 gate_words;
+    string_of_int (!served - before); Table.ffix 1 per_event ]
 
 let run ?(quick = false) () =
   print_endline "== E34: zero-allocation CSR core on warm churn ==";
@@ -334,4 +473,21 @@ let run ?(quick = false) () =
   print_endline
     "   enables, solves, commits, what-if, release — allocates 0 minor";
   print_endline "   words, 1024-port net included)";
+  print_newline ();
+  print_endline "  the slot around the solve, per plane of the serving benchmark:";
+  Table.print
+    ~header:
+      [ "plane"; "rounds"; "solve w"; "heap w"; "gate w"; "events";
+        "advance w/ev" ]
+    (List.map
+       (slot_row report ~quick)
+       [ ("omega:256", Builders.omega 256, 0.12, 1100);
+         ("omega:16", Builders.omega 16, 0.04, 5000) ]);
+  print_newline ();
+  print_endline
+    "  (checked: a warm Incremental churn, solves and their extraction";
+  print_endline
+    "   included, event-heap adds and pops, and the cycle gate allocate 0";
+  print_endline
+    "   minor words; advance words per event are reported, not gated)";
   Printf.printf "  wrote %s\n\n" (Bench_report.write report)

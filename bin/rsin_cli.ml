@@ -904,10 +904,21 @@ let engine_trace ?trace_file (o : engine_opts) net c =
   end;
   match trace_file with
   | Some file ->
-    (try Workload.read_trace file
-     with Sys_error msg | Failure msg ->
-       Printf.eprintf "rsin: cannot read trace: %s\n" msg;
-       exit 1)
+    let fail msg =
+      Printf.eprintf "rsin: cannot read trace: %s\n" msg;
+      exit 1
+    in
+    let trace =
+      try Workload.read_trace file with Sys_error msg | Failure msg -> fail msg
+    in
+    (* Refuse what the engine would, before any of it is served. *)
+    List.iter
+      (fun ev ->
+        Option.iter
+          (fun m -> fail (Printf.sprintf "slot %d: %s" (Workload.event_time ev) m))
+          (Rsin_engine.Engine.event_error net ev))
+      trace;
+    trace
   | None ->
     Workload.synthesize ~mean_service:o.eo_service
       ?deadline_slack:o.eo_slack ~cancel_prob:o.eo_cancel

@@ -1,4 +1,5 @@
-module Heap = Rsin_util.Heap
+module Event_heap = Rsin_util.Event_heap
+module Ring = Rsin_util.Ring
 module Stats = Rsin_util.Stats
 module Json = Rsin_util.Json
 module D = Json.Decode
@@ -200,7 +201,9 @@ type report = {
 
 (* Internal events. Trace arrivals/cancels are fed from outside; the
    engine schedules releases, completions, deadline expiries and
-   deferred-batch wakeups as it runs. *)
+   deferred-batch wakeups as it runs. The heap holds them encoded as
+   ints (see [encode] below); this variant is their decoded form, which
+   checkpoints write and read. *)
 type ev =
   | Ev_arrive of {
       id : int;
@@ -224,13 +227,16 @@ type task = {
   priority : int;
   deadline : int option;  (* kept for deadline-aware shedding *)
   mutable queued : bool;  (* false once transmitting, cancelled or expired *)
+  mutable home : int;     (* the processor whose queue holds it when queued *)
 }
 
 (* A live entry covers both phases of an allocation: transmission (the
    circuit holds its links; [released = false]) and service (links
    free, resource busy). It leaves the table at completion — or at a
    fault teardown during transmission, which silently invalidates the
-   already-queued Ev_release/Ev_complete for its index. *)
+   already-queued Ev_release/Ev_complete for its index. In Warm mode
+   the transmitting circuit's arcs sit in [lproc]'s slot of the warm
+   graph (Incremental.holds). *)
 type live = {
   net_id : int;
   lproc : int;
@@ -238,7 +244,6 @@ type live = {
   task_id : int;
   committed_at : int;
   lservice : int;
-  inc : Incremental.circuit option;  (* Warm mode only *)
   mutable released : bool;
 }
 
@@ -263,12 +268,31 @@ type t = {
      mid-service simply stays unavailable after completing. *)
   requesting : bool array;
   res_idle : bool array;
-  queues : int list array;             (* task ids, FIFO *)
-  transmitting : int option array;
+  (* [n_pending] counts the requesting processors and [n_free] the
+     resources [counted_free] marks, kept equal to [res_free] wherever
+     idleness or health changes: the cycle gate reads the counts, and
+     only a hook, Rebuild or Token builds the lists. *)
+  mutable n_pending : int;
+  mutable n_free : int;
+  counted_free : bool array;
+  queues : Ring.t array;               (* task ids, FIFO *)
+  transmitting : bool array;
   tasks : (int, task) Hashtbl.t;
+  (* Iterated in apply_fault: victims are torn down, and their retries
+     numbered, in this table's order, which checkpoints record. *)
   lives : (int, live) Hashtbl.t;
   mutable next_live : int;
-  heap : (int * int, ev) Heap.t;
+  heap : Event_heap.t;
+  (* Arrivals waiting in the heap, [arrival_width] ints a slot: id,
+     processor, service, priority, deadline, and 1 when there is a
+     deadline. Free slots are chained through their first int from
+     [slab_free] (-1: none). *)
+  mutable slab : int array;
+  mutable slab_free : int;
+  (* The rare events whose payload is no int: faults and
+     unquarantines, keyed by [next_side]. *)
+  side : (int, ev) Hashtbl.t;
+  mutable next_side : int;
   mutable next_seq : int;
   mutable arrivals : int;
   mutable allocated : int;
@@ -308,23 +332,154 @@ type t = {
   mutable served_upto : int;
 }
 
+(* --- The event heap's encoding ----------------------------------------------
+
+   Payload above four kind bits: an arrival's slot in [slab], a
+   task id, a live index, or a [side] key. Task ids stay within
+   [id_fits] (Engine.feed refuses the others), so every payload
+   survives the shift. *)
+
+type kind =
+  | K_arrive
+  | K_cancel
+  | K_release
+  | K_complete
+  | K_fault
+  | K_deadline
+  | K_wake
+  | K_retry
+  | K_unquarantine
+
+let kind_of_code =
+  [| K_arrive; K_cancel; K_release; K_complete; K_fault; K_deadline; K_wake;
+     K_retry; K_unquarantine |]
+
+let encode kind payload =
+  let k =
+    match kind with
+    | K_arrive -> 0
+    | K_cancel -> 1
+    | K_release -> 2
+    | K_complete -> 3
+    | K_fault -> 4
+    | K_deadline -> 5
+    | K_wake -> 6
+    | K_retry -> 7
+    | K_unquarantine -> 8
+  in
+  (payload lsl 4) lor k
+
+let kind code = kind_of_code.(code land 15)
+let payload code = code asr 4
+let id_fits id = (id lsl 4) asr 4 = id
+
+let next_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let push_code t time code = Event_heap.add t.heap ~time ~seq:(next_seq t) code
+
+let arrival_width = 6
+
+(* Files an arrival in a free slot, doubling the slab when none is
+   left, and returns the slot. *)
+let store_arrival t ~id ~proc ~service ~priority deadline =
+  if t.slab_free < 0 then begin
+    let n = Array.length t.slab / arrival_width in
+    let m = if n = 0 then 64 else 2 * n in
+    let slab = Array.make (m * arrival_width) 0 in
+    Array.blit t.slab 0 slab 0 (Array.length t.slab);
+    for i = n to m - 1 do
+      slab.(i * arrival_width) <- (if i = m - 1 then -1 else i + 1)
+    done;
+    t.slab <- slab;
+    t.slab_free <- n
+  end;
+  let i = t.slab_free in
+  let b = i * arrival_width in
+  t.slab_free <- t.slab.(b);
+  t.slab.(b) <- id;
+  t.slab.(b + 1) <- proc;
+  t.slab.(b + 2) <- service;
+  t.slab.(b + 3) <- priority;
+  (match deadline with
+  | Some d ->
+    t.slab.(b + 4) <- d;
+    t.slab.(b + 5) <- 1
+  | None -> t.slab.(b + 5) <- 0);
+  i
+
+let free_arrival t i =
+  t.slab.(i * arrival_width) <- t.slab_free;
+  t.slab_free <- i
+
+let store_side t ev =
+  let key = t.next_side in
+  t.next_side <- key + 1;
+  Hashtbl.replace t.side key ev;
+  key
+
+let take_side t key =
+  let ev = Hashtbl.find t.side key in
+  Hashtbl.remove t.side key;
+  ev
+
+(* The heap payload [ev] encodes to, filing what an int cannot hold. *)
+let code_of t = function
+  | Ev_arrive { id; proc; service; deadline; priority } ->
+    encode K_arrive (store_arrival t ~id ~proc ~service ~priority deadline)
+  | Ev_cancel id -> encode K_cancel id
+  | Ev_release li -> encode K_release li
+  | Ev_complete li -> encode K_complete li
+  | Ev_deadline id -> encode K_deadline id
+  | Ev_wake -> encode K_wake 0
+  | Ev_retry id -> encode K_retry id
+  | Ev_fault _ as ev -> encode K_fault (store_side t ev)
+  | Ev_unquarantine _ as ev -> encode K_unquarantine (store_side t ev)
+
+let push t time ev = push_code t time (code_of t ev)
+
+(* The event a heap payload stands for, without consuming it (cold:
+   checkpoints). *)
+let decode t code =
+  let i = payload code in
+  match kind code with
+  | K_arrive ->
+    let a = t.slab and b = i * arrival_width in
+    Ev_arrive
+      { id = a.(b); proc = a.(b + 1); service = a.(b + 2);
+        priority = a.(b + 3);
+        deadline = (if a.(b + 5) = 1 then Some a.(b + 4) else None) }
+  | K_cancel -> Ev_cancel i
+  | K_release -> Ev_release i
+  | K_complete -> Ev_complete i
+  | K_deadline -> Ev_deadline i
+  | K_wake -> Ev_wake
+  | K_retry -> Ev_retry i
+  | K_fault | K_unquarantine -> Hashtbl.find t.side i
+
 let res_free t r = t.res_idle.(r) && Network.res_available t.net r
 
-let push t time ev =
-  Heap.add t.heap (time, t.next_seq) ev;
-  t.next_seq <- t.next_seq + 1
+(* Re-counts resource r after its idleness or health may have changed. *)
+let count_res t r =
+  let f = res_free t r in
+  if f <> t.counted_free.(r) then begin
+    t.counted_free.(r) <- f;
+    t.n_free <- (if f then t.n_free + 1 else t.n_free - 1)
+  end
 
 (* The pending request of a processor stands for its queue head; under
    the priority discipline the head's priority rides on the source
    arc's cost, so it must be refreshed whenever the head changes while
    the request stays pending (a cancel or expiry of the old head). *)
 let head_priority t p =
-  match t.queues.(p) with
-  | id :: _ -> (Hashtbl.find t.tasks id).priority
-  | [] -> 0
+  let q = t.queues.(p) in
+  if Ring.is_empty q then 0 else (Hashtbl.find t.tasks (Ring.front q)).priority
 
 let set_requesting t p on =
   let changed = t.requesting.(p) <> on in
+  if changed then t.n_pending <- (if on then t.n_pending + 1 else t.n_pending - 1);
   t.requesting.(p) <- on;
   match t.inc with
   | Some i ->
@@ -337,6 +492,7 @@ let set_requesting t p on =
    transmission the resource counts as busy via the frozen flow, and
    teardown/release thaw the arc before any sync. *)
 let sync_res t r =
+  count_res t r;
   match t.inc with
   | Some i -> Incremental.set_resource_free i r (res_free t r)
   | None -> ()
@@ -360,14 +516,18 @@ let create ?obs ?(config = Config.default) ?cycle_hook ?event_hook net =
     { cfg = config; obs; cycle_hook; event_hook; net; np; nr; inc; solver_mod;
       requesting = Array.make np false;
       res_idle = Array.make nr true;
-      queues = Array.make np [];
-      transmitting = Array.make np None;
+      n_pending = 0; n_free = 0;
+      counted_free = Array.make nr false;
+      queues = Array.init np (fun _ -> Ring.create ());
+      transmitting = Array.make np false;
       tasks = Hashtbl.create 256;
       lives = Hashtbl.create 64;
       next_live = 0;
-      heap =
-        Heap.create ~cmp:(fun (t1, s1) (t2, s2) ->
-            if t1 <> t2 then compare (t1 : int) t2 else compare (s1 : int) s2);
+      heap = Event_heap.create ();
+      slab = [||];
+      slab_free = -1;
+      side = Hashtbl.create 16;
+      next_side = 0;
       next_seq = 0;
       arrivals = 0; allocated = 0; completed = 0; cancelled = 0; expired = 0;
       cycles = 0; skipped_cycles = 0; solver_work = 0;
@@ -390,47 +550,56 @@ let create ?obs ?(config = Config.default) ?cycle_hook ?event_hook net =
 
 (* What an arrival must satisfy before it may enter the event heap,
    from a trace or from a checkpoint. *)
-let arrival_error t ~proc ~service ~priority =
-  if proc < 0 || proc >= t.np then Some "bad processor"
+let arrival_error ~np ~proc ~service ~priority =
+  if proc < 0 || proc >= np then Some "bad processor"
   else if service < 1 then Some "bad service time"
   else if priority < 0 then Some "bad priority"
   else None
+
+let event_error net = function
+  | Workload.Arrive { id; proc; service; priority; _ } -> (
+    match arrival_error ~np:(Network.n_procs net) ~proc ~service ~priority with
+    | Some m -> Some (m ^ " in trace")
+    | None -> if id_fits id then None else Some "task id out of range in trace")
+  | Workload.Cancel { id; _ } ->
+    if id_fits id then None else Some "task id out of range in trace"
+  | Workload.Fault { element; _ } | Workload.Repair { element; _ } ->
+    if Fault.in_range net element then None
+    else Some "fault element out of range"
 
 let feed t ev =
   let time = Workload.event_time ev in
   if time <= t.served_upto then
     invalid_arg "Engine.feed: event at or before an already-served slot";
+  Option.iter (fun m -> invalid_arg ("Engine.feed: " ^ m)) (event_error t.net ev);
   match ev with
   | Workload.Arrive { t = time; id; proc; service; deadline; priority } ->
-    Option.iter
-      (fun m -> invalid_arg ("Engine.feed: " ^ m ^ " in trace"))
-      (arrival_error t ~proc ~service ~priority);
-    push t time (Ev_arrive { id; proc; service; deadline; priority })
-  | Workload.Cancel { t = time; id } -> push t time (Ev_cancel id)
+    push_code t time
+      (encode K_arrive (store_arrival t ~id ~proc ~service ~priority deadline))
+  | Workload.Cancel { t = time; id } -> push_code t time (encode K_cancel id)
   | Workload.Fault { t = time; clock; element } ->
     push t time (Ev_fault (Fault.down_of element, clock))
   | Workload.Repair { t = time; clock = _; element } ->
     (* Repairs always apply at the cycle boundary (Workload doc). *)
     push t time (Ev_fault (Fault.up_of element, None))
 
+(* Remove a still-queued task (cancel or deadline expiry) and retire its
+   record. A queued task sits in its home processor's queue only. *)
 let drop_task t id =
-  (* Remove a still-queued task (cancel or deadline expiry) and retire
-     its record. *)
-  match Hashtbl.find_opt t.tasks id with
-  | Some task when task.queued ->
+  match Hashtbl.find t.tasks id with
+  | task when task.queued ->
     Hashtbl.remove t.tasks id;
-    Array.iteri
-      (fun p q ->
-        if List.mem id q then begin
-          t.queues.(p) <- List.filter (fun x -> x <> id) q;
-          if t.queues.(p) = [] then set_requesting t p false
-          else if t.requesting.(p) then
-            (* Same request, possibly a new head: refresh its priority. *)
-            set_requesting t p true
-        end)
-      t.queues;
+    let p = task.home in
+    let q = t.queues.(p) in
+    if Ring.remove q id then begin
+      if Ring.is_empty q then set_requesting t p false
+      else if t.requesting.(p) then
+        (* Same request, possibly a new head: refresh its priority. *)
+        set_requesting t p true
+    end;
     true
-  | Some _ | None -> false
+  | _ -> false
+  | exception Not_found -> false
 
 (* Retire a victim parked in backoff (cancel or deadline expiry): its
    pending Ev_retry becomes a stale no-op. *)
@@ -444,6 +613,15 @@ let unpark t id =
     true
   end
 
+(* Queue task [id] at the head of processor [p]'s queue: a re-admitted
+   fault victim, ahead of every task that arrived while it was
+   transmitting. *)
+let requeue_front t p id =
+  let task = Hashtbl.find t.tasks id in
+  task.queued <- true;
+  task.home <- p;
+  Ring.push_front t.queues.(p) id
+
 (* Tear down a circuit still in transmission because a fault severed
    one of its links: release the circuit (net + warm graph), return
    the interrupted task to the head of its queue, and undo the busy
@@ -452,9 +630,7 @@ let unpark t id =
 let teardown t now li (l : live) =
   Hashtbl.remove t.lives li;
   Network.release t.net l.net_id;
-  (match l.inc with
-  | Some c -> Incremental.release (Option.get t.inc) c
-  | None -> ());
+  (match t.inc with Some i -> Incremental.release i l.lproc | None -> ());
   t.victims <- t.victims + 1;
   t.busy_slots <-
     t.busy_slots
@@ -465,14 +641,10 @@ let teardown t now li (l : live) =
      fault that killed the circuit is the resource itself: health was
      flipped before the teardown, so res_free is already false). *)
   sync_res t l.lres;
-  t.transmitting.(l.lproc) <- None;
+  t.transmitting.(l.lproc) <- false;
   match t.cfg.Config.guard with
   | None ->
-    (* Victim re-admission: back to the queue head, ahead of every task
-       that arrived while it was transmitting. *)
-    let task = Hashtbl.find t.tasks l.task_id in
-    task.queued <- true;
-    t.queues.(l.lproc) <- l.task_id :: t.queues.(l.lproc);
+    requeue_front t l.lproc l.task_id;
     Hashtbl.replace t.victim_at l.task_id now;
     set_requesting t l.lproc true
   | Some g ->
@@ -499,7 +671,7 @@ let teardown t now li (l : live) =
       t.retries <- t.retries + 1;
       Obs.count t.obs "engine.guard.retries" 1
     end;
-    if t.queues.(l.lproc) <> [] then set_requesting t l.lproc true
+    if not (Ring.is_empty t.queues.(l.lproc)) then set_requesting t l.lproc true
 
 let set_elt_quarantined net e q =
   match e with
@@ -565,327 +737,360 @@ let apply_fault t now fev =
           ("element", Tr.Str (Fault.element_name element));
           ("victims", Tr.Int t.victims) ]
 
+let shed_one t =
+  t.shed <- t.shed + 1;
+  Obs.count t.obs "engine.guard.shed" 1
+
+let admit t now ~id ~proc ~service ~priority deadline =
+  Hashtbl.replace t.tasks id
+    { arrival = now; service; priority; deadline; queued = true; home = proc };
+  Ring.push_back t.queues.(proc) id;
+  if not t.transmitting.(proc) then set_requesting t proc true;
+  (match deadline with
+  | Some d -> push_code t d (encode K_deadline id)
+  | None -> ());
+  if t.cfg.Config.batch_threshold > 1 then
+    push_code t (now + t.cfg.Config.max_defer) (encode K_wake 0)
+
+(* Admission control: the pending queue is full, something must be
+   shed before the newcomer can sit down. *)
+let admit_full t now ~id ~proc ~service ~priority deadline g =
+  match g.Policy.shed_policy with
+  | Policy.Drop_tail -> shed_one t
+  | Policy.Deadline_aware ->
+    (* Shed the pending task (newcomer included) with the least
+       remaining deadline slack — the one most likely to expire
+       unserved anyway. No-deadline tasks count as infinite slack; ties
+       shed the newest, so the newcomer loses ties and queue order
+       stays stable. *)
+    let slack = function Some d -> d - now | None -> max_int in
+    let q = t.queues.(proc) in
+    let best_id = ref (-1) in
+    let best_slack = ref (slack deadline) in
+    let best_rec = ref (Ring.length q) in
+    for i = 0 to Ring.length q - 1 do
+      let tid = Ring.get q i in
+      let s = slack (Hashtbl.find t.tasks tid).deadline in
+      if s < !best_slack || (s = !best_slack && i > !best_rec) then begin
+        best_id := tid;
+        best_slack := s;
+        best_rec := i
+      end
+    done;
+    if !best_id = -1 then shed_one t
+    else begin
+      Hashtbl.remove t.tasks !best_id;
+      ignore (Ring.remove q !best_id);
+      shed_one t;
+      admit t now ~id ~proc ~service ~priority deadline;
+      (* Shedding the head changes the pending request's task: refresh
+         its priority on the source arc. *)
+      if t.requesting.(proc) then set_requesting t proc true
+    end
+
+let arrive t now i =
+  let a = t.slab and b = i * arrival_width in
+  let id = a.(b) and proc = a.(b + 1) and service = a.(b + 2) in
+  let priority = a.(b + 3) and d = a.(b + 4) and has_deadline = a.(b + 5) = 1 in
+  free_arrival t i;
+  t.arrivals <- t.arrivals + 1;
+  (* A task terminal on arrival gets no record: [tasks] holds only
+     queued, parked and in-flight tasks. *)
+  if Hashtbl.mem t.tasks id then
+    (* The id still names a live task: refuse the newcomer rather than
+       overwrite the live record. *)
+    shed_one t
+  else if has_deadline && d <= now then
+    (* Dead on arrival: the deadline is already past, so the task
+       expires immediately — it must not sit in the queue forever (and
+       certainly must not be served). *)
+    t.expired <- t.expired + 1
+  else
+    let deadline = if has_deadline then Some d else None in
+    match t.cfg.Config.guard with
+    | Some g
+      when g.Policy.queue_bound > 0
+           && Ring.length t.queues.(proc) >= g.Policy.queue_bound ->
+      admit_full t now ~id ~proc ~service ~priority deadline g
+    | Some _ | None -> admit t now ~id ~proc ~service ~priority deadline
+
+let release t li =
+  match Hashtbl.find t.lives li with
+  | l when not l.released ->
+    l.released <- true;
+    Network.release t.net l.net_id;
+    (match t.inc with Some i -> Incremental.release i l.lproc | None -> ());
+    t.transmitting.(l.lproc) <- false;
+    if not (Ring.is_empty t.queues.(l.lproc)) then set_requesting t l.lproc true;
+    true
+  | _ -> false (* torn down by a fault *)
+  | exception Not_found -> false
+
+let complete t li =
+  match Hashtbl.find t.lives li with
+  | l ->
+    Hashtbl.remove t.lives li;
+    t.completed <- t.completed + 1;
+    Hashtbl.remove t.tasks l.task_id;
+    Hashtbl.remove t.retry_count l.task_id;
+    t.res_idle.(l.lres) <- true;
+    sync_res t l.lres;
+    true
+  | exception Not_found -> false (* torn down by a fault *)
+
+let retry t id =
+  match Hashtbl.find t.retry_pending id with
+  | proc ->
+    (* Backoff elapsed: re-admit at the queue head, like the legacy
+       path — but only now, so a flapping element stops seeing the same
+       victim every cycle. *)
+    Hashtbl.remove t.retry_pending id;
+    requeue_front t proc id;
+    if not t.transmitting.(proc) then set_requesting t proc true;
+    true
+  | exception Not_found -> false (* cancelled or expired while parked *)
+
 (* Returns true when the event changed engine state (used for the
    measured horizon: trailing no-op deadline checks and wakeups do not
    extend it). *)
-let process t now = function
-  | Ev_arrive { id; proc; service; deadline; priority } ->
-    t.arrivals <- t.arrivals + 1;
-    (* A task terminal on arrival gets no record: [tasks] holds only
-       queued, parked and in-flight tasks. *)
-    let shed_newcomer () =
-      t.shed <- t.shed + 1;
-      Obs.count t.obs "engine.guard.shed" 1
-    in
-    (match deadline with
-    | _ when Hashtbl.mem t.tasks id ->
-      (* The id still names a live task: refuse the newcomer rather
-         than overwrite the live record. *)
-      shed_newcomer ()
-    | Some d when d <= now ->
-      (* Dead on arrival: the deadline is already past, so the task
-         expires immediately — it must not sit in the queue forever
-         (and certainly must not be served). *)
-      t.expired <- t.expired + 1
-    | _ -> (
-      let admit () =
-        Hashtbl.replace t.tasks id
-          { arrival = now; service; priority; deadline; queued = true };
-        t.queues.(proc) <- t.queues.(proc) @ [ id ];
-        if t.transmitting.(proc) = None then set_requesting t proc true;
-        (match deadline with Some d -> push t d (Ev_deadline id) | None -> ());
-        if t.cfg.Config.batch_threshold > 1 then
-          push t (now + t.cfg.Config.max_defer) Ev_wake
-      in
-      match t.cfg.Config.guard with
-      | Some g
-        when g.Policy.queue_bound > 0
-             && List.length t.queues.(proc) >= g.Policy.queue_bound -> (
-        (* Admission control: the pending queue is full, something must
-           be shed before the newcomer can sit down. *)
-        match g.Policy.shed_policy with
-        | Policy.Drop_tail -> shed_newcomer ()
-        | Policy.Deadline_aware ->
-          (* Shed the pending task (newcomer included) with the least
-             remaining deadline slack — the one most likely to expire
-             unserved anyway. No-deadline tasks count as infinite
-             slack; ties shed the newest, so the newcomer loses ties
-             and queue order stays stable. *)
-          let slack = function Some d -> d - now | None -> max_int in
-          let q = t.queues.(proc) in
-          let best_id = ref (-1) in
-          let best_slack = ref (slack deadline) in
-          let best_rec = ref (List.length q) in
-          List.iteri
-            (fun i tid ->
-              let s = slack (Hashtbl.find t.tasks tid).deadline in
-              if s < !best_slack || (s = !best_slack && i > !best_rec) then begin
-                best_id := tid;
-                best_slack := s;
-                best_rec := i
-              end)
-            q;
-          if !best_id = -1 then shed_newcomer ()
-          else begin
-            Hashtbl.remove t.tasks !best_id;
-            t.queues.(proc) <- List.filter (fun x -> x <> !best_id) q;
-            t.shed <- t.shed + 1;
-            Obs.count t.obs "engine.guard.shed" 1;
-            admit ();
-            (* Shedding the head changes the pending request's task:
-               refresh its priority on the source arc. *)
-            if t.requesting.(proc) then set_requesting t proc true
-          end)
-      | Some _ | None -> admit ()));
+let process t now code =
+  let i = payload code in
+  match kind code with
+  | K_arrive ->
+    arrive t now i;
     true
-  | Ev_cancel id ->
-    let gone = drop_task t id || unpark t id in
+  | K_cancel ->
+    let gone = drop_task t i || unpark t i in
     if gone then t.cancelled <- t.cancelled + 1;
     gone
-  | Ev_deadline id ->
-    let gone = drop_task t id || unpark t id in
+  | K_deadline ->
+    let gone = drop_task t i || unpark t i in
     if gone then t.expired <- t.expired + 1;
     gone
-  | Ev_release li ->
-    (match Hashtbl.find_opt t.lives li with
-    | Some l when not l.released ->
-      l.released <- true;
-      Network.release t.net l.net_id;
-      (match l.inc with
-      | Some c -> Incremental.release (Option.get t.inc) c
-      | None -> ());
-      t.transmitting.(l.lproc) <- None;
-      if t.queues.(l.lproc) <> [] then set_requesting t l.lproc true;
-      true
-    | Some _ | None -> false (* torn down by a fault *))
-  | Ev_complete li ->
-    (match Hashtbl.find_opt t.lives li with
-    | Some l ->
-      Hashtbl.remove t.lives li;
-      t.completed <- t.completed + 1;
-      Hashtbl.remove t.tasks l.task_id;
-      Hashtbl.remove t.retry_count l.task_id;
-      t.res_idle.(l.lres) <- true;
-      sync_res t l.lres;
-      true
-    | None -> false (* torn down by a fault *))
-  | Ev_fault (fev, clock) ->
-    (match (t.cfg.Config.mode, clock) with
-    | Token, Some clk when Fault.is_down fev ->
+  | K_release -> release t i
+  | K_complete -> complete t i
+  | K_retry -> retry t i
+  | K_fault ->
+    (match take_side t i with
+    | Ev_fault (fev, Some clk) when t.cfg.Config.mode = Token && Fault.is_down fev
+      ->
       t.mid_buffer <- t.mid_buffer @ [ (clk, Fault.element fev) ]
-    | _ -> apply_fault t now fev);
+    | Ev_fault (fev, _) -> apply_fault t now fev
+    | _ -> assert false);
     true
-  | Ev_retry id ->
-    (match Hashtbl.find_opt t.retry_pending id with
-    | Some proc ->
-      (* Backoff elapsed: re-admit at the queue head, like the legacy
-         path — but only now, so a flapping element stops seeing the
-         same victim every cycle. *)
-      Hashtbl.remove t.retry_pending id;
-      let task = Hashtbl.find t.tasks id in
-      task.queued <- true;
-      t.queues.(proc) <- id :: t.queues.(proc);
-      if t.transmitting.(proc) = None then set_requesting t proc true;
-      true
-    | None -> false (* cancelled or expired while parked *))
-  | Ev_unquarantine e ->
-    (match t.flap with Some fl -> Flap.release fl e | None -> ());
-    set_elt_quarantined t.net e false;
-    (* The element may still be masked by a genuinely down neighbour. *)
-    resync_element t e;
+  | K_unquarantine ->
+    (match take_side t i with
+    | Ev_unquarantine e ->
+      (match t.flap with Some fl -> Flap.release fl e | None -> ());
+      set_elt_quarantined t.net e false;
+      (* The element may still be masked by a genuinely down neighbour. *)
+      resync_element t e
+    | _ -> assert false);
     true
-  | Ev_wake -> false
+  | K_wake -> false
 
-let commit t now p r links inc_circuit =
+let commit t now p r links =
   let net_id = Network.establish t.net links in
   let li = t.next_live in
   t.next_live <- t.next_live + 1;
-  match t.queues.(p) with
-  | id :: rest ->
-    t.queues.(p) <- rest;
-    let task = Hashtbl.find t.tasks id in
-    task.queued <- false;
-    Hashtbl.replace t.lives li
-      { net_id; lproc = p; lres = r; task_id = id; committed_at = now;
-        lservice = task.service; inc = inc_circuit; released = false };
-    let w = now - task.arrival in
-    Stats.observe t.waits (float_of_int w);
-    if w > t.max_wait then t.max_wait <- w;
-    (match Hashtbl.find_opt t.victim_at id with
-    | Some t_fault ->
-      Hashtbl.remove t.victim_at id;
-      Stats.observe t.readmissions (float_of_int (now - t_fault));
-      Obs.observe t.obs "engine.readmission_wait" (float_of_int (now - t_fault))
-    | None -> ());
-    t.transmitting.(p) <- Some id;
-    (* Set directly, not via set_requesting/sync_res: in Warm mode the
-       endpoint arcs are frozen with unit flow, not switched off. *)
-    t.requesting.(p) <- false;
-    t.res_idle.(r) <- false;
-    push t (now + t.cfg.Config.transmission_time) (Ev_release li);
-    push t
-      (now + t.cfg.Config.transmission_time + task.service)
-      (Ev_complete li);
-    t.busy_slots <- t.busy_slots + t.cfg.Config.transmission_time + task.service;
-    t.allocated <- t.allocated + 1
-  | [] -> assert false
+  let q = t.queues.(p) in
+  if Ring.is_empty q then assert false;
+  let id = Ring.pop_front q in
+  let task = Hashtbl.find t.tasks id in
+  task.queued <- false;
+  Hashtbl.replace t.lives li
+    { net_id; lproc = p; lres = r; task_id = id; committed_at = now;
+      lservice = task.service; released = false };
+  let w = now - task.arrival in
+  Stats.observe t.waits (float_of_int w);
+  if w > t.max_wait then t.max_wait <- w;
+  (match Hashtbl.find t.victim_at id with
+  | t_fault ->
+    Hashtbl.remove t.victim_at id;
+    Stats.observe t.readmissions (float_of_int (now - t_fault));
+    Obs.observe t.obs "engine.readmission_wait" (float_of_int (now - t_fault))
+  | exception Not_found -> ());
+  t.transmitting.(p) <- true;
+  (* Set directly, not via set_requesting/sync_res: in Warm mode the
+     endpoint arcs are frozen with unit flow, not switched off. *)
+  if t.requesting.(p) then t.n_pending <- t.n_pending - 1;
+  t.requesting.(p) <- false;
+  t.res_idle.(r) <- false;
+  count_res t r;
+  push_code t (now + t.cfg.Config.transmission_time) (encode K_release li);
+  push_code t
+    (now + t.cfg.Config.transmission_time + task.service)
+    (encode K_complete li);
+  t.busy_slots <- t.busy_slots + t.cfg.Config.transmission_time + task.service;
+  t.allocated <- t.allocated + 1
+
+(* The longest wait among the pending queue heads of processors [p]
+   and up. *)
+let rec oldest_age t now p acc =
+  if p >= t.np then acc
+  else
+    let q = t.queues.(p) in
+    if t.requesting.(p) && not (Ring.is_empty q) then
+      let age = now - (Hashtbl.find t.tasks (Ring.front q)).arrival in
+      oldest_age t now (p + 1) (if age > acc then age else acc)
+    else oldest_age t now (p + 1) acc
+
+(* The batching gate, on the kept counts; the oldest head is looked up
+   only when the threshold alone does not open the cycle. *)
+let cycle_due t ~now =
+  t.n_pending > 0 && t.n_free > 0
+  &&
+  let th = t.cfg.Config.batch_threshold in
+  (t.n_pending >= th && t.n_free >= Int.min th t.n_pending)
+  || oldest_age t now 0 0 >= t.cfg.Config.max_defer
+
+let pending_list t = List.filter (fun p -> t.requesting.(p)) (List.init t.np Fun.id)
+let free_list t = List.filter (res_free t) (List.init t.nr Fun.id)
+
+let cycle_info t now ~requests ~free ~mapping ~work ~skipped =
+  { time = now; requests; free;
+    request_priorities = List.map (fun p -> (p, head_priority t p)) requests;
+    mapping; allocated = List.length mapping; work; skipped }
+
+let trace_cycle t now ~n_pending ~n_free ~allocated ~work ~skipped =
+  if t.tracing then
+    Obs.instant t.obs "engine.cycle" ~ts:now
+      ~args:
+        [ ("pending", Tr.Int n_pending); ("free", Tr.Int n_free);
+          ("allocated", Tr.Int allocated); ("work", Tr.Int work);
+          ("skipped", Tr.Bool skipped) ]
+
+(* A Warm cycle: one warm augment, whose circuits wait in the warm
+   graph's slots; the lists are built only for a hook. Solving changes
+   no engine array, so the counts and lists read after it are those the
+   cycle entered with. *)
+let warm_cycle t now i =
+  let n = Incremental.solve ?obs:t.obs i in
+  let work = Incremental.last_work i and skipped = Incremental.last_skipped i in
+  t.solver_work <- t.solver_work + work;
+  if skipped then t.skipped_cycles <- t.skipped_cycles + 1;
+  (match t.cycle_hook with
+  | Some hook ->
+    let mapping =
+      List.init n (fun k ->
+          let p = Incremental.found i k in
+          (p, Incremental.circuit_res i p))
+    in
+    hook t.net
+      (cycle_info t now ~requests:(pending_list t) ~free:(free_list t) ~mapping
+         ~work ~skipped)
+  | None -> ());
+  trace_cycle t now ~n_pending:t.n_pending ~n_free:t.n_free ~allocated:n ~work
+    ~skipped;
+  for k = 0 to n - 1 do
+    let p = Incremental.found i k in
+    commit t now p (Incremental.circuit_res i p) (Incremental.circuit_links i p)
+  done
+
+(* A Rebuild or Token cycle, scheduled from the lists. *)
+let list_cycle t now =
+  let pending = pending_list t and free = free_list t in
+  let obs = t.obs in
+  let committed, work =
+    match t.cfg.Config.mode with
+    | Warm -> assert false
+    | Token ->
+      (* Run the cycle on the distributed token architecture, with this
+         slot's buffered clocked faults injected mid-cycle. The protocol
+         self-recovers (watchdogs, iteration aborts, bounded retries),
+         so the committed allocation is maximum on whatever subnetwork
+         survives the cycle. *)
+      let buffer = t.mid_buffer in
+      t.mid_buffer <- [];
+      let mid_of = function
+        | Fault.Link l -> Token_sim.Dead_link l
+        | Fault.Box b -> Token_sim.Dead_box b
+        | Fault.Res r -> Token_sim.Dead_res r
+      in
+      let schedule = List.map (fun (clk, el) -> (clk, mid_of el)) buffer in
+      let rep = Token_sim.run ?obs ~faults:schedule t.net ~requests:pending ~free in
+      (* Faults the cycle actually reached are applied to the network
+         now — before the hook, so a differential reference
+         re-schedules exactly the degraded subnetwork the surviving
+         tokens ran on. Entries past the cycle's last clock stay
+         buffered for the end-of-slot flush. *)
+      let remaining = ref rep.Token_sim.applied_faults in
+      let fired, leftover =
+        List.partition
+          (fun (clk, el) ->
+            let key = (clk, mid_of el) in
+            let rec drop = function
+              | [] -> None
+              | x :: tl when x = key -> Some tl
+              | x :: tl -> Option.map (fun tl -> x :: tl) (drop tl)
+            in
+            match drop !remaining with
+            | Some rest ->
+              remaining := rest;
+              true
+            | None -> false)
+          buffer
+      in
+      List.iter (fun (_clk, el) -> apply_fault t now (Fault.down_of el)) fired;
+      t.mid_buffer <- leftover;
+      ( List.map
+          (fun (p, r) -> (p, r, List.assoc p rep.Token_sim.circuits))
+          rep.Token_sim.mapping,
+        rep.Token_sim.total_clocks )
+    | Rebuild -> (
+      match t.cfg.Config.discipline with
+      | Uniform ->
+        let tr = Transform1.build t.net ~requests:pending ~free in
+        let o = Transform1.solve_with ?obs t.solver_mod tr in
+        let _nodes, arcs = Transform1.size tr in
+        ( List.map2
+            (fun (p, r) (_p, links) -> (p, r, links))
+            o.Transform1.mapping o.Transform1.circuits,
+          Network.n_links t.net + arcs + o.Transform1.arcs_scanned )
+      | Priority ->
+        let tr =
+          Transform2.build t.net
+            ~requests:(List.map (fun p -> (p, head_priority t p)) pending)
+            ~free:(List.map (fun r -> (r, 0)) free)
+        in
+        let o = Transform2.solve ?obs tr in
+        let _nodes, arcs = Transform2.size tr in
+        ( List.map2
+            (fun (p, r) (_p, links) -> (p, r, links))
+            o.Transform2.mapping o.Transform2.circuits,
+          Network.n_links t.net + arcs + o.Transform2.arcs_scanned ))
+  in
+  t.solver_work <- t.solver_work + work;
+  (match t.cycle_hook with
+  | Some hook ->
+    hook t.net
+      (cycle_info t now ~requests:pending ~free
+         ~mapping:(List.map (fun (p, r, _) -> (p, r)) committed)
+         ~work ~skipped:false)
+  | None -> ());
+  trace_cycle t now ~n_pending:(List.length pending) ~n_free:(List.length free)
+    ~allocated:(List.length committed) ~work ~skipped:false;
+  List.iter (fun (p, r, links) -> commit t now p r links) committed
 
 let try_cycle t now =
-  let pending =
-    List.filter (fun p -> t.requesting.(p)) (List.init t.np Fun.id)
-  in
-  let free = List.filter (res_free t) (List.init t.nr Fun.id) in
-  let n_pending = List.length pending and n_free = List.length free in
-  if pending = [] || free = [] then ()
-  else begin
-    let oldest_age =
-      List.fold_left
-        (fun acc p ->
-          match t.queues.(p) with
-          | id :: _ -> max acc (now - (Hashtbl.find t.tasks id).arrival)
-          | [] -> acc)
-        0 pending
-    in
-    if
-      (n_pending >= t.cfg.Config.batch_threshold
-      && n_free >= min t.cfg.Config.batch_threshold n_pending)
-      || oldest_age >= t.cfg.Config.max_defer
-    then begin
-      t.cycles <- t.cycles + 1;
-      let obs = t.obs in
-      let committed, work, skipped =
-        match (t.cfg.Config.mode, t.inc) with
-        | (Rebuild | Token), Some _ | Warm, None -> assert false
-        | Token, None ->
-          (* Run the cycle on the distributed token architecture, with
-             this slot's buffered clocked faults injected mid-cycle.
-             The protocol self-recovers (watchdogs, iteration aborts,
-             bounded retries), so the committed allocation is maximum
-             on whatever subnetwork survives the cycle. *)
-          let buffer = t.mid_buffer in
-          t.mid_buffer <- [];
-          let mid_of = function
-            | Fault.Link l -> Token_sim.Dead_link l
-            | Fault.Box b -> Token_sim.Dead_box b
-            | Fault.Res r -> Token_sim.Dead_res r
-          in
-          let schedule = List.map (fun (clk, el) -> (clk, mid_of el)) buffer in
-          let rep =
-            Token_sim.run ?obs ~faults:schedule t.net ~requests:pending ~free
-          in
-          (* Faults the cycle actually reached are applied to the
-             network now — before the hook, so a differential
-             reference re-schedules exactly the degraded subnetwork
-             the surviving tokens ran on. Entries past the cycle's
-             last clock stay buffered for the end-of-slot flush. *)
-          let remaining = ref rep.Token_sim.applied_faults in
-          let fired, leftover =
-            List.partition
-              (fun (clk, el) ->
-                let key = (clk, mid_of el) in
-                let rec drop = function
-                  | [] -> None
-                  | x :: tl when x = key -> Some tl
-                  | x :: tl -> Option.map (fun tl -> x :: tl) (drop tl)
-                in
-                match drop !remaining with
-                | Some rest ->
-                  remaining := rest;
-                  true
-                | None -> false)
-              buffer
-          in
-          List.iter
-            (fun (_clk, el) -> apply_fault t now (Fault.down_of el))
-            fired;
-          t.mid_buffer <- leftover;
-          let committed =
-            List.map
-              (fun (p, r) -> (p, r, List.assoc p rep.Token_sim.circuits, None))
-              rep.Token_sim.mapping
-          in
-          (committed, rep.Token_sim.total_clocks, false)
-        | Warm, Some i ->
-          let r = Incremental.solve ?obs i in
-          ( List.map
-              (fun (c : Incremental.circuit) ->
-                (c.proc, c.res, c.links, Some c))
-              r.Incremental.circuits,
-            r.Incremental.work, r.Incremental.skipped )
-        | Rebuild, None -> (
-          match t.cfg.Config.discipline with
-          | Uniform ->
-            let tr = Transform1.build t.net ~requests:pending ~free in
-            let o = Transform1.solve_with ?obs t.solver_mod tr in
-            let _nodes, arcs = Transform1.size tr in
-            let work =
-              Network.n_links t.net + arcs + o.Transform1.arcs_scanned
-            in
-            let committed =
-              List.map2
-                (fun (p, r) (_p, links) -> (p, r, links, None))
-                o.Transform1.mapping o.Transform1.circuits
-            in
-            (committed, work, false)
-          | Priority ->
-            let tr =
-              Transform2.build t.net
-                ~requests:(List.map (fun p -> (p, head_priority t p)) pending)
-                ~free:(List.map (fun r -> (r, 0)) free)
-            in
-            let o = Transform2.solve ?obs tr in
-            let _nodes, arcs = Transform2.size tr in
-            let work =
-              Network.n_links t.net + arcs + o.Transform2.arcs_scanned
-            in
-            let committed =
-              List.map2
-                (fun (p, r) (_p, links) -> (p, r, links, None))
-                o.Transform2.mapping o.Transform2.circuits
-            in
-            (committed, work, false))
-      in
-      t.solver_work <- t.solver_work + work;
-      if skipped then t.skipped_cycles <- t.skipped_cycles + 1;
-      let n_committed = List.length committed in
-      (match t.cycle_hook with
-      | Some hook ->
-        hook t.net
-          { time = now; requests = pending; free;
-            request_priorities =
-              List.map (fun p -> (p, head_priority t p)) pending;
-            mapping = List.map (fun (p, r, _, _) -> (p, r)) committed;
-            allocated = n_committed; work; skipped }
-      | None -> ());
-      if t.tracing then
-        Obs.instant t.obs "engine.cycle" ~ts:now
-          ~args:
-            [ ("pending", Tr.Int n_pending); ("free", Tr.Int n_free);
-              ("allocated", Tr.Int n_committed); ("work", Tr.Int work);
-              ("skipped", Tr.Bool skipped) ];
-      List.iter (fun (p, r, links, c) -> commit t now p r links c) committed
-    end
+  if cycle_due t ~now then begin
+    t.cycles <- t.cycles + 1;
+    match t.inc with Some i -> warm_cycle t now i | None -> list_cycle t now
   end
 
-(* One simulated slot: the batch of every queued event at the earliest
-   time, the cycle it may trigger, the Token-mode end-of-slot fault
-   flush, and the event-hook pulse. *)
+(* One simulated slot: every queued event at the earliest time, the
+   cycle it may trigger, the Token-mode end-of-slot fault flush, and the
+   event-hook pulse. Processing never schedules an event at [now] (every
+   delay is at least one slot), so the loop pops exactly the slot's
+   batch, in (time, seq) order. *)
 let step_slot t =
-  let (now, _), _ = Option.get (Heap.peek_min t.heap) in
-  let batch = ref [] in
-  let continue = ref true in
-  while !continue do
-    match Heap.peek_min t.heap with
-    | Some ((time, _), _) when time = now ->
-      let _, ev = Option.get (Heap.pop_min t.heap) in
-      batch := ev :: !batch
-    | Some _ | None -> continue := false
+  let now = Event_heap.min_time t.heap in
+  let substantive = ref false and events = ref 0 in
+  while (not (Event_heap.is_empty t.heap)) && Event_heap.min_time t.heap = now do
+    incr events;
+    if process t now (Event_heap.pop t.heap) then substantive := true
   done;
-  let batch = List.rev !batch in
-  let substantive =
-    List.fold_left (fun acc ev -> process t now ev || acc) false batch
-  in
-  if substantive && now > t.horizon then t.horizon <- now;
+  if !substantive && now > t.horizon then t.horizon <- now;
   try_cycle t now;
   (* Token mode: clocked faults the slot's cycle never consumed (no
      cycle ran, or their clock index lay past the cycle's last clock
@@ -898,44 +1103,36 @@ let step_slot t =
     List.iter
       (fun (_clk, el) -> apply_fault t now (Fault.down_of el))
       (List.stable_sort (fun (a, _) (b, _) -> compare (a : int) b) buf));
-  t.events_seen <- t.events_seen + List.length batch;
+  t.events_seen <- t.events_seen + !events;
   (match t.event_hook with
   | Some hook -> hook ~events:t.events_seen ~time:now
   | None -> ());
   if now > t.served_upto then t.served_upto <- now
 
 let advance t ~upto =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek_min t.heap with
-    | Some ((time, _), _) when time <= upto -> step_slot t
-    | Some _ | None -> continue := false
+  while (not (Event_heap.is_empty t.heap)) && Event_heap.min_time t.heap <= upto do
+    step_slot t
   done;
   if upto > t.served_upto then t.served_upto <- upto
 
 let drain t =
-  while not (Heap.is_empty t.heap) do
+  while not (Event_heap.is_empty t.heap) do
     step_slot t
   done
 
 let served_upto t = t.served_upto
 
-let has_free_resource t =
-  let rec scan r = r < t.nr && (res_free t r || scan (r + 1)) in
-  scan 0
+let has_free_resource t = t.n_free > 0
 
 (* --- Borrowing headroom ---------------------------------------------------- *)
 
 (* A processor a borrowed arrival can be re-issued at: nothing queued,
    nothing in flight. *)
-let idle t p =
-  match (t.transmitting.(p), t.queues.(p)) with
-  | None, [] -> true
-  | Some _, _ | None, _ :: _ -> false
+let idle t p = (not t.transmitting.(p)) && Ring.is_empty t.queues.(p)
 
 let headroom_from_scratch t =
   let idle_procs = List.filter (idle t) (List.init t.np Fun.id) in
-  match (idle_procs, List.filter (res_free t) (List.init t.nr Fun.id)) with
+  match (idle_procs, free_list t) with
   | [], _ | _, [] -> None
   | target :: _, free ->
     let fg = Transform1.build t.net ~requests:idle_procs ~free in
@@ -962,10 +1159,10 @@ let headroom t =
       if value = 0 then None else Some (value, fabric_limited, target)
     | Some _ | None -> None)
 
+let queued t = Array.fold_left (fun acc q -> acc + Ring.length q) 0 t.queues
+
 let report t =
-  let left_pending =
-    Array.fold_left (fun acc q -> acc + List.length q) 0 t.queues
-  in
+  let left_pending = queued t in
   let h = float_of_int (max 1 t.horizon) in
   { mode = t.cfg.Config.mode;
     horizon = t.horizon;
@@ -1015,7 +1212,7 @@ let accounting t =
     a_expired = t.expired;
     a_shed = t.shed;
     a_given_up = t.given_up;
-    a_queued = Array.fold_left (fun acc q -> acc + List.length q) 0 t.queues;
+    a_queued = queued t;
     a_parked = Hashtbl.length t.retry_pending;
     a_in_flight = Hashtbl.length t.lives }
 
@@ -1027,7 +1224,7 @@ let check_task_table t (a : accounting) =
   let held id = Hashtbl.mem t.tasks id in
   if
     Hashtbl.length t.tasks = live
-    && Array.for_all (List.for_all held) t.queues
+    && Array.for_all (fun q -> List.for_all held (Ring.to_list q)) t.queues
     && Hashtbl.fold (fun id _ ok -> ok && held id) t.retry_pending true
     && Hashtbl.fold (fun _ (l : live) ok -> ok && held l.task_id) t.lives true
   then Ok ()
@@ -1038,13 +1235,24 @@ let check_task_table t (a : accounting) =
           %d parked + %d in_flight task(s)"
          (Hashtbl.length t.tasks) a.a_queued a.a_parked a.a_in_flight)
 
+(* The cycle gate's counts must agree with the arrays they count. *)
+let check_counts t =
+  let pending = List.length (pending_list t) and free = List.length (free_list t) in
+  if pending = t.n_pending && free = t.n_free then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "Engine counts drifted: %d pending and %d free kept, %d and %d held"
+         t.n_pending t.n_free pending free)
+
 let check_accounting t =
   let a = accounting t in
   let accounted =
     a.a_completed + a.a_cancelled + a.a_expired + a.a_shed + a.a_given_up
     + a.a_queued + a.a_parked + a.a_in_flight
   in
-  if accounted = a.a_arrivals then check_task_table t a
+  if accounted = a.a_arrivals then
+    Result.bind (check_task_table t a) (fun () -> check_counts t)
   else
     Error
       (Printf.sprintf
@@ -1136,7 +1344,7 @@ let ev_of_json t j =
   | "arrive" ->
     let proc = D.field "proc" D.int j and service = D.field "service" D.int j in
     let priority = D.field "priority" D.int j in
-    (match arrival_error t ~proc ~service ~priority with
+    (match arrival_error ~np:t.np ~proc ~service ~priority with
     | Some m -> D.fail "%s" m
     | None -> ());
     Ev_arrive
@@ -1177,17 +1385,6 @@ let accum_restore a j =
   | 0 -> Stats.accum_restore a (0, 0., 0., infinity, neg_infinity)
   | n -> Stats.accum_restore a (n, num "mean", num "m2", num "lo", num "hi")
 
-(* Drain-and-readd: the heap has no iterator, but keys are preserved
-   so the engine continues unperturbed afterwards. *)
-let heap_entries t =
-  let acc = ref [] in
-  while not (Heap.is_empty t.heap) do
-    acc := Option.get (Heap.pop_min t.heap) :: !acc
-  done;
-  let entries = List.rev !acc in
-  List.iter (fun (key, ev) -> Heap.add t.heap key ev) entries;
-  entries
-
 let snapshot t =
   if t.mid_buffer <> [] then
     invalid_arg
@@ -1224,8 +1421,7 @@ let snapshot t =
                ( "links",
                  json_ints
                    (if l.released then []
-                    else snd (List.find (fun (id, _) -> id = l.net_id)
-                                (Network.circuits t.net))) ) ])
+                    else Network.circuit_links t.net l.net_id) ) ])
   in
   let int_pairs tbl ka kb =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
@@ -1234,10 +1430,11 @@ let snapshot t =
   in
   let heap =
     List.map
-      (fun ((time, seq), ev) ->
+      (fun (time, seq, code) ->
         Json.Obj
-          [ ("t", Json.int time); ("seq", Json.int seq); ("ev", ev_to_json ev) ])
-      (heap_entries t)
+          [ ("t", Json.int time); ("seq", Json.int seq);
+            ("ev", ev_to_json (decode t code)) ])
+      (Event_heap.entries t.heap)
   in
   Json.Obj
     [ ("schema", Json.Str checkpoint_schema);
@@ -1261,7 +1458,10 @@ let snapshot t =
       ("waits", accum_to_json t.waits);
       ("readmissions", accum_to_json t.readmissions);
       ("tasks", Json.Arr tasks);
-      ("queues", Json.Arr (Array.to_list (Array.map json_ints t.queues)));
+      ( "queues",
+        Json.Arr
+          (Array.to_list (Array.map (fun q -> json_ints (Ring.to_list q)) t.queues))
+      );
       ( "requesting",
         json_ints
           (List.filter (fun p -> t.requesting.(p)) (List.init t.np Fun.id)) );
@@ -1336,19 +1536,30 @@ let restore_exn ?obs ?cycle_hook ?event_hook net j =
                 service = D.field "service" D.int tj;
                 priority = D.field "priority" D.int tj;
                 deadline = D.opt "deadline" D.int tj;
-                queued = D.field "queued" D.bool tj } )))
+                queued = D.field "queued" D.bool tj;
+                home = -1 } )))
        j);
+  (* A queued task sits in exactly one queue, its home. *)
   let queues = D.field "queues" (D.list (D.list D.int)) j in
   if List.length queues <> np then D.fail "queue count mismatch";
   List.iteri
     (fun p q ->
       List.iter
         (fun id ->
-          if not (Hashtbl.mem t.tasks id) then
-            D.fail "queued task %d has no record" id)
-        q;
-      t.queues.(p) <- q)
+          match Hashtbl.find_opt t.tasks id with
+          | None -> D.fail "queued task %d has no record" id
+          | Some task when (not task.queued) || task.home >= 0 ->
+            D.fail "task %d is queued twice or not marked queued" id
+          | Some task ->
+            task.home <- p;
+            Ring.push_back t.queues.(p) id)
+        q)
     queues;
+  Hashtbl.iter
+    (fun id task ->
+      if task.queued && task.home < 0 then
+        D.fail "queued task %d is in no queue" id)
+    t.tasks;
   List.iter
     (fun p -> set_requesting t p true)
     (D.field "requesting" (D.list (D.index np)) j);
@@ -1365,21 +1576,23 @@ let restore_exn ?obs ?cycle_hook ?event_hook net j =
       D.fail "live circuit for unknown task %d" task_id;
     let released = D.field "released" D.bool lj in
     let links = D.field "links" (D.list (D.index nl)) lj in
-    let net_id, inc_circuit =
-      if released then (-1, None)
-      else
-        ( Network.establish t.net links,
-          Option.map
-            (fun i -> Incremental.restore_circuit i ~proc:lproc ~res:lres ~links)
-            t.inc )
+    let net_id =
+      if released then -1
+      else begin
+        let id = Network.establish t.net links in
+        Option.iter
+          (fun i -> Incremental.restore_circuit i ~proc:lproc ~res:lres ~links)
+          t.inc;
+        id
+      end
     in
     Hashtbl.replace t.lives li
       { net_id; lproc; lres; task_id;
         committed_at = D.field "committed_at" D.int lj;
-        lservice = D.field "service" D.int lj; inc = inc_circuit; released };
-    if not released then t.transmitting.(lproc) <- Some task_id;
+        lservice = D.field "service" D.int lj; released };
+    if not released then t.transmitting.(lproc) <- true;
     t.res_idle.(lres) <- false;
-    if released then sync_res t lres
+    if released then sync_res t lres else count_res t lres
   in
   ignore (D.field "lives" (D.list restore_live) j);
   let pairs key ka kb b tbl =
@@ -1412,9 +1625,9 @@ let restore_exn ?obs ?cycle_hook ?event_hook net j =
   ignore
     (D.field "heap"
        (D.list (fun ej ->
-            Heap.add t.heap
-              (D.field "t" D.int ej, D.field "seq" D.int ej)
-              (D.field "ev" (ev_of_json t) ej)))
+            let time = D.field "t" D.int ej and seq = D.field "seq" D.int ej in
+            let code = code_of t (D.field "ev" (ev_of_json t) ej) in
+            Event_heap.add t.heap ~time ~seq code))
        j);
   Option.iter
     (fun i ->

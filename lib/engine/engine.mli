@@ -240,12 +240,21 @@ val create :
     the slot time — the progress pulse the CLI's replay heartbeat is
     built on. It observes; it must not mutate the network. *)
 
+val event_error :
+  Rsin_topology.Network.t -> Rsin_sim.Workload.trace_event -> string option
+(** [event_error net ev] is why an engine over [net] refuses [ev], if it
+    does: an arrival with an out-of-range processor, a service time < 1
+    or a negative priority; an arrival or cancel whose task id lies
+    beyond ±2{^58} (the event heap keeps ids in an int beside a kind
+    tag; trace and checkpoint ints stop at ±2{^53}); a fault or repair
+    naming an element [net] lacks. {!feed} and [Serve.feed] both ask
+    it, so a caller can check a whole trace before serving any of it. *)
+
 val feed : t -> Rsin_sim.Workload.trace_event -> unit
-(** Enqueues one trace event. Raises [Invalid_argument] on an arrival
-    with an out-of-range processor, a service time < 1 or a negative
-    priority (["Engine.feed: ..."]), or on any event timed at or before
-    a slot the engine has already served — streamed input must stay
-    ahead of {!advance}.
+(** Enqueues one trace event. Raises [Invalid_argument]
+    (["Engine.feed: ..."]) on an event {!event_error} refuses, or on any
+    event timed at or before a slot the engine has already served —
+    streamed input must stay ahead of {!advance}.
 
     Task ids name live tasks only: the engine forgets a task once it is
     completed, cancelled, expired, shed or given up. An arrival whose
@@ -268,8 +277,17 @@ val served_upto : t -> int
     first call. *)
 
 val has_free_resource : t -> bool
-(** Whether some resource port is idle {e and} healthy. Stops at the
-    first one; builds nothing. *)
+(** Whether some resource port is idle {e and} healthy. O(1): the
+    engine keeps the count of free ports current. *)
+
+val cycle_due : t -> now:int -> bool
+(** The batching gate: whether a slot at [now] would enter a scheduling
+    cycle in the current state — a pending request and a free port, and
+    either [batch_threshold] of each (ports capped by requests) or a
+    queue head that has waited [max_defer] slots. Read from the kept
+    pending and free counts, scanning the queue heads only when the
+    threshold alone does not decide; allocates nothing (E34 asserts
+    it). *)
 
 (** {1 Borrowing headroom}
 

@@ -33,38 +33,23 @@ type discipline =
   | Mincost   (** Transformation 2 with priorities: among maximum
                   allocations, maximize the total served priority *)
 
-type circuit = {
-  proc : int;
-  res : int;
-  links : int list;          (** network links of the committed circuit *)
-  arcs : Rsin_flow.Graph.arc list;
-      (** the frozen arcs (s→p, links…, r→t); pass back to {!release}
-          unchanged *)
-}
-
-type solve_result = {
-  circuits : circuit list;  (** newly committed, already frozen *)
-  work : int;               (** capacity updates since last solve + arcs scanned *)
-  skipped : bool;           (** clean residual network, solver not invoked *)
-}
-
 val create : ?discipline:discipline -> Rsin_topology.Network.t -> t
 (** Builds the full-topology flow network from the network's current
     link state (occupied links start with capacity 0). All request and
     resource arcs start switched off. The network is only read during
     compilation, never mutated. Default discipline: {!Maxflow}. *)
 
-val set_requesting : t -> ?priority:int -> int -> bool -> unit
-(** [set_requesting t ?priority p on] switches processor [p]'s source
+val set_requesting : t -> priority:int -> int -> bool -> unit
+(** [set_requesting t ~priority p on] switches processor [p]'s source
     arc on/off (capacity 1/0). Must not be called while a committed
     circuit holds the arc. Turning an arc on marks the state dirty;
     turning one off never does (removing unused capacity cannot create
     an augmenting path). Under {!Mincost} the arc's cost is also set to
-    [-priority] (default 0, must be non-negative) while on — call again
-    with the new priority when a pending request's priority changes
-    (e.g. its queue head is replaced); cost updates count as bookkeeping
-    work but do not dirty a clean state. Under {!Maxflow}, [priority] is
-    ignored. *)
+    [-priority] (must be non-negative) while on — call again with the
+    new priority when a pending request's priority changes (e.g. its
+    queue head is replaced); cost updates count as bookkeeping work but
+    do not dirty a clean state. Under {!Maxflow}, [priority] is
+    ignored. No allocation. *)
 
 val set_resource_free : t -> int -> bool -> unit
 (** Same for resource [r]'s sink arc (always cost 0). *)
@@ -82,20 +67,55 @@ val set_link_usable : t -> int -> bool -> unit
 val requesting : t -> int -> bool
 val resource_free : t -> int -> bool
 
-val solve : ?obs:Rsin_obs.Obs.t -> t -> solve_result
+val solve : ?obs:Rsin_obs.Obs.t -> t -> int
 (** One scheduling cycle: augments from the current residual network
-    with the discipline's solver and returns the newly allocatable
-    circuits, frozen into the network. With [obs], the solver's work is
-    added to the [flow.dinic_csr.*] or [flow.mincost_csr.*] counters.
-    When nothing was enabled since the last solve, returns immediately
-    with [skipped = true] and no solver work. *)
+    with the discipline's solver, freezes the new flow into circuits and
+    returns how many it found; {!found} names their processors. With
+    [obs], the solver's work is added to the [flow.dinic_csr.*] or
+    [flow.mincost_csr.*] counters. When nothing was enabled since the
+    last solve, returns 0 at once with {!last_skipped} set and no
+    solver work. Allocates nothing: the circuits land in preallocated
+    per-processor slots, found in one pass over the source row
+    ({!Rsin_flow.Csr.extract_paths}). *)
 
-val release : t -> circuit -> unit
-(** Releases a committed circuit: thaws and clears its flow, restores
-    its link capacities, and switches its endpoint arcs off (the engine
-    re-enables them when the processor still has queued tasks or the
-    resource finishes service). Marks the state dirty — freed links may
-    unblock requests proved unroutable earlier. *)
+val last_work : t -> int
+(** Work charged to the last {!solve}: capacity updates since the solve
+    before it, plus arcs scanned. *)
+
+val last_skipped : t -> bool
+(** Whether the last {!solve} found a clean residual network and did not
+    run the solver. *)
+
+val found : t -> int -> int
+(** [found t k] is the processor of the [k]-th circuit the last {!solve}
+    committed, in extraction order, for [k] below the count it
+    returned. *)
+
+(** {1 Committed circuits}
+
+    A processor holds at most one committed circuit at a time: its
+    source arc stays frozen until {!release}. Each circuit is kept as
+    its [Network.stages + 3] arcs (s→p, one link per box stage plus
+    the last, r→t) in a slot of the processor that transmits it. *)
+
+val holds : t -> int -> bool
+(** Whether processor [p] holds a committed circuit. *)
+
+val circuit_res : t -> int -> int
+(** The resource processor [p]'s circuit ends at. *)
+
+val circuit_links : t -> int -> int list
+(** The network links of processor [p]'s circuit, in path order.
+    Allocates the list. Raise [Invalid_argument] when [p] holds no
+    circuit, as {!circuit_res} does. *)
+
+val release : t -> int -> unit
+(** [release t p] releases processor [p]'s committed circuit: thaws and
+    clears its flow, restores its link capacities, and switches its
+    endpoint arcs off (the engine re-enables them when the processor
+    still has queued tasks or the resource finishes service). Marks the
+    state dirty — freed links may unblock requests proved unroutable
+    earlier. Raises [Invalid_argument] when [p] holds none. *)
 
 val discipline : t -> discipline
 val dirty : t -> bool
@@ -129,15 +149,16 @@ val headroom : t -> idle:(int -> bool) -> int * bool
     {!pending_ops} and {!total_work} alone, so nothing a later
     {!solve} does can tell that a probe ran. *)
 
-val restore_circuit : t -> proc:int -> res:int -> links:int list -> circuit
+val restore_circuit : t -> proc:int -> res:int -> links:int list -> unit
 (** [restore_circuit t ~proc ~res ~links] re-freezes a circuit recorded
     in a checkpoint into a freshly created [t]: unit flow is forced onto
     the [s→p], link and [r→t] arcs and their residual capacity removed,
     reproducing exactly the state {!solve} left after committing that
-    circuit. [links] must be the circuit's links in path order. Does not
-    touch the dirty flag or work counters (see {!restore_flags}). Raises
-    [Invalid_argument] if any arc is already frozen or [links] contains
-    an unknown link. *)
+    circuit, and [proc] holds it. [links] must be the circuit's links in
+    path order. Does not touch the dirty flag or work counters (see
+    {!restore_flags}). Raises [Invalid_argument] if any arc is already
+    frozen, [links] contains an unknown link or is not one link per
+    stage plus one long. *)
 
 val restore_flags : t -> dirty:bool -> pending_ops:int -> total_work:int -> unit
 (** Reinstates the solver bookkeeping serialized in a checkpoint. *)

@@ -395,18 +395,14 @@ let claimed t id =
    the valid events buffered behind the bad one. O(1) per event, but for
    the duplicate check of an id not above every earlier one. *)
 let validate t ev =
+  Option.iter
+    (fun m -> invalid_arg ("Serve.feed: " ^ m))
+    (Engine.event_error t.shard.Shard.base ev);
   match ev with
   | Workload.Arrive a ->
-    if a.proc < 0 || a.proc >= Array.length t.shard.Shard.shard_of_proc then
-      invalid_arg "Serve.feed: bad processor in trace";
-    if a.service < 1 then invalid_arg "Serve.feed: bad service time in trace";
-    if a.priority < 0 then invalid_arg "Serve.feed: bad priority in trace";
     if a.id <= t.claimed_top && claimed t a.id then
       invalid_arg (Printf.sprintf "Serve.feed: duplicate task id %d" a.id)
-  | Workload.Cancel _ -> ()
-  | Workload.Fault { element; _ } | Workload.Repair { element; _ } ->
-    if not (Fault.in_range t.shard.Shard.base element) then
-      invalid_arg "Serve.feed: fault element out of range"
+  | Workload.Cancel _ | Workload.Fault _ | Workload.Repair _ -> ()
 
 let feed t ev =
   if t.drained then invalid_arg "Serve.feed: already drained";

@@ -209,18 +209,20 @@ let is_frozen t a =
 let src t a = check_arc t a; t.tail.(t.pos.(a))
 let dst t a = check_arc t a; t.head.(t.pos.(a))
 
-(* Newest first: from the row's end, like Graph.iter_out. *)
-let rec flow_arc_row t start j =
+(* The CSR position of the first forward arc carrying unfrozen flow in
+   [start .. j], scanning down: newest first, like Graph.iter_out. *)
+let rec flow_pos_row t start j =
   if j < start then -1
   else
     let a = t.garc.(j) in
     if a land 1 = 0 && (not t.frozen.(a lsr 1)) && t.orig.(a lsr 1) > t.cap.(j)
-    then a
-    else flow_arc_row t start (j - 1)
+    then j
+    else flow_pos_row t start (j - 1)
 
 let next_flow_arc t v =
   if v < 0 || v >= t.n then invalid_arg "Csr.next_flow_arc: bad node";
-  flow_arc_row t t.row_ptr.(v) (t.row_ptr.(v + 1) - 1)
+  let j = flow_pos_row t t.row_ptr.(v) (t.row_ptr.(v + 1) - 1) in
+  if j < 0 then -1 else t.garc.(j)
 
 let rec flow_value_row t stop j acc =
   if j >= stop then acc
@@ -544,6 +546,44 @@ let rec commit_loop t ~source i acc =
   end
 
 let commit_new t ~source = commit_loop t ~source 0 0
+
+(* Freezes the arc at CSR position [j] and appends it to [arcs]. *)
+let take t arcs fill j =
+  if t.cap.(j) <> 0 then invalid_arg "Csr.freeze: arc not saturated";
+  t.cap.(t.rev.(j)) <- 0;
+  t.frozen.(t.garc.(j) lsr 1) <- true;
+  arcs.(fill) <- t.garc.(j)
+
+let rec walk_path t ~sink arcs v fill steps =
+  if v = sink then fill
+  else if steps > t.n then failwith "Csr.extract_paths: flow contains a cycle"
+  else begin
+    let j = flow_pos_row t t.row_ptr.(v) (t.row_ptr.(v + 1) - 1) in
+    if j < 0 then failwith "Csr.extract_paths: stranded flow";
+    take t arcs fill j;
+    walk_path t ~sink arcs t.head.(j) (fill + 1) (steps + 1)
+  end
+
+(* One descending pass over the source row. A walk freezes only arcs of
+   its own path and never adds flow, so every source arc above the
+   cursor still carries no unfrozen flow: resuming below the arc just
+   walked finds what a fresh scan from the row's end would. *)
+let rec extract_loop t ~source ~sink arcs ends start j k fill =
+  let j = flow_pos_row t start j in
+  if j < 0 then k
+  else begin
+    take t arcs fill j;
+    let fill = walk_path t ~sink arcs t.head.(j) (fill + 1) 1 in
+    ends.(k) <- fill;
+    extract_loop t ~source ~sink arcs ends start (j - 1) (k + 1) fill
+  end
+
+let extract_paths t ~source ~sink ~arcs ~ends =
+  if source < 0 || source >= t.n || sink < 0 || sink >= t.n then
+    invalid_arg "Csr.extract_paths: bad node";
+  extract_loop t ~source ~sink arcs ends t.row_ptr.(source)
+    (t.row_ptr.(source + 1) - 1)
+    0 0
 
 let release_all t =
   for i = 0 to t.pairs - 1 do

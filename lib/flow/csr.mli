@@ -155,6 +155,20 @@ val commit_new : t -> source:int -> int
     benchmarks and steady-state loops that do not need the circuits
     themselves. *)
 
+val extract_paths :
+  t -> source:int -> sink:int -> arcs:Graph.arc array -> ends:int array -> int
+(** [extract_paths t ~source ~sink ~arcs ~ends] decomposes the unfrozen
+    flow into unit [source]–[sink] paths, freezing every arc it crosses,
+    and returns the path count [n]. Path [k]'s forward arcs, source side
+    first, land in [arcs] from offset [ends.(k-1)] (0 for [k = 0]) up to
+    [ends.(k)] exclusive. The paths, in order, are exactly those that
+    repeated {!next_flow_arc} walks from [source] would find, freezing
+    as they go; but the source row is scanned once, top to bottom, and
+    the walk runs on the arrays. No allocation. Raises [Failure] on
+    flow that strands or cycles, and [Invalid_argument] on a bad node,
+    an unsaturated arc or a buffer too small — each arc is crossed at
+    most once, so [arcs] of length {!arc_count} always suffices. *)
+
 val release_all : t -> unit
 (** Thaws every frozen arc and zeroes its flow — the bulk inverse of
     {!commit_new}. Endpoint capacities are left untouched; switch them

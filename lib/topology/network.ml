@@ -34,7 +34,7 @@ type t = {
   box_q_ : bool array;
   res_q_ : bool array;
   mutable next_circuit : int;
-  mutable live : (int * int list) list;
+  live : (int, int list) Hashtbl.t;  (* circuit id -> links *)
 }
 
 let is_perm a n =
@@ -160,7 +160,7 @@ let build ~name ~n_procs ~n_res ~stage_boxes ~proc_wiring ~stage_wiring
     link_q_ = Array.make !n_links false;
     box_q_ = Array.make total_boxes false;
     res_q_ = Array.make n_res false;
-    next_circuit = 0; live = [] }
+    next_circuit = 0; live = Hashtbl.create 16 }
 
 let name t = t.name
 let n_procs t = t.n_procs
@@ -235,20 +235,39 @@ let all_up t =
   && Array.for_all not t.box_q_
   && Array.for_all not t.res_q_
 
-let all_free t ls =
-  List.for_all (fun l -> check_link t l; t.links.(l).state = Free) ls
+let rec all_free t = function
+  | [] -> true
+  | l :: rest -> check_link t l; t.links.(l).state = Free && all_free t rest
+
+let rec set_state t state = function
+  | [] -> ()
+  | l :: rest ->
+    t.links.(l).state <- state;
+    set_state t state rest
 
 let claim t ls =
   let id = t.next_circuit in
   t.next_circuit <- id + 1;
-  List.iter (fun l -> t.links.(l).state <- Occupied id) ls;
-  t.live <- (id, ls) :: t.live;
+  set_state t (Occupied id) ls;
+  Hashtbl.replace t.live id ls;
   id
 
 let establish_unchecked t ls =
   if ls = [] then invalid_arg "Network.establish: empty circuit";
   if not (all_free t ls) then invalid_arg "Network.establish: link busy";
   claim t ls
+
+let rec check_chain t = function
+  | [] -> assert false
+  | [ l ] ->
+    (match t.links.(l).dst with
+    | Res _ -> ()
+    | Proc _ | Box_in _ | Box_out _ ->
+      invalid_arg "Network.establish: path must end at a resource")
+  | l1 :: (l2 :: _ as rest) ->
+    (match (t.links.(l1).dst, t.links.(l2).src) with
+    | Box_in (b1, _), Box_out (b2, _) when b1 = b2 -> check_chain t rest
+    | _ -> invalid_arg "Network.establish: links are not chained through a box")
 
 let establish t ls =
   if ls = [] then invalid_arg "Network.establish: empty circuit";
@@ -257,33 +276,30 @@ let establish t ls =
   | Proc _ -> ()
   | Res _ | Box_in _ | Box_out _ ->
     invalid_arg "Network.establish: path must start at a processor");
-  let rec check_chain = function
-    | [] -> assert false
-    | [ l ] ->
-      (match t.links.(l).dst with
-      | Res _ -> ()
-      | Proc _ | Box_in _ | Box_out _ ->
-        invalid_arg "Network.establish: path must end at a resource")
-    | l1 :: (l2 :: _ as rest) ->
-      (match (t.links.(l1).dst, t.links.(l2).src) with
-      | Box_in (b1, _), Box_out (b2, _) when b1 = b2 -> check_chain rest
-      | _ -> invalid_arg "Network.establish: links are not chained through a box")
-  in
-  check_chain ls;
+  check_chain t ls;
   claim t ls
 
 let release t id =
-  match List.assoc_opt id t.live with
-  | None -> ()
-  | Some ls ->
-    List.iter (fun l -> t.links.(l).state <- Free) ls;
-    t.live <- List.remove_assoc id t.live
+  match Hashtbl.find t.live id with
+  | ls ->
+    set_state t Free ls;
+    Hashtbl.remove t.live id
+  | exception Not_found -> ()
 
-let circuits t = t.live
+let circuit_links t id =
+  match Hashtbl.find t.live id with
+  | ls -> ls
+  | exception Not_found -> invalid_arg "Network.circuit_links: no such circuit"
+
+(* Ids are handed out in increasing order, so newest first is by id,
+   descending. *)
+let circuits t =
+  Hashtbl.fold (fun id ls acc -> (id, ls) :: acc) t.live []
+  |> List.sort (fun (a, _) (b, _) -> compare (b : int) a)
 
 let clear_circuits t =
   Array.iter (fun l -> l.state <- Free) t.links;
-  t.live <- []
+  Hashtbl.reset t.live
 
 let free_links t =
   let acc = ref [] in
@@ -299,7 +315,7 @@ let copy t =
     link_q_ = Array.copy t.link_q_;
     box_q_ = Array.copy t.box_q_;
     res_q_ = Array.copy t.res_q_;
-    live = t.live }
+    live = Hashtbl.copy t.live }
 
 let paths_exist t =
   (* Forward reachability through empty network: processor -> any Res. *)
@@ -361,7 +377,7 @@ let pp_occupancy fmt t =
   (* One row per stage; each box shows its input and output ports as
      '.' free / '#' occupied. *)
   let port_char l = match t.links.(l).state with Free -> '.' | Occupied _ -> '#' in
-  Format.fprintf fmt "%s: %d circuits live@." t.name (List.length t.live);
+  Format.fprintf fmt "%s: %d circuits live@." t.name (Hashtbl.length t.live);
   Format.fprintf fmt "procs: %s@."
     (String.concat ""
        (List.init t.n_procs (fun p -> String.make 1 (port_char t.proc_link_.(p)))));

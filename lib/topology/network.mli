@@ -142,10 +142,15 @@ val establish_unchecked : t -> int list -> int
     network. *)
 
 val release : t -> int -> unit
-(** Frees every link of the circuit. Unknown ids are ignored. *)
+(** Frees every link of the circuit. Unknown ids are ignored. O(links):
+    live circuits are indexed by id. *)
+
+val circuit_links : t -> int -> int list
+(** The links of a live circuit, as {!establish} was given them. O(1).
+    Raises [Invalid_argument] for an id that names no live circuit. *)
 
 val circuits : t -> (int * int list) list
-(** Live circuits as [(id, links)]. *)
+(** Live circuits as [(id, links)], newest first. Builds the list. *)
 
 val clear_circuits : t -> unit
 

@@ -283,11 +283,8 @@ let churn discipline net seed rounds =
   let live = ref [] in
   let cycles = ref 0 in
   for round = 1 to rounds do
-    let busy_p =
-      List.map (fun ((c : Incremental.circuit), _) -> c.Incremental.proc) !live
-    and busy_r =
-      List.map (fun ((c : Incremental.circuit), _) -> c.Incremental.res) !live
-    in
+    let busy_p = List.map fst !live
+    and busy_r = List.map (fun (p, _) -> Incremental.circuit_res eng p) !live in
     for p = 0 to np - 1 do
       if not (List.mem p busy_p) then begin
         let on = Prng.float rng 1.0 < 0.5 in
@@ -300,7 +297,7 @@ let churn discipline net seed rounds =
       if not (List.mem r busy_r) then
         Incremental.set_resource_free eng r (Prng.float rng 1.0 < 0.6)
     done;
-    let result = Incremental.solve eng in
+    let found = List.init (Incremental.solve eng) (Incremental.found eng) in
     incr cycles;
     let label what = Printf.sprintf "seed %d round %d: %s" seed round what in
     (* The pre-commit snapshot: pending requests and free resources are
@@ -319,8 +316,7 @@ let churn discipline net seed rounds =
       let reference = T1.schedule refnet ~requests:pending ~free:frees in
       check Alcotest.int
         (label "allocation = from-scratch T1")
-        reference.T1.allocated
-        (List.length result.Incremental.circuits)
+        reference.T1.allocated (List.length found)
     | Incremental.Mincost ->
       let reference =
         T2.schedule refnet
@@ -329,38 +325,121 @@ let churn discipline net seed rounds =
       in
       check Alcotest.int
         (label "allocation = from-scratch T2")
-        reference.T2.allocated
-        (List.length result.Incremental.circuits);
+        reference.T2.allocated (List.length found);
       let served_ref =
         List.fold_left (fun acc (p, _) -> acc + prio.(p)) 0 reference.T2.mapping
-      and served_eng =
-        List.fold_left
-          (fun acc (c : Incremental.circuit) -> acc + prio.(c.Incremental.proc))
-          0 result.Incremental.circuits
-      in
+      and served_eng = List.fold_left (fun acc p -> acc + prio.(p)) 0 found in
       check Alcotest.int (label "served priority = from-scratch T2") served_ref
         served_eng);
     check Alcotest.(result unit string) (label "conservation") (Ok ())
       (Incremental.check eng);
     (* Mirror the commits as real circuits on the reference network. *)
     List.iter
-      (fun (c : Incremental.circuit) ->
-        live := (c, Network.establish refnet c.Incremental.links) :: !live)
-      result.Incremental.circuits;
+      (fun p ->
+        live :=
+          (p, Network.establish refnet (Incremental.circuit_links eng p)) :: !live)
+      found;
     (* Staggered releases: every third round, free a random subset. *)
     if round mod 3 = 0 then begin
       let keep, drop =
         List.partition (fun _ -> Prng.float rng 1.0 < 0.5) !live
       in
       List.iter
-        (fun ((c : Incremental.circuit), id) ->
-          Incremental.release eng c;
+        (fun (p, id) ->
+          Incremental.release eng p;
           Network.release refnet id)
         drop;
       live := keep
     end
   done;
   !cycles
+
+(* --- One-pass extraction vs the rescanning walk ----------------------------- *)
+
+(* The reference decomposition: from the source, walk arcs carrying
+   unfrozen flow, each picked by a fresh scan of its node's row from the
+   end (next_flow_arc), freezing as it goes, until the source has none. *)
+let rescanning_paths c ~source ~sink =
+  let rec walk v acc =
+    if v = sink then List.rev acc
+    else
+      let a = Csr.next_flow_arc c v in
+      if a < 0 then failwith "reference walk: stranded flow";
+      Csr.freeze c a;
+      walk (Csr.dst c a) (a :: acc)
+  in
+  let rec paths acc =
+    if Csr.next_flow_arc c source < 0 then List.rev acc
+    else paths (walk source [] :: acc)
+  in
+  paths []
+
+let one_pass_paths c ~source ~sink =
+  let arcs = Array.make (Csr.arc_count c) 0 in
+  let ends = Array.make (Csr.arc_count c) 0 in
+  let n = Csr.extract_paths c ~source ~sink ~arcs ~ends in
+  List.init n (fun k ->
+      let start = if k = 0 then 0 else ends.(k - 1) in
+      Array.to_list (Array.sub arcs start (ends.(k) - start)))
+
+(* Two copies of one compile_full network take the same random warm
+   churn: endpoint switches, a Dinic augment, extraction, staggered
+   releases. At every augment one copy extracts in one pass and the
+   other by the rescanning walk; the circuits must agree arc for arc,
+   in order, and the copies stay identical. *)
+let extraction_matches (name, build) =
+  qtest (name ^ ": one-pass extraction = rescanning walk") ~count:15
+    QCheck.small_int (fun seed ->
+      let net = build () in
+      let ga = Netgraph.compile_full net and gb = Netgraph.compile_full net in
+      let a = Netgraph.graph ga and b = Netgraph.graph gb in
+      let source = Netgraph.source ga and sink = Netgraph.sink ga in
+      let endpoints =
+        List.init (Network.n_procs net) (fun p -> Option.get (Netgraph.sp_arc ga p))
+        @ List.init (Network.n_res net) (fun r -> Option.get (Netgraph.rt_arc ga r))
+      in
+      let rng = Prng.create seed in
+      let live = ref [] in
+      for round = 1 to 12 do
+        List.iter
+          (fun e ->
+            if not (Csr.is_frozen a e) then begin
+              let cap = if Prng.float rng 1.0 < 0.5 then 1 else 0 in
+              Csr.set_capacity a e cap;
+              Csr.set_capacity b e cap
+            end)
+          endpoints;
+        let fa = Csr.dinic a ~source ~sink and fb = Csr.dinic b ~source ~sink in
+        let got = one_pass_paths a ~source ~sink in
+        let want = rescanning_paths b ~source ~sink in
+        if fa <> fb || got <> want then
+          QCheck.Test.fail_reportf "round %d: %d path(s) in one pass, %d rescanning"
+            round (List.length got) (List.length want);
+        if List.length got <> fa then
+          QCheck.Test.fail_reportf "round %d: %d paths for %d units" round
+            (List.length got) fa;
+        let keep, drop =
+          List.partition (fun _ -> Prng.float rng 1.0 < 0.6) (got @ !live)
+        in
+        List.iter
+          (fun path ->
+            List.iter
+              (fun arc ->
+                List.iter
+                  (fun c ->
+                    Csr.thaw c arc;
+                    Csr.set_flow c arc 0)
+                  [ a; b ])
+              path;
+            List.iter
+              (fun c ->
+                Csr.set_capacity c (List.hd path) 0;
+                Csr.set_capacity c (List.nth path (List.length path - 1)) 0)
+              [ a; b ])
+          drop;
+        live := keep
+      done;
+      true)
 
 let test_warm_churn () =
   let cycles = ref 0 in
@@ -524,4 +603,6 @@ let suite =
       test_engine_priority_differential;
     Alcotest.test_case "commit_new/release_all round-trip" `Quick
       test_commit_release_cycle;
+    extraction_matches ("omega:64", fun () -> Builders.omega 64);
+    extraction_matches ("clos:8,8,8", fun () -> Builders.clos ~m:8 ~n:8 ~r:8);
   ]

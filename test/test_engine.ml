@@ -32,15 +32,16 @@ let test_incremental_static () =
           let rng = Prng.create seed in
           let requests, free = Workload.snapshot rng net in
           let inc = Incremental.create net in
-          List.iter (fun p -> Incremental.set_requesting inc p true) requests;
+          List.iter
+            (fun p -> Incremental.set_requesting inc ~priority:0 p true)
+            requests;
           List.iter (fun r -> Incremental.set_resource_free inc r true) free;
-          let r = Incremental.solve inc in
+          let n = Incremental.solve inc in
           let reference = Transform1.schedule net ~requests ~free in
           check Alcotest.int
             (Printf.sprintf "%s seed %d allocation" (Network.name net) seed)
-            reference.Transform1.allocated
-            (List.length r.Incremental.circuits);
-          check Alcotest.bool "not skipped" false r.Incremental.skipped;
+            reference.Transform1.allocated n;
+          check Alcotest.bool "not skipped" false (Incremental.last_skipped inc);
           check
             Alcotest.(result unit string)
             "conservation" (Ok ()) (Incremental.check inc);
@@ -48,13 +49,16 @@ let test_incremental_static () =
              proc->res paths over pairwise disjoint free links. *)
           let scratch = Network.copy net in
           List.iter
-            (fun (c : Incremental.circuit) ->
+            (fun p ->
+              let links = Incremental.circuit_links inc p in
               check Alcotest.bool "starts at proc" true
-                (List.mem (Network.proc_link scratch c.proc) c.links);
+                (List.mem (Network.proc_link scratch p) links);
               check Alcotest.bool "ends at res" true
-                (List.mem (Network.res_link scratch c.res) c.links);
-              ignore (Network.establish scratch c.links))
-            r.Incremental.circuits)
+                (List.mem
+                   (Network.res_link scratch (Incremental.circuit_res inc p))
+                   links);
+              ignore (Network.establish scratch links))
+            (List.init n (Incremental.found inc)))
         [ 1; 2; 3; 4; 5 ])
     (topologies ())
 
@@ -65,33 +69,31 @@ let test_incremental_release_resolve () =
   let net = Builders.omega 8 in
   let requests, free = Workload.snapshot (Prng.create 42) net in
   let inc = Incremental.create net in
-  List.iter (fun p -> Incremental.set_requesting inc p true) requests;
+  List.iter (fun p -> Incremental.set_requesting inc ~priority:0 p true) requests;
   List.iter (fun r -> Incremental.set_resource_free inc r true) free;
   let first = Incremental.solve inc in
-  check Alcotest.bool "something allocated" true (first.Incremental.circuits <> []);
-  List.iter (Incremental.release inc) first.Incremental.circuits;
+  check Alcotest.bool "something allocated" true (first > 0);
+  List.iter (Incremental.release inc) (List.init first (Incremental.found inc));
   check Alcotest.(result unit string) "conserved after release" (Ok ())
     (Incremental.check inc);
-  List.iter (fun p -> Incremental.set_requesting inc p true) requests;
+  List.iter (fun p -> Incremental.set_requesting inc ~priority:0 p true) requests;
   List.iter (fun r -> Incremental.set_resource_free inc r true) free;
   let second = Incremental.solve inc in
-  check Alcotest.int "same allocation after full release"
-    (List.length first.Incremental.circuits)
-    (List.length second.Incremental.circuits)
+  check Alcotest.int "same allocation after full release" first second
 
 let test_incremental_clean_skip () =
   let net = Builders.omega 8 in
   let inc = Incremental.create net in
-  Incremental.set_requesting inc 0 true;
+  Incremental.set_requesting inc ~priority:0 0 true;
   List.iter (fun r -> Incremental.set_resource_free inc r true)
     (List.init (Network.n_res net) Fun.id);
   let first = Incremental.solve inc in
-  check Alcotest.int "allocated one" 1 (List.length first.Incremental.circuits);
+  check Alcotest.int "allocated one" 1 first;
   (* Nothing enabled since: solver must answer without running. *)
   let again = Incremental.solve inc in
-  check Alcotest.bool "skipped" true again.Incremental.skipped;
-  check Alcotest.int "no circuits" 0 (List.length again.Incremental.circuits);
-  check Alcotest.int "no work" 0 again.Incremental.work
+  check Alcotest.bool "skipped" true (Incremental.last_skipped inc);
+  check Alcotest.int "no circuits" 0 again;
+  check Alcotest.int "no work" 0 (Incremental.last_work inc)
 
 (* --- Differential: warm engine vs from-scratch scheduling ----------------- *)
 

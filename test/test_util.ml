@@ -181,6 +181,94 @@ let heap_sorts =
       in
       drain [] = List.sort compare xs)
 
+(* Event_heap against a sorted-list model: interleaved adds (few
+   distinct times, so seq must break the ties) and pops. *)
+let event_heap_model =
+  qtest "event heap pops in (time, seq) order" ~count:300
+    QCheck.(list (option (pair (int_bound 5) small_int)))
+    (fun ops ->
+      let h = Event_heap.create () in
+      let model = ref [] and seq = ref 0 in
+      let pop_both () =
+        match !model with
+        | [] -> Event_heap.is_empty h
+        | (time, s, v) :: rest ->
+          model := rest;
+          Event_heap.min_time h = time
+          && Event_heap.min_seq h = s
+          && Event_heap.pop h = v
+      in
+      let step = function
+        | Some (time, v) ->
+          Event_heap.add h ~time ~seq:!seq v;
+          model := List.merge compare !model [ (time, !seq, v) ];
+          incr seq;
+          true
+        | None -> pop_both ()
+      in
+      List.for_all step ops
+      && Event_heap.entries h = !model
+      && Event_heap.length h = List.length !model
+      && List.for_all (fun _ -> pop_both ()) !model
+      && Event_heap.is_empty h)
+
+type ring_op = Back of int | Front of int | Pop | Remove of int
+
+(* Ring against a list model under every operation the engine's
+   per-processor queues use. *)
+let ring_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (3, map (fun x -> Back x) (int_bound 9));
+          (2, map (fun x -> Front x) (int_bound 9));
+          (2, return Pop);
+          (2, map (fun x -> Remove x) (int_bound 9)) ])
+  in
+  let print = function
+    | Back x -> Printf.sprintf "back %d" x
+    | Front x -> Printf.sprintf "front %d" x
+    | Pop -> "pop"
+    | Remove x -> Printf.sprintf "remove %d" x
+  in
+  qtest "ring matches a list model" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list op))
+    (fun ops ->
+      let q = Ring.create () in
+      let model = ref [] in
+      let rec remove_first x = function
+        | [] -> None
+        | y :: rest when y = x -> Some rest
+        | y :: rest -> Option.map (fun r -> y :: r) (remove_first x rest)
+      in
+      let step op =
+        (match op with
+        | Back x ->
+          Ring.push_back q x;
+          model := !model @ [ x ]
+        | Front x ->
+          Ring.push_front q x;
+          model := x :: !model
+        | Pop -> (
+          match !model with
+          | [] -> ()
+          | x :: rest ->
+            if Ring.pop_front q <> x then QCheck.Test.fail_report "pop";
+            model := rest)
+        | Remove x -> (
+          match remove_first x !model with
+          | None -> if Ring.remove q x then QCheck.Test.fail_report "removed"
+          | Some rest ->
+            if not (Ring.remove q x) then QCheck.Test.fail_report "kept";
+            model := rest));
+        Ring.length q = List.length !model
+        && Ring.to_list q = !model
+        && List.for_all Fun.id
+             (List.mapi (fun i x -> Ring.get q i = x) !model)
+        && (Ring.is_empty q || Ring.front q = List.hd !model)
+      in
+      List.for_all step ops)
+
 let test_heap_basics () =
   let h = Heap.create ~cmp:compare in
   check Alcotest.bool "empty" true (Heap.is_empty h);
@@ -638,6 +726,8 @@ let suite =
     prng_sample_distinct;
     Alcotest.test_case "prng invalid args" `Quick test_prng_invalid_args;
     heap_sorts;
+    event_heap_model;
+    ring_model;
     Alcotest.test_case "heap basics" `Quick test_heap_basics;
     Alcotest.test_case "heap duplicates" `Quick test_heap_duplicates;
     Alcotest.test_case "stats known values" `Quick test_stats_known;
