@@ -22,11 +22,13 @@
    The slot around the solve is held to the same bar on omega:256 and
    omega:16, the planes of the serving benchmark's steady and sparse
    workloads. A warm Incremental churn (endpoint switches, solves with
-   their one-pass extraction into the per-processor slots, releases), a
+   their one-pass extraction into the per-processor slots, releases),
+   once under each discipline (Priority solves one class at a time), a
    warm run of adds and pops on the engine's event heap, and the cycle
    gate read from the engine's kept pending and free counts must each
    allocate 0 minor words, or the bench fails. Warm Engine.advance is
-   then measured in minor words per trace event on both planes and
+   then measured in minor words per trace event (the event hook's
+   count: arrivals, cancels, faults and repairs) on both planes and
    reported, not gated: task records, the live-circuit table and the
    links handed to Network.establish still allocate.
 
@@ -247,16 +249,25 @@ let mean a = Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a)
 (* A warm Incremental churn in the engine's cycle shape, every target
    precomputed so the loop itself allocates nothing: each round releases
    the circuits committed two rounds before (transmission time 2),
-   switches every endpoint no circuit holds, and solves. Returns the
-   rounds runner and the count of circuits committed. *)
-let incremental_runner net ~rounds =
-  let inc = Incremental.create net in
+   switches every endpoint no circuit holds, and solves. Under the
+   Priority discipline each request carries one of four priorities, so
+   a solve runs one Dinic per class present. Returns the rounds runner
+   and the count of circuits committed. *)
+let incremental_runner ~discipline net ~rounds =
+  let inc = Incremental.create ~discipline net in
   let np = Network.n_procs net and nr = Network.n_res net in
   let rng = Prng.create (Hashtbl.hash (Network.name net, seed)) in
   let draw n p =
     Array.init rounds (fun _ -> Array.init n (fun _ -> Prng.float rng 1.0 < p))
   in
   let proc_on = draw np 0.5 and res_on = draw nr 0.6 in
+  let prio =
+    Array.init rounds (fun _ ->
+        Array.init np (fun _ ->
+            match discipline with
+            | Incremental.Maxflow -> 0
+            | Incremental.Priority -> Prng.int rng 4))
+  in
   let held = Array.init 2 (fun _ -> Array.make np 0) and n_held = Array.make 2 0 in
   let res_busy = Array.make nr false in
   let committed = ref 0 in
@@ -270,7 +281,7 @@ let incremental_runner net ~rounds =
       done;
       for p = 0 to np - 1 do
         if not (Incremental.holds inc p) then
-          Incremental.set_requesting inc ~priority:0 p proc_on.(r).(p)
+          Incremental.set_requesting inc ~priority:prio.(r).(p) p proc_on.(r).(p)
       done;
       for q = 0 to nr - 1 do
         if not res_busy.(q) then Incremental.set_resource_free inc q res_on.(r).(q)
@@ -301,18 +312,25 @@ let warm_engine ?config net ~slots ~arrival ~warm =
   (e, served)
 
 (* The per-plane slot checks: hard-fail on any minor word from the
-   warm Incremental churn, the event heap or the cycle gate; then warm
-   Engine.advance words per event, reported. *)
+   warm Incremental churn under either discipline, the event heap or
+   the cycle gate; then warm Engine.advance words per trace event,
+   reported. *)
 let slot_row report ~quick (name, net, arrival, slots) =
   let fail what w =
     Printf.eprintf "E34 %s: %s allocated %.0f minor words (want 0)\n" name what w;
     assert false
   in
   let rounds = if quick then 24 else 64 in
-  let run_rounds, committed = incremental_runner net ~rounds in
-  run_rounds 0 ((rounds / 2) - 1);
-  let solve_words = words (fun () -> run_rounds (rounds / 2) (rounds - 1)) in
+  let churn_words discipline =
+    let run_rounds, committed = incremental_runner ~discipline net ~rounds in
+    run_rounds 0 ((rounds / 2) - 1);
+    (words (fun () -> run_rounds (rounds / 2) (rounds - 1)), committed)
+  in
+  let solve_words, committed = churn_words Incremental.Maxflow in
   if solve_words <> 0. then fail "warm Incremental.solve churn" solve_words;
+  let prio_words, prio_committed = churn_words Incremental.Priority in
+  if prio_words <> 0. then
+    fail "warm priority-discipline Incremental.solve churn" prio_words;
   let h = Event_heap.create () and n = 4 * Network.n_procs net in
   let heap_period () =
     for i = 0 to n - 1 do
@@ -346,18 +364,22 @@ let slot_row report ~quick (name, net, arrival, slots) =
   let case = Bench_report.case report ("slot:" ^ name) in
   Bench_report.record_count case ~name:"slot.solve_words" ~unit_:"words"
     solve_words;
+  Bench_report.record_count case ~name:"slot.priority_solve_words"
+    ~unit_:"words" prio_words;
   Bench_report.record_count case ~name:"slot.heap_words" ~unit_:"words"
     heap_words;
   Bench_report.record_count case ~name:"slot.gate_words" ~unit_:"words"
     gate_words;
   Bench_report.record_count case ~name:"slot.committed" ~unit_:"circuits"
     (float_of_int !committed);
+  Bench_report.record_count case ~name:"slot.priority_committed"
+    ~unit_:"circuits" (float_of_int !prio_committed);
   (* An allocation figure, held to the gate's time-and-alloc tolerance:
      it is not a deterministic count across compiler versions. *)
   Bench_report.record_samples case ~name:"slot.advance_words_per_event"
     ~kind:Bench_report.Alloc ~unit_:"words" [| per_event |];
   [ name; string_of_int rounds; Table.ffix 0 solve_words;
-    Table.ffix 0 heap_words; Table.ffix 0 gate_words;
+    Table.ffix 0 prio_words; Table.ffix 0 heap_words; Table.ffix 0 gate_words;
     string_of_int (!served - before); Table.ffix 1 per_event ]
 
 let run ?(quick = false) () =
@@ -477,7 +499,7 @@ let run ?(quick = false) () =
   print_endline "  the slot around the solve, per plane of the serving benchmark:";
   Table.print
     ~header:
-      [ "plane"; "rounds"; "solve w"; "heap w"; "gate w"; "events";
+      [ "plane"; "rounds"; "solve w"; "prio w"; "heap w"; "gate w"; "events";
         "advance w/ev" ]
     (List.map
        (slot_row report ~quick)
@@ -485,9 +507,10 @@ let run ?(quick = false) () =
          ("omega:16", Builders.omega 16, 0.04, 5000) ]);
   print_newline ();
   print_endline
-    "  (checked: a warm Incremental churn, solves and their extraction";
+    "  (checked: a warm Incremental churn under either discipline, solves";
   print_endline
-    "   included, event-heap adds and pops, and the cycle gate allocate 0";
+    "   and their extraction included, event-heap adds and pops, and the";
   print_endline
-    "   minor words; advance words per event are reported, not gated)";
+    "   cycle gate allocate 0 minor words; advance words per trace event";
+  print_endline "   are reported, not gated)";
   Printf.printf "  wrote %s\n\n" (Bench_report.write report)

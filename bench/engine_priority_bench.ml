@@ -1,20 +1,21 @@
 (* E30: warm-started priority discipline vs rebuild-per-cycle.
 
    The E29 comparison, under the priority discipline: the same
-   prioritized synthetic workload is served once with the persistent
-   min-cost network (Warm: priorities ride on the source-arc costs,
-   each cycle is one Csr.mincost over the residual network) and once
-   rebuilding Transformation 2 from scratch every cycle (Rebuild:
+   prioritized synthetic workload is served once on the persistent
+   network (Warm: no arc carries a cost; each cycle switches the
+   pending requests' source arcs on one priority class at a time,
+   highest first, and extends the flow with Csr.dinic after each) and
+   once rebuilding Transformation 2 from scratch every cycle (Rebuild:
    network scan + graph build + from-zero successive shortest paths).
-   Work units are comparable, as in E29: capacity/cost updates +
-   residual arcs scanned for Warm; links scanned + arcs built + arcs
-   scanned for Rebuild.
+   Work units are comparable, as in E29: capacity updates + residual
+   arcs scanned for Warm; links scanned + arcs built + arcs scanned for
+   Rebuild.
 
    Unlike E29, the whole-run allocation totals of the two modes are NOT
    asserted equal: per cycle both compute an optimum of the same
    objective (maximum allocation, then maximum total head priority —
-   the differential test in test/test_engine.ml pins that on shared
-   snapshots), but optimal mappings tie-break differently, the
+   the differential tests in test/test_engine.ml and test/test_csr.ml
+   pin that on shared snapshots), but optimal mappings tie-break differently, the
    trajectories diverge, and totals may drift a little either way. The
    table reports both so the drift is visible next to the work gap. *)
 

@@ -60,8 +60,8 @@ val compile_full : Rsin_topology.Network.t -> Rsin_flow.Csr.t t
     offset. Endpoint arcs start with capacity 0 (switched off); link
     arcs carry capacity 1 when free and usable, 0 when occupied or
     masked by a down element. Scheduling state is then expressed purely
-    through O(1) {!Rsin_flow.Csr.set_capacity} /
-    {!Rsin_flow.Csr.set_cost} toggles — the network is never rebuilt. *)
+    through O(1) {!Rsin_flow.Csr.set_capacity} toggles — the network
+    is never rebuilt. *)
 
 (** {1 Accessors} *)
 

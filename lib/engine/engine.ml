@@ -234,9 +234,10 @@ type task = {
    circuit holds its links; [released = false]) and service (links
    free, resource busy). It leaves the table at completion — or at a
    fault teardown during transmission, which silently invalidates the
-   already-queued Ev_release/Ev_complete for its index. In Warm mode
-   the transmitting circuit's arcs sit in [lproc]'s slot of the warm
-   graph (Incremental.holds). *)
+   already-queued Ev_release/Ev_complete for its index. While it
+   transmits, its index sits in [lproc]'s slot of [tx_live]; in Warm
+   mode its arcs sit in [lproc]'s slot of the warm graph
+   (Incremental.holds). *)
 type live = {
   net_id : int;
   lproc : int;
@@ -276,10 +277,11 @@ type t = {
   mutable n_free : int;
   counted_free : bool array;
   queues : Ring.t array;               (* task ids, FIFO *)
-  transmitting : bool array;
+  (* Processor -> the live index of the circuit it transmits, -1 when
+     none. apply_fault scans it in processor order, so victims are torn
+     down, and their retries numbered, in an order the state defines. *)
+  tx_live : int array;
   tasks : (int, task) Hashtbl.t;
-  (* Iterated in apply_fault: victims are torn down, and their retries
-     numbered, in this table's order, which checkpoints record. *)
   lives : (int, live) Hashtbl.t;
   mutable next_live : int;
   heap : Event_heap.t;
@@ -461,6 +463,8 @@ let decode t code =
 
 let res_free t r = t.res_idle.(r) && Network.res_available t.net r
 
+let transmitting t p = t.tx_live.(p) >= 0
+
 (* Re-counts resource r after its idleness or health may have changed. *)
 let count_res t r =
   let f = res_free t r in
@@ -470,9 +474,10 @@ let count_res t r =
   end
 
 (* The pending request of a processor stands for its queue head; under
-   the priority discipline the head's priority rides on the source
-   arc's cost, so it must be refreshed whenever the head changes while
-   the request stays pending (a cancel or expiry of the old head). *)
+   the priority discipline the warm graph files the head's priority
+   with the request, so it must be refreshed whenever the head changes
+   while the request stays pending (a cancel or expiry of the old
+   head). *)
 let head_priority t p =
   let q = t.queues.(p) in
   if Ring.is_empty q then 0 else (Hashtbl.find t.tasks (Ring.front q)).priority
@@ -506,7 +511,7 @@ let create ?obs ?(config = Config.default) ?cycle_hook ?event_hook net =
       let d =
         match config.Config.discipline with
         | Uniform -> Incremental.Maxflow
-        | Priority -> Incremental.Mincost
+        | Priority -> Incremental.Priority
       in
       Some (Incremental.create ~discipline:d net)
     | Rebuild | Token -> None
@@ -519,7 +524,7 @@ let create ?obs ?(config = Config.default) ?cycle_hook ?event_hook net =
       n_pending = 0; n_free = 0;
       counted_free = Array.make nr false;
       queues = Array.init np (fun _ -> Ring.create ());
-      transmitting = Array.make np false;
+      tx_live = Array.make np (-1);
       tasks = Hashtbl.create 256;
       lives = Hashtbl.create 64;
       next_live = 0;
@@ -641,7 +646,7 @@ let teardown t now li (l : live) =
      fault that killed the circuit is the resource itself: health was
      flipped before the teardown, so res_free is already false). *)
   sync_res t l.lres;
-  t.transmitting.(l.lproc) <- false;
+  t.tx_live.(l.lproc) <- -1;
   match t.cfg.Config.guard with
   | None ->
     requeue_front t l.lproc l.task_id;
@@ -702,10 +707,14 @@ let apply_fault t now fev =
     (* Kill circuits transmitting through the dead element first so
        their frozen arcs are thawed before the capacity mask lands. *)
     let dead = Fault.victims t.net element in
-    Hashtbl.iter
-      (fun li l ->
-        if List.mem l.net_id dead && not l.released then teardown t now li l)
-      (Hashtbl.copy t.lives);
+    if dead <> [] then
+      for p = 0 to t.np - 1 do
+        let li = t.tx_live.(p) in
+        if li >= 0 then begin
+          let l = Hashtbl.find t.lives li in
+          if List.mem l.net_id dead then teardown t now li l
+        end
+      done;
     (* Flap detection: the k-th fault within the window quarantines the
        element for a cooling-off period — it stays out of every usable
        mask even across repairs, until Ev_unquarantine lifts it. The
@@ -745,7 +754,7 @@ let admit t now ~id ~proc ~service ~priority deadline =
   Hashtbl.replace t.tasks id
     { arrival = now; service; priority; deadline; queued = true; home = proc };
   Ring.push_back t.queues.(proc) id;
-  if not t.transmitting.(proc) then set_requesting t proc true;
+  if not (transmitting t proc) then set_requesting t proc true;
   (match deadline with
   | Some d -> push_code t d (encode K_deadline id)
   | None -> ());
@@ -820,7 +829,7 @@ let release t li =
     l.released <- true;
     Network.release t.net l.net_id;
     (match t.inc with Some i -> Incremental.release i l.lproc | None -> ());
-    t.transmitting.(l.lproc) <- false;
+    t.tx_live.(l.lproc) <- -1;
     if not (Ring.is_empty t.queues.(l.lproc)) then set_requesting t l.lproc true;
     true
   | _ -> false (* torn down by a fault *)
@@ -846,7 +855,7 @@ let retry t id =
        victim every cycle. *)
     Hashtbl.remove t.retry_pending id;
     requeue_front t proc id;
-    if not t.transmitting.(proc) then set_requesting t proc true;
+    if not (transmitting t proc) then set_requesting t proc true;
     true
   | exception Not_found -> false (* cancelled or expired while parked *)
 
@@ -910,7 +919,7 @@ let commit t now p r links =
     Stats.observe t.readmissions (float_of_int (now - t_fault));
     Obs.observe t.obs "engine.readmission_wait" (float_of_int (now - t_fault))
   | exception Not_found -> ());
-  t.transmitting.(p) <- true;
+  t.tx_live.(p) <- li;
   (* Set directly, not via set_requesting/sync_res: in Warm mode the
      endpoint arcs are frozen with unit flow, not switched off. *)
   if t.requesting.(p) then t.n_pending <- t.n_pending - 1;
@@ -1078,17 +1087,27 @@ let try_cycle t now =
     match t.inc with Some i -> warm_cycle t now i | None -> list_cycle t now
   end
 
+(* Whether a heap event came from the trace: an arrival, a cancel, a
+   fault or a repair. The rest (releases, completions, deadline checks,
+   wakes, retries, unquarantines) the engine scheduled itself. *)
+let from_trace code =
+  match kind code with
+  | K_arrive | K_cancel | K_fault -> true
+  | K_release | K_complete | K_deadline | K_wake | K_retry | K_unquarantine ->
+    false
+
 (* One simulated slot: every queued event at the earliest time, the
    cycle it may trigger, the Token-mode end-of-slot fault flush, and the
-   event-hook pulse. Processing never schedules an event at [now] (every
-   delay is at least one slot), so the loop pops exactly the slot's
-   batch, in (time, seq) order. *)
+   event-hook pulse, which counts the trace events consumed. Processing
+   never schedules an event at [now] (every delay is at least one slot),
+   so the loop pops exactly the slot's batch, in (time, seq) order. *)
 let step_slot t =
   let now = Event_heap.min_time t.heap in
   let substantive = ref false and events = ref 0 in
   while (not (Event_heap.is_empty t.heap)) && Event_heap.min_time t.heap = now do
-    incr events;
-    if process t now (Event_heap.pop t.heap) then substantive := true
+    let code = Event_heap.pop t.heap in
+    if from_trace code then incr events;
+    if process t now code then substantive := true
   done;
   if !substantive && now > t.horizon then t.horizon <- now;
   try_cycle t now;
@@ -1128,7 +1147,7 @@ let has_free_resource t = t.n_free > 0
 
 (* A processor a borrowed arrival can be re-issued at: nothing queued,
    nothing in flight. *)
-let idle t p = (not t.transmitting.(p)) && Ring.is_empty t.queues.(p)
+let idle t p = (not (transmitting t p)) && Ring.is_empty t.queues.(p)
 
 let headroom_from_scratch t =
   let idle_procs = List.filter (idle t) (List.init t.np Fun.id) in
@@ -1590,7 +1609,11 @@ let restore_exn ?obs ?cycle_hook ?event_hook net j =
       { net_id; lproc; lres; task_id;
         committed_at = D.field "committed_at" D.int lj;
         lservice = D.field "service" D.int lj; released };
-    if not released then t.transmitting.(lproc) <- true;
+    if not released then begin
+      if transmitting t lproc then
+        D.fail "processor %d transmits two circuits" lproc;
+      t.tx_live.(lproc) <- li
+    end;
     t.res_idle.(lres) <- false;
     if released then sync_res t lres else count_res t lres
   in

@@ -50,9 +50,10 @@ type discipline =
   | Priority
       (** each cycle serves a maximum number of requests and, among
           those, maximizes the total priority of the queue heads served
-          — Transformation 2 (min-cost flow) per cycle. [Warm] runs it
-          as {!Rsin_flow.Csr.mincost} over the persistent network with
-          priorities on the source-arc costs; [Rebuild] as a
+          — the optimum of Transformation 2 (a min-cost flow) per
+          cycle. [Warm] reaches it over the persistent network one
+          priority class at a time, highest first, with
+          {!Rsin_flow.Csr.dinic} ({!Incremental}); [Rebuild] runs a
           from-scratch {!Rsin_core.Transform2.schedule}. *)
 
 val discipline_name : discipline -> string
@@ -236,9 +237,12 @@ val create :
 
     [event_hook] is called once per simulated time slot, after the
     slot's event batch (and any cycle it triggered) has been fully
-    processed, with the cumulative count of trace events consumed and
-    the slot time — the progress pulse the CLI's replay heartbeat is
-    built on. It observes; it must not mutate the network. *)
+    processed, with the cumulative count of trace events consumed
+    (arrivals, cancels, faults and repairs popped so far; not the
+    releases, completions, deadline checks, wakes, retries and
+    unquarantines the engine schedules for itself) and the slot time —
+    the progress pulse the CLI's replay heartbeat is built on. It
+    observes; it must not mutate the network. *)
 
 val event_error :
   Rsin_topology.Network.t -> Rsin_sim.Workload.trace_event -> string option

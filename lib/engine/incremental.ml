@@ -6,33 +6,42 @@ module Network = Rsin_topology.Network
 
 (* A persistent flow network over the *whole* topology, emitted once by
    Netgraph.compile_full straight into Csr arrays. Scheduling state is
-   expressed purely through capacities (and, under the Mincost
-   discipline, costs):
+   expressed purely through capacities:
 
-     s->p arc   cap 1 iff processor p has a pending request;
-                cost -y_p (its priority) under Mincost, 0 under Maxflow
+     s->p arc   cap 1 iff processor p has a pending request
      r->t arc   cap 1 iff resource r is free
      link arc   cap 1 always; a link carried by an established circuit
                 is saturated *and frozen* (residual capacity removed),
                 so augmenting paths route around live circuits exactly
                 as Transformation 1 step T4 excludes occupied links.
 
-   Circuits that survive from earlier cycles therefore constitute a
-   feasible flow of the current network, and a scheduling cycle is one
-   warm augment on the residual network — never a rebuild: Csr.dinic
-   under Maxflow, Csr.mincost under Mincost, neither of which allocates.
-   The residual network reachable from s is isomorphic to the
+   No arc carries a cost. Circuits that survive from earlier cycles
+   therefore constitute a feasible flow of the current network, and a
+   scheduling cycle is a warm augment on the residual network — never a
+   rebuild. The residual network reachable from s is isomorphic to the
    from-scratch transformation graph of the same snapshot (frozen arcs
    contribute no residual capacity in either direction; switched-off
-   arcs carry cap 0). Under Maxflow that makes warm cycles allocate
-   exactly as many requests as from-scratch Transformation 1; under
-   Mincost the successive-shortest-path augment maximizes allocation
-   first and then total served priority — the same optimum
-   Transformation 2's bypass costs select, because every extraction
-   freezes the new flow, so each cycle starts from zero unfrozen flow.
-   The differential tests pin both equivalences cycle by cycle. *)
+   arcs carry cap 0), and every extraction freezes the new flow, so
+   each cycle starts from zero unfrozen flow.
 
-type discipline = Maxflow | Mincost
+   Under Maxflow a cycle is one Csr.dinic, which allocates exactly as
+   many requests as from-scratch Transformation 1. Under Priority it is
+   the greedy algorithm of a matroid: the sets of pending processors
+   that edge-disjoint circuits can serve at once are the independent
+   sets of a gammoid (Perfect 1968, Mason 1972), so taking priority
+   classes from highest to lowest and extending a maximum flow one
+   class at a time yields a basis of maximum total priority
+   (Rado–Edmonds). On the network that is: switch the pending source
+   arcs off, then switch each class on and run Csr.dinic again. An
+   augmenting path never enters the source, so a routed processor's
+   source arc stays saturated and a later class cannot un-route it. The
+   final flow is maximum and, among maximum flows, serves the most
+   total priority — the two objective values Transformation 2's bypass
+   costs select. The argument needs the r->t arcs to carry no cost
+   (resource preferences would break it); this network has none. The
+   differential tests pin both equivalences cycle by cycle. *)
+
+type discipline = Maxflow | Priority
 
 type t = {
   ng : Csr.t Netgraph.t;
@@ -45,6 +54,10 @@ type t = {
   node_proc : int array;               (* node -> processor, or -1 *)
   node_res : int array;                (* node -> resource, or -1 *)
   was_on : bool array;                 (* headroom scratch: s->p caps before *)
+  prio : int array;                    (* processor -> its request's priority *)
+  (* Priority solve scratch: the pending, uncommitted processors,
+     highest priority first. *)
+  order : int array;
   (* A processor holds at most one committed circuit (its s->p arc is
      frozen while it does), and every circuit crosses one box per stage:
      s->p, stages+1 link arcs, r->t. So processor p's circuit lives in
@@ -59,6 +72,12 @@ type t = {
   mutable n_found : int;
   mutable last_work : int;
   mutable last_skipped : bool;
+  (* The last solve's Dinic runs (one under Maxflow, one per priority
+     class under Priority) and their summed stats. *)
+  mutable runs : int;
+  mutable phases : int;
+  mutable augmentations : int;
+  mutable scanned : int;
   mutable dirty : bool;
   mutable pending_ops : int;           (* capacity updates since last solve *)
   mutable total_work : int;            (* cumulative: updates + arcs scanned *)
@@ -84,11 +103,14 @@ let create ?(discipline = Maxflow) net =
     node_proc = of_node Netgraph.proc_of_node;
     node_res = of_node Netgraph.res_of_node;
     was_on = Array.make np false;
+    prio = Array.make np 0;
+    order = Array.make np 0;
     width; held = Array.make (np * width) (-1);
     path_arcs = Array.make (Csr.arc_count csr) 0;
     path_ends = Array.make (np + 1) 0;
     found = Array.make np 0;
     n_found = 0; last_work = 0; last_skipped = false;
+    runs = 0; phases = 0; augmentations = 0; scanned = 0;
     dirty = false; pending_ops = 0; total_work = 0 }
 
 let netgraph t = t.ng
@@ -111,8 +133,7 @@ let touch t ~enables =
   t.total_work <- t.total_work + 1;
   (* Only added capacity can create a new augmenting path; removing
      capacity from an arc with zero flow cannot make the proved-maximal
-     flow non-maximal, and cost updates cannot change reachability, so
-     both leave a clean state clean. *)
+     flow non-maximal, so it leaves a clean state clean. *)
   if enables then t.dirty <- true
 
 let set_switch t a on =
@@ -122,18 +143,13 @@ let set_switch t a on =
     touch t ~enables:on
   end
 
+(* A priority is bookkeeping, not capacity: a new one for a request
+   that stays pending cannot create an augmenting path, so it neither
+   counts as an update nor dirties a clean state. *)
 let set_requesting t ~priority p on =
   if priority < 0 then invalid_arg "Incremental.set_requesting: priority";
   let a = sp_arc t p in
-  (match t.discipline with
-  | Maxflow -> ()
-  | Mincost ->
-    (* Serving a high-priority request is a cheap path: cost -y_p. *)
-    let cost = if on then -priority else 0 in
-    if Csr.cost t.csr a <> cost then begin
-      Csr.set_cost t.csr a cost;
-      touch t ~enables:false
-    end);
+  t.prio.(p) <- priority;
   set_switch t a on
 
 let set_resource_free t r on = set_switch t (rt_arc t r) on
@@ -202,6 +218,93 @@ let rec file_paths t n k start =
     file_paths t n (k + 1) stop
   end
 
+(* One Csr.dinic on the live network, its stats added to the solve's. *)
+let run_dinic t =
+  let added = Csr.dinic t.csr ~source:(source t) ~sink:(sink t) in
+  let s = Csr.last_stats t.csr in
+  t.runs <- t.runs + 1;
+  t.phases <- t.phases + s.Csr.passes;
+  t.augmentations <- t.augmentations + s.Csr.augmentations;
+  t.scanned <- t.scanned + s.Csr.arcs_scanned;
+  added
+
+(* --- The Priority solve: one class at a time ------------------------------- *)
+
+(* Switches off the source arcs of the uncommitted processors that
+   request, collecting them in [order] from [k]; returns their count. *)
+let rec take_pending t p k =
+  if p >= Array.length t.sp then k
+  else
+    let a = t.sp.(p) in
+    if Csr.original_capacity t.csr a > 0 && not (Csr.is_frozen t.csr a) then begin
+      Csr.set_capacity t.csr a 0;
+      t.order.(k) <- p;
+      take_pending t (p + 1) (k + 1)
+    end
+    else take_pending t (p + 1) k
+
+(* Heapsort of order.(0 .. n-1) by priority, highest first: a min-heap
+   whose minimum is swapped to the back each round. In place, O(n log
+   n). Ties land in any order: a class is switched on whole, so the
+   order inside it cannot reach the flow. *)
+let rec sift t n i =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let o = t.order and y = t.prio in
+    let r = l + 1 in
+    let c = if r < n && y.(o.(r)) < y.(o.(l)) then r else l in
+    if y.(o.(c)) < y.(o.(i)) then begin
+      let v = o.(i) in
+      o.(i) <- o.(c);
+      o.(c) <- v;
+      sift t n c
+    end
+  end
+
+let sort_by_priority t n =
+  for i = (n / 2) - 1 downto 0 do
+    sift t n i
+  done;
+  for last = n - 1 downto 1 do
+    let o = t.order in
+    let v = o.(0) in
+    o.(0) <- o.(last);
+    o.(last) <- v;
+    sift t last 0
+  done
+
+(* The free resources: switched-on r->t arcs no circuit holds. No flow
+   is unfrozen between solves, so those are the arcs with residual
+   capacity, and their count bounds what any flow can add. *)
+let rec free_sinks t r k =
+  if r >= Array.length t.rt then k
+  else free_sinks t (r + 1) (if Csr.capacity t.csr t.rt.(r) > 0 then k + 1 else k)
+
+(* Switches on order.(i ..) while the priority is [y]; returns the
+   index past the class. *)
+let rec switch_on_class t n y i =
+  if i < n && t.prio.(t.order.(i)) = y then begin
+    Csr.set_capacity t.csr t.sp.(t.order.(i)) 1;
+    switch_on_class t n y (i + 1)
+  end
+  else i
+
+(* Extends the flow one class at a time from order.(i); once it fills
+   every free resource, the remaining classes are only switched back
+   on. *)
+let rec class_runs t n bound i flow =
+  if i < n then begin
+    let j = switch_on_class t n t.prio.(t.order.(i)) i in
+    class_runs t n bound j (if flow >= bound then flow else flow + run_dinic t)
+  end
+
+(* Raw capacity writes, as [headroom] makes: every pending source arc
+   ends switched on again, so the class runs leave no update behind. *)
+let solve_priority t =
+  let n = take_pending t 0 0 in
+  sort_by_priority t n;
+  class_runs t n (free_sinks t 0 0) 0 0
+
 let solve ?obs t =
   let updates = t.pending_ops in
   t.pending_ops <- 0;
@@ -211,33 +314,26 @@ let solve ?obs t =
     t.last_skipped <- true
   end
   else begin
-    let c = t.csr and source = source t and sink = sink t in
-    let scanned =
-      match t.discipline with
-      | Maxflow ->
-        let _added = Csr.dinic c ~source ~sink in
-        let s = Csr.last_stats c in
-        Obs.count obs "flow.dinic_csr.runs" 1;
-        Obs.count obs "flow.dinic_csr.phases" s.Csr.passes;
-        Obs.count obs "flow.dinic_csr.augmentations" s.Csr.augmentations;
-        Obs.count obs "flow.dinic_csr.arcs_scanned" s.Csr.arcs_scanned;
-        s.Csr.arcs_scanned
-      | Mincost ->
-        let _added = Csr.mincost c ~source ~sink in
-        let s = Csr.last_stats c in
-        Obs.count obs "flow.mincost_csr.runs" 1;
-        Obs.count obs "flow.mincost_csr.augmentations" s.Csr.augmentations;
-        Obs.count obs "flow.mincost_csr.arcs_scanned" s.Csr.arcs_scanned;
-        s.Csr.arcs_scanned
-    in
+    t.runs <- 0;
+    t.phases <- 0;
+    t.augmentations <- 0;
+    t.scanned <- 0;
+    (match t.discipline with
+    | Maxflow -> ignore (run_dinic t)
+    | Priority -> solve_priority t);
+    Obs.count obs "flow.dinic_csr.runs" t.runs;
+    Obs.count obs "flow.dinic_csr.phases" t.phases;
+    Obs.count obs "flow.dinic_csr.augmentations" t.augmentations;
+    Obs.count obs "flow.dinic_csr.arcs_scanned" t.scanned;
     t.dirty <- false;
-    t.total_work <- t.total_work + scanned;
+    t.total_work <- t.total_work + t.scanned;
     let n =
-      Csr.extract_paths c ~source ~sink ~arcs:t.path_arcs ~ends:t.path_ends
+      Csr.extract_paths t.csr ~source:(source t) ~sink:(sink t)
+        ~arcs:t.path_arcs ~ends:t.path_ends
     in
     file_paths t n 0 0;
     t.n_found <- n;
-    t.last_work <- updates + scanned;
+    t.last_work <- updates + t.scanned;
     t.last_skipped <- false
   end;
   t.n_found
@@ -257,7 +353,6 @@ let release t p =
   (* The request was served and the resource enters service: switch both
      endpoint arcs off until the engine re-enables them. *)
   Csr.set_capacity t.csr t.sp.(p) 0;
-  if t.discipline = Mincost then Csr.set_cost t.csr t.sp.(p) 0;
   Csr.set_capacity t.csr t.held.(base + t.width - 1) 0;
   t.held.(base) <- -1;
   (* Freed links may unblock a request that was proved unroutable. *)

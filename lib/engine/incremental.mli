@@ -4,34 +4,41 @@
     The network covers the {e whole} topology and is emitted once by
     {!Rsin_core.Netgraph.compile_full} straight into a flat
     {!Rsin_flow.Csr} network; request arrivals, resource state changes,
-    faults and circuit releases are O(1) capacity (and, under
-    {!Mincost}, cost) writes, and a scheduling cycle is one warm augment
-    over the residual network — {!Rsin_flow.Csr.dinic} under {!Maxflow},
-    {!Rsin_flow.Csr.mincost} under {!Mincost}, neither of which
-    allocates. Circuits committed in earlier cycles stay in the network
-    as {e frozen} feasible flow ({!Rsin_flow.Csr.freeze}), so each cycle
-    only pays for the incremental augmentation — and a cycle in which no
-    capacity was added since the last solve is skipped outright, because
-    neither removed capacity nor a cost update can create an augmenting
-    path.
+    faults and circuit releases are O(1) capacity writes, and a
+    scheduling cycle is a warm augment over the residual network with
+    {!Rsin_flow.Csr.dinic}, which allocates nothing. Circuits committed
+    in earlier cycles stay in the network as {e frozen} feasible flow
+    ({!Rsin_flow.Csr.freeze}), so each cycle only pays for the
+    incremental augmentation — and a cycle in which no capacity was
+    added since the last solve is skipped outright, because removed
+    capacity cannot create an augmenting path.
 
     The residual network visible to the solver is isomorphic to the
     from-scratch transformation network of the same snapshot. Under
-    {!Maxflow} warm cycles therefore allocate exactly as many requests
-    as {!Rsin_core.Transform1.schedule}; under {!Mincost} — where each
-    pending request's source arc costs minus its priority — the
-    successive-shortest-path augment maximizes the allocation count
-    first and then the total served priority, which is the optimum
-    {!Rsin_core.Transform2}'s bypass costs select. The differential
-    tests in [test/test_engine.ml] and [test/test_csr.ml] assert both,
-    cycle by cycle. *)
+    {!Maxflow} a cycle is one Dinic run, and allocates exactly as many
+    requests as {!Rsin_core.Transform1.schedule}. Under {!Priority} a
+    cycle solves one priority class at a time: the pending source arcs
+    are switched off, then each class, highest first, is switched on
+    and Dinic extends the flow. A routed processor's source arc stays
+    saturated (an augmenting path never re-enters the source), so no
+    later class un-routes it. The sets of requests edge-disjoint
+    circuits can serve at once form a matroid (a gammoid), so this
+    greedy extension is optimal (Rado–Edmonds): the final flow is
+    maximum and, among maximum flows, serves the most total priority —
+    the optimum {!Rsin_core.Transform2}'s bypass costs select. That
+    argument needs the r→t arcs to carry no cost: a preference among
+    resources would make the objective no longer a sum over requests,
+    and the greedy solve would lose its guarantee. This network has
+    none. The differential tests in [test/test_engine.ml] and
+    [test/test_csr.ml] assert both optima, cycle by cycle. *)
 
 type t
 
 type discipline =
   | Maxflow   (** Transformation 1: any maximum allocation *)
-  | Mincost   (** Transformation 2 with priorities: among maximum
-                  allocations, maximize the total served priority *)
+  | Priority  (** Transformation 2 with priorities: among maximum
+                  allocations, maximize the total served priority,
+                  solved one priority class at a time *)
 
 val create : ?discipline:discipline -> Rsin_topology.Network.t -> t
 (** Builds the full-topology flow network from the network's current
@@ -41,18 +48,17 @@ val create : ?discipline:discipline -> Rsin_topology.Network.t -> t
 
 val set_requesting : t -> priority:int -> int -> bool -> unit
 (** [set_requesting t ~priority p on] switches processor [p]'s source
-    arc on/off (capacity 1/0). Must not be called while a committed
-    circuit holds the arc. Turning an arc on marks the state dirty;
-    turning one off never does (removing unused capacity cannot create
-    an augmenting path). Under {!Mincost} the arc's cost is also set to
-    [-priority] (must be non-negative) while on — call again with the
-    new priority when a pending request's priority changes (e.g. its
-    queue head is replaced); cost updates count as bookkeeping work but
-    do not dirty a clean state. Under {!Maxflow}, [priority] is
-    ignored. No allocation. *)
+    arc on/off (capacity 1/0) and files [priority] (must be
+    non-negative) as its request's priority. Must not be called while a
+    committed circuit holds the arc. Turning an arc on marks the state
+    dirty; turning one off never does (removing unused capacity cannot
+    create an augmenting path). Call again with the new priority when a
+    pending request's priority changes (e.g. its queue head is
+    replaced); that is bookkeeping, neither an update nor a reason to
+    re-solve. {!Maxflow} ignores priorities. No allocation. *)
 
 val set_resource_free : t -> int -> bool -> unit
-(** Same for resource [r]'s sink arc (always cost 0). *)
+(** Same for resource [r]'s sink arc. *)
 
 val set_link_usable : t -> int -> bool -> unit
 (** [set_link_usable t l on] switches network link [l]'s arc on/off —
@@ -69,18 +75,21 @@ val resource_free : t -> int -> bool
 
 val solve : ?obs:Rsin_obs.Obs.t -> t -> int
 (** One scheduling cycle: augments from the current residual network
-    with the discipline's solver, freezes the new flow into circuits and
-    returns how many it found; {!found} names their processors. With
-    [obs], the solver's work is added to the [flow.dinic_csr.*] or
-    [flow.mincost_csr.*] counters. When nothing was enabled since the
-    last solve, returns 0 at once with {!last_skipped} set and no
-    solver work. Allocates nothing: the circuits land in preallocated
-    per-processor slots, found in one pass over the source row
-    ({!Rsin_flow.Csr.extract_paths}). *)
+    with the discipline's solve, freezes the new flow into circuits and
+    returns how many it found; {!found} names their processors. Under
+    {!Priority} the pending, uncommitted processors are sorted by
+    priority, highest first, in place (O(k log k) for [k] of them), and
+    one {!Rsin_flow.Csr.dinic} runs per distinct priority, until the
+    flow fills every free resource. With [obs], each Dinic run's work is
+    added to the [flow.dinic_csr.*] counters. When nothing was enabled
+    since the last solve, returns 0 at once with {!last_skipped} set and
+    no solver work. Allocates nothing: the circuits land in
+    preallocated per-processor slots, found in one pass over the source
+    row ({!Rsin_flow.Csr.extract_paths}). *)
 
 val last_work : t -> int
 (** Work charged to the last {!solve}: capacity updates since the solve
-    before it, plus arcs scanned. *)
+    before it, plus the arcs its Dinic runs scanned. *)
 
 val last_skipped : t -> bool
 (** Whether the last {!solve} found a clean residual network and did not
@@ -121,11 +130,11 @@ val discipline : t -> discipline
 val dirty : t -> bool
 
 val total_work : t -> int
-(** Cumulative solver work: capacity/cost updates + residual arcs
+(** Cumulative solver work: capacity updates + residual arcs
     scanned. *)
 
 val pending_ops : t -> int
-(** Capacity/cost updates since the last solve — serialized by
+(** Capacity updates since the last solve — serialized by
     {!Engine.snapshot} so a restored engine reports the same per-cycle
     work as the uninterrupted run. *)
 
@@ -145,8 +154,8 @@ val headroom : t -> idle:(int -> bool) -> int * bool
     and switched-off arcs carry no residual, so the residual networks
     coincide, max-flow values are unique, and the residual-reachable
     side is the canonical cut. Must be called between solves (no
-    unfrozen flow). Changes no cost and leaves {!dirty},
-    {!pending_ops} and {!total_work} alone, so nothing a later
+    unfrozen flow). Leaves {!dirty}, {!pending_ops} and {!total_work}
+    alone, so nothing a later
     {!solve} does can tell that a probe ran. *)
 
 val restore_circuit : t -> proc:int -> res:int -> links:int list -> unit

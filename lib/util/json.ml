@@ -6,61 +6,94 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-(* --- printing ------------------------------------------------------------ *)
+(* --- printing ------------------------------------------------------------
+
+   Straight into one buffer, with nothing allocated per value: a string
+   with nothing to escape is copied whole, an integral number's digits
+   are written in place, and lists are walked without a closure. *)
+
+let hex_digits = "0123456789abcdef"
+
+let add_escape b c =
+  match c with
+  | '"' -> Buffer.add_string b "\\\""
+  | '\\' -> Buffer.add_string b "\\\\"
+  | '\n' -> Buffer.add_string b "\\n"
+  | '\t' -> Buffer.add_string b "\\t"
+  | '\r' -> Buffer.add_string b "\\r"
+  | c ->
+    (* Any other control character, as \u00XX in lowercase hex. *)
+    Buffer.add_string b "\\u00";
+    Buffer.add_char b hex_digits.[Char.code c lsr 4];
+    Buffer.add_char b hex_digits.[Char.code c land 15]
+
+(* Copies s.[start .. i-1] verbatim when an escape or the end is
+   reached. *)
+let rec add_escaped b s start i n =
+  if i >= n then Buffer.add_substring b s start (i - start)
+  else
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring b s start (i - start);
+      add_escape b c;
+      add_escaped b s (i + 1) (i + 1) n
+    end
+    else add_escaped b s start (i + 1) n
 
 let escape_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  add_escaped b s 0 0 (String.length s);
   Buffer.add_char b '"'
 
-let num_string x =
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_num b x =
   match Float.classify_float x with
-  | FP_nan | FP_infinite -> "null"
+  | FP_nan | FP_infinite -> Buffer.add_string b "null"
   | _ ->
-    if Float.is_integer x && Float.abs x < 1e15 then
+    if Float.is_integer x && Float.abs x < 1e15 then begin
       (* What "%.0f" prints, without the format interpreter: the value
          is integral and below 2^53, so int_of_float is exact. *)
-      if x = 0. && Float.sign_bit x then "-0" else string_of_int (int_of_float x)
-    else Printf.sprintf "%.17g" x
+      if Float.sign_bit x then Buffer.add_char b '-';
+      add_digits b (Int.abs (int_of_float x))
+    end
+    else Buffer.add_string b (Printf.sprintf "%.17g" x)
+
+let rec add_value b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
+  | Num x -> add_num b x
+  | Str s -> escape_string b s
+  | Arr vs ->
+    Buffer.add_char b '[';
+    add_elements b true vs;
+    Buffer.add_char b ']'
+  | Obj fields ->
+    Buffer.add_char b '{';
+    add_fields b true fields;
+    Buffer.add_char b '}'
+
+and add_elements b first = function
+  | [] -> ()
+  | v :: vs ->
+    if not first then Buffer.add_char b ',';
+    add_value b v;
+    add_elements b false vs
+
+and add_fields b first = function
+  | [] -> ()
+  | (k, v) :: fields ->
+    if not first then Buffer.add_char b ',';
+    escape_string b k;
+    Buffer.add_char b ':';
+    add_value b v;
+    add_fields b false fields
 
 let to_string v =
   let b = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string b "null"
-    | Bool x -> Buffer.add_string b (string_of_bool x)
-    | Num x -> Buffer.add_string b (num_string x)
-    | Str s -> escape_string b s
-    | Arr l ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char b ',';
-          go v)
-        l;
-      Buffer.add_char b ']'
-    | Obj fields ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          escape_string b k;
-          Buffer.add_char b ':';
-          go v)
-        fields;
-      Buffer.add_char b '}'
-  in
-  go v;
+  add_value b v;
   Buffer.contents b
 
 (* --- parsing ------------------------------------------------------------- *)

@@ -317,7 +317,7 @@ let churn discipline net seed rounds =
       check Alcotest.int
         (label "allocation = from-scratch T1")
         reference.T1.allocated (List.length found)
-    | Incremental.Mincost ->
+    | Incremental.Priority ->
       let reference =
         T2.schedule refnet
           ~requests:(List.map (fun p -> (p, prio.(p))) pending)
@@ -353,6 +353,114 @@ let churn discipline net seed rounds =
     end
   done;
   !cycles
+
+(* --- The class-by-class solve vs Csr.mincost on the same warm state ------- *)
+
+(* Priorities for [np] requests under one of four regimes: all equal,
+   all distinct, a few small classes, and values near 2^53 mixed with
+   0. Together they cover 0, 2^53 and values just below it. *)
+let top = 1 lsl 53
+
+let priorities rng ~regime np =
+  match regime with
+  | 0 ->
+    let y = [| 0; 1; top; top - 1 |].(Prng.int rng 4) in
+    Array.make np y
+  | 1 ->
+    let ys = Array.init np (fun k -> if k land 1 = 0 then k else top - k) in
+    Prng.shuffle rng ys;
+    ys
+  | 2 -> Array.init np (fun _ -> Prng.int rng 4)
+  | _ ->
+    Array.init np (fun _ ->
+        if Prng.int rng 4 = 0 then 0 else top - Prng.int rng 3)
+
+(* Two Incremental states on one network take the same churn: endpoint
+   switches, link faults and repairs, staggered releases. The Priority
+   one solves class by class. On the other, kept as the same warm
+   state, Csr.mincost runs with each request's source arc at cost
+   -priority and is rolled back; then the first one's circuits are
+   restored into it. Each cycle both must reach the same flow value and
+   the same total served priority. *)
+let class_solve_matches_mincost (name, build) =
+  qtest (name ^ ": class-by-class solve = Csr.mincost") ~count:12
+    QCheck.(pair small_int (int_bound 3))
+    (fun (seed, regime) ->
+      let net = build () in
+      let eng = Incremental.create ~discipline:Incremental.Priority net in
+      let twin = Incremental.create ~discipline:Incremental.Maxflow net in
+      let ng = Incremental.netgraph twin in
+      let c = Netgraph.graph ng in
+      let source = Netgraph.source ng and sink = Netgraph.sink ng in
+      let np = Network.n_procs net and nr = Network.n_res net in
+      let nl = Network.n_links net in
+      let sp = Array.init np (fun p -> Option.get (Netgraph.sp_arc ng p)) in
+      let rng = Prng.create seed in
+      let busy_res = Array.make nr false in
+      for round = 1 to 16 do
+        let prio = priorities rng ~regime np in
+        for p = 0 to np - 1 do
+          if not (Incremental.holds eng p) then begin
+            let on = Prng.float rng 1.0 < 0.6 in
+            Incremental.set_requesting eng ~priority:prio.(p) p on;
+            Incremental.set_requesting twin ~priority:prio.(p) p on
+          end
+        done;
+        for r = 0 to nr - 1 do
+          if not busy_res.(r) then begin
+            let on = Prng.float rng 1.0 < 0.5 in
+            Incremental.set_resource_free eng r on;
+            Incremental.set_resource_free twin r on
+          end
+        done;
+        for _ = 1 to 2 do
+          let l = Prng.int rng nl in
+          let a = Option.get (Netgraph.arc_of_link ng l) in
+          if not (Csr.is_frozen c a) then begin
+            let on = Prng.float rng 1.0 < 0.7 in
+            Incremental.set_link_usable eng l on;
+            Incremental.set_link_usable twin l on
+          end
+        done;
+        Array.iteri
+          (fun p a ->
+            if not (Csr.is_frozen c a) then Csr.set_cost c a (-prio.(p)))
+          sp;
+        let want = Csr.mincost c ~source ~sink in
+        let want_served = ref 0 in
+        Array.iteri
+          (fun p a ->
+            if (not (Csr.is_frozen c a)) && Csr.flow c a = 1 then
+              want_served := !want_served + prio.(p))
+          sp;
+        Csr.rollback c;
+        let n = Incremental.solve eng in
+        let found = List.init n (Incremental.found eng) in
+        let served = List.fold_left (fun acc p -> acc + prio.(p)) 0 found in
+        if n <> want || served <> !want_served then
+          QCheck.Test.fail_reportf
+            "round %d: class by class %d circuits serving %d, mincost %d \
+             serving %d"
+            round n served want !want_served;
+        List.iter
+          (fun p ->
+            let res = Incremental.circuit_res eng p in
+            busy_res.(res) <- true;
+            Incremental.restore_circuit twin ~proc:p ~res
+              ~links:(Incremental.circuit_links eng p))
+          found;
+        (match Incremental.check eng with
+        | Ok () -> ()
+        | Error m -> QCheck.Test.fail_reportf "round %d: %s" round m);
+        for p = 0 to np - 1 do
+          if Incremental.holds eng p && Prng.float rng 1.0 < 0.4 then begin
+            busy_res.(Incremental.circuit_res eng p) <- false;
+            Incremental.release eng p;
+            Incremental.release twin p
+          end
+        done
+      done;
+      true)
 
 (* --- One-pass extraction vs the rescanning walk ----------------------------- *)
 
@@ -448,7 +556,7 @@ let test_warm_churn () =
       List.iter
         (fun (discipline, seed) ->
           cycles := !cycles + churn discipline (build ()) seed 60)
-        [ (Incremental.Maxflow, 21); (Incremental.Mincost, 22) ])
+        [ (Incremental.Maxflow, 21); (Incremental.Priority, 22) ])
     [ List.nth topologies 0; List.nth topologies 2; List.nth topologies 3 ];
   check Alcotest.bool "at least 300 warm churn cycles" true (!cycles >= 300)
 
@@ -605,4 +713,7 @@ let suite =
       test_commit_release_cycle;
     extraction_matches ("omega:64", fun () -> Builders.omega 64);
     extraction_matches ("clos:8,8,8", fun () -> Builders.clos ~m:8 ~n:8 ~r:8);
+    class_solve_matches_mincost ("omega:16", fun () -> Builders.omega 16);
+    class_solve_matches_mincost ("omega:64", fun () -> Builders.omega 64);
+    class_solve_matches_mincost ("clos:3,4,4", fun () -> Builders.clos ~m:3 ~n:4 ~r:4);
   ]

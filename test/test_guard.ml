@@ -322,6 +322,50 @@ let test_engine_checkpoint_differential () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "restored accounting: %s" msg)
 
+(* A fault's victims are torn down, and their retries take their heap
+   seqs, in an order the engine state defines, so a restored engine
+   numbers them as the uninterrupted one does. 256 circuits at slot 0
+   grow the live-circuit table past its first size, and a table never
+   shrinks, while the engine restored at slot 50 starts with a small
+   one. While victims were torn down in the table's iteration order,
+   each box below swapped two retries' seqs after the restore. *)
+let test_restore_teardown_order () =
+  let net () = Builders.omega 256 in
+  let config =
+    Engine.Config.v ~transmission_time:30 ~guard:(Some Policy.default) ()
+  in
+  let arrive t id proc =
+    Workload.Arrive { t; id; proc; service = 5; deadline = None; priority = 0 }
+  in
+  List.iter
+    (fun box ->
+      let e = Engine.create ~config (net ()) in
+      List.iter (Engine.feed e) (List.init 256 (fun p -> arrive 0 p p));
+      Engine.advance e ~upto:50;
+      let doc =
+        get_ok ~what:"parse checkpoint"
+          (Json.parse (Json.to_string (Engine.snapshot e)))
+      in
+      let r = get_ok ~what:"restore" (Engine.restore (net ()) doc) in
+      let later =
+        List.init 100 (fun k -> arrive 60 (1000 + k) (k * 5 mod 256))
+        @ [ Workload.Fault { t = 62; clock = None; element = Fault.Box box } ]
+      in
+      List.iter
+        (fun x ->
+          List.iter (Engine.feed x) later;
+          Engine.advance x ~upto:63)
+        [ e; r ];
+      check Alcotest.bool
+        (Printf.sprintf "box %d has victims" box)
+        true
+        ((Engine.report e).Engine.victims > 1);
+      check Alcotest.string
+        (Printf.sprintf "box %d: restored snapshot at slot 63" box)
+        (Json.to_string (Engine.snapshot e))
+        (Json.to_string (Engine.snapshot r)))
+    [ 132; 481; 773; 944 ]
+
 let test_restore_rejects_garbage () =
   let net = Builders.omega 4 in
   (match Engine.restore net (Json.Str "nope") with
@@ -779,6 +823,8 @@ let suite =
       test_accounting_every_slot;
     Alcotest.test_case "engine checkpoint differential" `Quick
       test_engine_checkpoint_differential;
+    Alcotest.test_case "restore tears fault victims down in state order"
+      `Quick test_restore_teardown_order;
     Alcotest.test_case "restore rejects garbage" `Quick test_restore_rejects_garbage;
     Alcotest.test_case "serve checkpoint differential" `Quick
       test_serve_checkpoint_differential;

@@ -707,6 +707,114 @@ let json_integers_random =
     QCheck.(make Gen.(map Float.round (float_range (-1e15 +. 1.) (1e15 -. 1.))))
     (fun x -> Json.to_string (Json.Num x) = Printf.sprintf "%.0f" x)
 
+(* The printer as it stood before it wrote straight into its buffer:
+   a closure per character, a fresh string per integral number, and
+   List.iteri per list. It is the reference the printer must match
+   byte for byte. *)
+let reference_to_string v =
+  let escape_string b s =
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\r' -> Buffer.add_string b "\\r"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+  in
+  let num_string x =
+    match Float.classify_float x with
+    | FP_nan | FP_infinite -> "null"
+    | _ ->
+      if Float.is_integer x && Float.abs x < 1e15 then
+        if x = 0. && Float.sign_bit x then "-0"
+        else string_of_int (int_of_float x)
+      else Printf.sprintf "%.17g" x
+  in
+  let b = Buffer.create 256 in
+  let rec go = function
+    | Json.Null -> Buffer.add_string b "null"
+    | Json.Bool x -> Buffer.add_string b (string_of_bool x)
+    | Json.Num x -> Buffer.add_string b (num_string x)
+    | Json.Str s -> escape_string b s
+    | Json.Arr l ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char b ',';
+          go v)
+        l;
+      Buffer.add_char b ']'
+    | Json.Obj fields ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b ',';
+          escape_string b k;
+          Buffer.add_char b ':';
+          go v)
+        fields;
+      Buffer.add_char b '}'
+  in
+  go v;
+  Buffer.contents b
+
+(* Trees over the printer's every case: the edges of the integral fast
+   path (-0, +-1e15 and their neighbours), non-integral floats, NaN and
+   the infinities, every control character, quotes, backslashes and
+   bytes past ASCII in strings and keys, empty arrays and objects, and
+   duplicate keys (the printer keeps them). *)
+let printer_gen =
+  let open QCheck.Gen in
+  let num =
+    oneof
+      [ oneofl
+          [ 0.; -0.; 1e15; -1e15; 1e15 -. 1.; -.(1e15 -. 1.); 1e15 +. 2.;
+            0x1p53; -0x1p53; 0.5; -0.5; 1e-7; 1e300; -1e300; 4.9e-324;
+            Float.nan; Float.infinity; Float.neg_infinity; Float.pi;
+            Float.max_float; Float.min_float ];
+        map float_of_int int;
+        map Float.round (float_range (-1e16) 1e16);
+        float ]
+  in
+  let str =
+    let char =
+      frequency
+        [ (4, printable); (1, oneofl [ '"'; '\\'; '\n'; '\t'; '\r' ]);
+          (1, map Char.chr (0 -- 0x1f)); (1, map Char.chr (0x7f -- 0xff)) ]
+    in
+    string_size ~gen:char (0 -- 12)
+  in
+  let scalar =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool;
+        map (fun x -> Json.Num x) num; map (fun s -> Json.Str s) str;
+        return (Json.Arr []); return (Json.Obj []) ]
+  in
+  let rec value depth =
+    if depth = 0 then scalar
+    else
+      frequency
+        [ (2, scalar);
+          (1, map (fun l -> Json.Arr l) (list_size (0 -- 5) (value (depth - 1))));
+          ( 1,
+            map
+              (fun kvs -> Json.Obj kvs)
+              (list_size (0 -- 5) (pair str (value (depth - 1)))) ) ]
+  in
+  value 4
+
+let json_printer_matches_reference =
+  qtest "json printer = reference printer, byte for byte" ~count:1000
+    (QCheck.make ~print:reference_to_string printer_gen)
+    (fun j -> Json.to_string j = reference_to_string j)
+
 let suite =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -758,4 +866,5 @@ let suite =
     Alcotest.test_case "json integers print as %.0f" `Quick
       test_json_integers_match_printf;
     json_integers_random;
+    json_printer_matches_reference;
   ]
