@@ -370,9 +370,9 @@ let slot_row report ~quick (name, net, arrival, slots) =
     heap_words;
   Bench_report.record_count case ~name:"slot.gate_words" ~unit_:"words"
     gate_words;
-  Bench_report.record_count case ~name:"slot.committed" ~unit_:"circuits"
+  Bench_report.record_yield case ~name:"slot.committed" ~unit_:"circuits"
     (float_of_int !committed);
-  Bench_report.record_count case ~name:"slot.priority_committed"
+  Bench_report.record_yield case ~name:"slot.priority_committed"
     ~unit_:"circuits" (float_of_int !prio_committed);
   (* An allocation figure, held to the gate's time-and-alloc tolerance:
      it is not a deterministic count across compiler versions. *)
@@ -459,7 +459,7 @@ let run ?(quick = false) () =
         let case = Bench_report.case report name in
         Bench_report.record case ~prefix:"csr" m_csr;
         let total a = float_of_int (Array.fold_left ( + ) 0 a) in
-        Bench_report.record_count case ~name:"csr.committed" ~unit_:"circuits"
+        Bench_report.record_yield case ~name:"csr.committed" ~unit_:"circuits"
           (total csr_added);
         Bench_report.record_count case ~name:"csr.alloc_per_period"
           ~unit_:"words" period_alloc;

@@ -67,7 +67,7 @@ let run ?(quick = false) () =
         Bench_report.record_count case ~name:"rebuild.solver_work"
           ~unit_:"arcs"
           (float_of_int rebuild.Engine.solver_work);
-        Bench_report.record_count case ~name:"allocated"
+        Bench_report.record_yield case ~name:"allocated"
           (float_of_int warm.Engine.allocated);
         Bench_report.record_count case ~name:"cycles"
           (float_of_int warm.Engine.cycles);

@@ -66,9 +66,9 @@ let run ?(quick = false) () =
         Bench_report.record_count case ~name:"rebuild.solver_work"
           ~unit_:"arcs"
           (float_of_int rebuild.Engine.solver_work);
-        Bench_report.record_count case ~name:"warm.allocated"
+        Bench_report.record_yield case ~name:"warm.allocated"
           (float_of_int warm.Engine.allocated);
-        Bench_report.record_count case ~name:"rebuild.allocated"
+        Bench_report.record_yield case ~name:"rebuild.allocated"
           (float_of_int rebuild.Engine.allocated);
         let saved =
           1.

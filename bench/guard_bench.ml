@@ -55,7 +55,7 @@ let run ?(quick = false) () =
     let case = Bench_report.case report name in
     Bench_report.record_samples case ~name:"replay.wall_us"
       ~kind:Bench_report.Time ~unit_:"us" walls;
-    Bench_report.record_count case ~name:"completed" ~unit_:"tasks"
+    Bench_report.record_yield case ~name:"completed" ~unit_:"tasks"
       (float_of_int r.Engine.completed);
     Bench_report.record_count case ~name:"shed" ~unit_:"tasks"
       (float_of_int r.Engine.shed);

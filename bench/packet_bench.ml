@@ -77,13 +77,13 @@ let packet_vs_circuit ?(quick = false) () =
              { Dynamic.arrival_prob = arrival; transmission_time = packets;
                mean_service; slots; warmup }
          in
-         Bench_report.record_count case ~name:"fabric.completed"
+         Bench_report.record_yield case ~name:"fabric.completed"
            (float_of_int fb.Replay.completed);
          Bench_report.record_count case ~name:"fabric.reserved_idle"
            fb.Replay.reserved_idle;
          Bench_report.record_count case ~name:"fabric.conflicts"
            (float_of_int fb.Replay.conflicts);
-         Bench_report.record_count case ~name:"circuit.completed"
+         Bench_report.record_yield case ~name:"circuit.completed"
            (float_of_int ck.Dynamic.completed);
          (* below saturation the fabric carries what is offered *)
          let offered = arrival *. float_of_int (Network.n_procs net) in

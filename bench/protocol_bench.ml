@@ -153,7 +153,7 @@ let run ?(quick = false) () =
               (float_of_int !watchdogs);
             Bench_report.record_count case ~name:"recovery_overhead"
               ~unit_:"clk" (float_of_int !overhead);
-            Bench_report.record_count case ~name:"completed"
+            Bench_report.record_yield case ~name:"completed"
               (float_of_int (cycles - !incomplete));
             let per_cycle v = float_of_int v /. float_of_int cycles in
             [ string_of_int n_faults;

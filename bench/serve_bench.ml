@@ -105,7 +105,7 @@ let run ?(quick = false) () =
           ~kind:Bench_report.Time ~unit_:"us" walls;
         Bench_report.record_count case ~name:"events" ~unit_:"events"
           (float_of_int r.Serve.events);
-        Bench_report.record_count case ~name:"allocated" ~unit_:"circuits"
+        Bench_report.record_yield case ~name:"allocated" ~unit_:"circuits"
           (float_of_int r.Serve.allocated);
         Bench_report.record_count case ~name:"borrowed" ~unit_:"tasks"
           (float_of_int r.Serve.borrows);

@@ -65,7 +65,7 @@ let stress ?(quick = false) ?(trials = 40) () =
              ~kind:Bench_report.Time ~unit_:"us" tok_us;
          Bench_report.record_count case ~name:"links"
            (float_of_int (Network.n_links net));
-         Bench_report.record_count case ~name:"mean_allocated"
+         Bench_report.record_yield case ~name:"mean_allocated"
            (Stats.mean alloc);
          [ Printf.sprintf "omega %d" n;
            string_of_int (Network.n_links net);

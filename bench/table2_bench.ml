@@ -150,7 +150,7 @@ let table2 ?(quick = false) ?(instances = 100) () =
       let case = Bench_report.case report case_name in
       Bench_report.record_samples case ~name:"wall_us"
         ~kind:Bench_report.Time ~unit_:"us" (to_array s);
-      Bench_report.record_count case ~name:"mean_allocated" mean_alloc)
+      Bench_report.record_yield case ~name:"mean_allocated" mean_alloc)
     [ ("edmonds_karp", t_ff, Stats.mean alloc);
       ("dinic", t_dinic, Stats.mean alloc);
       ("token", t_token, Stats.mean alloc);

@@ -56,9 +56,9 @@ let xbar ?(quick = false) () =
                     Printf.sprintf "load=%s.%s" (Table.ffix 2 p.Sweep.load)
                       metric
                   in
-                  Bench_report.record_count case ~name:(at "throughput")
+                  Bench_report.record_yield case ~name:(at "throughput")
                     ~unit_:"flit/res/slot" p.Sweep.throughput;
-                  Bench_report.record_count case ~name:(at "delivered")
+                  Bench_report.record_yield case ~name:(at "delivered")
                     (float_of_int p.Sweep.delivered_tasks);
                   Bench_report.record_count case ~name:(at "conflicts")
                     (float_of_int p.Sweep.conflicts))

@@ -886,10 +886,16 @@ let engine_config ~mode (o : engine_opts) c =
         Printf.eprintf "rsin: %s\n" msg;
         exit 1
   in
+  (* The heartbeat is the caller's own hook (heartbeat_hooks), not
+     engine configuration. *)
+  if o.eo_heartbeat < 0 then begin
+    Printf.eprintf "rsin: --heartbeat must be >= 0\n";
+    exit 1
+  end;
   match
     Engine.Config.make ~mode ~discipline ~solver:c.solver
       ~transmission_time:o.eo_trans ~batch_threshold:o.eo_threshold
-      ~max_defer:o.eo_defer ~heartbeat:o.eo_heartbeat ~faults ~guard ()
+      ~max_defer:o.eo_defer ~faults ~guard ()
   with
   | Ok cfg -> cfg
   | Error msg ->
@@ -953,12 +959,11 @@ let engine_inject_faults cfg net trace c =
       (fun a b -> compare (Workload.event_time a) (Workload.event_time b))
       (trace @ fevents)
 
-(* The heartbeat hooks the config's period describes: the per-slot event
-   pulse combined with running cycle tallies (the engine publishes its
+(* The hooks of a [--heartbeat] period: the per-slot event pulse
+   combined with running cycle tallies (the engine publishes its
    counters only at the end of the run). *)
-let heartbeat_hooks ~label cfg =
+let heartbeat_hooks ~label heartbeat =
   let module Engine = Rsin_engine.Engine in
-  let heartbeat = cfg.Engine.Config.heartbeat in
   (* Atomic: serve's shards cycle on several domains at once. *)
   let cycles = Atomic.make 0 and alloc = Atomic.make 0 and work = Atomic.make 0 in
   let pulses = ref 0 in
@@ -1025,8 +1030,8 @@ let replay_cmd =
     let module Engine = Rsin_engine.Engine in
     if mode = `Packet then check_packet_args ~vq_depth ~flits;
     (* Mode `Both compares warm and rebuild, so the config is built per
-       engine run; the Warm instance carries the shared fields every
-       pre-run step (fault injection, heartbeat) reads. *)
+       engine run; the Warm instance carries the shared fields the
+       pre-run steps (fault injection) read. *)
     let config_for m = engine_config ~mode:m o c in
     let base_cfg =
       config_for
@@ -1117,7 +1122,7 @@ let replay_cmd =
     let go m =
       let cfg = config_for m in
       let cycle_hook, event_hook =
-        heartbeat_hooks ~label:(Engine.mode_name m) cfg
+        heartbeat_hooks ~label:(Engine.mode_name m) o.eo_heartbeat
       in
       Engine.run ?obs ~config:cfg ?cycle_hook ?event_hook net trace
     in
@@ -1291,7 +1296,9 @@ let serve_cmd =
          fault events inline)\n";
       exit 1
     end;
-    let cycle_hook, event_hook = heartbeat_hooks ~label:"serve" cfg in
+    let cycle_hook, event_hook =
+      heartbeat_hooks ~label:"serve" o.eo_heartbeat
+    in
     let cycle_hook =
       (* The shards cycle on the pool's domains, concurrently with each
          other and, once a sealed slot's advance is in flight, with the
@@ -1535,10 +1542,12 @@ let perf_status_name = function
 
 let perf_self_test ~time_tolerance ~count_tolerance =
   (* An artificial 3x slowdown (and a count drift beyond 1%) must be
-     flagged; an identical re-run must diff clean; and the report must
-     survive a JSON round-trip. *)
+     flagged, and so must a 2% loss of a yield (a count where more is
+     better), while a yield that triples is no regression; an identical
+     re-run must diff clean; and the report must survive a JSON
+     round-trip. *)
   let env = [ ("ocaml", Sys.ocaml_version) ] in
-  let mk factor =
+  let mk factor yield_factor =
     let r = Bench_report.create ~env "selftest" in
     let case = Bench_report.case r "case" in
     Bench_report.record_samples case ~name:"wall_us" ~kind:Bench_report.Time
@@ -1546,6 +1555,8 @@ let perf_self_test ~time_tolerance ~count_tolerance =
       (Array.init 20 (fun i -> (100. +. float_of_int i) *. factor));
     Bench_report.record_count case ~name:"solver_work" ~unit_:"arcs"
       (1000. *. factor);
+    Bench_report.record_yield case ~name:"allocated" ~unit_:"circuits"
+      (1000. *. yield_factor);
     r
   in
   let failures = ref 0 in
@@ -1553,24 +1564,20 @@ let perf_self_test ~time_tolerance ~count_tolerance =
     Printf.printf "  %-46s %s\n" what (if ok then "ok" else "FAIL");
     if not ok then incr failures
   in
-  let baseline = mk 1.0 in
-  let clean =
-    Bench_report.regressions
-      (Bench_report.diff ~time_tolerance ~count_tolerance ~baseline (mk 1.0))
+  let baseline = mk 1.0 1.0 in
+  let regressed fresh =
+    List.map
+      (fun d -> d.Bench_report.d_metric)
+      (Bench_report.regressions
+         (Bench_report.diff ~time_tolerance ~count_tolerance ~baseline fresh))
   in
-  expect "identical run diffs clean" (clean = []);
-  let slow =
-    Bench_report.regressions
-      (Bench_report.diff ~time_tolerance ~count_tolerance ~baseline (mk 3.0))
-  in
-  expect "3x slowdown flags wall_us"
-    (List.exists
-       (fun d -> d.Bench_report.d_metric = "wall_us")
-       slow);
-  expect "3x count drift flags solver_work"
-    (List.exists
-       (fun d -> d.Bench_report.d_metric = "solver_work")
-       slow);
+  expect "identical run diffs clean" (regressed (mk 1.0 1.0) = []);
+  let slow = regressed (mk 3.0 3.0) in
+  expect "3x slowdown flags wall_us" (List.mem "wall_us" slow);
+  expect "3x count drift flags solver_work" (List.mem "solver_work" slow);
+  expect "3x yield gain is no regression" (not (List.mem "allocated" slow));
+  expect "2% yield loss flags allocated"
+    (List.mem "allocated" (regressed (mk 1.0 0.98)));
   let tmp = Filename.temp_file "rsin_perf" "" in
   Sys.remove tmp;
   let dir = tmp in
@@ -1635,7 +1642,9 @@ let perf_cmd =
       value & opt float 1.01
       & info [ "count-tolerance" ] ~docv:"X"
           ~doc:"A deterministic count metric (solver work records, clock \
-                periods) regresses when fresh > $(docv) * baseline.")
+                periods) regresses when fresh > $(docv) * baseline, and a \
+                yield (allocations, completions) when fresh < baseline / \
+                $(docv).")
   in
   let names_arg =
     Arg.(

@@ -49,20 +49,18 @@ module Config = struct
     transmission_time : int;
     batch_threshold : int;
     max_defer : int;
-    heartbeat : int;
     faults : fault_plan option;
     guard : Policy.t option;
   }
 
   let make ?(mode = Warm) ?(discipline = Uniform) ?(solver = "dinic")
       ?(transmission_time = 1) ?(batch_threshold = 1) ?(max_defer = 16)
-      ?(heartbeat = 0) ?(faults = None) ?(guard = None) () =
+      ?(faults = None) ?(guard = None) () =
     if transmission_time < 1 then
       Error "Engine.Config: transmission_time must be >= 1"
     else if batch_threshold < 1 then
       Error "Engine.Config: batch_threshold must be >= 1"
     else if max_defer < 1 then Error "Engine.Config: max_defer must be >= 1"
-    else if heartbeat < 0 then Error "Engine.Config: heartbeat must be >= 0"
     else if mode = Token && discipline = Priority then
       Error "Engine.Config: token mode runs the uniform discipline only"
     else
@@ -78,13 +76,13 @@ module Config = struct
         | _ ->
           Ok
             { mode; discipline; solver; transmission_time; batch_threshold;
-              max_defer; heartbeat; faults; guard })
+              max_defer; faults; guard })
 
   let v ?mode ?discipline ?solver ?transmission_time ?batch_threshold
-      ?max_defer ?heartbeat ?faults ?guard () =
+      ?max_defer ?faults ?guard () =
     match
       make ?mode ?discipline ?solver ?transmission_time ?batch_threshold
-        ?max_defer ?heartbeat ?faults ?guard ()
+        ?max_defer ?faults ?guard ()
     with
     | Ok t -> t
     | Error msg -> invalid_arg msg
@@ -96,10 +94,10 @@ module Config = struct
   let pp ppf t =
     Format.fprintf ppf
       "@[<h>{mode=%s;@ discipline=%s;@ solver=%s;@ transmission=%d;@ \
-       threshold=%d;@ defer=%d;@ heartbeat=%d;@ faults=%s}@]"
+       threshold=%d;@ defer=%d;@ faults=%s}@]"
       (mode_name t.mode)
       (discipline_name t.discipline)
-      t.solver t.transmission_time t.batch_threshold t.max_defer t.heartbeat
+      t.solver t.transmission_time t.batch_threshold t.max_defer
       (match t.faults with
       | None -> "none"
       | Some f ->
@@ -121,7 +119,6 @@ module Config = struct
         ("transmission_time", Json.int t.transmission_time);
         ("batch_threshold", Json.int t.batch_threshold);
         ("max_defer", Json.int t.max_defer);
-        ("heartbeat", Json.int t.heartbeat);
         ( "faults",
           match t.faults with
           | None -> Json.Null
@@ -156,7 +153,7 @@ module Config = struct
              ?solver:(D.opt "solver" D.str j)
              ?transmission_time:(int "transmission_time")
              ?batch_threshold:(int "batch_threshold")
-             ?max_defer:(int "max_defer") ?heartbeat:(int "heartbeat")
+             ?max_defer:(int "max_defer")
              ~faults:(D.opt "faults" fault_plan j)
              ~guard:(D.opt "guard" (fun v -> D.ok (Policy.of_json v)) j)
              ())
@@ -203,7 +200,9 @@ type report = {
    engine schedules releases, completions, deadline expiries and
    deferred-batch wakeups as it runs. The heap holds them encoded as
    ints (see [encode] below); this variant is their decoded form, which
-   checkpoints write and read. *)
+   checkpoints write and read. Every event the engine schedules for a
+   task names the task; it acts only while the task's record still
+   waits for that event's seq (see [task]). *)
 type ev =
   | Ev_arrive of {
       id : int;
@@ -213,40 +212,56 @@ type ev =
       priority : int;
     }
   | Ev_cancel of int
-  | Ev_release of int   (* live-circuit table index: transmission done *)
-  | Ev_complete of int  (* live-circuit table index: service done *)
+  | Ev_release of int   (* task id: transmission done *)
+  | Ev_complete of int  (* task id: service done *)
   | Ev_fault of Fault.event * int option  (* optional intra-cycle clock *)
   | Ev_deadline of int  (* task id *)
   | Ev_wake
   | Ev_retry of int  (* task id: backoff elapsed, re-admit (guard) *)
   | Ev_unquarantine of Fault.element  (* cooling-off over (guard) *)
 
+(* Where a live task is. Queued: in [home]'s queue. Parked: a fault
+   victim waiting out its backoff, to be re-queued at [home] (guard).
+   Transmitting: its circuit holds links from [home] to [res], and its
+   id sits in [home]'s slot of [tx_task] (in Warm mode its arcs sit in
+   [home]'s slot of the warm graph, Incremental.holds). Serving: the
+   links are free again, [res] stays busy until the task completes. *)
+type phase = Queued | Parked | Transmitting | Serving
+
+(* The one record of a live task: [tasks] holds it from admission until
+   the task completes, is cancelled, expires, is shed or is given up.
+
+   [seq] is the heap seq of the event the phase waits for: the retry
+   while parked, the release while transmitting, the complete while
+   serving. Commit pushes the release and then the complete, so the
+   complete's seq is the release's plus one. [deadline_seq] is the seq
+   of the task's deadline event. An event acts on the task only when
+   the phase matches and the seq is the record's, so an event that
+   outlived its purpose (a teardown moved the task on, or the id now
+   names a later task) is a no-op. *)
 type task = {
   arrival : int;
   service : int;
   priority : int;
-  deadline : int option;  (* kept for deadline-aware shedding *)
-  mutable queued : bool;  (* false once transmitting, cancelled or expired *)
-  mutable home : int;     (* the processor whose queue holds it when queued *)
+  deadline : int option;
+  mutable phase : phase;
+  mutable home : int;
+  mutable res : int;           (* in flight: the resource it holds *)
+  mutable committed_at : int;  (* in flight *)
+  mutable net_id : int;        (* transmitting: its Network circuit *)
+  mutable retries : int;       (* teardowns so far (guard) *)
+  mutable victim_at : int;     (* last teardown awaiting readmission *)
+  mutable seq : int;
+  mutable deadline_seq : int;
 }
 
-(* A live entry covers both phases of an allocation: transmission (the
-   circuit holds its links; [released = false]) and service (links
-   free, resource busy). It leaves the table at completion — or at a
-   fault teardown during transmission, which silently invalidates the
-   already-queued Ev_release/Ev_complete for its index. While it
-   transmits, its index sits in [lproc]'s slot of [tx_live]; in Warm
-   mode its arcs sit in [lproc]'s slot of the warm graph
-   (Incremental.holds). *)
-type live = {
-  net_id : int;
-  lproc : int;
-  lres : int;
-  task_id : int;
-  committed_at : int;
-  lservice : int;
-  mutable released : bool;
-}
+(* What [victim_at] holds when no readmission is pending, [seq] and
+   [deadline_seq] when no event is awaited, and an empty [tx_task] slot.
+   It is no slot (feed refuses every event at or before [served_upto],
+   which starts at [min_int]), no seq (seqs count up from 0, and a
+   checkpoint's ints stop at 2^53) and no task id (ids stay within
+   [id_fits]). *)
+let none = min_int
 
 (* The whole former body of [run], hoisted into a record so a
    long-running serve loop can interleave feeding and advancing. *)
@@ -277,13 +292,11 @@ type t = {
   mutable n_free : int;
   counted_free : bool array;
   queues : Ring.t array;               (* task ids, FIFO *)
-  (* Processor -> the live index of the circuit it transmits, -1 when
-     none. apply_fault scans it in processor order, so victims are torn
-     down, and their retries numbered, in an order the state defines. *)
-  tx_live : int array;
+  (* Processor -> the task it transmits, [none] when none.
+     apply_fault scans it in processor order, so victims are torn down,
+     and their retries numbered, in an order the state defines. *)
+  tx_task : int array;
   tasks : (int, task) Hashtbl.t;
-  lives : (int, live) Hashtbl.t;
-  mutable next_live : int;
   heap : Event_heap.t;
   (* Arrivals waiting in the heap, [arrival_width] ints a slot: id,
      processor, service, priority, deadline, and 1 when there is a
@@ -312,15 +325,12 @@ type t = {
      order). Entries the cycle never reached — or that arrive in a slot
      without a cycle — are applied at the end of the slot. *)
   mutable mid_buffer : (int * Fault.element) list;
-  victim_at : (int, int) Hashtbl.t;
   readmissions : Stats.accum;
   (* Guard state — all empty/zero when cfg.guard = None, in which case
      the engine behaves exactly as it did before the guard layer.
      [flap] is mutable only so checkpoint restore can swap in the
      deserialized detector. *)
   mutable flap : Flap.t option;
-  retry_pending : (int, int) Hashtbl.t;  (* task id -> home processor *)
-  retry_count : (int, int) Hashtbl.t;    (* task id -> teardowns so far *)
   mutable shed : int;
   mutable given_up : int;
   mutable retries : int;
@@ -337,7 +347,7 @@ type t = {
 (* --- The event heap's encoding ----------------------------------------------
 
    Payload above four kind bits: an arrival's slot in [slab], a
-   task id, a live index, or a [side] key. Task ids stay within
+   task id, or a [side] key. Task ids stay within
    [id_fits] (Engine.feed refuses the others), so every payload
    survives the shift. *)
 
@@ -432,8 +442,8 @@ let code_of t = function
   | Ev_arrive { id; proc; service; deadline; priority } ->
     encode K_arrive (store_arrival t ~id ~proc ~service ~priority deadline)
   | Ev_cancel id -> encode K_cancel id
-  | Ev_release li -> encode K_release li
-  | Ev_complete li -> encode K_complete li
+  | Ev_release id -> encode K_release id
+  | Ev_complete id -> encode K_complete id
   | Ev_deadline id -> encode K_deadline id
   | Ev_wake -> encode K_wake 0
   | Ev_retry id -> encode K_retry id
@@ -463,7 +473,7 @@ let decode t code =
 
 let res_free t r = t.res_idle.(r) && Network.res_available t.net r
 
-let transmitting t p = t.tx_live.(p) >= 0
+let transmitting t p = t.tx_task.(p) <> none
 
 (* Re-counts resource r after its idleness or health may have changed. *)
 let count_res t r =
@@ -524,10 +534,8 @@ let create ?obs ?(config = Config.default) ?cycle_hook ?event_hook net =
       n_pending = 0; n_free = 0;
       counted_free = Array.make nr false;
       queues = Array.init np (fun _ -> Ring.create ());
-      tx_live = Array.make np (-1);
+      tx_task = Array.make np none;
       tasks = Hashtbl.create 256;
-      lives = Hashtbl.create 64;
-      next_live = 0;
       heap = Event_heap.create ();
       slab = [||];
       slab_free = -1;
@@ -538,11 +546,8 @@ let create ?obs ?(config = Config.default) ?cycle_hook ?event_hook net =
       cycles = 0; skipped_cycles = 0; solver_work = 0;
       faults = 0; repairs = 0; victims = 0;
       mid_buffer = [];
-      victim_at = Hashtbl.create 16;
       readmissions = Stats.accum ();
       flap = Option.map Flap.create config.Config.guard;
-      retry_pending = Hashtbl.create 16;
-      retry_count = Hashtbl.create 16;
       shed = 0; given_up = 0; retries = 0; quarantines = 0;
       busy_slots = 0; horizon = 0;
       waits = Stats.accum (); max_wait = 0;
@@ -588,12 +593,13 @@ let feed t ev =
     (* Repairs always apply at the cycle boundary (Workload doc). *)
     push t time (Ev_fault (Fault.up_of element, None))
 
-(* Remove a still-queued task (cancel or deadline expiry) and retire its
-   record. A queued task sits in its home processor's queue only. *)
-let drop_task t id =
-  match Hashtbl.find t.tasks id with
-  | task when task.queued ->
-    Hashtbl.remove t.tasks id;
+(* Retire a task still waiting for service, queued or parked (a cancel
+   or a deadline expiry), with its record. A parked task's pending retry
+   becomes a no-op. *)
+let drop_waiting t id task =
+  Hashtbl.remove t.tasks id;
+  match task.phase with
+  | Queued ->
     let p = task.home in
     let q = t.queues.(p) in
     if Ring.remove q id then begin
@@ -601,82 +607,63 @@ let drop_task t id =
       else if t.requesting.(p) then
         (* Same request, possibly a new head: refresh its priority. *)
         set_requesting t p true
-    end;
-    true
-  | _ -> false
-  | exception Not_found -> false
+    end
+  | Parked | Transmitting | Serving -> ()
 
-(* Retire a victim parked in backoff (cancel or deadline expiry): its
-   pending Ev_retry becomes a stale no-op. *)
-let unpark t id =
-  Hashtbl.mem t.retry_pending id
-  && begin
-    Hashtbl.remove t.retry_pending id;
-    Hashtbl.remove t.retry_count id;
-    Hashtbl.remove t.victim_at id;
-    Hashtbl.remove t.tasks id;
-    true
-  end
-
-(* Queue task [id] at the head of processor [p]'s queue: a re-admitted
-   fault victim, ahead of every task that arrived while it was
-   transmitting. *)
-let requeue_front t p id =
-  let task = Hashtbl.find t.tasks id in
-  task.queued <- true;
-  task.home <- p;
-  Ring.push_front t.queues.(p) id
+(* Queue [task] at the head of its home processor's queue: a
+   re-admitted fault victim, ahead of every task that arrived while it
+   was transmitting. *)
+let requeue_front t id task =
+  task.phase <- Queued;
+  Ring.push_front t.queues.(task.home) id
 
 (* Tear down a circuit still in transmission because a fault severed
    one of its links: release the circuit (net + warm graph), return
    the interrupted task to the head of its queue, and undo the busy
-   slots it will no longer consume. The already-queued Ev_release /
-   Ev_complete for this live index become no-ops. *)
-let teardown t now li (l : live) =
-  Hashtbl.remove t.lives li;
-  Network.release t.net l.net_id;
-  (match t.inc with Some i -> Incremental.release i l.lproc | None -> ());
+   slots it will no longer consume. The task leaves the transmitting
+   phase, so its already-queued release and complete become no-ops. *)
+let teardown t now id task =
+  let p = task.home in
+  Network.release t.net task.net_id;
+  (match t.inc with Some i -> Incremental.release i p | None -> ());
   t.victims <- t.victims + 1;
   t.busy_slots <-
     t.busy_slots
-    - (l.committed_at + t.cfg.Config.transmission_time + l.lservice - now);
-  t.res_idle.(l.lres) <- true;
-  (* The queued Ev_complete for this index is now a stale no-op, so
-     re-enable the resource's endpoint arc here (a no-op when the
-     fault that killed the circuit is the resource itself: health was
-     flipped before the teardown, so res_free is already false). *)
-  sync_res t l.lres;
-  t.tx_live.(l.lproc) <- -1;
+    - (task.committed_at + t.cfg.Config.transmission_time + task.service - now);
+  t.res_idle.(task.res) <- true;
+  (* The task's complete is now a no-op, so re-enable the resource's
+     endpoint arc here (a no-op when the fault that killed the circuit
+     is the resource itself: health was flipped before the teardown, so
+     res_free is already false). *)
+  sync_res t task.res;
+  t.tx_task.(p) <- none;
   match t.cfg.Config.guard with
   | None ->
-    requeue_front t l.lproc l.task_id;
-    Hashtbl.replace t.victim_at l.task_id now;
-    set_requesting t l.lproc true
+    requeue_front t id task;
+    task.victim_at <- now;
+    set_requesting t p true
   | Some g ->
-    (* Backoff re-admission: park the victim and schedule an Ev_retry
-       after a capped-exponential, deterministically jittered delay —
-       or give the task up once its retry budget is spent. The home
-       processor may still request on behalf of its remaining queue. *)
-    let attempts =
-      Option.value ~default:0 (Hashtbl.find_opt t.retry_count l.task_id)
-    in
+    (* Backoff re-admission: park the victim and schedule a retry after
+       a capped-exponential, deterministically jittered delay — or give
+       the task up once its retry budget is spent. The home processor
+       may still request on behalf of its remaining queue. *)
+    let attempts = task.retries in
     if attempts >= g.Policy.retry_budget then begin
       t.given_up <- t.given_up + 1;
-      Hashtbl.remove t.tasks l.task_id;
-      Hashtbl.remove t.retry_count l.task_id;
-      Hashtbl.remove t.victim_at l.task_id;
+      Hashtbl.remove t.tasks id;
       Obs.count t.obs "engine.guard.given_up" 1
     end
     else begin
-      Hashtbl.replace t.retry_count l.task_id (attempts + 1);
-      Hashtbl.replace t.retry_pending l.task_id l.lproc;
-      Hashtbl.replace t.victim_at l.task_id now;
-      let d = Retry.delay g ~task_id:l.task_id ~attempt:attempts in
-      push t (now + d) (Ev_retry l.task_id);
+      task.retries <- attempts + 1;
+      task.phase <- Parked;
+      task.victim_at <- now;
+      let d = Retry.delay g ~task_id:id ~attempt:attempts in
+      task.seq <- t.next_seq;
+      push_code t (now + d) (encode K_retry id);
       t.retries <- t.retries + 1;
       Obs.count t.obs "engine.guard.retries" 1
     end;
-    if not (Ring.is_empty t.queues.(l.lproc)) then set_requesting t l.lproc true
+    if not (Ring.is_empty t.queues.(p)) then set_requesting t p true
 
 let set_elt_quarantined net e q =
   match e with
@@ -709,10 +696,10 @@ let apply_fault t now fev =
     let dead = Fault.victims t.net element in
     if dead <> [] then
       for p = 0 to t.np - 1 do
-        let li = t.tx_live.(p) in
-        if li >= 0 then begin
-          let l = Hashtbl.find t.lives li in
-          if List.mem l.net_id dead then teardown t now li l
+        let id = t.tx_task.(p) in
+        if id <> none then begin
+          let task = Hashtbl.find t.tasks id in
+          if List.mem task.net_id dead then teardown t now id task
         end
       done;
     (* Flap detection: the k-th fault within the window quarantines the
@@ -751,12 +738,18 @@ let shed_one t =
   Obs.count t.obs "engine.guard.shed" 1
 
 let admit t now ~id ~proc ~service ~priority deadline =
-  Hashtbl.replace t.tasks id
-    { arrival = now; service; priority; deadline; queued = true; home = proc };
+  let task =
+    { arrival = now; service; priority; deadline; phase = Queued; home = proc;
+      res = -1; committed_at = 0; net_id = -1; retries = 0;
+      victim_at = none; seq = none; deadline_seq = none }
+  in
+  Hashtbl.replace t.tasks id task;
   Ring.push_back t.queues.(proc) id;
   if not (transmitting t proc) then set_requesting t proc true;
   (match deadline with
-  | Some d -> push_code t d (encode K_deadline id)
+  | Some d ->
+    task.deadline_seq <- t.next_seq;
+    push_code t d (encode K_deadline id)
   | None -> ());
   if t.cfg.Config.batch_threshold > 1 then
     push_code t (now + t.cfg.Config.max_defer) (encode K_wake 0)
@@ -823,62 +816,80 @@ let arrive t now i =
       admit_full t now ~id ~proc ~service ~priority deadline g
     | Some _ | None -> admit t now ~id ~proc ~service ~priority deadline
 
-let release t li =
-  match Hashtbl.find t.lives li with
-  | l when not l.released ->
-    l.released <- true;
-    Network.release t.net l.net_id;
-    (match t.inc with Some i -> Incremental.release i l.lproc | None -> ());
-    t.tx_live.(l.lproc) <- -1;
-    if not (Ring.is_empty t.queues.(l.lproc)) then set_requesting t l.lproc true;
+(* The engine's own events for task [id]: each acts only on a record
+   whose phase waits for it and whose [seq] is the popped one. *)
+
+let release t seq id =
+  match Hashtbl.find t.tasks id with
+  | { phase = Transmitting; seq = s; _ } as task when s = seq ->
+    let p = task.home in
+    task.phase <- Serving;
+    task.seq <- seq + 1;
+    Network.release t.net task.net_id;
+    (match t.inc with Some i -> Incremental.release i p | None -> ());
+    t.tx_task.(p) <- none;
+    if not (Ring.is_empty t.queues.(p)) then set_requesting t p true;
     true
-  | _ -> false (* torn down by a fault *)
+  | _ -> false
   | exception Not_found -> false
 
-let complete t li =
-  match Hashtbl.find t.lives li with
-  | l ->
-    Hashtbl.remove t.lives li;
+let complete t seq id =
+  match Hashtbl.find t.tasks id with
+  | { phase = Serving; seq = s; res; _ } when s = seq ->
+    Hashtbl.remove t.tasks id;
     t.completed <- t.completed + 1;
-    Hashtbl.remove t.tasks l.task_id;
-    Hashtbl.remove t.retry_count l.task_id;
-    t.res_idle.(l.lres) <- true;
-    sync_res t l.lres;
+    t.res_idle.(res) <- true;
+    sync_res t res;
     true
-  | exception Not_found -> false (* torn down by a fault *)
+  | _ -> false
+  | exception Not_found -> false
 
-let retry t id =
-  match Hashtbl.find t.retry_pending id with
-  | proc ->
-    (* Backoff elapsed: re-admit at the queue head, like the legacy
+let retry t seq id =
+  match Hashtbl.find t.tasks id with
+  | { phase = Parked; seq = s; home; _ } as task when s = seq ->
+    (* Backoff elapsed: re-admit at the queue head, like the unguarded
        path — but only now, so a flapping element stops seeing the same
        victim every cycle. *)
-    Hashtbl.remove t.retry_pending id;
-    requeue_front t proc id;
-    if not (transmitting t proc) then set_requesting t proc true;
+    requeue_front t id task;
+    if not (transmitting t home) then set_requesting t home true;
     true
-  | exception Not_found -> false (* cancelled or expired while parked *)
+  | _ -> false
+  | exception Not_found -> false
+
+(* A cancel comes from the trace, not the engine, so it names no seq:
+   it retires the task if the task still waits for service. *)
+let cancel t id =
+  match Hashtbl.find t.tasks id with
+  | { phase = Queued | Parked; _ } as task ->
+    drop_waiting t id task;
+    t.cancelled <- t.cancelled + 1;
+    true
+  | _ -> false
+  | exception Not_found -> false
+
+let expire t seq id =
+  match Hashtbl.find t.tasks id with
+  | { phase = Queued | Parked; deadline_seq = s; _ } as task when s = seq ->
+    drop_waiting t id task;
+    t.expired <- t.expired + 1;
+    true
+  | _ -> false
+  | exception Not_found -> false
 
 (* Returns true when the event changed engine state (used for the
    measured horizon: trailing no-op deadline checks and wakeups do not
-   extend it). *)
-let process t now code =
+   extend it). [seq] is the event's heap seq. *)
+let process t now seq code =
   let i = payload code in
   match kind code with
   | K_arrive ->
     arrive t now i;
     true
-  | K_cancel ->
-    let gone = drop_task t i || unpark t i in
-    if gone then t.cancelled <- t.cancelled + 1;
-    gone
-  | K_deadline ->
-    let gone = drop_task t i || unpark t i in
-    if gone then t.expired <- t.expired + 1;
-    gone
-  | K_release -> release t i
-  | K_complete -> complete t i
-  | K_retry -> retry t i
+  | K_cancel -> cancel t i
+  | K_deadline -> expire t seq i
+  | K_release -> release t seq i
+  | K_complete -> complete t seq i
+  | K_retry -> retry t seq i
   | K_fault ->
     (match take_side t i with
     | Ev_fault (fev, Some clk) when t.cfg.Config.mode = Token && Fault.is_down fev
@@ -900,36 +911,35 @@ let process t now code =
 
 let commit t now p r links =
   let net_id = Network.establish t.net links in
-  let li = t.next_live in
-  t.next_live <- t.next_live + 1;
-  let q = t.queues.(p) in
-  if Ring.is_empty q then assert false;
-  let id = Ring.pop_front q in
+  let id = Ring.pop_front t.queues.(p) in
   let task = Hashtbl.find t.tasks id in
-  task.queued <- false;
-  Hashtbl.replace t.lives li
-    { net_id; lproc = p; lres = r; task_id = id; committed_at = now;
-      lservice = task.service; released = false };
+  task.phase <- Transmitting;
+  task.res <- r;
+  task.committed_at <- now;
+  task.net_id <- net_id;
   let w = now - task.arrival in
   Stats.observe t.waits (float_of_int w);
   if w > t.max_wait then t.max_wait <- w;
-  (match Hashtbl.find t.victim_at id with
-  | t_fault ->
-    Hashtbl.remove t.victim_at id;
-    Stats.observe t.readmissions (float_of_int (now - t_fault));
-    Obs.observe t.obs "engine.readmission_wait" (float_of_int (now - t_fault))
-  | exception Not_found -> ());
-  t.tx_live.(p) <- li;
+  if task.victim_at <> none then begin
+    let wait = float_of_int (now - task.victim_at) in
+    task.victim_at <- none;
+    Stats.observe t.readmissions wait;
+    Obs.observe t.obs "engine.readmission_wait" wait
+  end;
+  t.tx_task.(p) <- id;
   (* Set directly, not via set_requesting/sync_res: in Warm mode the
      endpoint arcs are frozen with unit flow, not switched off. *)
   if t.requesting.(p) then t.n_pending <- t.n_pending - 1;
   t.requesting.(p) <- false;
   t.res_idle.(r) <- false;
   count_res t r;
-  push_code t (now + t.cfg.Config.transmission_time) (encode K_release li);
+  (* The release takes [task.seq]; the complete, pushed next, the one
+     after it. *)
+  task.seq <- t.next_seq;
+  push_code t (now + t.cfg.Config.transmission_time) (encode K_release id);
   push_code t
     (now + t.cfg.Config.transmission_time + task.service)
-    (encode K_complete li);
+    (encode K_complete id);
   t.busy_slots <- t.busy_slots + t.cfg.Config.transmission_time + task.service;
   t.allocated <- t.allocated + 1
 
@@ -1105,9 +1115,10 @@ let step_slot t =
   let now = Event_heap.min_time t.heap in
   let substantive = ref false and events = ref 0 in
   while (not (Event_heap.is_empty t.heap)) && Event_heap.min_time t.heap = now do
+    let seq = Event_heap.min_seq t.heap in
     let code = Event_heap.pop t.heap in
     if from_trace code then incr events;
-    if process t now code then substantive := true
+    if process t now seq code then substantive := true
   done;
   if !substantive && now > t.horizon then t.horizon <- now;
   try_cycle t now;
@@ -1225,6 +1236,14 @@ type accounting = {
 }
 
 let accounting t =
+  let parked = ref 0 and in_flight = ref 0 in
+  Hashtbl.iter
+    (fun _ task ->
+      match task.phase with
+      | Queued -> ()
+      | Parked -> incr parked
+      | Transmitting | Serving -> incr in_flight)
+    t.tasks;
   { a_arrivals = t.arrivals;
     a_completed = t.completed;
     a_cancelled = t.cancelled;
@@ -1232,27 +1251,72 @@ let accounting t =
     a_shed = t.shed;
     a_given_up = t.given_up;
     a_queued = queued t;
-    a_parked = Hashtbl.length t.retry_pending;
-    a_in_flight = Hashtbl.length t.lives }
+    a_parked = !parked;
+    a_in_flight = !in_flight }
 
-(* The task table holds a record for every pending task and for no
-   other: a leaked record is a memory leak, a missing one a later
-   Not_found. *)
-let check_task_table t (a : accounting) =
-  let live = a.a_queued + a.a_parked + a.a_in_flight in
-  let held id = Hashtbl.mem t.tasks id in
-  if
-    Hashtbl.length t.tasks = live
-    && Array.for_all (fun q -> List.for_all held (Ring.to_list q)) t.queues
-    && Hashtbl.fold (fun id _ ok -> ok && held id) t.retry_pending true
-    && Hashtbl.fold (fun _ (l : live) ok -> ok && held l.task_id) t.lives true
-  then Ok ()
-  else
-    Error
-      (Printf.sprintf
-         "Engine task table holds %d record(s), not exactly the %d queued + \
-          %d parked + %d in_flight task(s)"
-         (Hashtbl.length t.tasks) a.a_queued a.a_parked a.a_in_flight)
+(* Every record sits where its phase says, and every place holds the
+   record that says so: a queued task once in its home queue, a
+   transmitting task in its processor's [tx_task] slot, each busy
+   resource under exactly one in-flight task. A processor requests iff
+   its queue is non-empty and it transmits nothing. *)
+let check_placement t =
+  let exception Misplaced of string in
+  let bad fmt = Printf.ksprintf (fun m -> raise (Misplaced m)) fmt in
+  let in_queue = Hashtbl.create 64 and holders = Array.make t.nr 0 in
+  let transmitting_tasks = ref 0 in
+  try
+    Array.iteri
+      (fun p q ->
+        for k = 0 to Ring.length q - 1 do
+          let id = Ring.get q k in
+          if Hashtbl.mem in_queue id then bad "task %d is queued twice" id;
+          Hashtbl.replace in_queue id ();
+          match Hashtbl.find t.tasks id with
+          | { phase = Queued; home; _ } when home = p -> ()
+          | _ -> bad "task %d in queue %d is not queued there" id p
+          | exception Not_found -> bad "queued task %d has no record" id
+        done)
+      t.queues;
+    Hashtbl.iter
+      (fun id task ->
+        match task.phase with
+        | Queued ->
+          if not (Hashtbl.mem in_queue id) then
+            bad "queued task %d is in no queue" id
+        | Parked -> ()
+        | Transmitting | Serving ->
+          if task.phase = Transmitting then begin
+            incr transmitting_tasks;
+            if t.tx_task.(task.home) <> id then
+              bad "transmitting task %d is not processor %d's circuit" id
+                task.home
+          end;
+          holders.(task.res) <- holders.(task.res) + 1)
+      t.tasks;
+    (* Each transmitting task holds its processor's slot, so equal counts
+       leave no slot holding anything else. *)
+    let slots =
+      Array.fold_left (fun n id -> if id = none then n else n + 1) 0 t.tx_task
+    in
+    if slots <> !transmitting_tasks then
+      bad "%d processor(s) transmit, %d task(s) are transmitting" slots
+        !transmitting_tasks;
+    Array.iteri
+      (fun r n ->
+        if n > 1 || (n = 1) = t.res_idle.(r) then
+          bad "resource %d is %s with %d in-flight holder(s)" r
+            (if t.res_idle.(r) then "idle" else "busy")
+            n)
+      holders;
+    Array.iteri
+      (fun p on ->
+        if on <> ((not (Ring.is_empty t.queues.(p))) && not (transmitting t p))
+        then
+          bad "processor %d requesting is %b, its queue and circuit say %b" p on
+            (not on))
+      t.requesting;
+    Ok ()
+  with Misplaced m -> Error ("Engine task table: " ^ m)
 
 (* The cycle gate's counts must agree with the arrays they count. *)
 let check_counts t =
@@ -1271,7 +1335,7 @@ let check_accounting t =
     + a.a_queued + a.a_parked + a.a_in_flight
   in
   if accounted = a.a_arrivals then
-    Result.bind (check_task_table t a) (fun () -> check_counts t)
+    Result.bind (check_placement t) (fun () -> check_counts t)
   else
     Error
       (Printf.sprintf
@@ -1284,16 +1348,19 @@ let check_accounting t =
 (* ---------------------------------------------------------------- *)
 (* Checkpoint / restore.
 
-   A snapshot captures the complete logical state between slots:
-   counters, tasks, queues, live circuits, guard tables, the event
-   heap (with its (time, seq) keys, so within-slot processing order
-   survives), and the warm solver's bookkeeping flags. The warm
-   graph itself is not serialized — it is exactly reconstructible
-   because every committed circuit's arcs are frozen
-   (Incremental.restore_circuit) and everything else is derived from
-   requesting/res_free/link health. *)
+   A snapshot writes each fact of the state between slots once:
+   counters, the tasks (each with its phase and, once placed outside a
+   queue, its processor; in flight, its resource and commit slot;
+   transmitting, its circuit's links), the queues, the flap detector,
+   the event heap (with its (time, seq) keys, so within-slot processing
+   order survives) and the warm solver's bookkeeping flags. Restore
+   derives the rest: which processors request and which resources are
+   busy, each task's event seqs from the heap, and the warm graph, in
+   which every committed circuit's arcs are frozen again
+   (Incremental.restore_circuit) and everything else follows from
+   requests, resource freedom and link health. *)
 
-let checkpoint_schema = "rsin-engine-checkpoint/v1"
+let checkpoint_schema = "rsin-engine-checkpoint/v2"
 
 let json_ints l = Json.Arr (List.map Json.int l)
 
@@ -1321,7 +1388,6 @@ let counters : (string * (t -> int) * (t -> int -> unit)) list =
     ("horizon", (fun t -> t.horizon), fun t n -> t.horizon <- n);
     ("max_wait", (fun t -> t.max_wait), fun t n -> t.max_wait <- n);
     ("events_seen", (fun t -> t.events_seen), fun t n -> t.events_seen <- n);
-    ("next_live", (fun t -> t.next_live), fun t n -> t.next_live <- n);
     ("next_seq", (fun t -> t.next_seq), fun t n -> t.next_seq <- n) ]
 
 let ev_to_json = function
@@ -1332,9 +1398,10 @@ let ev_to_json = function
          ("priority", Json.int priority) ]
       @ match deadline with None -> [] | Some d -> [ ("deadline", Json.int d) ])
   | Ev_cancel id -> Json.Obj [ ("ev", Json.Str "cancel"); ("id", Json.int id) ]
-  | Ev_release li -> Json.Obj [ ("ev", Json.Str "release"); ("li", Json.int li) ]
-  | Ev_complete li ->
-    Json.Obj [ ("ev", Json.Str "complete"); ("li", Json.int li) ]
+  | Ev_release id ->
+    Json.Obj [ ("ev", Json.Str "release"); ("id", Json.int id) ]
+  | Ev_complete id ->
+    Json.Obj [ ("ev", Json.Str "complete"); ("id", Json.int id) ]
   | Ev_fault (fev, clock) ->
     Json.Obj
       ([ ("ev", Json.Str "fault");
@@ -1358,7 +1425,7 @@ let ev_of_json t j =
         (Network.name t.net);
     e
   in
-  let id () = D.field "id" D.int j and li () = D.field "li" D.int j in
+  let id () = D.field "id" D.int j in
   match D.field "ev" D.str j with
   | "arrive" ->
     let proc = D.field "proc" D.int j and service = D.field "service" D.int j in
@@ -1369,8 +1436,8 @@ let ev_of_json t j =
     Ev_arrive
       { id = id (); proc; service; priority; deadline = D.opt "deadline" D.int j }
   | "cancel" -> Ev_cancel (id ())
-  | "release" -> Ev_release (li ())
-  | "complete" -> Ev_complete (li ())
+  | "release" -> Ev_release (id ())
+  | "complete" -> Ev_complete (id ())
   | "fault" ->
     let mk =
       match D.field "dir" D.str j with
@@ -1384,6 +1451,40 @@ let ev_of_json t j =
   | "retry" -> Ev_retry (id ())
   | "unquarantine" -> Ev_unquarantine (element ())
   | k -> D.fail "unknown event kind %S" k
+
+let phase_name = function
+  | Queued -> "queued"
+  | Parked -> "parked"
+  | Transmitting -> "transmitting"
+  | Serving -> "serving"
+
+let phase_of_name = function
+  | "queued" -> Queued
+  | "parked" -> Parked
+  | "transmitting" -> Transmitting
+  | "serving" -> Serving
+  | k -> D.fail "unknown task phase %S" k
+
+(* A task's facts: where it is, and what it carries there. A queued
+   task's processor is the queue that holds it. *)
+let task_to_json t (id, task) =
+  let int k v = (k, Json.int v) in
+  let in_flight = [ int "proc" task.home; int "res" task.res;
+                    int "committed_at" task.committed_at ] in
+  Json.Obj
+    ([ int "id" id; ("phase", Json.Str (phase_name task.phase));
+       int "arrival" task.arrival; int "service" task.service;
+       int "priority" task.priority ]
+    @ (match task.deadline with None -> [] | Some d -> [ int "deadline" d ])
+    @ (match task.phase with
+      | Queued -> []
+      | Parked -> [ int "proc" task.home ]
+      | Serving -> in_flight
+      | Transmitting ->
+        in_flight
+        @ [ ("links", json_ints (Network.circuit_links t.net task.net_id)) ])
+    @ (if task.retries = 0 then [] else [ int "retries" task.retries ])
+    @ if task.victim_at = none then [] else [ int "victim_at" task.victim_at ])
 
 (* A fresh accumulator holds +/-infinity extremes, which the Json
    printer would turn into null — so extremes are only present when
@@ -1416,36 +1517,7 @@ let snapshot t =
   let tasks =
     Hashtbl.fold (fun id task acc -> (id, task) :: acc) t.tasks []
     |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-    |> List.map (fun (id, task) ->
-           Json.Obj
-             ([ ("id", Json.int id); ("arrival", Json.int task.arrival);
-                ("service", Json.int task.service);
-                ("priority", Json.int task.priority);
-                ("queued", Json.Bool task.queued) ]
-             @
-             match task.deadline with
-             | None -> []
-             | Some d -> [ ("deadline", Json.int d) ]))
-  in
-  let lives =
-    Hashtbl.fold (fun li l acc -> (li, l) :: acc) t.lives []
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-    |> List.map (fun (li, (l : live)) ->
-           Json.Obj
-             [ ("li", Json.int li); ("proc", Json.int l.lproc);
-               ("res", Json.int l.lres); ("task", Json.int l.task_id);
-               ("committed_at", Json.int l.committed_at);
-               ("service", Json.int l.lservice);
-               ("released", Json.Bool l.released);
-               ( "links",
-                 json_ints
-                   (if l.released then []
-                    else Network.circuit_links t.net l.net_id) ) ])
-  in
-  let int_pairs tbl ka kb =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort compare
-    |> List.map (fun (k, v) -> Json.Obj [ (ka, Json.int k); (kb, Json.int v) ])
+    |> List.map (task_to_json t)
   in
   let heap =
     List.map
@@ -1481,13 +1553,6 @@ let snapshot t =
         Json.Arr
           (Array.to_list (Array.map (fun q -> json_ints (Ring.to_list q)) t.queues))
       );
-      ( "requesting",
-        json_ints
-          (List.filter (fun p -> t.requesting.(p)) (List.init t.np Fun.id)) );
-      ("lives", Json.Arr lives);
-      ("victim_at", Json.Arr (int_pairs t.victim_at "task" "at"));
-      ("retry_pending", Json.Arr (int_pairs t.retry_pending "task" "proc"));
-      ("retry_count", Json.Arr (int_pairs t.retry_count "task" "count"));
       ( "flap",
         match t.flap with None -> Json.Null | Some fl -> Flap.to_json fl );
       ("heap", Json.Arr heap);
@@ -1499,6 +1564,114 @@ let snapshot t =
             [ ("dirty", Json.Bool (Incremental.dirty i));
               ("pending_ops", Json.int (Incremental.pending_ops i));
               ("total_work", Json.int (Incremental.total_work i)) ] ) ]
+
+(* Files one task of the document and, in flight, takes its resource
+   and (transmitting) re-establishes its circuit on the network and the
+   warm graph. A resource two tasks hold, or a processor transmitting
+   two circuits, is refused here. *)
+let restore_task t tj =
+  let id = D.field "id" D.int tj in
+  if Hashtbl.mem t.tasks id then D.fail "task %d is listed twice" id;
+  let phase = D.field "phase" (fun v -> phase_of_name (D.str v)) tj in
+  let placed k dec = match phase with Queued -> -1 | _ -> D.field k dec tj in
+  let in_flight k dec =
+    match phase with Transmitting | Serving -> D.field k dec tj | _ -> -1
+  in
+  let service = D.field "service" D.int tj in
+  let priority = D.field "priority" D.int tj in
+  let retries = Option.value ~default:0 (D.opt "retries" D.int tj) in
+  if service < 1 || priority < 0 || retries < 0 then
+    D.fail "task %d has service %d, priority %d, %d retries" id service
+      priority retries;
+  let task =
+    { arrival = D.field "arrival" D.int tj;
+      service;
+      priority;
+      deadline = D.opt "deadline" D.int tj;
+      phase;
+      home = placed "proc" (D.index t.np);
+      res = in_flight "res" (D.index t.nr);
+      committed_at = in_flight "committed_at" D.int;
+      net_id = -1;
+      retries;
+      victim_at = Option.value ~default:none (D.opt "victim_at" D.int tj);
+      seq = none;
+      deadline_seq = none }
+  in
+  Hashtbl.replace t.tasks id task;
+  let p = task.home and r = task.res in
+  match phase with
+  | Queued | Parked -> ()
+  | Transmitting | Serving ->
+    if not t.res_idle.(r) then
+      D.fail "resource %d is held by two in-flight tasks" r;
+    t.res_idle.(r) <- false;
+    if phase = Serving then sync_res t r
+    else begin
+      if transmitting t p then D.fail "processor %d transmits two circuits" p;
+      let links =
+        D.field "links" (D.list (D.index (Network.n_links t.net))) tj
+      in
+      (* establish checks the chain, not which processor and resource
+         it joins. *)
+      (match (links, List.rev links) with
+      | first :: _, last :: _
+        when first = Network.proc_link t.net p
+             && last = Network.res_link t.net r ->
+        ()
+      | _ ->
+        D.fail "task %d's circuit does not run from processor %d to resource %d"
+          id p r);
+      task.net_id <- Network.establish t.net links;
+      Option.iter
+        (fun i -> Incremental.restore_circuit i ~proc:p ~res:r ~links)
+        t.inc;
+      t.tx_task.(p) <- id;
+      count_res t r
+    end
+
+(* Gives each parked or in-flight task the seqs of the events it waits
+   for, read off the restored heap: the newest event of the right kind
+   that names the task is its own, since a stale one was pushed before
+   it; a deadline event must also be timed at the task's deadline. A
+   task with no pending event for its phase would wait forever, and is
+   refused. *)
+let derive_seqs t =
+  let completes = Hashtbl.create 16 in
+  List.iter
+    (fun (time, seq, code) ->
+      if seq >= t.next_seq then
+        D.fail "heap event seq %d at or past next_seq %d" seq t.next_seq;
+      match kind code with
+      | K_release | K_complete | K_retry | K_deadline -> (
+        let id = payload code in
+        match (kind code, Hashtbl.find t.tasks id) with
+        | (K_retry, ({ phase = Parked; _ } as task))
+        | (K_release, ({ phase = Transmitting; _ } as task))
+        | (K_complete, ({ phase = Serving; _ } as task)) ->
+          if seq > task.seq then task.seq <- seq
+        | K_complete, { phase = Transmitting; _ } ->
+          Hashtbl.replace completes (id, seq) ()
+        | K_deadline, task when task.deadline = Some time ->
+          if seq > task.deadline_seq then task.deadline_seq <- seq
+        | _ -> ()
+        | exception Not_found -> ())
+      | K_arrive | K_cancel | K_fault | K_wake | K_unquarantine -> ())
+    (Event_heap.entries t.heap);
+  Hashtbl.iter
+    (fun id task ->
+      let missing ev =
+        D.fail "%s task %d has no pending %s" (phase_name task.phase) id ev
+      in
+      match task.phase with
+      | Queued -> ()
+      | Parked -> if task.seq = none then missing "retry"
+      | Serving -> if task.seq = none then missing "complete"
+      | Transmitting ->
+        if task.seq = none then missing "release"
+        else if not (Hashtbl.mem completes (id, task.seq + 1)) then
+          missing "complete")
+    t.tasks
 
 (* Raises [D.Error], or [Invalid_argument] where the network or the warm
    graph refuses what the document asks of it. *)
@@ -1544,88 +1717,32 @@ let restore_exn ?obs ?cycle_hook ?event_hook net j =
     done
   | None -> ());
   for r = 0 to nr - 1 do sync_res t r done;
-  (* Tasks and queues before requesting flags: set_requesting reads the
-     queue head's priority. *)
-  List.iter
-    (fun (id, task) -> Hashtbl.replace t.tasks id task)
-    (D.field "tasks"
-       (D.list (fun tj ->
-            ( D.field "id" D.int tj,
-              { arrival = D.field "arrival" D.int tj;
-                service = D.field "service" D.int tj;
-                priority = D.field "priority" D.int tj;
-                deadline = D.opt "deadline" D.int tj;
-                queued = D.field "queued" D.bool tj;
-                home = -1 } )))
-       j);
-  (* A queued task sits in exactly one queue, its home. *)
+  ignore (D.field "tasks" (D.list (restore_task t)) j);
+  (* A queued task sits in exactly one queue, which is its home; a
+     queued task in no queue is left to check_accounting. *)
   let queues = D.field "queues" (D.list (D.list D.int)) j in
   if List.length queues <> np then D.fail "queue count mismatch";
   List.iteri
     (fun p q ->
       List.iter
         (fun id ->
-          match Hashtbl.find_opt t.tasks id with
-          | None -> D.fail "queued task %d has no record" id
-          | Some task when (not task.queued) || task.home >= 0 ->
-            D.fail "task %d is queued twice or not marked queued" id
-          | Some task ->
+          match Hashtbl.find t.tasks id with
+          | { phase = Queued; home = -1; _ } as task ->
             task.home <- p;
-            Ring.push_back t.queues.(p) id)
+            Ring.push_back t.queues.(p) id
+          | { phase = Queued; _ } -> D.fail "task %d is queued twice" id
+          | task ->
+            D.fail "%s task %d is in queue %d" (phase_name task.phase) id p
+          | exception Not_found -> D.fail "queued task %d has no record" id)
         q)
     queues;
-  Hashtbl.iter
-    (fun id task ->
-      if task.queued && task.home < 0 then
-        D.fail "queued task %d is in no queue" id)
-    t.tasks;
-  List.iter
-    (fun p -> set_requesting t p true)
-    (D.field "requesting" (D.list (D.index np)) j);
-  (* Live circuits, in table order: establishing on the restored
-     network re-derives net ids; the warm graph gets each circuit's
-     arcs frozen exactly as commit left them. Released entries hold no
-     links — only the resource. *)
-  let restore_live lj =
-    let li = D.field "li" D.int lj in
-    let lproc = D.field "proc" (D.index np) lj in
-    let lres = D.field "res" (D.index nr) lj in
-    let task_id = D.field "task" D.int lj in
-    if not (Hashtbl.mem t.tasks task_id) then
-      D.fail "live circuit for unknown task %d" task_id;
-    let released = D.field "released" D.bool lj in
-    let links = D.field "links" (D.list (D.index nl)) lj in
-    let net_id =
-      if released then -1
-      else begin
-        let id = Network.establish t.net links in
-        Option.iter
-          (fun i -> Incremental.restore_circuit i ~proc:lproc ~res:lres ~links)
-          t.inc;
-        id
-      end
-    in
-    Hashtbl.replace t.lives li
-      { net_id; lproc; lres; task_id;
-        committed_at = D.field "committed_at" D.int lj;
-        lservice = D.field "service" D.int lj; released };
-    if not released then begin
-      if transmitting t lproc then
-        D.fail "processor %d transmits two circuits" lproc;
-      t.tx_live.(lproc) <- li
-    end;
-    t.res_idle.(lres) <- false;
-    if released then sync_res t lres else count_res t lres
-  in
-  ignore (D.field "lives" (D.list restore_live) j);
-  let pairs key ka kb b tbl =
-    List.iter
-      (fun (k, v) -> Hashtbl.replace tbl k v)
-      (D.field key (D.list (fun pj -> (D.field ka D.int pj, D.field kb b pj))) j)
-  in
-  pairs "victim_at" "task" "at" D.int t.victim_at;
-  pairs "retry_pending" "task" "proc" (D.index np) t.retry_pending;
-  pairs "retry_count" "task" "count" D.int t.retry_count;
+  (* A processor requests iff it has queued work and no circuit; the
+     queues are in place, so set_requesting reads the right head's
+     priority. *)
+  for p = 0 to np - 1 do
+    if not (Ring.is_empty t.queues.(p) || transmitting t p) then
+      set_requesting t p true
+  done;
   Option.iter
     (fun g ->
       Option.iter
@@ -1635,13 +1752,6 @@ let restore_exn ?obs ?cycle_hook ?event_hook net j =
   D.field "counters"
     (fun c -> List.iter (fun (k, _, set) -> set t (D.field k D.int c)) counters)
     j;
-  (* Every live index was handed out below next_live: one at or past it
-     would be overwritten by a later commit. *)
-  Hashtbl.iter
-    (fun li _ ->
-      if li >= t.next_live then
-        D.fail "live circuit %d at or past next_live %d" li t.next_live)
-    t.lives;
   t.served_upto <- Option.value ~default:min_int (D.opt "served_upto" D.int j);
   D.field "waits" (accum_restore t.waits) j;
   D.field "readmissions" (accum_restore t.readmissions) j;
@@ -1652,6 +1762,7 @@ let restore_exn ?obs ?cycle_hook ?event_hook net j =
             let code = code_of t (D.field "ev" (ev_of_json t) ej) in
             Event_heap.add t.heap ~time ~seq code))
        j);
+  derive_seqs t;
   Option.iter
     (fun i ->
       let flags ij =

@@ -21,10 +21,10 @@
     unique even though mappings are not).
 
     Everything a run depends on besides the network and the trace — the
-    strategy, the discipline, the rebuild solver, batching, fault
-    injection and the heartbeat period — lives in one validated
-    {!Config.t} record. The same record is the per-shard configuration
-    {!Serve} ships to each domain of the sharded engine. *)
+    strategy, the discipline, the rebuild solver, batching and fault
+    injection — lives in one validated {!Config.t} record. The same
+    record is the per-shard configuration {!Serve} ships to each domain
+    of the sharded engine. *)
 
 type mode =
   | Warm
@@ -63,7 +63,7 @@ val discipline_of_name : string -> (discipline, string) result
 
     One validated record replaces the former scatter of optional
     arguments ([?config], [?mode], [?discipline], [?solver], plus the
-    CLI-side fault-injection and heartbeat knobs). Values are built only
+    CLI-side fault-injection knobs). Values are built only
     through {!Config.make}/{!Config.v}, so an inhabitant of {!Config.t}
     is valid by construction, and the record round-trips through JSON —
     which is how the sharded serve loop ships the exact same
@@ -95,11 +95,6 @@ module Config : sig
         (** a cycle is forced regardless of the threshold once the
             oldest pending request has waited this many slots, >= 1 —
             bounds the batching latency *)
-    heartbeat : int;
-        (** progress-pulse period in consumed trace events for the
-            CLI's [event_hook] heartbeat; 0 disables it. The engine
-            itself calls [event_hook] every slot regardless — this field
-            only parameterizes the hook the caller builds. >= 0 *)
     faults : fault_plan option;
         (** when set, the caller (CLI replay/serve) injects a seeded
             MTBF/MTTR fault/repair schedule into the trace before the
@@ -120,13 +115,12 @@ module Config : sig
     ?transmission_time:int ->
     ?batch_threshold:int ->
     ?max_defer:int ->
-    ?heartbeat:int ->
     ?faults:fault_plan option ->
     ?guard:Rsin_guard.Policy.t option ->
     unit ->
     (t, string) result
   (** Smart constructor; defaults are
-      [Warm]/[Uniform]/["dinic"]/[1]/[1]/[16]/[0]/[None]. Validates
+      [Warm]/[Uniform]/["dinic"]/[1]/[1]/[16]/[None]/[None]. Validates
       every range, that [solver] names a registry member, and that
       [Token] is not combined with [Priority]. *)
 
@@ -137,7 +131,6 @@ module Config : sig
     ?transmission_time:int ->
     ?batch_threshold:int ->
     ?max_defer:int ->
-    ?heartbeat:int ->
     ?faults:fault_plan option ->
     ?guard:Rsin_guard.Policy.t option ->
     unit ->
@@ -264,8 +257,12 @@ val feed : t -> Rsin_sim.Workload.trace_event -> unit
     completed, cancelled, expired, shed or given up. An arrival whose
     id a queued, parked or in-flight task still holds is refused and
     counted as [shed] (guard or not), leaving the live task untouched;
-    an id whose task has finished may be used again. {!Serve} rejects
-    repeated ids before they reach an engine. *)
+    an id whose task has finished may be used again. The new task never
+    meets its predecessor's events: each release, completion, retry and
+    deadline the engine schedules names its task and acts only while
+    that task's record still waits for the event's heap seq, so a
+    deadline or a retry left behind by the finished task is a no-op.
+    {!Serve} rejects repeated ids before they reach an engine. *)
 
 val advance : t -> upto:int -> unit
 (** Serves every queued event (and every cycle, release, completion,
@@ -346,25 +343,42 @@ type accounting = {
 val accounting : t -> accounting
 
 val check_accounting : t -> (unit, string) result
-(** [Ok ()] iff arrivals equal the sum of the other buckets {e and} the
-    engine's task table holds a record for exactly the queued, parked
-    and in-flight tasks — a task's record is dropped when it reaches a
+(** [Ok ()] iff arrivals equal the sum of the other buckets {e and}
+    every task record sits where its phase says: a queued task once in
+    its home queue (and each queued id has such a record), a
+    transmitting task as its processor's one circuit, each busy
+    resource held by exactly one in-flight task and each idle one by
+    none, and a processor requesting iff its queue is non-empty and it
+    transmits nothing. A task's record is dropped when it reaches a
     terminal bucket, and none is made for one terminal on arrival. The
-    error string names every bucket for diagnosis. *)
+    pending and free counts the cycle gate reads must match the arrays
+    they count. The error string names the buckets, or the misplaced
+    record, for diagnosis. *)
 
 val config : t -> Config.t
 
 (** {1 Checkpoint / restore}
 
-    A snapshot is a self-contained JSON document of the complete
-    logical engine state between slots: configuration, network health
-    and quarantine flags, counters, tasks, queues, live circuits, the
-    guard's retry and flap tables, the event heap (with its internal
-    [(time, seq)] keys, so within-slot processing order survives the
-    round trip), and the warm solver's bookkeeping. The warm flow
-    graph itself is not serialized: it is reconstructed exactly by
-    re-freezing each live circuit's arcs, so a restored engine follows
-    a byte-identical trajectory. *)
+    A snapshot ([rsin-engine-checkpoint/v2]) is a self-contained JSON
+    document of the complete logical engine state between slots, each
+    fact written once: configuration, network health and quarantine
+    flags, counters, the live tasks, the queues, the flap detector, the
+    event heap (with its internal [(time, seq)] keys, so within-slot
+    processing order survives the round trip), and the warm solver's
+    bookkeeping. Each task carries its phase ([queued], [parked],
+    [transmitting] or [serving]); a parked or in-flight task also its
+    processor ([proc]); an in-flight one also its resource and commit
+    slot; a transmitting one also its circuit's links; and its retry
+    count and pending readmission slot when set.
+
+    Restore derives the rest: a processor requests iff its queue is
+    non-empty and it transmits nothing, a resource is busy iff an
+    in-flight task holds it, and each task's event seqs are those of
+    the newest events in the heap that name it (a stale event was
+    pushed earlier). The warm flow graph itself is not serialized: it
+    is reconstructed exactly by re-freezing each transmitting task's
+    circuit, so a restored engine follows a byte-identical
+    trajectory. *)
 
 val snapshot : t -> Rsin_util.Json.t
 (** Raises [Invalid_argument] if called mid-slot in [Token] mode while
@@ -383,10 +397,17 @@ val restore :
     no circuits) instance of the {e same} topology the snapshot was
     taken on — name and dimensions are checked. Hooks and observer are
     re-attached fresh (they are not part of the state). A document
-    that fails {!check_accounting} — counters whose buckets do not sum
-    to the arrivals, or a task list holding a record for a task that is
-    neither queued, parked nor in flight (or lacking one that is) — is
-    an [Error]. So is an index outside the network, and a heap event
+    whose facts conflict is an [Error] that names the conflict: a
+    resource held by two in-flight tasks, a processor transmitting two
+    circuits, a circuit whose links do not join its task's processor
+    and resource, a parked or in-flight task with no pending event for its
+    phase (a transmitting one needs both its release and, at the next
+    seq, its complete), a heap event at or past the [next_seq] counter,
+    a task with a service below 1 or a negative priority or retry
+    count, a queued task in no queue or in two, or a document that fails
+    {!check_accounting} (counters whose buckets do not sum to the
+    arrivals). So is a document of another schema (a v1 document's
+    error names both), an index outside the network, and a heap event
     live input could not carry: an arrival {!feed} would refuse, or a
     fault or quarantine on an element the network lacks.
 

@@ -2,17 +2,19 @@ module Stats = Rsin_util.Stats
 module Clock = Rsin_util.Clock
 module Json = Rsin_util.Json
 
-type kind = Time | Alloc | Count
+type kind = Time | Alloc | Count | Yield
 
 let kind_to_string = function
   | Time -> "time"
   | Alloc -> "alloc"
   | Count -> "count"
+  | Yield -> "yield"
 
 let kind_of_string = function
   | "time" -> Some Time
   | "alloc" -> Some Alloc
   | "count" -> Some Count
+  | "yield" -> Some Yield
   | _ -> None
 
 type metric = {
@@ -123,6 +125,9 @@ let record c ?prefix m =
 
 let record_count c ~name ?(unit_ = "") v =
   put c name (scalar_metric Count unit_ v)
+
+let record_yield c ~name ?(unit_ = "") v =
+  put c name (scalar_metric Yield unit_ v)
 
 let record_counters c ?(prefix = "") registry =
   List.iter
@@ -292,21 +297,27 @@ let diff ?(time_tolerance = 2.0) ?(count_tolerance = 1.01) ~baseline fresh =
                 { d_case = bc.case_name; d_metric = mname; base = bm.mean;
                   fresh = nan; ratio = nan; d_status = Only_baseline }
             | Some fm ->
+              (* The fresh report says what the metric means now, so a
+                 baseline written before a count was marked a yield
+                 still compares the right way round. *)
               let tol =
-                match bm.kind with
+                match fm.kind with
                 | Time | Alloc -> time_tolerance
-                | Count -> count_tolerance
+                | Count | Yield -> count_tolerance
               in
               let b = bm.mean and f = fm.mean in
               let ratio = if b = 0. then nan else f /. b in
+              (* [worse] > 1 when the fresh value is worse by that
+                 factor, whichever way the metric points. *)
+              let worse = if fm.kind = Yield then 1. /. ratio else ratio in
               let status =
                 if b = 0. then
                   (* ratio undefined: fall back to one absolute unit *)
                   if Float.abs f <= tol -. 1. then Same
-                  else if f > 0. then Regression
+                  else if (f > 0.) <> (fm.kind = Yield) then Regression
                   else Improvement
-                else if ratio > tol then Regression
-                else if ratio < 1. /. tol then Improvement
+                else if worse > tol then Regression
+                else if worse < 1. /. tol then Improvement
                 else Same
               in
               push

@@ -30,9 +30,15 @@
     type round-trips everything. [kind] drives the comparator's
     tolerance: ["time"] and ["alloc"] measurements are noisy (CI
     machines differ), ["count"] metrics are deterministic given a seed
-    and regress at much tighter thresholds. *)
+    and regress at much tighter thresholds. A ["yield"] is a
+    deterministic count where more is better (circuits allocated, tasks
+    completed): it regresses when it falls. *)
 
-type kind = Time | Alloc | Count
+type kind =
+  | Time
+  | Alloc
+  | Count  (** deterministic, lower is better (solver work, clocks) *)
+  | Yield  (** deterministic, higher is better (allocations, completions) *)
 
 type metric = {
   kind : kind;
@@ -96,6 +102,9 @@ val record_samples :
 val record_count : case -> name:string -> ?unit_:string -> float -> unit
 (** A deterministic scalar metric (kind [Count]). *)
 
+val record_yield : case -> name:string -> ?unit_:string -> float -> unit
+(** A deterministic scalar metric where more is better (kind [Yield]). *)
+
 val record_counters : case -> ?prefix:string -> Metrics.t -> unit
 (** Every counter currently in the registry, as [Count] metrics named
     [prefix ^ name] — the solver work-record capture: run with an
@@ -138,10 +147,14 @@ val diff :
     [fresh > time_tolerance * base] (default 2.0 — wide enough for CI
     machine variance) and improve symmetrically; [Count] metrics use
     [count_tolerance] (default 1.01 — deterministic modulo compiler
-    differences). Metrics present on only one side are reported as
-    [Only_*] but never fail. A zero baseline with a zero fresh value is
-    [Same]; zero against nonzero falls back to the absolute tolerance
-    of one unit. Raises [Invalid_argument] when the two reports'
-    [quick] flags differ (their case parameters are not comparable). *)
+    differences). A [Yield] uses [count_tolerance] the other way round:
+    it regresses when [fresh < base / count_tolerance]. The fresh
+    report's kind decides, so a baseline recorded before a count became
+    a yield still compares by what the metric means now. Metrics present
+    on only one side are reported as [Only_*] but never fail. A zero
+    baseline with a zero fresh value is [Same]; zero against nonzero
+    falls back to the absolute tolerance of one unit. Raises
+    [Invalid_argument] when the two reports' [quick] flags differ (their
+    case parameters are not comparable). *)
 
 val regressions : delta list -> delta list

@@ -144,7 +144,9 @@ let report_gen =
   let name = string_size ~gen:(char_range 'a' 'z') (1 -- 8) in
   let samples = array_size (1 -- 12) (float_range 0.001 1e7) in
   let kind =
-    oneofl [ Bench_report.Time; Bench_report.Alloc; Bench_report.Count ]
+    oneofl
+      [ Bench_report.Time; Bench_report.Alloc; Bench_report.Count;
+        Bench_report.Yield ]
   in
   let metric case =
     oneof
@@ -271,6 +273,45 @@ let test_diff_zero_baseline () =
   check Alcotest.bool "0 vs large regresses" true
     (status 0. 50. = Bench_report.Regression)
 
+(* A yield (more is better) regresses when it falls past the count
+   tolerance and improves when it rises; the fresh report's kind
+   decides, so a baseline that still calls the metric a count compares
+   the same way. *)
+let test_diff_yield_direction () =
+  let mk record v =
+    let r = Bench_report.create ~env "cmp" in
+    record (Bench_report.case r "c") ~name:"allocated" v;
+    r
+  in
+  let yield_ c ~name v = Bench_report.record_yield c ~name v in
+  let count c ~name v = Bench_report.record_count c ~name v in
+  let status base f =
+    match Bench_report.diff ~baseline:(mk base 1163.) (mk yield_ f) with
+    | [ d ] -> d.Bench_report.d_status
+    | _ -> Alcotest.fail "expected one delta"
+  in
+  List.iter
+    (fun (what, base) ->
+      check Alcotest.bool (what ^ ": a 2% loss regresses") true
+        (status base 1143. = Bench_report.Regression);
+      check Alcotest.bool (what ^ ": a 2% gain improves") true
+        (status base 1187. = Bench_report.Improvement);
+      check Alcotest.bool (what ^ ": a 0.5% loss stays inside") true
+        (status base 1157. = Bench_report.Same))
+    [ ("yield baseline", yield_); ("count baseline", count) ];
+  (* The same loss on a lower-is-better count is an improvement. *)
+  (match Bench_report.diff ~baseline:(mk count 1163.) (mk count 1143.) with
+  | [ d ] ->
+    check Alcotest.bool "a count that falls improves" true
+      (d.Bench_report.d_status = Bench_report.Improvement)
+  | _ -> Alcotest.fail "expected one delta");
+  (* From a zero baseline, gaining a yield is no regression. *)
+  match Bench_report.diff ~baseline:(mk yield_ 0.) (mk yield_ 50.) with
+  | [ d ] ->
+    check Alcotest.bool "0 -> 50 yield improves" true
+      (d.Bench_report.d_status = Bench_report.Improvement)
+  | _ -> Alcotest.fail "expected one delta"
+
 let test_diff_quick_mismatch () =
   let mk quick =
     let r = Bench_report.create ~quick ~env "cmp" in
@@ -298,5 +339,7 @@ let suite =
     Alcotest.test_case "diff improvement" `Quick test_diff_improvement;
     Alcotest.test_case "diff one-sided metrics" `Quick test_diff_one_sided;
     Alcotest.test_case "diff zero baseline" `Quick test_diff_zero_baseline;
+    Alcotest.test_case "diff reads a yield the other way round" `Quick
+      test_diff_yield_direction;
     Alcotest.test_case "diff quick mismatch" `Quick test_diff_quick_mismatch;
   ]

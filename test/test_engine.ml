@@ -332,6 +332,33 @@ let test_deadline_dead_on_arrival () =
         + rep.Engine.left_pending))
     [ Engine.Warm; Engine.Rebuild; Engine.Token ]
 
+(* An engine event names its task and acts only while the task's record
+   waits for that event's seq, so a task reusing a finished task's id
+   never meets its predecessor's events. Here task 7's deadline event
+   (slot 50) outlives the task, which is served at once; a second task
+   7 then waits at p1, whose link is down for good, with no deadline:
+   it must stay pending, not expire at 50. *)
+let test_reused_id_outlives_deadline () =
+  let net = Builders.omega 4 in
+  let arrive t proc deadline =
+    Workload.Arrive { t; id = 7; proc; service = 2; deadline; priority = 0 }
+  in
+  let trace =
+    [ arrive 0 0 (Some 50);
+      Workload.Fault
+        { t = 5; clock = None; element = Fault.Link (Network.proc_link net 1) };
+      arrive 10 1 None ]
+  in
+  List.iter
+    (fun mode ->
+      let name = Engine.mode_name mode in
+      let r = Engine.run ~config:(Engine.Config.v ~mode ()) net trace in
+      check Alcotest.int (name ^ ": first task completed") 1 r.Engine.completed;
+      check Alcotest.int (name ^ ": nothing expired") 0 r.Engine.expired;
+      check Alcotest.int (name ^ ": second task still pending") 1
+        r.Engine.left_pending)
+    [ Engine.Warm; Engine.Rebuild ]
+
 (* The task table holds only live tasks, so an arrival reusing an id a
    live task still holds must not overwrite its record: it is shed and
    accounted, queued or in flight alike. The original completes, and
@@ -485,7 +512,6 @@ let config_gen =
     let* transmission_time = int_range 1 9 in
     let* batch_threshold = int_range 1 4 in
     let* max_defer = int_range 1 40 in
-    let* heartbeat = int_range 0 1000 in
     let* faults =
       oneof
         [ return None;
@@ -496,7 +522,7 @@ let config_gen =
     in
     return
       (Engine.Config.v ~mode ~discipline ~solver ~transmission_time
-         ~batch_threshold ~max_defer ~heartbeat ~faults ()))
+         ~batch_threshold ~max_defer ~faults ()))
 
 let config_arb =
   QCheck.make
@@ -535,7 +561,6 @@ let test_config_validation () =
       Engine.Config.make ~transmission_time:0 ());
   bad "batch_threshold 0" (fun () -> Engine.Config.make ~batch_threshold:0 ());
   bad "max_defer 0" (fun () -> Engine.Config.make ~max_defer:0 ());
-  bad "negative heartbeat" (fun () -> Engine.Config.make ~heartbeat:(-1) ());
   bad "unknown solver" (fun () -> Engine.Config.make ~solver:"simplex9" ());
   bad "token + priority" (fun () ->
       Engine.Config.make ~mode:Engine.Token ~discipline:Engine.Priority ());
@@ -576,6 +601,8 @@ let suite =
     Alcotest.test_case "deadline dead on arrival" `Quick
       test_deadline_dead_on_arrival;
     Alcotest.test_case "repeated live id is shed" `Quick test_repeated_live_id;
+    Alcotest.test_case "reused id outlives its predecessor's deadline" `Quick
+      test_reused_id_outlives_deadline;
     Alcotest.test_case "token differential vs dinic" `Slow
       test_token_differential;
     Alcotest.test_case "token mode under clocked faults" `Quick

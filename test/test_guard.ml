@@ -278,6 +278,82 @@ let test_accounting_every_slot () =
   check Alcotest.int "drained: nothing parked" 0 a.Engine.a_parked;
   check Alcotest.int "drained: nothing in flight" 0 a.Engine.a_in_flight
 
+(* --- Reused task ids --------------------------------------------------------
+
+   engine.mli lets a task id be used again once its task has finished.
+   Each scenario below serves task 7, finishes it while it still has
+   guard state or a pending event, and serves a second task 7 that must
+   start afresh. *)
+
+let reuse_net = lazy (Builders.omega 4)
+
+let reuse_arrive ?deadline t id =
+  Workload.Arrive { t; id; proc = 0; service = 2; deadline; priority = 0 }
+
+(* p0's only link, failed at [t] or repaired at [t]. *)
+let p0_link_down t =
+  let l = Network.proc_link (Lazy.force reuse_net) 0 in
+  Workload.Fault { t; clock = None; element = Fault.Link l }
+
+let p0_link_up t =
+  let l = Network.proc_link (Lazy.force reuse_net) 0 in
+  Workload.Repair { t; clock = None; element = Fault.Link l }
+
+(* The first task 7 is torn down at 1 and re-queued at 2 (backoff of
+   one slot), then finishes while queued at 3: cancelled, expired, or
+   shed by a deadline-aware admission. The second task 7, admitted at
+   6, is torn down at 7 with a budget of one retry: it must be retried
+   rather than given up, and its readmission measured from 7, not from
+   the first task's teardown. *)
+let test_reuse_after_victim_finishes () =
+  let net = Lazy.force reuse_net in
+  let run ?(shed_policy = Policy.Drop_tail) ?(queue_bound = 0) first ending =
+    let policy =
+      Policy.v ~queue_bound ~shed_policy ~retry_budget:1 ~retry_jitter:0
+        ~flap_k:0 ()
+    in
+    let config =
+      Engine.Config.v ~transmission_time:5 ~guard:(Some policy) ()
+    in
+    Engine.run ~config net
+      ([ first; p0_link_down 1 ] @ ending
+      @ [ p0_link_up 4; reuse_arrive 6 7; p0_link_down 7; p0_link_up 8 ])
+  in
+  List.iter
+    (fun (what, r) ->
+      check Alcotest.int (what ^ ": nothing given up") 0 r.Engine.given_up;
+      check Alcotest.int (what ^ ": second task completes") 1
+        r.Engine.completed;
+      check (Alcotest.float 0.) (what ^ ": readmission from slot 7") 1.
+        r.Engine.mean_readmission)
+    [ ( "cancelled",
+        run (reuse_arrive 0 7) [ Workload.Cancel { t = 3; id = 7 } ] );
+      ("expired", run (reuse_arrive ~deadline:3 0 7) []);
+      (* Task 8, with no deadline, has more slack than task 7: the full
+         queue sheds 7. Task 8 is cancelled before the repair lets it
+         run. *)
+      ( "shed",
+        run ~shed_policy:Policy.Deadline_aware ~queue_bound:1
+          (reuse_arrive ~deadline:100 0 7)
+          [ reuse_arrive 3 8; Workload.Cancel { t = 4; id = 8 } ] ) ]
+
+(* The first task 7 is cancelled while parked, so its retry (slot 21)
+   outlives it. The second task 7 is torn down at 6 and must wait its
+   own backoff of 20 slots, to 26. *)
+let test_reuse_keeps_own_backoff () =
+  let net = Lazy.force reuse_net in
+  let policy = Policy.v ~retry_base:20 ~retry_jitter:0 ~flap_k:0 () in
+  let config = Engine.Config.v ~transmission_time:5 ~guard:(Some policy) () in
+  let r =
+    Engine.run ~config net
+      [ reuse_arrive 0 7; p0_link_down 1; Workload.Cancel { t = 2; id = 7 };
+        p0_link_up 3; reuse_arrive 4 7; p0_link_down 6; p0_link_up 7 ]
+  in
+  check Alcotest.int "both tasks torn down" 2 r.Engine.victims;
+  check Alcotest.int "second task completes" 1 r.Engine.completed;
+  check (Alcotest.float 0.) "readmitted after its own backoff" 20.
+    r.Engine.mean_readmission
+
 (* --- Checkpoint / restore -------------------------------------------------- *)
 
 let test_engine_checkpoint_differential () =
@@ -390,7 +466,7 @@ let test_restore_rejects_garbage () =
   let extra =
     Json.Obj
       [ ("id", Json.Num 2.); ("arrival", Json.Num 0.); ("service", Json.Num 1.);
-        ("priority", Json.Num 0.); ("queued", Json.Bool false) ]
+        ("priority", Json.Num 0.); ("phase", Json.Str "queued") ]
   in
   let j =
     match Engine.snapshot e with
@@ -628,6 +704,252 @@ let serve_checkpoint =
      Serve.abort t;
      (net, j))
 
+(* --- Checkpoints whose facts conflict --------------------------------------
+
+   A checkpoint writes each fact once and restore derives the rest, so
+   a document can no longer make a processor request, and one whose
+   facts conflict is an [Error]. *)
+
+let member k j =
+  match Json.member k j with
+  | Some v -> v
+  | None -> Alcotest.failf "no field %S" k
+
+let int_of j =
+  match Json.to_int j with Some n -> n | None -> Alcotest.fail "not an integer"
+
+let items = function Json.Arr xs -> xs | _ -> Alcotest.fail "not an array"
+let task_id tj = int_of (member "id" tj)
+
+(* The tasks of an engine checkpoint in [phase], by id. *)
+let in_phase phase doc =
+  List.filter
+    (fun tj -> member "phase" tj = Json.Str phase)
+    (items (member "tasks" doc))
+
+(* [doc] with task [id]'s record passed through [f]. *)
+let map_task id f =
+  update [ K "tasks" ] (fun ts ->
+      Some
+        (Json.Arr
+           (List.map
+              (fun tj -> if task_id tj = id then f tj else tj)
+              (items ts))))
+
+(* A task record with fields [fs] set. *)
+let with_fields fs = function
+  | Json.Obj kv ->
+    Json.Obj (List.filter (fun (k, _) -> not (List.mem_assoc k fs)) kv @ fs)
+  | _ -> Alcotest.fail "task is not an object"
+
+(* [doc] without the heap events of kind [ev] that name task [id]. *)
+let drop_events ev id =
+  update [ K "heap" ] (fun h ->
+      Some
+        (Json.Arr
+           (List.filter
+              (fun entry ->
+                let e = member "ev" entry in
+                not
+                  (member "ev" e = Json.Str ev && int_of (member "id" e) = id))
+              (items h))))
+
+(* The arrivals of 30 slots at 0.3 on [net], box 0 failing at 19; under
+   [config] victims back off 30 slots and circuits transmit for 5, so at
+   slot 20 tasks are queued, transmitting, serving and parked. *)
+let conflict_config =
+  let policy = Policy.v ~retry_base:30 ~retry_jitter:0 ~flap_k:0 () in
+  Engine.Config.v ~transmission_time:5 ~guard:(Some policy) ()
+
+let conflict_trace net =
+  Workload.sort_trace
+    (Workload.synthesize ~mean_service:4.0 (Prng.create 5) net ~slots:30
+       ~arrival_prob:0.3
+    @ [ Workload.Fault { t = 19; clock = None; element = Fault.Box 0 } ])
+
+(* An omega:8 engine at slot 20, the rest of its trace in the heap. *)
+let conflict_engine ?(config = conflict_config) () =
+  let net = Builders.omega 8 in
+  let e = Engine.create ~config net in
+  List.iter (Engine.feed e) (conflict_trace net);
+  Engine.advance e ~upto:20;
+  (net, e)
+
+(* Each conflict: what it is, and how to write it into an engine
+   checkpoint together with the words its refusal must contain ([None]
+   when the document has no task to write it with). *)
+let conflicts =
+  let first phase k doc =
+    match in_phase phase doc with
+    | tj :: _ -> Some (k (task_id tj) tj)
+    | [] -> None
+  in
+  let without ev phase doc =
+    first phase
+      (fun id _ ->
+        ( drop_events ev id doc,
+          Printf.sprintf "%s task %d has no pending %s" phase id ev ))
+      doc
+  in
+  [ ( "v1 schema",
+      fun doc ->
+        Some
+          ( set [ K "schema" ] (Json.Str "rsin-engine-checkpoint/v1") doc,
+            "\"rsin-engine-checkpoint/v1\" (want \"rsin-engine-checkpoint/v2\")"
+          ) );
+    ( "queued task in service on a busy resource",
+      fun doc ->
+        let queues =
+          List.mapi (fun p q -> (p, items q)) (items (member "queues" doc))
+        in
+        match
+          ( in_phase "transmitting" doc @ in_phase "serving" doc,
+            List.find_opt (fun (_, q) -> q <> []) queues )
+        with
+        | holder :: _, Some (p, q :: _) ->
+          let r = int_of (member "res" holder) and id = int_of q in
+          let doc =
+            update [ K "queues"; I p ]
+              (fun q ->
+                Some
+                  (Json.Arr (List.filter (fun x -> int_of x <> id) (items q))))
+              doc
+          in
+          Some
+            ( map_task id
+                (with_fields
+                   [ ("phase", Json.Str "serving"); ("proc", Json.int p);
+                     ("res", Json.int r); ("committed_at", Json.int 20) ])
+                doc,
+              Printf.sprintf "resource %d is held by two in-flight tasks" r )
+        | _ -> None );
+    ( "queued task with service 0",
+      fun doc ->
+        first "queued"
+          (fun id _ ->
+            ( map_task id (with_fields [ ("service", Json.int 0) ]) doc,
+              Printf.sprintf "task %d has service 0" id ))
+          doc );
+    ("transmitting task without its release", without "release" "transmitting");
+    ( "transmitting task without its complete",
+      without "complete" "transmitting" );
+    ("serving task without its complete", without "complete" "serving");
+    ("parked task without its retry", without "retry" "parked");
+    ( "circuit from another processor",
+      fun doc ->
+        let tx = in_phase "transmitting" doc in
+        let busy = List.map (fun tj -> int_of (member "proc" tj)) tx in
+        let queues = items (member "queues" doc) in
+        match
+          ( tx,
+            List.find_opt
+              (fun p -> not (List.mem p busy))
+              (List.init (List.length queues) Fun.id) )
+        with
+        | a :: _, Some p ->
+          Some
+            ( map_task (task_id a) (with_fields [ ("proc", Json.int p) ]) doc,
+              Printf.sprintf "circuit does not run from processor %d" p )
+        | _ -> None );
+    ( "processor transmitting two circuits",
+      fun doc ->
+        match in_phase "transmitting" doc with
+        | a :: b :: _ ->
+          let p = int_of (member "proc" a) in
+          Some
+            ( map_task (task_id b) (with_fields [ ("proc", Json.int p) ]) doc,
+              Printf.sprintf "processor %d transmits two circuits" p )
+        | _ -> None ) ]
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let refused_with ~what ~words = function
+  | Ok _ -> Alcotest.failf "%s: restore accepted it" what
+  | Error m ->
+    if not (contains m words) then
+      Alcotest.failf "%s: refusal %S does not say %S" what m words
+
+let test_restore_refuses_conflicts () =
+  let net, e = conflict_engine () in
+  let doc = Engine.snapshot e in
+  ignore (get_ok ~what:"untampered" (Engine.restore net doc));
+  List.iter
+    (fun (what, write) ->
+      match write doc with
+      | None ->
+        Alcotest.failf "%s: the checkpoint has no task to write it with" what
+      | Some (bad, words) -> refused_with ~what ~words (Engine.restore net bad))
+    conflicts
+
+(* The same refusals through the sharded server: each conflict is
+   written into the first shard whose checkpoint can hold it. *)
+let test_serve_restore_refuses_conflicts () =
+  let net = Builders.multiplane ~planes:2 (Builders.omega 8) in
+  let t =
+    get_ok ~what:"create" (Serve.create ~config:conflict_config ~domains:1 net)
+  in
+  List.iter (Serve.feed t)
+    (List.filter (fun ev -> Workload.event_time ev <= 21) (conflict_trace net));
+  let j = Serve.snapshot t in
+  Serve.abort t;
+  let shards = items (member "shards" j) in
+  List.iter
+    (fun (what, write) ->
+      match List.find_map Fun.id (List.mapi (fun i s ->
+          Option.map (fun (bad, words) -> (i, bad, words)) (write s)) shards)
+      with
+      | None -> Alcotest.failf "%s: no shard has a task to write it with" what
+      | Some (i, bad, words) ->
+        let doc = set [ K "shards"; I i ] bad j in
+        refused_with ~what ~words
+          (match Serve.restore ~domains:1 net doc with
+          | Ok t ->
+            Serve.abort t;
+            Ok ()
+          | Error m -> Error m))
+    conflicts
+
+(* A document naming a processor with an empty queue and no circuit as
+   requesting used to restore into an engine whose next cycle committed
+   from that empty queue. Restore now derives the requests: the field
+   is ignored, and the restored engine continues as the original. *)
+let test_restore_derives_requesting () =
+  let net, e = conflict_engine ~config:Engine.Config.default () in
+  let doc = Engine.snapshot e in
+  let queues = List.map items (items (member "queues" doc)) in
+  let busy =
+    List.map (fun tj -> int_of (member "proc" tj)) (in_phase "transmitting" doc)
+  in
+  let idle =
+    match
+      List.find_opt
+        (fun p -> List.nth queues p = [] && not (List.mem p busy))
+        (List.init (List.length queues) Fun.id)
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "no idle processor at slot 20"
+  in
+  let hostile =
+    match doc with
+    | Json.Obj fs ->
+      Json.Obj (fs @ [ ("requesting", Json.Arr [ Json.int idle ]) ])
+    | _ -> Alcotest.fail "snapshot is not an object"
+  in
+  let r = get_ok ~what:"restore" (Engine.restore net hostile) in
+  check Alcotest.string "restored state" (Json.to_string doc)
+    (Json.to_string (Engine.snapshot r));
+  Engine.drain e;
+  Engine.drain r;
+  check Alcotest.bool "same report" true (Engine.report e = Engine.report r);
+  (match Engine.check_accounting r with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "accounting: %s" m)
+
 (* Every node of [doc], as the path to it. *)
 let rec node_paths prefix doc =
   let below =
@@ -821,11 +1143,21 @@ let suite =
     Alcotest.test_case "guard off is legacy" `Quick test_guard_off_is_legacy;
     Alcotest.test_case "accounting holds every slot" `Quick
       test_accounting_every_slot;
+    Alcotest.test_case "reused id starts without its predecessor's retries"
+      `Quick test_reuse_after_victim_finishes;
+    Alcotest.test_case "reused id waits its own backoff" `Quick
+      test_reuse_keeps_own_backoff;
     Alcotest.test_case "engine checkpoint differential" `Quick
       test_engine_checkpoint_differential;
     Alcotest.test_case "restore tears fault victims down in state order"
       `Quick test_restore_teardown_order;
     Alcotest.test_case "restore rejects garbage" `Quick test_restore_rejects_garbage;
+    Alcotest.test_case "restore refuses conflicting facts" `Quick
+      test_restore_refuses_conflicts;
+    Alcotest.test_case "serve restore refuses conflicting facts" `Quick
+      test_serve_restore_refuses_conflicts;
+    Alcotest.test_case "restore derives requesting" `Quick
+      test_restore_derives_requesting;
     Alcotest.test_case "serve checkpoint differential" `Quick
       test_serve_checkpoint_differential;
     Alcotest.test_case "restore rejects a heap arrival feed would refuse" `Quick
