@@ -26,11 +26,15 @@
    once under each discipline (Priority solves one class at a time), a
    warm run of adds and pops on the engine's event heap, and the cycle
    gate read from the engine's kept pending and free counts must each
-   allocate 0 minor words, or the bench fails. Warm Engine.advance is
-   then measured in minor words per trace event (the event hook's
-   count: arrivals, cancels, faults and repairs) on both planes and
-   reported, not gated: task records, the live-circuit table and the
-   links handed to Network.establish still allocate.
+   allocate 0 minor words, or the bench fails; so must decoding the
+   plane's JSONL trace (deadlines, cancels and priorities included)
+   through Workload.fold_lines_lenient, beyond the words of the events
+   it returns. Warm Engine.advance is then measured in minor words per
+   trace event (the event hook's count: arrivals, cancels, faults and
+   repairs) on both planes and reported, not gated: task records, the
+   live-circuit table and the links handed to Network.establish still
+   allocate. Beside it, the same trace fed, routed and advanced through
+   Serve at one domain, in words per trace event.
 
    The structured report lands in BENCH_csr.json for the [rsin perf]
    regression gate. *)
@@ -38,6 +42,7 @@
 module Csr = Rsin_flow.Csr
 module Incremental = Rsin_engine.Incremental
 module Engine = Rsin_engine.Engine
+module Serve = Rsin_engine.Serve
 module Workload = Rsin_sim.Workload
 module Event_heap = Rsin_util.Event_heap
 module Dinic = Rsin_flow.Dinic
@@ -311,10 +316,68 @@ let warm_engine ?config net ~slots ~arrival ~warm =
   Engine.advance e ~upto:warm;
   (e, served)
 
+(* Decoding a JSONL trace through Workload.fold_lines_lenient: the
+   minor words beyond the decoded events' own blocks (the fold's one-off
+   scratch, measured on an empty stream, taken off), and the lines
+   decoded. *)
+let decode_extra_words trace =
+  let lines =
+    Workload.trace_to_jsonl trace |> String.split_on_char '\n'
+    |> List.filter (( <> ) "") |> List.map Option.some |> Array.of_list
+  in
+  let out = Array.make (Array.length lines) (Workload.Cancel { t = 0; id = 0 }) in
+  let fold k =
+    let i = ref 0 in
+    let next () =
+      if !i < k then begin
+        let l = lines.(!i) in
+        incr i;
+        l
+      end
+      else None
+    in
+    let f j ev =
+      out.(j) <- ev;
+      j + 1
+    in
+    fun () ->
+      ignore
+        (Workload.fold_lines_lenient next
+           ~on_error:(fun _ -> failwith "E34: a generated line was refused")
+           ~init:0 ~f)
+  in
+  let n = Array.length lines in
+  fold n ();
+  let fixed = words (fold 0) and total = words (fold n) in
+  let events =
+    Array.fold_left (fun acc ev -> acc + Obj.reachable_words (Obj.repr ev)) 0 out
+  in
+  (total -. fixed -. float_of_int events, n)
+
+(* Minor words per trace event through Serve at one domain: feed, route
+   and advance of a decoded trace past its first [warm] slots, slot by
+   slot, the drain included. *)
+let serve_words_per_event net trace ~warm =
+  match Serve.create ~domains:1 net with
+  | Error e -> failwith ("E34: Serve.create: " ^ e)
+  | Ok s ->
+    let early, late =
+      List.partition (fun ev -> Workload.event_time ev <= warm) trace
+    in
+    let feed = Serve.feed s in
+    List.iter feed early;
+    let w =
+      words (fun () ->
+          List.iter feed late;
+          Serve.drain s)
+    in
+    w /. float_of_int (List.length late)
+
 (* The per-plane slot checks: hard-fail on any minor word from the
-   warm Incremental churn under either discipline, the event heap or
-   the cycle gate; then warm Engine.advance words per trace event,
-   reported. *)
+   warm Incremental churn under either discipline, the event heap, the
+   cycle gate, or decoding a line beyond its event; then warm
+   Engine.advance and Serve's feed-route-advance words per trace
+   event, reported. *)
 let slot_row report ~quick (name, net, arrival, slots) =
   let fail what w =
     Printf.eprintf "E34 %s: %s allocated %.0f minor words (want 0)\n" name what w;
@@ -361,6 +424,14 @@ let slot_row report ~quick (name, net, arrival, slots) =
   let before = !served in
   let advance_words = words (fun () -> Engine.drain e) in
   let per_event = advance_words /. float_of_int (!served - before) in
+  let trace = Workload.synthesize (Prng.create seed) net ~slots ~arrival_prob:arrival in
+  let decode_words, decoded =
+    decode_extra_words
+      (Workload.synthesize ~deadline_slack:20 ~cancel_prob:0.1 ~priority_levels:3
+         (Prng.create seed) net ~slots ~arrival_prob:arrival)
+  in
+  if decode_words <> 0. then fail "decoding beyond the events" decode_words;
+  let serve_per_event = serve_words_per_event net trace ~warm:(slots / 4) in
   let case = Bench_report.case report ("slot:" ^ name) in
   Bench_report.record_count case ~name:"slot.solve_words" ~unit_:"words"
     solve_words;
@@ -378,9 +449,15 @@ let slot_row report ~quick (name, net, arrival, slots) =
      it is not a deterministic count across compiler versions. *)
   Bench_report.record_samples case ~name:"slot.advance_words_per_event"
     ~kind:Bench_report.Alloc ~unit_:"words" [| per_event |];
+  Bench_report.record_count case ~name:"slot.decode_words" ~unit_:"words"
+    decode_words;
+  Bench_report.record_samples case ~name:"slot.serve_words_per_event"
+    ~kind:Bench_report.Alloc ~unit_:"words" [| serve_per_event |];
   [ name; string_of_int rounds; Table.ffix 0 solve_words;
     Table.ffix 0 prio_words; Table.ffix 0 heap_words; Table.ffix 0 gate_words;
-    string_of_int (!served - before); Table.ffix 1 per_event ]
+    Table.ffix 0 decode_words; string_of_int (!served - before);
+    Table.ffix 1 per_event; Table.ffix 1 serve_per_event;
+    string_of_int decoded ]
 
 let run ?(quick = false) () =
   print_endline "== E34: zero-allocation CSR core on warm churn ==";
@@ -499,8 +576,8 @@ let run ?(quick = false) () =
   print_endline "  the slot around the solve, per plane of the serving benchmark:";
   Table.print
     ~header:
-      [ "plane"; "rounds"; "solve w"; "prio w"; "heap w"; "gate w"; "events";
-        "advance w/ev" ]
+      [ "plane"; "rounds"; "solve w"; "prio w"; "heap w"; "gate w"; "decode w";
+        "events"; "advance w/ev"; "serve w/ev"; "lines" ]
     (List.map
        (slot_row report ~quick)
        [ ("omega:256", Builders.omega 256, 0.12, 1100);
@@ -511,6 +588,10 @@ let run ?(quick = false) () =
   print_endline
     "   and their extraction included, event-heap adds and pops, and the";
   print_endline
-    "   cycle gate allocate 0 minor words; advance words per trace event";
-  print_endline "   are reported, not gated)";
+    "   cycle gate allocate 0 minor words, and decoding the JSONL lines";
+  print_endline
+    "   allocates 0 words beyond the events; warm advance and Serve's";
+  print_endline
+    "   feed-route-advance at one domain, words per trace event, are";
+  print_endline "   reported, not gated)";
   Printf.printf "  wrote %s\n\n" (Bench_report.write report)

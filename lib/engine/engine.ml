@@ -566,30 +566,49 @@ let arrival_error ~np ~proc ~service ~priority =
   else if priority < 0 then Some "bad priority"
   else None
 
+(* Why a trace arrival is refused, if it is. *)
+let trace_arrival_error ~np ~id ~proc ~service ~priority =
+  match arrival_error ~np ~proc ~service ~priority with
+  | Some m -> Some (m ^ " in trace")
+  | None -> if id_fits id then None else Some "task id out of range in trace"
+
 let event_error net = function
-  | Workload.Arrive { id; proc; service; priority; _ } -> (
-    match arrival_error ~np:(Network.n_procs net) ~proc ~service ~priority with
-    | Some m -> Some (m ^ " in trace")
-    | None -> if id_fits id then None else Some "task id out of range in trace")
+  | Workload.Arrive { id; proc; service; priority; _ } ->
+    trace_arrival_error ~np:(Network.n_procs net) ~id ~proc ~service ~priority
   | Workload.Cancel { id; _ } ->
     if id_fits id then None else Some "task id out of range in trace"
   | Workload.Fault { element; _ } | Workload.Repair { element; _ } ->
     if Fault.in_range net element then None
     else Some "fault element out of range"
 
-let feed t ev =
-  let time = Workload.event_time ev in
+let check_time t time =
   if time <= t.served_upto then
-    invalid_arg "Engine.feed: event at or before an already-served slot";
-  Option.iter (fun m -> invalid_arg ("Engine.feed: " ^ m)) (event_error t.net ev);
+    invalid_arg "Engine.feed: event at or before an already-served slot"
+
+let feed_arrival t ~time ~id ~proc ~service ~priority ~deadline =
+  check_time t time;
+  (match trace_arrival_error ~np:t.np ~id ~proc ~service ~priority with
+  | Some m -> invalid_arg ("Engine.feed: " ^ m)
+  | None -> ());
+  push_code t time
+    (encode K_arrive (store_arrival t ~id ~proc ~service ~priority deadline))
+
+let check_event t time ev =
+  check_time t time;
+  Option.iter (fun m -> invalid_arg ("Engine.feed: " ^ m)) (event_error t.net ev)
+
+let feed t ev =
   match ev with
   | Workload.Arrive { t = time; id; proc; service; deadline; priority } ->
-    push_code t time
-      (encode K_arrive (store_arrival t ~id ~proc ~service ~priority deadline))
-  | Workload.Cancel { t = time; id } -> push_code t time (encode K_cancel id)
+    feed_arrival t ~time ~id ~proc ~service ~priority ~deadline
+  | Workload.Cancel { t = time; id } ->
+    check_event t time ev;
+    push_code t time (encode K_cancel id)
   | Workload.Fault { t = time; clock; element } ->
+    check_event t time ev;
     push t time (Ev_fault (Fault.down_of element, clock))
   | Workload.Repair { t = time; clock = _; element } ->
+    check_event t time ev;
     (* Repairs always apply at the cycle boundary (Workload doc). *)
     push t time (Ev_fault (Fault.up_of element, None))
 
@@ -767,22 +786,21 @@ let admit_full t now ~id ~proc ~service ~priority deadline g =
        stays stable. *)
     let slack = function Some d -> d - now | None -> max_int in
     let q = t.queues.(proc) in
-    let best_id = ref (-1) in
+    (* The newcomer stands at index [Ring.length q]. *)
     let best_slack = ref (slack deadline) in
     let best_rec = ref (Ring.length q) in
     for i = 0 to Ring.length q - 1 do
-      let tid = Ring.get q i in
-      let s = slack (Hashtbl.find t.tasks tid).deadline in
+      let s = slack (Hashtbl.find t.tasks (Ring.get q i)).deadline in
       if s < !best_slack || (s = !best_slack && i > !best_rec) then begin
-        best_id := tid;
         best_slack := s;
         best_rec := i
       end
     done;
-    if !best_id = -1 then shed_one t
+    if !best_rec = Ring.length q then shed_one t
     else begin
-      Hashtbl.remove t.tasks !best_id;
-      ignore (Ring.remove q !best_id);
+      let victim = Ring.get q !best_rec in
+      Hashtbl.remove t.tasks victim;
+      ignore (Ring.remove q victim);
       shed_one t;
       admit t now ~id ~proc ~service ~priority deadline;
       (* Shedding the head changes the pending request's task: refresh
@@ -1393,10 +1411,10 @@ let counters : (string * (t -> int) * (t -> int -> unit)) list =
 let ev_to_json = function
   | Ev_arrive { id; proc; service; deadline; priority } ->
     Json.Obj
-      ([ ("ev", Json.Str "arrive"); ("id", Json.int id);
-         ("proc", Json.int proc); ("service", Json.int service);
-         ("priority", Json.int priority) ]
-      @ match deadline with None -> [] | Some d -> [ ("deadline", Json.int d) ])
+      (("ev", Json.Str "arrive") :: ("id", Json.int id)
+      :: ("proc", Json.int proc) :: ("service", Json.int service)
+      :: ("priority", Json.int priority)
+      :: (match deadline with None -> [] | Some d -> [ ("deadline", Json.int d) ]))
   | Ev_cancel id -> Json.Obj [ ("ev", Json.Str "cancel"); ("id", Json.int id) ]
   | Ev_release id ->
     Json.Obj [ ("ev", Json.Str "release"); ("id", Json.int id) ]
@@ -1465,26 +1483,41 @@ let phase_of_name = function
   | "serving" -> Serving
   | k -> D.fail "unknown task phase %S" k
 
+let int_field k v = (k, Json.int v)
+
+let in_flight_fields task tail =
+  int_field "proc" task.home :: int_field "res" task.res
+  :: int_field "committed_at" task.committed_at :: tail
+
 (* A task's facts: where it is, and what it carries there. A queued
-   task's processor is the queue that holds it. *)
-let task_to_json t (id, task) =
-  let int k v = (k, Json.int v) in
-  let in_flight = [ int "proc" task.home; int "res" task.res;
-                    int "committed_at" task.committed_at ] in
+   task's processor is the queue that holds it. The fields are consed
+   onto their tail, last first, so no list is copied. *)
+let task_to_json t id task =
+  let int = int_field in
+  let tail = if task.victim_at = none then [] else [ int "victim_at" task.victim_at ] in
+  let tail = if task.retries = 0 then tail else int "retries" task.retries :: tail in
+  let tail =
+    match task.phase with
+    | Queued -> tail
+    | Parked -> int "proc" task.home :: tail
+    | Serving -> in_flight_fields task tail
+    | Transmitting ->
+      in_flight_fields task
+        (("links", json_ints (Network.circuit_links t.net task.net_id)) :: tail)
+  in
+  let tail =
+    match task.deadline with None -> tail | Some d -> int "deadline" d :: tail
+  in
+  let phase =
+    match task.phase with
+    | Queued -> Json.Str "queued"
+    | Parked -> Json.Str "parked"
+    | Transmitting -> Json.Str "transmitting"
+    | Serving -> Json.Str "serving"
+  in
   Json.Obj
-    ([ int "id" id; ("phase", Json.Str (phase_name task.phase));
-       int "arrival" task.arrival; int "service" task.service;
-       int "priority" task.priority ]
-    @ (match task.deadline with None -> [] | Some d -> [ int "deadline" d ])
-    @ (match task.phase with
-      | Queued -> []
-      | Parked -> [ int "proc" task.home ]
-      | Serving -> in_flight
-      | Transmitting ->
-        in_flight
-        @ [ ("links", json_ints (Network.circuit_links t.net task.net_id)) ])
-    @ (if task.retries = 0 then [] else [ int "retries" task.retries ])
-    @ if task.victim_at = none then [] else [ int "victim_at" task.victim_at ])
+    (int "id" id :: ("phase", phase) :: int "arrival" task.arrival
+    :: int "service" task.service :: int "priority" task.priority :: tail)
 
 (* A fresh accumulator holds +/-infinity extremes, which the Json
    printer would turn into null — so extremes are only present when
@@ -1510,15 +1543,30 @@ let snapshot t =
     invalid_arg
       "Engine.snapshot: mid-slot token faults buffered (snapshot only between \
        slots)";
-  let down n up = List.filter (fun i -> not (up t.net i)) (List.init n Fun.id) in
-  let flagged n f = List.filter (f t.net) (List.init n Fun.id) in
-  let nl = Network.n_links t.net and nb = Network.n_boxes t.net in
-  (* The table holds exactly the queued, parked and in-flight tasks. *)
-  let tasks =
-    Hashtbl.fold (fun id task acc -> (id, task) :: acc) t.tasks []
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-    |> List.map (task_to_json t)
+  (* The indices below [n] that [keep] holds, ascending. *)
+  let indices n keep =
+    let l = ref [] in
+    for i = n - 1 downto 0 do
+      if keep t.net i then l := Json.int i :: !l
+    done;
+    Json.Arr !l
   in
+  let down n up = indices n (fun net i -> not (up net i)) in
+  let nl = Network.n_links t.net and nb = Network.n_boxes t.net in
+  (* The table holds exactly the queued, parked and in-flight tasks,
+     written by ascending id. *)
+  let ids = Array.make (Hashtbl.length t.tasks) 0 in
+  let n = ref 0 in
+  Hashtbl.iter
+    (fun id _ ->
+      ids.(!n) <- id;
+      incr n)
+    t.tasks;
+  Array.sort Int.compare ids;
+  let tasks = ref [] in
+  for k = Array.length ids - 1 downto 0 do
+    tasks := task_to_json t ids.(k) (Hashtbl.find t.tasks ids.(k)) :: !tasks
+  done;
   let heap =
     List.map
       (fun (time, seq, code) ->
@@ -1535,20 +1583,19 @@ let snapshot t =
           [ ("name", Json.Str (Network.name t.net));
             ("n_procs", Json.int t.np); ("n_res", Json.int t.nr);
             ("n_links", Json.int nl); ("n_boxes", Json.int nb);
-            ("link_down", json_ints (down nl Network.link_up));
-            ("box_down", json_ints (down nb Network.box_up));
-            ("res_down", json_ints (down t.nr Network.res_up));
-            ("link_quarantined", json_ints (flagged nl Network.link_quarantined));
-            ("box_quarantined", json_ints (flagged nb Network.box_quarantined));
-            ( "res_quarantined",
-              json_ints (flagged t.nr Network.res_quarantined) ) ] );
+            ("link_down", down nl Network.link_up);
+            ("box_down", down nb Network.box_up);
+            ("res_down", down t.nr Network.res_up);
+            ("link_quarantined", indices nl Network.link_quarantined);
+            ("box_quarantined", indices nb Network.box_quarantined);
+            ("res_quarantined", indices t.nr Network.res_quarantined) ] );
       ( "counters",
         Json.Obj (List.map (fun (k, get, _) -> (k, Json.int (get t))) counters) );
       ( "served_upto",
         if t.served_upto = min_int then Json.Null else Json.int t.served_upto );
       ("waits", accum_to_json t.waits);
       ("readmissions", accum_to_json t.readmissions);
-      ("tasks", Json.Arr tasks);
+      ("tasks", Json.Arr !tasks);
       ( "queues",
         Json.Arr
           (Array.to_list (Array.map (fun q -> json_ints (Ring.to_list q)) t.queues))

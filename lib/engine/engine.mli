@@ -264,6 +264,21 @@ val feed : t -> Rsin_sim.Workload.trace_event -> unit
     deadline or a retry left behind by the finished task is a no-op.
     {!Serve} rejects repeated ids before they reach an engine. *)
 
+val feed_arrival :
+  t ->
+  time:int ->
+  id:int ->
+  proc:int ->
+  service:int ->
+  priority:int ->
+  deadline:int option ->
+  unit
+(** [feed t (Arrive { t = time; id; proc; ... })] without the event:
+    the same checks and messages, filing the arrival straight into the
+    engine's int slab. {!feed} delegates its arrivals here, and
+    {!Serve} routes them here with their shard-local processor, so a
+    re-targeted arrival costs no new event. *)
+
 val advance : t -> upto:int -> unit
 (** Serves every queued event (and every cycle, release, completion,
     expiry... they trigger) in slots [<= upto], then remembers [upto] as

@@ -96,7 +96,8 @@ module Task_map = struct
       m.n <- m.n + 1
     end
 
-  let find m id =
+  (* The shard of [id], -1 when it is not in the map. *)
+  let shard_of m id =
     (* Binary search for the last run starting at or below [id]. *)
     let lo = ref 0 and hi = ref m.n in
     while !lo < !hi do
@@ -104,10 +105,14 @@ module Task_map = struct
       if m.runs.(3 * mid) <= id then lo := mid + 1 else hi := mid
     done;
     let i = 3 * (!lo - 1) in
-    if i >= 0 && id <= m.runs.(i) + m.runs.(i + 1) - 1 then Some m.runs.(i + 2)
-    else Hashtbl.find_opt m.stray id
+    if i >= 0 && id <= m.runs.(i) + m.runs.(i + 1) - 1 then m.runs.(i + 2)
+    else match Hashtbl.find m.stray id with s -> s | exception Not_found -> -1
 
-  let mem m id = Option.is_some (find m id)
+  let find m id =
+    let s = shard_of m id in
+    if s < 0 then None else Some s
+
+  let mem m id = shard_of m id >= 0
 
   let add m id shard =
     if id > max_id m then append m ~first:id ~count:1 ~shard
@@ -172,10 +177,18 @@ type t = {
      feeds the next one; joined before anything reads or writes an
      engine. *)
   mutable advancing : Domain_pool.batch option;
+  (* One task per shard, built once, advancing it through [!upto]; each
+     task owns its engine, so the only shared state is the pool's
+     work-stealing cursor. *)
+  upto : int ref;
+  advance : (unit -> unit) array;
   event_hook : (events:int -> time:int -> unit) option;
   start_ns : int64;
   mutable cur_slot : int;
-  mutable buffer : Workload.trace_event list;  (* current slot, reversed *)
+  (* The current slot's events, [slot.(0 .. n_slot - 1)], in feed
+     order; the array is reused from slot to slot. *)
+  mutable slot : Workload.trace_event array;
+  mutable n_slot : int;
   mutable buffering : bool;  (* false until the first event *)
   mutable events : int;
   mutable borrows : int;
@@ -219,6 +232,11 @@ let create ?(config = Engine.Config.default) ?domains ?cycle_hook ?event_hook
             Engine.create ?cycle_hook ~config part.Shard.net)
           parts
       in
+      let upto = ref min_int in
+      let advance =
+        Array.init (Array.length engines) (fun i () ->
+            Engine.advance engines.(i) ~upto:!upto)
+      in
       let link_home = Array.make (Network.n_links net) (-1, -1) in
       let box_home = Array.make (Network.n_boxes net) (-1, -1) in
       Array.iteri
@@ -239,10 +257,13 @@ let create ?(config = Engine.Config.default) ?domains ?cycle_hook ?event_hook
           slot_indexed = false;
           probes = Array.make (Array.length parts) Unprobed;
           advancing = None;
+          upto;
+          advance;
           event_hook;
           start_ns = Clock.now_ns ();
           cur_slot = min_int;
-          buffer = [];
+          slot = Array.make 64 (Workload.Cancel { t = 0; id = 0 });
+          n_slot = 0;
           buffering = false;
           events = 0;
           borrows = 0;
@@ -265,55 +286,46 @@ let headroom t s =
     t.probes.(s) <- Probed h;
     h
 
-(* Largest headroom wins; ties prefer fabric-unlimited donors, then the
-   lowest shard index. Returns the donor and its lowest idle (local)
-   processor. *)
-let pick_donor t ~home =
-  let best = ref None in
-  Array.iteri
-    (fun s _ ->
+(* --- Event routing -------------------------------------------------------- *)
+
+(* Files an arrival with its home shard, or, when the home shard has no
+   free resource, with a donor: the largest headroom wins, ties prefer
+   fabric-unlimited donors, then the lowest shard index, and the arrival
+   is re-issued at the donor's lowest idle (local) processor. No donor:
+   it stays home, starved. Allocates nothing but what the engine keeps. *)
+let route_arrival t ~time ~id ~proc ~service ~priority ~deadline =
+  let home = t.shard.Shard.shard_of_proc.(proc) in
+  let si = ref home and local = ref t.shard.Shard.local_proc.(proc) in
+  if not (Engine.has_free_resource t.engines.(home)) then begin
+    let best = ref (-1) and best_limited = ref false in
+    for s = 0 to Array.length t.engines - 1 do
       if s <> home then
         match headroom t s with
-        | None -> ()
-        | Some (headroom, fabric_limited, target) ->
-          let better =
-            match !best with
-            | None -> true
-            | Some (h, fl, _, _) ->
-              headroom > h || (headroom = h && fl && not fabric_limited)
-          in
-          if better then best := Some (headroom, fabric_limited, s, target))
-    t.engines;
-  Option.map (fun (_, _, s, target) -> (s, target)) !best
-
-(* --- Event routing -------------------------------------------------------- *)
+        | Some (h, limited, target)
+          when h > !best || (h = !best && !best_limited && not limited) ->
+          si := s;
+          local := target;
+          best := h;
+          best_limited := limited
+        | Some _ | None -> ()
+    done;
+    if !si = home then t.starved <- t.starved + 1
+    else t.borrows <- t.borrows + 1
+  end;
+  Task_map.add t.task_home id !si;
+  Engine.feed_arrival t.engines.(!si) ~time ~id ~proc:!local ~service ~priority
+    ~deadline
 
 let route t ev =
   match ev with
-  | Workload.Arrive a ->
-    let home = t.shard.Shard.shard_of_proc.(a.proc) in
-    let feed_to si proc =
-      Task_map.add t.task_home a.id si;
-      Engine.feed t.engines.(si) (Workload.Arrive { a with proc })
-    in
-    let feed_home () = feed_to home t.shard.Shard.local_proc.(a.proc) in
-    if Engine.has_free_resource t.engines.(home) then feed_home ()
-    else begin
-      match pick_donor t ~home with
-      | Some (donor, target) ->
-        t.borrows <- t.borrows + 1;
-        feed_to donor target
-      | None ->
-        t.starved <- t.starved + 1;
-        feed_home ()
-    end
-  | Workload.Cancel c -> (
+  | Workload.Arrive { t = time; id; proc; service; deadline; priority } ->
+    route_arrival t ~time ~id ~proc ~service ~priority ~deadline
+  | Workload.Cancel { id; _ } ->
     (* Cancels chase the task to wherever its arrival was routed; a
        cancel for a task we never saw, or whose arrival waits behind it
        in this slot, has nothing to withdraw. *)
-    match Task_map.find t.task_home c.id with
-    | Some si -> Engine.feed t.engines.(si) ev
-    | None -> ())
+    let si = Task_map.shard_of t.task_home id in
+    if si >= 0 then Engine.feed t.engines.(si) ev
   | Workload.Fault { t = time; clock; element }
   | Workload.Repair { t = time; clock; element } ->
     let si, element =
@@ -335,11 +347,6 @@ let route t ev =
     in
     Engine.feed t.engines.(si) ev'
 
-(* One task per shard advancing it through [upto]; each task owns its
-   engine, so the only shared state is the work-stealing cursor. *)
-let advance_tasks t ~upto =
-  Array.map (fun e () -> Engine.advance e ~upto) t.engines
-
 (* Waits for the advance in flight; an engine's exception surfaces
    here, once. *)
 let join t =
@@ -358,20 +365,22 @@ let join t =
    its later events at or before the shards' [served_upto]. *)
 let flush t =
   join t;
-  match t.buffer with
-  | [] -> ()
-  | buffered ->
-    let slot = t.cur_slot in
+  let n = t.n_slot in
+  if n > 0 then begin
     Array.fill t.probes 0 (Array.length t.probes) Unprobed;
-    let evs = List.rev buffered in
-    t.buffer <- [];
+    t.n_slot <- 0;
     if t.slot_indexed then begin
       Hashtbl.clear t.slot_ids;
       t.slot_indexed <- false
     end;
-    List.iter (route t) evs;
-    t.events <- t.events + List.length evs;
-    Option.iter (fun f -> f ~events:t.events ~time:slot) t.event_hook
+    for i = 0 to n - 1 do
+      route t t.slot.(i)
+    done;
+    t.events <- t.events + n;
+    match t.event_hook with
+    | Some f -> f ~events:t.events ~time:t.cur_slot
+    | None -> ()
+  end
 
 (* Whether [id] is routed or buffered; asked only for an id at or below
    [claimed_top]. The slot's first such question indexes its buffered
@@ -380,11 +389,11 @@ let claimed t id =
   Task_map.mem t.task_home id
   || begin
     if not t.slot_indexed then begin
-      List.iter
-        (function
-          | Workload.Arrive a -> Hashtbl.replace t.slot_ids a.id ()
-          | _ -> ())
-        t.buffer;
+      for i = 0 to t.n_slot - 1 do
+        match t.slot.(i) with
+        | Workload.Arrive a -> Hashtbl.replace t.slot_ids a.id ()
+        | Workload.Cancel _ | Workload.Fault _ | Workload.Repair _ -> ()
+      done;
       t.slot_indexed <- true
     end;
     Hashtbl.mem t.slot_ids id
@@ -415,21 +424,24 @@ let feed t ev =
        there, before anything is in flight), then let the shards run
        through [time - 1] while the caller feeds slot [time]. *)
     flush t;
-    t.advancing <-
-      Some (Domain_pool.start t.pool (advance_tasks t ~upto:(time - 1)))
+    t.upto := time - 1;
+    t.advancing <- Some (Domain_pool.start t.pool t.advance)
   end;
   (* Claimed only now, after the flush, which resets the slot's index. *)
   (match ev with
   | Workload.Arrive a ->
     if a.id > t.claimed_top then t.claimed_top <- a.id;
     if t.slot_indexed then Hashtbl.replace t.slot_ids a.id ()
-  | _ -> ());
-  if t.buffering && time = t.cur_slot then t.buffer <- ev :: t.buffer
-  else begin
-    t.buffering <- true;
-    t.cur_slot <- time;
-    t.buffer <- [ ev ]
-  end
+  | Workload.Cancel _ | Workload.Fault _ | Workload.Repair _ -> ());
+  t.buffering <- true;
+  t.cur_slot <- time;
+  if t.n_slot = Array.length t.slot then begin
+    let bigger = Array.make (2 * t.n_slot) ev in
+    Array.blit t.slot 0 bigger 0 t.n_slot;
+    t.slot <- bigger
+  end;
+  t.slot.(t.n_slot) <- ev;
+  t.n_slot <- t.n_slot + 1
 
 let drain t =
   if not t.drained then begin
@@ -545,6 +557,12 @@ let snapshot t =
      are safe — the buffer is already empty there, and nothing is in
      flight. *)
   flush t;
+  (* The document is a tree that is garbage once printed: about 130k
+     words for a 100 KB overload checkpoint, half a default minor heap.
+     Emptying the minor heap first keeps a collection from landing
+     mid-build and promoting the half-built tree, so what a checkpoint
+     costs does not hang on where the heap happened to stand. *)
+  Gc.minor ();
   Json.Obj
     [ ("schema", Json.Str checkpoint_schema);
       ("config", Engine.Config.to_json (Engine.config t.engines.(0)));

@@ -170,7 +170,13 @@ val feed : t -> Rsin_sim.Workload.trace_event -> unit
     in the task map and in the slot's buffered ids (indexed once per
     slot, on first need). A cancel is dropped when its task id was
     never fed, or when the arrival it names is buffered behind it in
-    the same slot. *)
+    the same slot.
+
+    Buffering and routing an arrival or a cancel allocate nothing: the
+    slot is buffered in an array reused from slot to slot, an arrival
+    is filed into its shard's slab through {!Engine.feed_arrival} with
+    its shard-local processor (no re-targeted copy of the event), and
+    the shards' advance tasks are built once by {!create}. *)
 
 val drain : t -> unit
 (** Flushes the last buffered slot, drains every shard in parallel, and
@@ -214,14 +220,19 @@ val abort : t -> unit
     lookup, however many tasks the instance has served. The shard
     snapshots cost what the live load costs: each engine keeps records
     only for its queued, parked and in-flight tasks
-    ({!Engine.snapshot}). *)
+    ({!Engine.snapshot}). They are built on the calling domain, one
+    after another, so what a checkpoint costs does not hang on when a
+    second domain takes up its share; the bytes are the same at every
+    domain count. *)
 
 val snapshot : t -> Rsin_util.Json.t
 (** Raises [Invalid_argument] after {!drain}/{!abort}. Safe to call
     from [event_hook] (the buffer is already flushed there). Called
     mid-slot, it routes the events buffered so far but starts no
     advance, so the slot's later events still reach shards that have
-    not served it. *)
+    not served it. Runs a minor collection ([Gc.minor]) before it
+    builds the document, so the document, garbage once printed, is
+    not promoted half-built. *)
 
 val restore :
   ?domains:int ->

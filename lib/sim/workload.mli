@@ -127,6 +127,28 @@ val trace_to_jsonl : trace_event list -> string
 type parse_error = { line : int; message : string }
 (** A malformed trace line: 1-based line number plus what was wrong. *)
 
+(** {2 The line grammar}
+
+    Each line is one JSON object with unique keys, decoded in one pass
+    that allocates only the event it returns. Keys and string values
+    are double-quoted and hold no escapes. The int fields ([t], [id],
+    [proc], [service], [deadline], [priority], [idx], [clock]) hold JSON
+    integer literals — an optional minus, no leading zero, no fraction
+    or exponent — of magnitude at most 2{^53}; [ev] and [kind] hold
+    strings. Any other key is ignored, and its value must be a string,
+    a JSON number, [true], [false] or [null]; a known key the event's
+    kind does not read is ignored unchecked. Whitespace is JSON's
+    (space, tab, CR, LF); a blank line is skipped.
+
+    A line with one bad field is reported as ["missing field "k""],
+    ["field "k" is not an integer"], ["field "k" is past +/-2^53"],
+    ["field "k" must be >= 0"] (or [>= 1] for [service]), ["unknown
+    event kind "x""] or ["unknown element kind "x""]. A line that
+    is not an object reads ["expected a {...} object"]; a member that
+    is not ["key":value] reads ["expected "key":value"]; a repeated
+    key, ["duplicate field "k""]; an unquoted [ev] or [kind], ["field
+    "k" is not a string"]. *)
+
 val fold_lines_lenient :
   (unit -> string option) ->
   on_error:(parse_error -> unit) ->
@@ -143,7 +165,13 @@ val fold_lines_lenient :
     skipped. A malformed line goes to [on_error] with its line-numbered
     {!parse_error} and is dropped; the fold runs to the end of the
     source unless [on_error] raises. The chaos harness drives this
-    directly with corrupted in-memory streams. *)
+    directly with corrupted in-memory streams. The decoder's scratch is
+    allocated once per fold, so folds on different domains share
+    nothing. *)
+
+val max_line_bytes : int
+(** 65536: the longest line {!fold_trace_channel_lenient} reads. Valid
+    lines are under 200 bytes. *)
 
 val fold_trace_channel_lenient :
   in_channel ->
@@ -155,7 +183,12 @@ val fold_trace_channel_lenient :
     malformed line is reported to [on_error] and {e dropped} — the fold
     continues with the next line instead of aborting — and a
     [Sys_error] while reading (a client disconnecting mid-line) ends
-    the stream cleanly like EOF. The robustness contract of
+    the stream cleanly like EOF. Lines are read into one reused buffer
+    and decoded where they sit, so a line costs no string: a line
+    longer than {!max_line_bytes} is reported (["line longer than 65536
+    bytes"], line-numbered) and skipped up to its newline, so a client
+    that never sends one holds the server to a fixed buffer. A last
+    line without a newline still counts. The robustness contract of
     [rsin serve]: hostile or truncated input never takes the server
     down. *)
 

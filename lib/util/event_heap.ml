@@ -86,6 +86,22 @@ let pop h =
   end;
   v
 
+let compare_slots h i j =
+  let c = Int.compare h.time.(i) h.time.(j) in
+  if c <> 0 then c
+  else
+    let c = Int.compare h.seq.(i) h.seq.(j) in
+    if c <> 0 then c else Int.compare h.value.(i) h.value.(j)
+
+(* Sorts slot numbers in place rather than a list of tuples: a
+   checkpoint lists every entry, and a list sort allocates a fresh list
+   per merge level. *)
 let entries h =
-  List.init h.size (fun i -> (h.time.(i), h.seq.(i), h.value.(i)))
-  |> List.sort compare
+  let order = Array.init h.size Fun.id in
+  Array.sort (compare_slots h) order;
+  let l = ref [] in
+  for k = h.size - 1 downto 0 do
+    let i = order.(k) in
+    l := (h.time.(i), h.seq.(i), h.value.(i)) :: !l
+  done;
+  !l

@@ -8,93 +8,162 @@ type t =
 
 (* --- printing ------------------------------------------------------------
 
-   Straight into one buffer, with nothing allocated per value: a string
-   with nothing to escape is copied whole, an integral number's digits
-   are written in place, and lists are walked without a closure. *)
+   Straight into bytes the printer grows itself, with nothing allocated
+   per value. The write position is passed from call to call rather
+   than kept in a mutable field, so it stays in a register instead of
+   costing a store and a reload per byte; each value reserves the room
+   it needs once, then writes unchecked. *)
+
+type out = { mutable bytes : Bytes.t }
+
+let grow o ~pos ~need =
+  let len = ref (2 * Bytes.length o.bytes) in
+  while pos + need > !len do len := 2 * !len done;
+  let b = Bytes.create !len in
+  Bytes.blit o.bytes 0 b 0 pos;
+  o.bytes <- b
+
+(* Room for [need] bytes at [pos]. *)
+let reserve o ~pos ~need =
+  if pos + need > Bytes.length o.bytes then grow o ~pos ~need
+
+let put_char o pos c =
+  reserve o ~pos ~need:1;
+  Bytes.unsafe_set o.bytes pos c;
+  pos + 1
+
+let put_literal o pos s =
+  let n = String.length s in
+  reserve o ~pos ~need:n;
+  Bytes.unsafe_blit_string s 0 o.bytes pos n;
+  pos + n
 
 let hex_digits = "0123456789abcdef"
 
-let add_escape b c =
+let put_pair b pos c1 c2 =
+  Bytes.unsafe_set b pos c1;
+  Bytes.unsafe_set b (pos + 1) c2;
+  pos + 2
+
+(* [c] escaped at [pos], which has room for six bytes. *)
+let put_escape b pos c =
   match c with
-  | '"' -> Buffer.add_string b "\\\""
-  | '\\' -> Buffer.add_string b "\\\\"
-  | '\n' -> Buffer.add_string b "\\n"
-  | '\t' -> Buffer.add_string b "\\t"
-  | '\r' -> Buffer.add_string b "\\r"
+  | '"' -> put_pair b pos '\\' '"'
+  | '\\' -> put_pair b pos '\\' '\\'
+  | '\n' -> put_pair b pos '\\' 'n'
+  | '\t' -> put_pair b pos '\\' 't'
+  | '\r' -> put_pair b pos '\\' 'r'
   | c ->
     (* Any other control character, as \u00XX in lowercase hex. *)
-    Buffer.add_string b "\\u00";
-    Buffer.add_char b hex_digits.[Char.code c lsr 4];
-    Buffer.add_char b hex_digits.[Char.code c land 15]
+    Bytes.unsafe_blit_string "\\u00" 0 b pos 4;
+    Bytes.unsafe_set b (pos + 4) hex_digits.[Char.code c lsr 4];
+    Bytes.unsafe_set b (pos + 5) hex_digits.[Char.code c land 15];
+    pos + 6
 
-(* Copies s.[start .. i-1] verbatim when an escape or the end is
-   reached. *)
-let rec add_escaped b s start i n =
-  if i >= n then Buffer.add_substring b s start (i - start)
-  else
+(* A string with its quotes: room for it unescaped is reserved up front,
+   and each escape reserves what it adds. *)
+let put_string o pos s =
+  let n = String.length s in
+  reserve o ~pos ~need:(n + 2);
+  Bytes.unsafe_set o.bytes pos '"';
+  let p = ref (pos + 1) in
+  for i = 0 to n - 1 do
     let c = String.unsafe_get s i in
     if c = '"' || c = '\\' || Char.code c < 0x20 then begin
-      Buffer.add_substring b s start (i - start);
-      add_escape b c;
-      add_escaped b s (i + 1) (i + 1) n
+      (* six for the escape, then the rest and the closing quote *)
+      reserve o ~pos:!p ~need:(6 + n - i);
+      p := put_escape o.bytes !p c
     end
-    else add_escaped b s start (i + 1) n
-
-let escape_string b s =
-  Buffer.add_char b '"';
-  add_escaped b s 0 0 (String.length s);
-  Buffer.add_char b '"'
-
-let rec add_digits b n =
-  if n >= 10 then add_digits b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
-
-let add_num b x =
-  match Float.classify_float x with
-  | FP_nan | FP_infinite -> Buffer.add_string b "null"
-  | _ ->
-    if Float.is_integer x && Float.abs x < 1e15 then begin
-      (* What "%.0f" prints, without the format interpreter: the value
-         is integral and below 2^53, so int_of_float is exact. *)
-      if Float.sign_bit x then Buffer.add_char b '-';
-      add_digits b (Int.abs (int_of_float x))
+    else begin
+      Bytes.unsafe_set o.bytes !p c;
+      incr p
     end
-    else Buffer.add_string b (Printf.sprintf "%.17g" x)
+  done;
+  Bytes.unsafe_set o.bytes !p '"';
+  !p + 1
 
-let rec add_value b = function
-  | Null -> Buffer.add_string b "null"
-  | Bool x -> Buffer.add_string b (if x then "true" else "false")
-  | Num x -> add_num b x
-  | Str s -> escape_string b s
-  | Arr vs ->
-    Buffer.add_char b '[';
-    add_elements b true vs;
-    Buffer.add_char b ']'
-  | Obj fields ->
-    Buffer.add_char b '{';
-    add_fields b true fields;
-    Buffer.add_char b '}'
+let rec n_digits n = if n < 10 then 1 else 1 + n_digits (n / 10)
 
-and add_elements b first = function
-  | [] -> ()
+(* The digits of [n >= 0], the last one at [p]. *)
+let rec put_digits b p n =
+  Bytes.unsafe_set b p (Char.unsafe_chr (48 + (n mod 10)));
+  if n >= 10 then put_digits b (p - 1) (n / 10)
+
+let limit = 1_000_000_000_000_000
+
+let put_num o pos x =
+  let n = int_of_float x in
+  if Float.of_int n = x && n > -limit && n < limit then begin
+    (* What "%.0f" prints, without the format interpreter: [x] is
+       integral and below 1e15 (NaN fails the test), so [n] is exact;
+       -0 keeps its sign. *)
+    reserve o ~pos ~need:16;
+    let pos =
+      if n < 0 || (n = 0 && 1. /. x < 0.) then begin
+        Bytes.unsafe_set o.bytes pos '-';
+        pos + 1
+      end
+      else pos
+    in
+    let m = abs n in
+    let stop = pos + n_digits m in
+    put_digits o.bytes (stop - 1) m;
+    stop
+  end
+  else
+    match Float.classify_float x with
+    | FP_nan | FP_infinite -> put_literal o pos "null"
+    | _ -> put_literal o pos (Printf.sprintf "%.17g" x)
+
+let rec put o pos = function
+  | Null -> put_literal o pos "null"
+  | Bool x -> put_literal o pos (if x then "true" else "false")
+  | Num x -> put_num o pos x
+  | Str s -> put_string o pos s
+  | Arr vs -> put_char o (put_elements o (put_char o pos '[') true vs) ']'
+  | Obj fields -> put_char o (put_fields o (put_char o pos '{') true fields) '}'
+
+and put_elements o pos first = function
+  | [] -> pos
   | v :: vs ->
-    if not first then Buffer.add_char b ',';
-    add_value b v;
-    add_elements b false vs
+    let pos = if first then pos else put_char o pos ',' in
+    put_elements o (put o pos v) false vs
 
-and add_fields b first = function
-  | [] -> ()
+and put_fields o pos first = function
+  | [] -> pos
   | (k, v) :: fields ->
-    if not first then Buffer.add_char b ',';
-    escape_string b k;
-    Buffer.add_char b ':';
-    add_value b v;
-    add_fields b false fields
+    let pos = if first then pos else put_char o pos ',' in
+    let pos = put_char o (put_string o pos k) ':' in
+    put_fields o (put o pos v) false fields
+
+(* Each domain prints into bytes of its own, kept from call to call, so
+   a 100 KB checkpoint costs its final copy and no doublings. The bytes
+   are taken out of their slot while in use: a call that finds the slot
+   empty (a finaliser printing in the middle of a print, say) prints
+   into bytes of its own instead. Bytes grown past [keep_bytes] are
+   given back at their initial size. *)
+let keep_bytes = 1 lsl 20
+
+let printer =
+  Domain.DLS.new_key (fun () -> ref (Some { bytes = Bytes.create 4096 }))
 
 let to_string v =
-  let b = Buffer.create 256 in
-  add_value b v;
-  Buffer.contents b
+  let slot = Domain.DLS.get printer in
+  match !slot with
+  | None ->
+    let o = { bytes = Bytes.create 256 } in
+    Bytes.sub_string o.bytes 0 (put o 0 v)
+  | Some o as kept ->
+    slot := None;
+    (match put o 0 v with
+    | n ->
+      let s = Bytes.sub_string o.bytes 0 n in
+      if Bytes.length o.bytes > keep_bytes then o.bytes <- Bytes.create 4096;
+      slot := kept;
+      s
+    | exception e ->
+      slot := kept;
+      raise e)
 
 (* --- parsing ------------------------------------------------------------- *)
 
@@ -360,7 +429,14 @@ let to_list = function Arr l -> Some l | _ -> None
 let to_obj = function Obj f -> Some f | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
-let int n = Num (float_of_int n)
+(* The values of 0 .. 4095, shared: most ints a checkpoint writes are
+   small counts, ports and slots, and a [Num] costs 4 words (the block
+   and its boxed float). Sharing is safe because [t] is immutable. *)
+let small_ints = Array.init 4096 (fun n -> Num (float_of_int n))
+
+let int n =
+  if n >= 0 && n < Array.length small_ints then Array.unsafe_get small_ints n
+  else Num (float_of_int n)
 
 module Decode = struct
   exception Error of { path : string; msg : string }

@@ -26,7 +26,8 @@ type t =
 val int : int -> t
 (** [Num] of an integer, as the checkpoint, config and report writers
     emit one. Round-trips through {!Decode.int} for magnitudes up to
-    2{^53}. *)
+    2{^53}. The values of 0 .. 4095 are preallocated and shared, so a
+    checkpoint's counts, ports and slots cost no allocation. *)
 
 val parse : string -> (t, string) result
 (** Parses one JSON document (leading/trailing whitespace allowed).
@@ -34,7 +35,10 @@ val parse : string -> (t, string) result
 
 val to_string : t -> string
 (** Compact rendering (no insignificant whitespace). Non-finite numbers
-    render as [null], as everywhere else in the repository. *)
+    render as [null], as everywhere else in the repository. Prints into
+    bytes each domain keeps from call to call, so a large document
+    costs only its final copy; safe on several domains at once and when
+    re-entered (a nested call prints into bytes of its own). *)
 
 val equal : t -> t -> bool
 (** Structural equality; object fields compare in order. *)

@@ -175,6 +175,35 @@ let test_deadline_aware_sheds_least_slack () =
   check Alcotest.int "deadline-aware completes both others" 2 da.Engine.completed;
   check Alcotest.int "drop-tail completes only the first" 1 dt.Engine.completed
 
+(* Task id -1 is an id like any other. With p0's link down no circuit
+   can leave p0, so the resident (deadline 10) and the newcomer (no
+   deadline) both wait on the bound-1 queue: deadline-aware admission
+   must shed the resident, the one with less slack, whatever its id;
+   the newcomer is left pending, and nothing expires. *)
+let test_deadline_aware_sheds_id_minus_one () =
+  let run resident =
+    let trace =
+      [ Workload.Fault { t = 0; clock = None; element = Fault.Link 0 };
+        Workload.Arrive { t = 0; id = resident; proc = 0; service = 2;
+                          deadline = Some 10; priority = 0 };
+        Workload.Arrive { t = 1; id = 5; proc = 0; service = 2; deadline = None;
+                          priority = 0 } ]
+    in
+    let policy =
+      Policy.v ~queue_bound:1 ~shed_policy:Policy.Deadline_aware ()
+    in
+    Engine.run ~config:(Engine.Config.v ~guard:(Some policy) ()) (Builders.omega 4)
+      trace
+  in
+  List.iter
+    (fun resident ->
+      let r = run resident in
+      let what = Printf.sprintf "resident id %d" resident in
+      check Alcotest.int (what ^ ": one shed") 1 r.Engine.shed;
+      check Alcotest.int (what ^ ": nothing expires") 0 r.Engine.expired;
+      check Alcotest.int (what ^ ": the newcomer waits") 1 r.Engine.left_pending)
+    [ 4; -1 ]
+
 let fault_trace net ~slots ~seed =
   let trace =
     Workload.synthesize ~mean_service:4.0 (Prng.create seed) net ~slots
@@ -1138,6 +1167,8 @@ let suite =
     Alcotest.test_case "admission sheds under overload" `Quick test_admission_sheds;
     Alcotest.test_case "deadline-aware shedding" `Quick
       test_deadline_aware_sheds_least_slack;
+    Alcotest.test_case "deadline-aware sheds a resident whose id is -1" `Quick
+      test_deadline_aware_sheds_id_minus_one;
     Alcotest.test_case "retry budget gives up" `Quick test_retry_budget_gives_up;
     Alcotest.test_case "flap quarantine counts" `Quick test_quarantine_counts;
     Alcotest.test_case "guard off is legacy" `Quick test_guard_off_is_legacy;

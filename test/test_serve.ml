@@ -1083,6 +1083,40 @@ let test_serve_mid_slot_snapshot () =
         true (report = report'))
     [ 1; 2 ]
 
+(* A checkpoint's bytes must not depend on the domain count. The
+   serving benchmark's overload configuration
+   (four omega:32 planes, priorities, deadlines, cancels, faults, a
+   shedding, quarantining guard), checkpointed from the event hook every
+   25 slots as the benchmark does every 50. *)
+let test_snapshot_bytes_every_domain_count () =
+  let net = Builders.multiplane ~planes:4 (Builders.omega 32) in
+  let trace = probe_trace net ~seed:3 in
+  let checkpoints domains =
+    let out = ref [] and inst = ref None in
+    let event_hook ~events:_ ~time =
+      if time > 0 && time mod 25 = 0 then
+        out := Json.to_string (Serve.snapshot (Option.get !inst)) :: !out
+    in
+    match
+      Serve.create ~config:(probe_config Engine.Priority) ~domains ~event_hook net
+    with
+    | Error e -> Alcotest.fail e
+    | Ok t ->
+      inst := Some t;
+      List.iter (Serve.feed t) trace;
+      Serve.drain t;
+      List.rev !out
+  in
+  let one = checkpoints 1 in
+  check Alcotest.bool "several checkpoints" true (List.length one >= 4);
+  List.iter
+    (fun domains ->
+      check
+        Alcotest.(list string)
+        (Printf.sprintf "domains %d: the same bytes" domains)
+        one (checkpoints domains))
+    [ 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "multiplane shape and isolation" `Quick
@@ -1130,4 +1164,6 @@ let suite =
       test_serve_engine_exception;
     Alcotest.test_case "mid-slot snapshot changes nothing" `Quick
       test_serve_mid_slot_snapshot;
+    Alcotest.test_case "checkpoint bytes at every domain count" `Quick
+      test_snapshot_bytes_every_domain_count;
   ]

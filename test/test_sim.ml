@@ -434,6 +434,493 @@ let import_fuzz =
         | exception _ -> false
       end)
 
+(* The channel reader holds a line to [max_line_bytes]: a longer one is
+   reported with its number and skipped up to its newline, the lines
+   after it keep their numbers, a line of exactly the cap and a CRLF
+   line still read, and a last line without a newline counts. A channel
+   that fails to read ends the stream like end of file. *)
+let test_channel_line_cap () =
+  let cap = Workload.max_line_bytes in
+  let line id =
+    Printf.sprintf "{\"t\":0,\"ev\":\"arrive\",\"id\":%d,\"proc\":1,\"service\":2}" id
+  in
+  let pad l n = l ^ String.make (n - String.length l) ' ' in
+  let text =
+    String.concat "\n"
+      [ line 1; String.make (cap + 1) 'x'; line 3 ^ "\r"; pad (line 4) cap;
+        pad (line 5) (cap + 1); String.make (3 * cap) 'y'; ""; line 8 ]
+  in
+  let fold ic =
+    let errors = ref [] in
+    let ids =
+      Workload.fold_trace_channel_lenient ic
+        ~on_error:(fun e -> errors := e :: !errors)
+        ~init:[]
+        ~f:(fun acc ev -> Workload.event_id ev :: acc)
+    in
+    (List.rev ids, List.rev !errors)
+  in
+  let file = Filename.temp_file "rsin_line_cap" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc -> output_string oc text);
+      let ids, errors = In_channel.with_open_bin file fold in
+      check Alcotest.(list int) "the lines served" [ 1; 3; 4; 8 ] ids;
+      check Alcotest.(list int) "the lines dropped" [ 2; 5; 6 ]
+        (List.map (fun e -> e.Workload.line) errors);
+      List.iter
+        (fun e ->
+          check Alcotest.string "message"
+            (Printf.sprintf "line longer than %d bytes" cap)
+            e.Workload.message)
+        errors;
+      let ic = open_in_bin file in
+      close_in ic;
+      check Alcotest.(list int) "a failing channel is an empty stream" [] (fst (fold ic)))
+
+(* --- The one-pass decoder against the parser it replaced ------------------ *)
+
+(* The split-and-assoc-list parser the one-pass decoder replaced, moved
+   here verbatim as the reference of the differential tests below. *)
+module Reference = struct
+  open Workload
+  module Fault = Rsin_fault.Fault
+
+  exception Malformed of int * string
+
+  (* Minimal parser for the flat one-object-per-line format above: no
+     nesting, values are ints or quoted strings without escapes. *)
+  let parse_fields line lineno =
+    let fail msg = raise (Malformed (lineno, msg)) in
+    let line = String.trim line in
+    let n = String.length line in
+    if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then
+      fail "expected a {...} object";
+    let body = String.sub line 1 (n - 2) in
+    if String.trim body = "" then []
+    else
+      String.split_on_char ',' body
+      |> List.map (fun field ->
+             match String.index_opt field ':' with
+             | None -> fail "expected \"key\":value"
+             | Some i ->
+               let key = String.trim (String.sub field 0 i) in
+               let value =
+                 String.trim (String.sub field (i + 1) (String.length field - i - 1))
+               in
+               let unquote s =
+                 let l = String.length s in
+                 if l >= 2 && s.[0] = '"' && s.[l - 1] = '"' then
+                   String.sub s 1 (l - 2)
+                 else s
+               in
+               (unquote key, unquote value))
+
+  (* Checkpoints write ints as JSON numbers, which hold every integer up
+     to 2^53 exactly and no more (Json.to_int): an id past it would be
+     written as another task's. *)
+  let max_exact_int = 1 lsl 53
+
+  let int_value lineno k v =
+    match int_of_string_opt v with
+    | Some n when n >= -max_exact_int && n <= max_exact_int -> n
+    | Some _ ->
+      raise (Malformed (lineno, Printf.sprintf "field %S is past +/-2^53" k))
+    | None ->
+      raise (Malformed (lineno, Printf.sprintf "field %S is not an integer" k))
+
+  let opt_int_field lineno fields k =
+    match List.assoc_opt k fields with
+    | None -> None
+    | Some v -> Some (int_value lineno k v)
+
+  let parse_line lineno line =
+    let fields = parse_fields line lineno in
+    let fail msg = raise (Malformed (lineno, msg)) in
+    let int_field k =
+      match List.assoc_opt k fields with
+      | None -> fail (Printf.sprintf "missing field %S" k)
+      | Some v -> int_value lineno k v
+    in
+    match List.assoc_opt "ev" fields with
+    | Some "arrive" ->
+      let service = int_field "service" in
+      if service < 1 then fail "field \"service\" must be >= 1";
+      let proc = int_field "proc" in
+      if proc < 0 then fail "field \"proc\" must be >= 0";
+      let priority =
+        match opt_int_field lineno fields "priority" with
+        | None -> 0
+        | Some y when y >= 0 -> y
+        | Some _ -> fail "field \"priority\" must be >= 0"
+      in
+      [ Arrive
+          { t = int_field "t"; id = int_field "id"; proc; service;
+            deadline = opt_int_field lineno fields "deadline"; priority } ]
+    | Some "cancel" -> [ Cancel { t = int_field "t"; id = int_field "id" } ]
+    | Some (("fault" | "repair") as which) ->
+      let idx = int_field "idx" in
+      if idx < 0 then fail "field \"idx\" must be >= 0";
+      let element =
+        match List.assoc_opt "kind" fields with
+        | Some "link" -> Fault.Link idx
+        | Some "box" -> Fault.Box idx
+        | Some "res" -> Fault.Res idx
+        | Some other -> fail (Printf.sprintf "unknown element kind %S" other)
+        | None -> fail "missing field \"kind\""
+      in
+      let clock =
+        match opt_int_field lineno fields "clock" with
+        | Some c when c < 0 -> fail "field \"clock\" must be >= 0"
+        | clock -> clock
+      in
+      let t = int_field "t" in
+      if which = "fault" then [ Fault { t; clock; element } ]
+      else [ Repair { t; clock; element } ]
+    | Some other -> fail (Printf.sprintf "unknown event kind %S" other)
+    | None -> fail "missing field \"ev\""
+
+  (* The streaming core under every reader: pull lines one at a time from
+     [next_line], parse, fold. Constant memory in the input length — the
+     accumulator is whatever the caller builds — and events are delivered
+     in file order, so a serve loop can act on each line as it arrives.
+     A malformed line is handed to [on_error] and dropped instead of
+     aborting the whole stream — a serve socket must survive hostile or
+     truncated input; the strict readers below stop by raising out of
+     [on_error]. *)
+  let fold_lines_lenient next_line ~on_error ~init ~f =
+    let rec go lineno acc =
+      match next_line () with
+      | None -> acc
+      | Some line ->
+        let lineno = lineno + 1 in
+        if String.trim line = "" then go lineno acc
+        else (
+          match
+            try parse_line lineno line with
+            | Malformed _ as e -> raise e
+            | e -> raise (Malformed (lineno, Printexc.to_string e))
+          with
+          | events -> go lineno (List.fold_left f acc events)
+          | exception Malformed (line, message) ->
+            on_error { line; message };
+            go lineno acc)
+    in
+    go 0 init
+end
+
+(* Every non-blank line of [text] under one fold: its line number and
+   its event or message. *)
+let fold_results fold text =
+  let lines = String.split_on_char '\n' text in
+  let cursor = ref lines and lineno = ref 0 in
+  let next () =
+    match !cursor with
+    | [] -> None
+    | l :: rest ->
+      cursor := rest;
+      incr lineno;
+      Some l
+  in
+  let out = ref [] in
+  fold next
+    ~on_error:(fun { Workload.line; message } -> out := (line, Error message) :: !out)
+    ~init:()
+    ~f:(fun () ev -> out := (!lineno, Ok ev) :: !out);
+  List.rev !out
+
+let decoder_results =
+  fold_results (fun next ~on_error ~init ~f ->
+      Workload.fold_lines_lenient next ~on_error ~init ~f)
+
+let reference_results =
+  fold_results (fun next ~on_error ~init ~f ->
+      Reference.fold_lines_lenient next ~on_error ~init ~f)
+
+let int_keys = [ "t"; "id"; "proc"; "service"; "deadline"; "priority"; "idx"; "clock" ]
+
+(* A JSON integer literal, as the decoder reads an int field. *)
+let json_int v =
+  let n = String.length v in
+  let d = if n > 0 && v.[0] = '-' then 1 else 0 in
+  n > d
+  && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub v d (n - d))
+  && not (v.[d] = '0' && n > d + 1)
+
+let json_scalar v =
+  v = "true" || v = "false" || v = "null"
+  || (match Rsin_util.Json.parse v with Ok (Rsin_util.Json.Num _) -> true | _ -> false)
+
+let clean_quoted s =
+  let n = String.length s in
+  n >= 2 && s.[0] = '"' && s.[n - 1] = '"'
+  && not (String.exists (fun c -> c = '"' || c = '\\') (String.sub s 1 (n - 2)))
+
+(* Why the split parser and the decoder may disagree on a line, from the
+   split parser's own view of it (its trimmed pieces): the changes the
+   stricter grammar made on purpose. Empty when none applies. *)
+let grammar_changes line =
+  let classes = ref [] in
+  let add c = if not (List.mem c !classes) then classes := c :: !classes in
+  if String.contains line '\012' then add "form feed as whitespace";
+  (* a comma inside a string cut the split parser's field in two *)
+  let quoted = ref false in
+  String.iter
+    (fun c ->
+      if c = '"' then quoted := not !quoted
+      else if c = ',' && !quoted then add "comma inside a string")
+    line;
+  let l = String.trim line in
+  let n = String.length l in
+  if n >= 2 && l.[0] = '{' && l.[n - 1] = '}' then begin
+    let body = String.sub l 1 (n - 2) in
+    let pieces = if String.trim body = "" then [] else String.split_on_char ',' body in
+    let keys =
+      List.filter_map
+        (fun p ->
+          match String.index_opt p ':' with
+          | None -> None
+          | Some i ->
+            let k = String.trim (String.sub p 0 i) in
+            let v = String.trim (String.sub p (i + 1) (String.length p - i - 1)) in
+            if not (clean_quoted k) then add "unquoted or malformed key";
+            let key = if clean_quoted k then String.sub k 1 (String.length k - 2) else k in
+            if String.contains k '\\' || String.contains v '\\' then add "backslash";
+            let quoted_v = clean_quoted v in
+            if List.mem key int_keys then begin
+              if String.length v > 0 && v.[0] = '"' then add "quoted int"
+              else if (not (json_int v)) && int_of_string_opt v <> None then
+                add "int_of_string literal (0x, 0o, 0b, _, +, leading zero)"
+            end
+            else if key = "ev" || key = "kind" then begin
+              if not quoted_v then add "unquoted string"
+            end
+            else if not (quoted_v || json_scalar v) then add "value not a JSON scalar";
+            Some key)
+        pieces
+    in
+    if List.length (List.sort_uniq compare keys) <> List.length keys then
+      add "duplicate key"
+  end;
+  !classes
+
+(* Mutations of one generated line: bytes flipped, truncated, fields
+   duplicated, reordered or added, whitespace inserted, ints quoted or
+   written in int_of_string's other forms. *)
+let mutate_line rng line =
+  let n = String.length line in
+  let fields () =
+    if n < 2 then [] else String.split_on_char ',' (String.sub line 1 (n - 2))
+  in
+  let join fs = "{" ^ String.concat "," fs ^ "}" in
+  let pick l = List.nth l (Prng.int rng (List.length l)) in
+  let at i s = String.sub line 0 i ^ s ^ String.sub line i (n - i) in
+  let rewrite_int f =
+    (* the value of one field whose value is an int *)
+    let fs = fields () in
+    let ints =
+      List.filter
+        (fun fld ->
+          match String.index_opt fld ':' with
+          | Some i -> int_of_string_opt (String.sub fld (i + 1) (String.length fld - i - 1)) <> None
+          | None -> false)
+        fs
+    in
+    if ints = [] then line
+    else
+      let target = pick ints in
+      join
+        (List.map
+           (fun fld ->
+             if fld == target then
+               let i = String.index fld ':' in
+               String.sub fld 0 (i + 1)
+               ^ f (String.sub fld (i + 1) (String.length fld - i - 1))
+             else fld)
+           fs)
+  in
+  if n = 0 then line
+  else
+    match Prng.int rng 8 with
+    | 0 ->
+      let b = Bytes.of_string line in
+      Bytes.set b (Prng.int rng n) (Char.chr (Prng.int rng 256));
+      Bytes.to_string b
+    | 1 -> String.sub line 0 (Prng.int rng n)
+    | 2 -> (
+      match fields () with [] -> line | fs -> join (fs @ [ pick fs ]))
+    | 3 ->
+      let fs = Array.of_list (fields ()) in
+      Prng.shuffle rng fs;
+      join (Array.to_list fs)
+    | 4 -> at (Prng.int rng (n + 1)) (pick [ " "; "\t"; "\r"; "\012"; "  " ])
+    | 5 -> rewrite_int (fun v -> "\"" ^ v ^ "\"")
+    | 6 ->
+      rewrite_int (fun v ->
+          match (int_of_string_opt v, Prng.int rng 4) with
+          | Some k, 0 when k >= 0 -> Printf.sprintf "0x%x" k
+          | _, 1 -> "+" ^ v
+          | _, 2 -> "0" ^ v
+          | _ -> if String.length v > 1 then String.sub v 0 1 ^ "_" ^ String.sub v 1 (String.length v - 1) else v ^ ".0")
+    | _ ->
+      let v = pick [ "1"; "-2.5e3"; "\"x\""; "true"; "null"; "abc"; "[1]"; "0x1" ] in
+      at (n - 1) (Printf.sprintf ",\"k%d\":%s" (Prng.int rng 3) v)
+
+(* Every line [trace_to_jsonl] emits — deadlines, cancels, priorities,
+   clocked faults and repairs — and mutations of them, through both
+   folds: where both accept, the same event on the same line; where
+   only one does, a change the stricter grammar made on purpose. *)
+let decoder_differential =
+  qtest "decoder = split parser, but for the grammar's listed changes" ~count:200
+    QCheck.small_int (fun seed ->
+      let rng = Prng.create (seed + 9100) in
+      let net = Builders.omega 8 in
+      let base =
+        Workload.synthesize ~deadline_slack:20 ~cancel_prob:0.2 ~priority_levels:3
+          (Prng.create seed) net ~slots:15 ~arrival_prob:0.4
+      in
+      let sched =
+        Rsin_fault.Fault.inject_clocked (Prng.create seed) net ~horizon:15
+          ~mtbf:20. ~mttr:8. ~clock_range:16
+      in
+      let trace = Workload.sort_trace (base @ Workload.fault_events_clocked sched) in
+      let lines = String.split_on_char '\n' (Workload.trace_to_jsonl trace) in
+      let lines =
+        List.map
+          (fun l ->
+            if Prng.int rng 2 = 0 then l
+            else begin
+              let l = ref l in
+              for _ = 1 to 1 + Prng.int rng 2 do
+                l := mutate_line rng !l
+              done;
+              !l
+            end)
+          lines
+      in
+      let text = String.concat "\n" lines in
+      let mine = decoder_results text and theirs = reference_results text in
+      let line_of k = List.nth (String.split_on_char '\n' text) (k - 1) in
+      let lines_of r = List.map fst r in
+      List.for_all
+        (fun k ->
+          match (List.assoc_opt k mine, List.assoc_opt k theirs) with
+          | Some (Ok a), Some (Ok b) -> a = b
+          | Some (Error _), Some (Error _) | None, None -> true
+          | _ ->
+            grammar_changes (line_of k) <> []
+            || QCheck.Test.fail_reportf "line %d %S: decoder %s, split parser %s" k
+                 (line_of k)
+                 (match List.assoc_opt k mine with
+                 | Some (Ok _) -> "accepts" | Some (Error m) -> m | None -> "skips")
+                 (match List.assoc_opt k theirs with
+                 | Some (Ok _) -> "accepts" | Some (Error m) -> m | None -> "skips"))
+        (List.sort_uniq compare (lines_of mine @ lines_of theirs)))
+
+(* A line with one bad field gets the message the split parser gave. *)
+let test_decoder_messages () =
+  let arrive = "{\"t\":3,\"ev\":\"arrive\",\"id\":7,\"proc\":1,\"service\":2,\"deadline\":9,\"priority\":1}" in
+  let fault = "{\"t\":3,\"ev\":\"fault\",\"kind\":\"link\",\"idx\":4,\"clock\":2}" in
+  let cancel = "{\"t\":3,\"ev\":\"cancel\",\"id\":7}" in
+  let set line key v =
+    (* [line] with [key]'s value replaced by [v], or dropped when [v] is
+       None *)
+    let fs = String.split_on_char ',' (String.sub line 1 (String.length line - 2)) in
+    let pre = Printf.sprintf "\"%s\":" key in
+    let fs =
+      List.filter_map
+        (fun f ->
+          if String.length f >= String.length pre
+             && String.sub f 0 (String.length pre) = pre
+          then Option.map (fun v -> pre ^ v) v
+          else Some f)
+        fs
+    in
+    "{" ^ String.concat "," fs ^ "}"
+  in
+  let cases =
+    List.concat_map
+      (fun (line, keys) ->
+        List.concat_map
+          (fun k ->
+            [ set line k None; set line k (Some "1.5"); set line k (Some "-1");
+              set line k (Some "0"); set line k (Some "\"x\"");
+              set line k (Some "9007199254740993"); set line k (Some "[1]") ])
+          keys)
+      [ (arrive, [ "t"; "id"; "proc"; "service"; "deadline"; "priority" ]);
+        (fault, [ "t"; "idx"; "clock" ]); (cancel, [ "t"; "id" ]) ]
+    @ [ set arrive "ev" (Some "\"warp\""); set arrive "ev" None;
+        set fault "kind" (Some "\"lonk\""); set fault "kind" None;
+        "not json"; "{}"; "{\"t\":1"; "[]"; "{\"t\"}"; "{\"t\":1,}" ]
+  in
+  List.iter
+    (fun line ->
+      match (decoder_results line, reference_results line) with
+      | [ (_, Error m) ], [ (_, Error m') ] -> check Alcotest.string line m' m
+      | [ (_, Ok a) ], [ (_, Ok b) ] -> check Alcotest.bool line true (a = b)
+      | _ -> Alcotest.failf "%s: the decoder and the split parser disagree" line)
+    cases
+
+(* Decoding allocates the event it returns and nothing else: the fold's
+   scratch is allocated once, and no line costs a word beyond its
+   event's own blocks. *)
+let test_decoder_allocates_only_events () =
+  let net = Builders.omega 8 in
+  let trace =
+    Workload.sort_trace
+      (Workload.synthesize ~deadline_slack:20 ~cancel_prob:0.2 ~priority_levels:3
+         (Prng.create 3) net ~slots:40 ~arrival_prob:0.4
+      @ Workload.fault_events_clocked
+          (Rsin_fault.Fault.inject_clocked (Prng.create 3) net ~horizon:40
+             ~mtbf:20. ~mttr:8. ~clock_range:16))
+  in
+  let lines =
+    Workload.trace_to_jsonl trace |> String.split_on_char '\n'
+    |> List.filter (( <> ) "") |> List.map Option.some |> Array.of_list
+  in
+  let out = Array.make (Array.length lines) (Workload.Cancel { t = 0; id = 0 }) in
+  let fold k =
+    let i = ref 0 in
+    let next () =
+      if !i < k then begin
+        let l = lines.(!i) in
+        incr i;
+        l
+      end
+      else None
+    in
+    let f j ev =
+      out.(j) <- ev;
+      j + 1
+    in
+    fun () ->
+      ignore
+        (Workload.fold_lines_lenient next
+           ~on_error:(fun _ -> Alcotest.fail "a generated line was refused")
+           ~init:0 ~f)
+  in
+  let words f =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    f ();
+    let c = Gc.minor_words () in
+    c -. b -. (b -. a)
+  in
+  let n = Array.length lines in
+  let empty = fold 0 and full = fold n in
+  empty ();
+  full ();
+  let fixed = words (fold 0) and total = words (fold n) in
+  let events =
+    Array.fold_left (fun acc ev -> acc + Obj.reachable_words (Obj.repr ev)) 0 out
+  in
+  check Alcotest.bool "some faults and deadlines" true
+    (Array.exists (function Workload.Fault _ -> true | _ -> false) out
+    && Array.exists (function Workload.Arrive { deadline = Some _; _ } -> true | _ -> false) out);
+  check (Alcotest.float 0.) "words beyond the events'" 0.
+    (total -. fixed -. float_of_int events)
+
 let suite =
   [
     Alcotest.test_case "snapshot bounds" `Quick test_snapshot_bounds;
@@ -447,6 +934,12 @@ let suite =
     Alcotest.test_case "clocked fault roundtrip" `Quick
       test_clocked_fault_roundtrip;
     import_fuzz;
+    decoder_differential;
+    Alcotest.test_case "decoder keeps the split parser's messages" `Quick
+      test_decoder_messages;
+    Alcotest.test_case "decoder allocates only the events" `Quick
+      test_decoder_allocates_only_events;
+    Alcotest.test_case "channel reader caps a line" `Quick test_channel_line_cap;
     Alcotest.test_case "snapshot density" `Quick test_snapshot_density;
     Alcotest.test_case "snapshot extremes" `Quick test_snapshot_extremes;
     Alcotest.test_case "preoccupy" `Quick test_preoccupy;

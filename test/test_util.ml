@@ -815,6 +815,73 @@ let json_printer_matches_reference =
     (QCheck.make ~print:reference_to_string printer_gen)
     (fun j -> Json.to_string j = reference_to_string j)
 
+(* Shared small ints print what fresh ones would: [Json.int] hands out
+   preallocated values for 0 .. 4095 and builds the rest. *)
+let test_json_int_shared () =
+  List.iter
+    (fun n ->
+      check Alcotest.bool (string_of_int n) true
+        (Json.equal (Json.int n) (Json.Num (float_of_int n))))
+    [ min_int; -1; 0; 1; 4095; 4096; 1 lsl 53 ];
+  check Alcotest.bool "shared" true (Json.int 17 == Json.int 17)
+
+let printer_doc k =
+  Json.Obj
+    [ ("k", Json.int k); ("s", Json.Str (String.make (k mod 97) 'x'));
+      ("a", Json.Arr (List.init (k mod 41) (fun i -> Json.int (i * 4093))));
+      ("f", Json.Num (float_of_int k /. 7.)) ]
+
+(* The printer prints into one buffer per domain, kept from call to
+   call. A string it returned is never written again; a document
+   holding an earlier result prints whole; a call made while a print is
+   under way on the same domain (a signal handler run at one of its
+   allocations) prints into a buffer of its own, and the print it
+   interrupted carries on unharmed. *)
+let test_json_printer_reentrant () =
+  let a = Json.to_string (printer_doc 7) in
+  let b = Json.to_string (printer_doc 300) in
+  check Alcotest.string "an earlier result stands" (reference_to_string (printer_doc 7)) a;
+  check Alcotest.string "the later one" (reference_to_string (printer_doc 300)) b;
+  let nested = Json.Arr [ Json.Str a; printer_doc 3; Json.Str b ] in
+  check Alcotest.string "nested" (reference_to_string nested) (Json.to_string nested);
+  let big = Json.Arr (List.init 10_000 (fun i -> printer_doc i)) in
+  let want = reference_to_string big in
+  let printing = ref false and inside = ref 0 and wrong = ref 0 in
+  let handler _ =
+    if !printing then incr inside;
+    let k = !inside + 11 in
+    if Json.to_string (printer_doc k) <> reference_to_string (printer_doc k) then
+      incr wrong
+  in
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle handler) in
+  let tick = { Unix.it_interval = 0.0002; it_value = 0.0002 } in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value = 0. });
+      Sys.set_signal Sys.sigalrm old)
+    (fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL tick);
+      for _ = 1 to 5 do
+        printing := true;
+        let s = Json.to_string big in
+        printing := false;
+        if s <> want then incr wrong
+      done);
+  check Alcotest.int "every print right" 0 !wrong;
+  check Alcotest.bool "some print ran inside another" true (!inside > 0)
+
+(* Two domains printing at once each use their own buffer. *)
+let test_json_printer_two_domains () =
+  let run base () =
+    List.for_all
+      (fun k -> Json.to_string (printer_doc k) = reference_to_string (printer_doc k))
+      (List.init 300 (fun i -> base + i))
+  in
+  let other = Domain.spawn (run 1000) in
+  let mine = run 0 () in
+  check Alcotest.bool "this domain" true mine;
+  check Alcotest.bool "the other domain" true (Domain.join other)
+
 let suite =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -867,4 +934,8 @@ let suite =
       test_json_integers_match_printf;
     json_integers_random;
     json_printer_matches_reference;
+    Alcotest.test_case "json ints below 4096 are shared" `Quick test_json_int_shared;
+    Alcotest.test_case "json printer re-entered" `Quick test_json_printer_reentrant;
+    Alcotest.test_case "json printer on two domains" `Quick
+      test_json_printer_two_domains;
   ]
