@@ -1,40 +1,40 @@
 (* E34: the zero-allocation CSR flow core on warm scheduling churn.
 
-   The core serves a deterministic churn schedule over a compile_full
-   network — endpoint enables, one warm augmentation, a commit freezing
-   the new circuits, and a periodic release-all — the exact cycle shape
-   of the online engine. The bench records wall time and minor-heap
-   words, checks every round's committed units against a from-scratch
-   solve (Dinic.max_flow, or Mincost.min_cost_max_flow with the cost as
-   well) of a snapshot graph with the same endpoint state and the
-   committed circuits' links taken out, and proves the headline claim
-   with a calibrated Gc.minor_words measurement: one full CSR warm
-   period — enables, solves, commits, release — performs exactly zero
-   minor-heap allocation, including on the 1024-port network. Each
-   period also runs the borrowing what-if the serving router asks a
-   donor shard (Incremental.headroom): switch the uncommitted source
-   arcs over, augment, test the cut for fabric links, roll back and
-   switch back. Its value and cut are checked against a from-scratch
-   solve and min cut, the rounds after it against their own references
-   (the probe must leave no trace), and it sits inside the measured
-   zero-allocation period.
+   A warm Incremental serves a deterministic churn schedule on a
+   compile_full network in the online engine's cycle shape: switch
+   every endpoint no circuit holds to its target, solve (extraction
+   into the per-processor slots included), once per period ask a
+   borrowing what-if (Incremental.headroom, the probe the serving
+   router sends a donor shard), and release each circuit at the
+   period's end. The bench records wall time and minor-heap words, and
+   checks, untimed, every round against a from-scratch solve of its
+   pre-solve snapshot with the committed circuits' links taken out:
+   the committed count (Dinic.max_flow), and under the Priority
+   discipline the total served priority as well (Mincost at cost
+   -priority). Each what-if's value and cut are checked against a
+   from-scratch solve and min cut, and the rounds after it against
+   their own references: the probe must leave no trace. A calibrated
+   Gc.minor_words measurement proves the headline claim: one full warm
+   period — switches, solves, what-if, releases — performs exactly zero
+   minor-heap allocation, including on the 1024-port network.
 
    The slot around the solve is held to the same bar on omega:256 and
    omega:16, the planes of the serving benchmark's steady and sparse
-   workloads. A warm Incremental churn (endpoint switches, solves with
-   their one-pass extraction into the per-processor slots, releases),
-   once under each discipline (Priority solves one class at a time), a
-   warm run of adds and pops on the engine's event heap, and the cycle
-   gate read from the engine's kept pending and free counts must each
-   allocate 0 minor words, or the bench fails; so must decoding the
-   plane's JSONL trace (deadlines, cancels and priorities included)
-   through Workload.fold_lines_lenient, beyond the words of the events
-   it returns. Warm Engine.advance is then measured in minor words per
-   trace event (the event hook's count: arrivals, cancels, faults and
-   repairs) on both planes and reported, not gated: task records, the
-   live-circuit table and the links handed to Network.establish still
-   allocate. Beside it, the same trace fed, routed and advanced through
-   Serve at one domain, in words per trace event.
+   workloads. The same churn, once under each discipline (Priority
+   solves one class at a time), a warm run of adds and pops on the
+   engine's event heap, and the cycle gate read from the engine's kept
+   pending and free counts must each allocate 0 minor words, or the
+   bench fails; so must decoding the plane's JSONL trace (deadlines,
+   cancels and priorities included) through Workload.fold_lines_lenient,
+   beyond the words of the events it returns, and a Domain_pool
+   start/finish round trip over a reused task array, on the calling
+   domain, at pool sizes 1 and 2. Warm Engine.advance is then measured
+   in minor words per trace event (the event hook's count: arrivals,
+   cancels, faults and repairs) on both planes and reported, not gated:
+   task records, the live-circuit table and the links handed to
+   Network.establish still allocate. Beside it, the same trace fed,
+   routed and advanced through Serve at one domain, in words per trace
+   event.
 
    The structured report lands in BENCH_csr.json for the [rsin perf]
    regression gate. *)
@@ -45,6 +45,7 @@ module Engine = Rsin_engine.Engine
 module Serve = Rsin_engine.Serve
 module Workload = Rsin_sim.Workload
 module Event_heap = Rsin_util.Event_heap
+module Domain_pool = Rsin_util.Domain_pool
 module Dinic = Rsin_flow.Dinic
 module Edmonds_karp = Rsin_flow.Edmonds_karp
 module Mincost = Rsin_flow.Mincost
@@ -58,16 +59,17 @@ module Bench_report = Rsin_obs.Bench_report
 let seed = 34
 
 (* A deterministic endpoint-churn schedule of [periods] x [period_len]
-   rounds. The opening round of each period re-randomizes every endpoint
-   (the graph is clean right after the release-all that closed the
-   previous period); later rounds only *enable* further endpoints — a
-   disable could land on an arc frozen under a live circuit.
-   targets.(round).(i) is -1 (leave), 0 (off) or 1 (on). *)
+   rounds, and each processor's priority. The opening round of each
+   period re-randomizes every endpoint (no circuit is held right after
+   the releases that closed the previous period); later rounds only
+   *enable* further endpoints. targets.(round).(i) is -1 (leave), 0
+   (off) or 1 (on). *)
 type schedule = {
   rounds : int;
   period_len : int;
   proc_t : int array array;
   res_t : int array array;
+  prio : int array;
 }
 
 let make_schedule rng ~np ~nr ~periods ~period_len =
@@ -78,153 +80,152 @@ let make_schedule rng ~np ~nr ~periods ~period_len =
         else if Prng.float rng 1.0 < 0.2 then 1
         else -1)
   in
-  {
-    rounds;
-    period_len;
-    proc_t = Array.init rounds (gen np);
-    res_t = Array.init rounds (gen nr);
-  }
-
-(* The runner exposes [run_rounds lo hi] over a shared mutable state so
-   the allocation probe can time a single period in isolation, plus a
-   whole-schedule [run] that resets first (making measured runs
-   repeatable), a per-round [added] log, per-period [headroom] and
-   [limited] logs of the what-if's value and cut, and [checked_run f g],
-   an untimed whole-schedule run that calls [f] on every round's solve
-   result and [g] on every what-if. *)
+  let res_t = Array.init rounds (gen nr) in
+  let proc_t = Array.init rounds (gen np) in
+  { rounds; period_len; proc_t; res_t;
+    prio = Array.init np (fun _ -> 1 + Prng.int rng 4) }
 
 (* The round of each period after which the what-if runs: mid-period,
    so the rounds after it check that it left nothing behind. *)
 let probe_round = 1
 
-let csr_runner ng sched ~mincost ~prio =
-  let c = Netgraph.graph ng in
-  let source = Netgraph.source ng and sink = Netgraph.sink ng in
-  let net = Netgraph.network ng in
+(* The churn runner over one warm Incremental. [run_rounds lo hi] plays
+   rounds [lo..hi] on the shared state, so the allocation probe can time
+   one period alone; every period ends with no circuit held, so a pass
+   over the whole schedule repeats exactly. It logs each round's
+   circuits and their total priority, and each what-if's value and cut.
+   [before_solve r] and [before_probe k] run just before round [r]'s
+   solve and period [k]'s what-if: the untimed checked run reads the
+   from-scratch references there. The what-if counts every uncommitted
+   processor that is not requesting as idle, read into an array first,
+   since headroom rewrites the source arcs it asks about. *)
+type churn = {
+  inc : Incremental.t;
+  run_rounds : int -> int -> unit;
+  checked_run : solve:(int -> unit) -> what_if:(int -> unit) -> unit;
+  added : int array;    (* round -> circuits committed *)
+  served : int array;   (* round -> their total priority *)
+  headroom : int array; (* period -> the what-if's value *)
+  limited : bool array; (* period -> whether its min cut crosses a link *)
+}
+
+let runner ~discipline net sched =
+  let inc = Incremental.create ~discipline net in
   let np = Network.n_procs net and nr = Network.n_res net in
-  let sp = Array.init np (fun p -> Option.get (Netgraph.sp_arc ng p)) in
-  let rt = Array.init nr (fun r -> Option.get (Netgraph.rt_arc ng r)) in
-  let links = Array.map fst (Netgraph.link_arcs ng) in
-  let added = Array.make sched.rounds 0 in
+  let res_held = Array.make nr false in
+  let requesting = Array.make np false in
+  let idle p = not requesting.(p) in
+  let added = Array.make sched.rounds 0 and served = Array.make sched.rounds 0 in
   let periods = sched.rounds / sched.period_len in
   let headroom = Array.make periods 0 and limited = Array.make periods false in
-  let check = ref None and probe_check = ref None in
-  (* The what-if, as Incremental.headroom runs it on an engine: every
-     uncommitted processor that is not requesting counts as idle. *)
-  let was_on = Array.make np false in
-  let rec crosses_cut j =
-    j < Array.length links
-    &&
-    let a = links.(j) in
-    (Csr.original_capacity c a > 0
-    && (not (Csr.is_frozen c a))
-    && Csr.source_side c (Csr.src c a)
-    && not (Csr.source_side c (Csr.dst c a)))
-    || crosses_cut (j + 1)
+  let before_solve = ref ignore and before_probe = ref ignore in
+  let rec commit r n k =
+    if k < n then begin
+      let p = Incremental.found inc k in
+      res_held.(Incremental.circuit_res inc p) <- true;
+      served.(r) <- served.(r) + sched.prio.(p);
+      commit r n (k + 1)
+    end
   in
-  let what_if period =
+  let probe k =
     for p = 0 to np - 1 do
-      if not (Csr.is_frozen c sp.(p)) then begin
-        was_on.(p) <- Csr.original_capacity c sp.(p) > 0;
-        Csr.set_capacity c sp.(p) (if was_on.(p) then 0 else 1)
-      end
+      requesting.(p) <- Incremental.requesting inc p
     done;
-    headroom.(period) <- Csr.dinic c ~source ~sink;
-    limited.(period) <- crosses_cut 0;
-    Csr.rollback c;
-    (match !probe_check with Some g -> g period | None -> ());
-    for p = 0 to np - 1 do
-      if not (Csr.is_frozen c sp.(p)) then
-        Csr.set_capacity c sp.(p) (if was_on.(p) then 1 else 0)
-    done
+    !before_probe k;
+    headroom.(k) <- Incremental.headroom inc ~idle;
+    limited.(k) <- Incremental.last_fabric_limited inc
   in
-  let reset () =
-    Csr.release_all c;
-    Array.iter (fun a -> Csr.set_capacity c a 0) sp;
-    Array.iter (fun a -> Csr.set_capacity c a 0) rt;
-    if mincost then Array.iteri (fun p a -> Csr.set_cost c a (-prio.(p))) sp
+  let release_all () =
+    for p = 0 to np - 1 do
+      if Incremental.holds inc p then begin
+        res_held.(Incremental.circuit_res inc p) <- false;
+        Incremental.release inc p
+      end
+    done
   in
   let run_rounds lo hi =
     for r = lo to hi do
       let pt = sched.proc_t.(r) and qt = sched.res_t.(r) in
       for p = 0 to np - 1 do
-        if pt.(p) >= 0 && Csr.original_capacity c sp.(p) <> pt.(p) then
-          Csr.set_capacity c sp.(p) pt.(p)
+        if pt.(p) >= 0 && not (Incremental.holds inc p) then
+          Incremental.set_requesting inc ~priority:sched.prio.(p) p (pt.(p) = 1)
       done;
       for q = 0 to nr - 1 do
-        if qt.(q) >= 0 && Csr.original_capacity c rt.(q) <> qt.(q) then
-          Csr.set_capacity c rt.(q) qt.(q)
+        if qt.(q) >= 0 && not res_held.(q) then
+          Incremental.set_resource_free inc q (qt.(q) = 1)
       done;
-      let before = match !check with Some _ -> Csr.total_cost c | None -> 0 in
-      added.(r) <-
-        (if mincost then Csr.mincost c ~source ~sink
-         else Csr.dinic c ~source ~sink);
-      (match !check with
-      | Some f -> f r ~units:added.(r) ~cost:(Csr.total_cost c - before)
-      | None -> ());
-      ignore (Csr.commit_new c ~source);
-      if r mod sched.period_len = probe_round then
-        what_if (r / sched.period_len);
-      if (r + 1) mod sched.period_len = 0 then Csr.release_all c
+      !before_solve r;
+      let n = Incremental.solve inc in
+      added.(r) <- n;
+      served.(r) <- 0;
+      commit r n 0;
+      if r mod sched.period_len = probe_round then probe (r / sched.period_len);
+      if (r + 1) mod sched.period_len = 0 then release_all ()
     done
   in
-  let run () =
-    reset ();
-    run_rounds 0 (sched.rounds - 1)
-  in
-  let checked_run f g =
-    check := Some f;
-    probe_check := Some g;
+  let checked_run ~solve ~what_if =
+    before_solve := solve;
+    before_probe := what_if;
     Fun.protect
       ~finally:(fun () ->
-        check := None;
-        probe_check := None)
-      run
+        before_solve := ignore;
+        before_probe := ignore)
+      (fun () -> run_rounds 0 (sched.rounds - 1))
   in
-  (run, checked_run, run_rounds, added, (headroom, limited))
+  { inc; run_rounds; checked_run; added; served; headroom; limited }
 
-(* The snapshot graph of the network with the committed circuits' links
-   taken down and the switched-on, uncommitted endpoints as requests (at
-   [cost p]) and free resources, with its source and sink. *)
-let snapshot ng ~cost =
+(* The snapshot graph of [inc]'s network with the committed circuits'
+   links taken out, the processors no circuit holds that satisfy
+   [request] as requests (at [cost p]) and the switched-on resources no
+   circuit holds as free, with its source and sink. *)
+let snapshot inc ~request ~cost =
+  let ng = Incremental.netgraph inc in
   let c = Netgraph.graph ng in
   let net = Network.copy (Netgraph.network ng) in
   Array.iter
     (fun (a, l) -> if Csr.is_frozen c a then Network.set_link_up net l false)
     (Netgraph.link_arcs ng);
-  let live arc n cost =
-    List.filter_map
-      (fun i ->
-        match arc i with
-        | Some a when Csr.original_capacity c a = 1 && not (Csr.is_frozen c a) ->
-          Some (i, cost i)
-        | Some _ | None -> None)
+  let unheld arc n keep =
+    List.filter
+      (fun i -> keep i && not (Csr.is_frozen c (Option.get (arc i))))
       (List.init n Fun.id)
   in
   let snap =
     Netgraph.compile net
-      ~requests:(live (Netgraph.sp_arc ng) (Network.n_procs net) cost)
-      ~free:(live (Netgraph.rt_arc ng) (Network.n_res net) (fun _ -> 0))
+      ~requests:
+        (List.map
+           (fun p -> (p, cost p))
+           (unheld (Netgraph.sp_arc ng) (Network.n_procs net) request))
+      ~free:
+        (List.map
+           (fun r -> (r, 0))
+           (unheld (Netgraph.rt_arc ng) (Network.n_res net)
+              (Incremental.resource_free inc)))
   in
   (snap, Netgraph.graph snap, Netgraph.source snap, Netgraph.sink snap)
 
-(* From-scratch reference for one round. Committed units are unique,
-   and under mincost (requests at cost -priority) so is the cost of the
-   new flow. *)
-let reference ng ~mincost ~prio =
+(* From-scratch reference for one round, read before its solve: the
+   committed count, which is unique, and under Priority (requests at
+   cost -priority) the total served priority, the negated cost. *)
+let reference inc ~priority ~prio =
   let _, g, source, sink =
-    snapshot ng ~cost:(fun p -> if mincost then -prio.(p) else 0)
+    snapshot inc ~request:(Incremental.requesting inc)
+      ~cost:(fun p -> if priority then -prio.(p) else 0)
   in
-  if mincost then
+  if priority then
     let r = Mincost.min_cost_max_flow g ~source ~sink in
-    (r.Mincost.flow, r.Mincost.cost)
+    (r.Mincost.flow, -r.Mincost.cost)
   else (fst (Dinic.max_flow g ~source ~sink), 0)
 
-(* From-scratch reference for one what-if, read while its source arcs
-   are switched over: Transformation 1's value over the same snapshot,
-   and whether its min cut crosses a fabric link. *)
-let probe_reference ng =
-  let snap, g, source, sink = snapshot ng ~cost:(fun _ -> 0) in
+(* From-scratch reference for one what-if, read before it runs:
+   Transformation 1's value over requests = the idle processors, and
+   whether its min cut crosses a fabric link. *)
+let probe_reference inc =
+  let snap, g, source, sink =
+    snapshot inc
+      ~request:(fun p -> not (Incremental.requesting inc p))
+      ~cost:(fun _ -> 0)
+  in
   let value = fst (Dinic.max_flow g ~source ~sink) in
   let cut = Netgraph.cut_members snap (Edmonds_karp.min_cut g ~source ~sink) in
   (value, List.exists (function `Link _ -> true | `Proc _ | `Res _ -> false) cut)
@@ -240,68 +241,16 @@ let words f =
   let c = Gc.minor_words () in
   c -. b -. (b -. a)
 
-(* The net allocation of one full CSR warm period: it must be zero to
-   the word. *)
-let measure_period_alloc run run_rounds period_len =
-  run ();
-  (* state is clean: the schedule length is a multiple of the period *)
-  words (fun () -> run_rounds 0 (period_len - 1))
+(* The net allocation of one full warm period: it must be zero to the
+   word. Every period ends with no circuit held, so after a whole run
+   the first period can run again. *)
+let period_words c sched =
+  c.run_rounds 0 (sched.rounds - 1);
+  words (fun () -> c.run_rounds 0 (sched.period_len - 1))
 
 let mean a = Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a)
 
 (* --- The slot around the solve ------------------------------------------ *)
-
-(* A warm Incremental churn in the engine's cycle shape, every target
-   precomputed so the loop itself allocates nothing: each round releases
-   the circuits committed two rounds before (transmission time 2),
-   switches every endpoint no circuit holds, and solves. Under the
-   Priority discipline each request carries one of four priorities, so
-   a solve runs one Dinic per class present. Returns the rounds runner
-   and the count of circuits committed. *)
-let incremental_runner ~discipline net ~rounds =
-  let inc = Incremental.create ~discipline net in
-  let np = Network.n_procs net and nr = Network.n_res net in
-  let rng = Prng.create (Hashtbl.hash (Network.name net, seed)) in
-  let draw n p =
-    Array.init rounds (fun _ -> Array.init n (fun _ -> Prng.float rng 1.0 < p))
-  in
-  let proc_on = draw np 0.5 and res_on = draw nr 0.6 in
-  let prio =
-    Array.init rounds (fun _ ->
-        Array.init np (fun _ ->
-            match discipline with
-            | Incremental.Maxflow -> 0
-            | Incremental.Priority -> Prng.int rng 4))
-  in
-  let held = Array.init 2 (fun _ -> Array.make np 0) and n_held = Array.make 2 0 in
-  let res_busy = Array.make nr false in
-  let committed = ref 0 in
-  let run_rounds lo hi =
-    for r = lo to hi do
-      let b = r land 1 in
-      for k = 0 to n_held.(b) - 1 do
-        let p = held.(b).(k) in
-        res_busy.(Incremental.circuit_res inc p) <- false;
-        Incremental.release inc p
-      done;
-      for p = 0 to np - 1 do
-        if not (Incremental.holds inc p) then
-          Incremental.set_requesting inc ~priority:prio.(r).(p) p proc_on.(r).(p)
-      done;
-      for q = 0 to nr - 1 do
-        if not res_busy.(q) then Incremental.set_resource_free inc q res_on.(r).(q)
-      done;
-      let n = Incremental.solve inc in
-      for k = 0 to n - 1 do
-        let p = Incremental.found inc k in
-        held.(b).(k) <- p;
-        res_busy.(Incremental.circuit_res inc p) <- true
-      done;
-      n_held.(b) <- n;
-      committed := !committed + n
-    done
-  in
-  (run_rounds, committed)
 
 (* An engine on [net] past its first [warm] slots of a synthesized
    trace, the rest still queued, and a counter of the events it has
@@ -373,6 +322,25 @@ let serve_words_per_event net trace ~warm =
     in
     w /. float_of_int (List.length late)
 
+(* Minor words of 200 start/finish round trips over one reused task
+   array in a Domain_pool of [size], on the calling domain, after ten
+   warm-up trips. *)
+let pool_words size =
+  let pool = Domain_pool.create size in
+  let runs = Atomic.make 0 in
+  let tasks = Array.make 4 (fun () -> Atomic.incr runs) in
+  let trips n =
+    for _ = 1 to n do
+      Domain_pool.start pool tasks;
+      Domain_pool.finish pool
+    done
+  in
+  trips 10;
+  let w = words (fun () -> trips 200) in
+  Domain_pool.shutdown pool;
+  if Atomic.get runs <> 4 * 210 then failwith "E34: a pool task did not run";
+  w
+
 (* The per-plane slot checks: hard-fail on any minor word from the
    warm Incremental churn under either discipline, the event heap, the
    cycle gate, or decoding a line beyond its event; then warm
@@ -383,11 +351,18 @@ let slot_row report ~quick (name, net, arrival, slots) =
     Printf.eprintf "E34 %s: %s allocated %.0f minor words (want 0)\n" name what w;
     assert false
   in
-  let rounds = if quick then 24 else 64 in
+  let periods = if quick then 6 else 16 in
+  let rounds = 4 * periods in
   let churn_words discipline =
-    let run_rounds, committed = incremental_runner ~discipline net ~rounds in
-    run_rounds 0 ((rounds / 2) - 1);
-    (words (fun () -> run_rounds (rounds / 2) (rounds - 1)), committed)
+    let sched =
+      make_schedule
+        (Prng.create (Hashtbl.hash (Network.name net, seed)))
+        ~np:(Network.n_procs net) ~nr:(Network.n_res net) ~periods ~period_len:4
+    in
+    let c = runner ~discipline net sched in
+    c.run_rounds 0 ((rounds / 2) - 1);
+    let w = words (fun () -> c.run_rounds (rounds / 2) (rounds - 1)) in
+    (w, Array.fold_left ( + ) 0 c.added)
   in
   let solve_words, committed = churn_words Incremental.Maxflow in
   if solve_words <> 0. then fail "warm Incremental.solve churn" solve_words;
@@ -442,9 +417,9 @@ let slot_row report ~quick (name, net, arrival, slots) =
   Bench_report.record_count case ~name:"slot.gate_words" ~unit_:"words"
     gate_words;
   Bench_report.record_yield case ~name:"slot.committed" ~unit_:"circuits"
-    (float_of_int !committed);
+    (float_of_int committed);
   Bench_report.record_yield case ~name:"slot.priority_committed"
-    ~unit_:"circuits" (float_of_int !prio_committed);
+    ~unit_:"circuits" (float_of_int prio_committed);
   (* An allocation figure, held to the gate's time-and-alloc tolerance:
      it is not a deterministic count across compiler versions. *)
   Bench_report.record_samples case ~name:"slot.advance_words_per_event"
@@ -462,100 +437,101 @@ let slot_row report ~quick (name, net, arrival, slots) =
 let run ?(quick = false) () =
   print_endline "== E34: zero-allocation CSR core on warm churn ==";
   Printf.printf
-    "  (compile_full warm churn: enable / augment / commit / release-all,\n\
-    \   deterministic schedule, seed %d%s)\n\n"
+    "  (Incremental on compile_full, the engine's cycle: switch / solve and\n\
+    \   extract / what-if / release, deterministic schedule, seed %d%s)\n\n"
     seed
     (if quick then ", quick" else "");
   let report = Bench_report.create ~quick "csr" in
   let runs = if quick then 2 else 4 in
+  let periods = if quick then 3 else 6 in
   let configs =
-    [
-      ("omega:64", (fun () -> Builders.omega 64), false, (if quick then 3 else 6));
-      ( "omega:64/mincost",
+    [ ("omega:64", (fun () -> Builders.omega 64), Incremental.Maxflow, periods);
+      ( "omega:64/priority",
         (fun () -> Builders.omega 64),
-        true,
-        if quick then 3 else 6 );
+        Incremental.Priority,
+        periods );
       ( "clos:8,8,8",
         (fun () -> Builders.clos ~m:8 ~n:8 ~r:8),
-        false,
-        if quick then 3 else 6 );
-      ("omega:1024", (fun () -> Builders.omega 1024), false, (if quick then 2 else 3));
-    ]
+        Incremental.Maxflow,
+        periods );
+      ( "omega:1024",
+        (fun () -> Builders.omega 1024),
+        Incremental.Maxflow,
+        if quick then 2 else 3 ) ]
   in
   let rows =
     List.map
-      (fun (name, build, mincost, periods) ->
+      (fun (name, build, discipline, periods) ->
         let period_len = 4 in
         let rng = Prng.create (Hashtbl.hash (name, seed)) in
-        let ng = Netgraph.compile_full (build ()) in
-        let net = Netgraph.network ng in
+        let net = build () in
         let np = Network.n_procs net and nr = Network.n_res net in
         let sched = make_schedule rng ~np ~nr ~periods ~period_len in
-        let prio = Array.init np (fun _ -> 1 + Prng.int rng 4) in
-        let csr_run, csr_checked_run, csr_rounds, csr_added, (headroom, limited)
-            =
-          csr_runner ng sched ~mincost ~prio
+        let priority = discipline = Incremental.Priority in
+        let c = runner ~discipline net sched in
+        let m =
+          Bench_report.measure ~warmup:1 ~runs (fun () ->
+              c.run_rounds 0 (sched.rounds - 1))
         in
-        let m_csr = Bench_report.measure ~warmup:1 ~runs csr_run in
-        (* Differential, untimed: every round's warm augment must commit
-           what a from-scratch solve of the same snapshot does. *)
-        let check r ~units ~cost =
-          let want_units, want_cost = reference ng ~mincost ~prio in
-          if units <> want_units || cost <> want_cost then begin
-            Printf.eprintf
-              "E34 %s: round %d: csr %d units at cost %d, from scratch \
-               %d at %d\n"
-              name r units cost want_units want_cost;
-            assert false
-          end
-        in
-        (* ...and every what-if must answer what a from-scratch
-           Transformation 1 and min cut of its switched-over snapshot do. *)
-        let probe_check period =
-          let want_value, want_limited = probe_reference ng in
-          if headroom.(period) <> want_value || limited.(period) <> want_limited
-          then begin
-            Printf.eprintf
-              "E34 %s: period %d what-if: csr %d (fabric-limited %b), from \
-               scratch %d (%b)\n"
-              name period headroom.(period) limited.(period) want_value
-              want_limited;
-            assert false
-          end
-        in
-        csr_checked_run check probe_check;
-        let period_alloc =
-          measure_period_alloc csr_run csr_rounds period_len
-        in
+        (* Differential, untimed: every round must commit what a
+           from-scratch solve of its pre-solve snapshot does, and every
+           what-if must answer what a from-scratch Transformation 1 and
+           min cut of the same state do. *)
+        let want = Array.make sched.rounds (0, 0) in
+        let want_probe = Array.make (Array.length c.headroom) (0, false) in
+        c.checked_run
+          ~solve:(fun r -> want.(r) <- reference c.inc ~priority ~prio:sched.prio)
+          ~what_if:(fun k -> want_probe.(k) <- probe_reference c.inc);
+        Array.iteri
+          (fun r (units, served) ->
+            if c.added.(r) <> units || (priority && c.served.(r) <> served) then begin
+              Printf.eprintf
+                "E34 %s: round %d: %d circuits serving %d, from scratch %d \
+                 serving %d\n"
+                name r c.added.(r) c.served.(r) units served;
+              assert false
+            end)
+          want;
+        Array.iteri
+          (fun k (value, limited) ->
+            if c.headroom.(k) <> value || c.limited.(k) <> limited then begin
+              Printf.eprintf
+                "E34 %s: period %d what-if: %d (fabric-limited %b), from \
+                 scratch %d (%b)\n"
+                name k c.headroom.(k) c.limited.(k) value limited;
+              assert false
+            end)
+          want_probe;
+        let period_alloc = period_words c sched in
         if period_alloc <> 0. then begin
           Printf.eprintf
-            "E34 %s: CSR warm period allocated %.0f minor words (want 0)\n" name
+            "E34 %s: warm period allocated %.0f minor words (want 0)\n" name
             period_alloc;
           assert false
         end;
         let case = Bench_report.case report name in
-        Bench_report.record case ~prefix:"csr" m_csr;
+        Bench_report.record case ~prefix:"csr" m;
         let total a = float_of_int (Array.fold_left ( + ) 0 a) in
         Bench_report.record_yield case ~name:"csr.committed" ~unit_:"circuits"
-          (total csr_added);
+          (total c.added);
         Bench_report.record_count case ~name:"csr.alloc_per_period"
           ~unit_:"words" period_alloc;
         Bench_report.record_count case ~name:"csr.probe_headroom"
-          ~unit_:"circuits" (total headroom);
+          ~unit_:"circuits" (total c.headroom);
         Bench_report.record_count case ~name:"csr.probe_fabric_limited"
           ~unit_:"probes"
           (float_of_int
-             (Array.fold_left (fun n b -> if b then n + 1 else n) 0 limited));
+             (Array.fold_left (fun n b -> if b then n + 1 else n) 0 c.limited));
         Bench_report.record_count case ~name:"rounds"
           (float_of_int sched.rounds);
         let per_cycle x = x /. float_of_int sched.rounds in
         [
           name;
           string_of_int sched.rounds;
-          Table.ffix 1 (per_cycle (mean m_csr.Bench_report.wall_us));
-          Table.ffix 0 (per_cycle (mean m_csr.Bench_report.minor_words));
-          Table.ffix 0 (total csr_added);
-          Table.ffix 0 (total headroom);
+          Table.ffix 1 (per_cycle (mean m.Bench_report.wall_us));
+          Table.ffix 0 (per_cycle (mean m.Bench_report.minor_words));
+          Table.ffix 0 (total c.added);
+          Table.ffix 0 (total c.headroom);
         ])
       configs
   in
@@ -564,15 +540,35 @@ let run ?(quick = false) () =
     rows;
   print_newline ();
   print_endline
-    "  (checked: every round commits what a from-scratch solve of the same";
+    "  (checked: every round commits what a from-scratch solve of its";
   print_endline
-    "   snapshot does, and each period's borrowing what-if answers what a";
+    "   pre-solve snapshot does, serving the same total priority under";
   print_endline
-    "   from-scratch solve and min cut do; one full CSR warm period —";
+    "   priority, and each period's borrowing what-if answers what a";
   print_endline
-    "   enables, solves, commits, what-if, release — allocates 0 minor";
-  print_endline "   words, 1024-port net included)";
+    "   from-scratch solve and min cut do; one full warm period —";
+  print_endline
+    "   switches, solves, what-if, releases — allocates 0 minor words,";
+  print_endline "   1024-port net included)";
   print_newline ();
+  let pool = List.map (fun size -> (size, pool_words size)) [ 1; 2 ] in
+  List.iter
+    (fun (size, w) ->
+      if w <> 0. then begin
+        Printf.eprintf
+          "E34: Domain_pool start/finish at size %d allocated %.0f minor words \
+           on the calling domain (want 0)\n"
+          size w;
+        assert false
+      end)
+    pool;
+  let case = Bench_report.case report "domain_pool" in
+  List.iter
+    (fun (size, w) ->
+      Bench_report.record_count case
+        ~name:(Printf.sprintf "pool.round_trip_words_%d" size)
+        ~unit_:"words" w)
+    pool;
   print_endline "  the slot around the solve, per plane of the serving benchmark:";
   Table.print
     ~header:
@@ -584,14 +580,15 @@ let run ?(quick = false) () =
          ("omega:16", Builders.omega 16, 0.04, 5000) ]);
   print_newline ();
   print_endline
-    "  (checked: a warm Incremental churn under either discipline, solves";
+    "  (checked: the same warm churn under either discipline, solves and";
   print_endline
-    "   and their extraction included, event-heap adds and pops, and the";
+    "   their extraction included, event-heap adds and pops, the cycle gate";
   print_endline
-    "   cycle gate allocate 0 minor words, and decoding the JSONL lines";
+    "   and a Domain_pool start/finish round trip at 1 and 2 domains";
   print_endline
-    "   allocates 0 words beyond the events; warm advance and Serve's";
+    "   allocate 0 minor words, and decoding the JSONL lines allocates 0";
   print_endline
-    "   feed-route-advance at one domain, words per trace event, are";
-  print_endline "   reported, not gated)";
+    "   words beyond the events; warm advance and Serve's feed-route-advance";
+  print_endline
+    "   at one domain, words per trace event, are reported, not gated)";
   Printf.printf "  wrote %s\n\n" (Bench_report.write report)

@@ -1203,8 +1203,9 @@ let headroom t =
     in
     (match lowest_idle 0 with
     | Some target when has_free_resource t ->
-      let value, fabric_limited = Incremental.headroom i ~idle:(idle t) in
-      if value = 0 then None else Some (value, fabric_limited, target)
+      let value = Incremental.headroom i ~idle:(idle t) in
+      if value = 0 then None
+      else Some (value, Incremental.last_fabric_limited i, target)
     | Some _ | None -> None)
 
 let queued t = Array.fold_left (fun acc q -> acc + Ring.length q) 0 t.queues
@@ -1381,6 +1382,18 @@ let check_accounting t =
 let checkpoint_schema = "rsin-engine-checkpoint/v2"
 
 let json_ints l = Json.Arr (List.map Json.int l)
+
+(* Each queue, head first, read by index and consed from the back, as
+   are the queues themselves: only the document's own cells are
+   allocated. *)
+let rec ring_ints q i acc =
+  if i < 0 then acc else ring_ints q (i - 1) (Json.int (Ring.get q i) :: acc)
+
+let rec queues_json qs k acc =
+  if k < 0 then acc
+  else
+    let q = qs.(k) in
+    queues_json qs (k - 1) (Json.Arr (ring_ints q (Ring.length q - 1) []) :: acc)
 
 (* Every checkpointed counter, in the order the snapshot writes them:
    [snapshot] and [restore] both walk this one table. *)
@@ -1568,12 +1581,13 @@ let snapshot t =
     tasks := task_to_json t ids.(k) (Hashtbl.find t.tasks ids.(k)) :: !tasks
   done;
   let heap =
-    List.map
-      (fun (time, seq, code) ->
+    Event_heap.fold_sorted t.heap
+      (fun ~time ~seq code acc ->
         Json.Obj
           [ ("t", Json.int time); ("seq", Json.int seq);
-            ("ev", ev_to_json (decode t code)) ])
-      (Event_heap.entries t.heap)
+            ("ev", ev_to_json (decode t code)) ]
+        :: acc)
+      []
   in
   Json.Obj
     [ ("schema", Json.Str checkpoint_schema);
@@ -1596,10 +1610,7 @@ let snapshot t =
       ("waits", accum_to_json t.waits);
       ("readmissions", accum_to_json t.readmissions);
       ("tasks", Json.Arr !tasks);
-      ( "queues",
-        Json.Arr
-          (Array.to_list (Array.map (fun q -> json_ints (Ring.to_list q)) t.queues))
-      );
+      ("queues", Json.Arr (queues_json t.queues (Array.length t.queues - 1) []));
       ( "flap",
         match t.flap with None -> Json.Null | Some fl -> Flap.to_json fl );
       ("heap", Json.Arr heap);
@@ -1685,8 +1696,8 @@ let restore_task t tj =
    refused. *)
 let derive_seqs t =
   let completes = Hashtbl.create 16 in
-  List.iter
-    (fun (time, seq, code) ->
+  Event_heap.fold_sorted t.heap
+    (fun ~time ~seq code () ->
       if seq >= t.next_seq then
         D.fail "heap event seq %d at or past next_seq %d" seq t.next_seq;
       match kind code with
@@ -1704,7 +1715,7 @@ let derive_seqs t =
         | _ -> ()
         | exception Not_found -> ())
       | K_arrive | K_cancel | K_fault | K_wake | K_unquarantine -> ())
-    (Event_heap.entries t.heap);
+    ();
   Hashtbl.iter
     (fun id task ->
       let missing ev =

@@ -72,6 +72,7 @@ type t = {
   mutable n_found : int;
   mutable last_work : int;
   mutable last_skipped : bool;
+  mutable last_fabric_limited : bool;  (* the last headroom probe's cut *)
   (* The last solve's Dinic runs (one under Maxflow, one per priority
      class under Priority) and their summed stats. *)
   mutable runs : int;
@@ -109,7 +110,7 @@ let create ?(discipline = Maxflow) net =
     path_arcs = Array.make (Csr.arc_count csr) 0;
     path_ends = Array.make (np + 1) 0;
     found = Array.make np 0;
-    n_found = 0; last_work = 0; last_skipped = false;
+    n_found = 0; last_work = 0; last_skipped = false; last_fabric_limited = false;
     runs = 0; phases = 0; augmentations = 0; scanned = 0;
     dirty = false; pending_ops = 0; total_work = 0 }
 
@@ -197,6 +198,7 @@ let found t k =
 
 let last_work t = t.last_work
 let last_skipped t = t.last_skipped
+let last_fabric_limited t = t.last_fabric_limited
 
 (* Files each path the last augmentation added under the processor it
    starts at. Csr.extract_paths walks the unfrozen flow from the source
@@ -369,7 +371,9 @@ let pending_ops t = t.pending_ops
    flow is the headroom, and the final Dinic BFS is the canonical cut
    Edmonds_karp.min_cut reads. The arcs are put back with raw Csr
    writes, leaving [dirty]/[pending_ops]/[total_work] alone, so the
-   next real solve cannot tell a probe ran. *)
+   next real solve cannot tell a probe ran. The cut's answer is kept in
+   a field rather than returned in a pair, so a probe allocates
+   nothing. *)
 let rec cut_crosses_link t j =
   j < Array.length t.link_arcs
   &&
@@ -390,14 +394,14 @@ let headroom t ~idle =
     end
   done;
   let value = Csr.dinic c ~source:(source t) ~sink:(sink t) in
-  let fabric_limited = cut_crosses_link t 0 in
+  t.last_fabric_limited <- cut_crosses_link t 0;
   Csr.rollback c;
   for p = 0 to Array.length t.sp - 1 do
     let a = t.sp.(p) in
     if not (Csr.is_frozen c a) then
       Csr.set_capacity c a (if t.was_on.(p) then 1 else 0)
   done;
-  (value, fabric_limited)
+  value
 
 (* Checkpoint restore: re-freeze a circuit that was committed before the
    snapshot into a freshly compiled warm graph. Equivalent to the state

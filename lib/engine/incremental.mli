@@ -138,14 +138,14 @@ val pending_ops : t -> int
     {!Engine.snapshot} so a restored engine reports the same per-cycle
     work as the uninterrupted run. *)
 
-val headroom : t -> idle:(int -> bool) -> int * bool
+val headroom : t -> idle:(int -> bool) -> int
 (** [headroom t ~idle] asks, on the live network, how many of the
     processors satisfying [idle] a maximum flow could still connect to
-    free ports: [(value, fabric_limited)]. It switches every
-    uncommitted source arc to [idle p], runs {!Rsin_flow.Csr.dinic},
-    reads the canonical min cut ({!Rsin_flow.Csr.source_side}) — the
-    donor is [fabric_limited] when a switched-on, uncommitted link arc
-    crosses it — then rolls the flow back
+    free ports. It switches every uncommitted source arc to [idle p],
+    runs {!Rsin_flow.Csr.dinic}, reads the canonical min cut
+    ({!Rsin_flow.Csr.source_side}) — the donor is fabric-limited when a
+    switched-on, uncommitted link arc crosses it, which
+    {!last_fabric_limited} then reports — then rolls the flow back
     ({!Rsin_flow.Csr.rollback}) and restores every source arc.
 
     Both answers equal those of a from-scratch
@@ -156,7 +156,11 @@ val headroom : t -> idle:(int -> bool) -> int * bool
     side is the canonical cut. Must be called between solves (no
     unfrozen flow). Leaves {!dirty}, {!pending_ops} and {!total_work}
     alone, so nothing a later
-    {!solve} does can tell that a probe ran. *)
+    {!solve} does can tell that a probe ran. Allocates nothing. *)
+
+val last_fabric_limited : t -> bool
+(** Whether the last {!headroom} probe's min cut crossed a fabric
+    link. *)
 
 val restore_circuit : t -> proc:int -> res:int -> links:int list -> unit
 (** [restore_circuit t ~proc ~res ~links] re-freezes a circuit recorded

@@ -62,7 +62,7 @@ module Task_map = struct
      checkpoint writes. Routing in ascending id order only extends the
      newest run or appends one. An id routed at or below the newest
      run's last id (no generator does it) goes to [stray], which
-     [iter_runs] sorts and merges in. *)
+     [fold_runs] sorts and merges in. *)
   type t = {
     mutable runs : int array;
     mutable n : int;  (* runs in use *)
@@ -120,36 +120,27 @@ module Task_map = struct
       invalid_arg (Printf.sprintf "Serve.Task_map.add: id %d already routed" id)
     else Hashtbl.replace m.stray id shard
 
-  let iter_runs m f =
-    (* One pending run, flushed to [f] when the next one does not
-       continue it. *)
-    let first = ref 0 and count = ref 0 and shard = ref 0 in
-    let emit fi c s =
-      if !count > 0 && fi = !first + !count && s = !shard then
-        count := !count + c
-      else begin
-        if !count > 0 then f !first !count !shard;
-        first := fi;
-        count := c;
-        shard := s
-      end
-    in
+  (* Runs and strays merge by first id, from the last down: the pending
+     run [first, count, shard] grows downward while the next segment
+     ends right below it on its shard, and goes to [f] when one does
+     not. *)
+  let fold_runs m f acc =
     let strays = Array.of_seq (Hashtbl.to_seq m.stray) in
     Array.sort (fun (a, _) (b, _) -> Int.compare a b) strays;
-    let k = ref 0 in
-    let strays_below bound =
-      while !k < Array.length strays && fst strays.(!k) < bound do
-        let id, s = strays.(!k) in
-        emit id 1 s;
-        incr k
-      done
+    let rec next r k first count shard acc =
+      if r >= 0 && (k < 0 || m.runs.(3 * r) > fst strays.(k)) then
+        segment (r - 1) k m.runs.(3 * r) m.runs.((3 * r) + 1)
+          m.runs.((3 * r) + 2) first count shard acc
+      else if k >= 0 then
+        segment r (k - 1) (fst strays.(k)) 1 (snd strays.(k)) first count shard acc
+      else if count > 0 then f first count shard acc
+      else acc
+    and segment r k fi c s first count shard acc =
+      if count > 0 && fi + c = first && s = shard then
+        next r k fi (c + count) shard acc
+      else next r k fi c s (if count > 0 then f first count shard acc else acc)
     in
-    for r = 0 to m.n - 1 do
-      strays_below m.runs.(3 * r);
-      emit m.runs.(3 * r) m.runs.((3 * r) + 1) m.runs.((3 * r) + 2)
-    done;
-    strays_below max_int;
-    if !count > 0 then f !first !count !shard
+    next (m.n - 1) (Array.length strays - 1) 0 0 0 acc
 end
 
 type probe = Unprobed | Probed of (int * bool * int) option
@@ -176,7 +167,7 @@ type t = {
      the feed that sealed the last slot and running while the caller
      feeds the next one; joined before anything reads or writes an
      engine. *)
-  mutable advancing : Domain_pool.batch option;
+  mutable advancing : bool;
   (* One task per shard, built once, advancing it through [!upto]; each
      task owns its engine, so the only shared state is the pool's
      work-stealing cursor. *)
@@ -256,7 +247,7 @@ let create ?(config = Engine.Config.default) ?domains ?cycle_hook ?event_hook
           slot_ids = Hashtbl.create 16;
           slot_indexed = false;
           probes = Array.make (Array.length parts) Unprobed;
-          advancing = None;
+          advancing = false;
           upto;
           advance;
           event_hook;
@@ -350,11 +341,10 @@ let route t ev =
 (* Waits for the advance in flight; an engine's exception surfaces
    here, once. *)
 let join t =
-  match t.advancing with
-  | None -> ()
-  | Some b ->
-    t.advancing <- None;
-    Domain_pool.finish b
+  if t.advancing then begin
+    t.advancing <- false;
+    Domain_pool.finish t.pool
+  end
 
 (* Routes the buffered slot on shards complete through the slot before
    it, which [join] alone ensures: the feed that sealed the previous
@@ -425,7 +415,8 @@ let feed t ev =
        through [time - 1] while the caller feeds slot [time]. *)
     flush t;
     t.upto := time - 1;
-    t.advancing <- Some (Domain_pool.start t.pool t.advance)
+    Domain_pool.start t.pool t.advance;
+    t.advancing <- true
   end;
   (* Claimed only now, after the flush, which resets the slot's index. *)
   (match ev with
@@ -517,13 +508,13 @@ module D = Json.Decode
 
 (* task_home as [first_id, count, shard] triples, one per maximal run of
    consecutive ids routed to the same shard, ascending: the map's own
-   runs, copied out. Arrivals are numbered slot by slot, so runs are
-   long; at worst each holds one id. *)
+   runs, consed from the last. Arrivals are numbered slot by slot, so
+   runs are long; at worst each holds one id. *)
 let task_home_runs t =
-  let acc = ref [] in
-  Task_map.iter_runs t.task_home (fun first count si ->
-      acc := Json.Arr [ Json.int first; Json.int count; Json.int si ] :: !acc);
-  List.rev !acc
+  Task_map.fold_runs t.task_home
+    (fun first count si acc ->
+      Json.Arr [ Json.int first; Json.int count; Json.int si ] :: acc)
+    []
 
 (* Inverse of [task_home_runs], appending whole runs. Every routed
    arrival is one event, so the runs of a checkpoint [snapshot] wrote

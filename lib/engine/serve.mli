@@ -101,7 +101,7 @@ val pp_report : Format.formatter -> report -> unit
     one, allocating only when the array grows; a lookup
     binary-searches the run starts. An id added at or below the newest
     run's last id is kept in a per-id side table that
-    {!Task_map.iter_runs} sorts and merges in: an out-of-order id costs
+    {!Task_map.fold_runs} sorts and merges in: an out-of-order id costs
     a table entry and its share of that sort, never a shift of the
     array. *)
 module Task_map : sig
@@ -116,9 +116,10 @@ module Task_map : sig
   val find : t -> int -> int option
   val mem : t -> int -> bool
 
-  val iter_runs : t -> (int -> int -> int -> unit) -> unit
-  (** [iter_runs m f] calls [f first count shard] once per maximal run
-      of consecutive ids on one shard, in ascending id order. O(runs)
+  val fold_runs : t -> (int -> int -> int -> 'a -> 'a) -> 'a -> 'a
+  (** [fold_runs m f init] folds [f first count shard] over the maximal
+      runs of consecutive ids on one shard, from the last run to the
+      first, so consing in [f] lists them in ascending id order. O(runs)
       when every id was added in ascending order. *)
 end
 

@@ -25,7 +25,6 @@ type t = {
   tail : int array;       (* m: source node *)
   rev : int array;        (* m: CSR position of the residual partner *)
   cap : int array;        (* m: residual capacity *)
-  cst : int array;        (* m: unit cost (negated on the residual side) *)
   orig : int array;       (* pairs: original capacity *)
   frozen : bool array;    (* pairs: residual side pinned to 0 *)
   pos : int array;        (* graph arc -> CSR position *)
@@ -35,25 +34,15 @@ type t = {
   queue : int array;      (* n: BFS ring (each node enqueued at most once) *)
   cur : int array;        (* n: current-arc cursor into the row slice *)
   stack : int array;      (* n: DFS path, CSR arc per depth *)
-  (* min-cost SSP scratch *)
-  pot : int array;        (* n: node potentials *)
-  dist : int array;       (* n *)
-  pred : int array;       (* n: CSR arc into the node, -1 if unreached *)
-  final : bool array;     (* n *)
-  hk : int array;         (* binary heap: keys (tentative distances) *)
-  hv : int array;         (* binary heap: values (nodes) *)
-  mutable hsize : int;
   stats : stats;
 }
-
-let inf = max_int / 4
 
 (* Lays out [pairs] forward arcs and their partners in CSR order and
    preallocates all solver scratch. Forward arc [i] is graph arc [2i],
    from [src i] to [dst i]; its partner [2i+1] runs back. Each row is
    filled in ascending graph-arc order, so scanning a row from its end
    visits the arcs newest first — the order of Graph.iter_out. Residual
-   capacities and costs start at 0. *)
+   capacities start at 0. *)
 let layout n pairs ~src ~dst =
   let m = 2 * pairs in
   let tail_of a = if a land 1 = 0 then src (a lsr 1) else dst (a lsr 1) in
@@ -86,7 +75,6 @@ let layout n pairs ~src ~dst =
   let na = max n 1 in
   { n; pairs; m; row_ptr; head; tail; rev;
     cap = Array.make m 0;
-    cst = Array.make m 0;
     orig = Array.make (max pairs 1) 0;
     frozen = Array.make (max pairs 1) false;
     pos; garc;
@@ -94,13 +82,6 @@ let layout n pairs ~src ~dst =
     queue = Array.make na 0;
     cur = Array.make na 0;
     stack = Array.make na 0;
-    pot = Array.make na 0;
-    dist = Array.make na 0;
-    pred = Array.make na (-1);
-    final = Array.make na false;
-    hk = Array.make (m + na + 1) 0;
-    hv = Array.make (m + na + 1) 0;
-    hsize = 0;
     stats = { passes = 0; augmentations = 0; arcs_scanned = 0 } }
 
 let create ~nodes ~arcs ~src ~dst ~cap =
@@ -121,8 +102,7 @@ let of_graph g =
       ~dst:(fun i -> Graph.dst g (2 * i))
   in
   for j = 0 to t.m - 1 do
-    t.cap.(j) <- Graph.capacity g t.garc.(j);
-    t.cst.(j) <- Graph.cost g t.garc.(j)
+    t.cap.(j) <- Graph.capacity g t.garc.(j)
   done;
   for i = 0 to t.pairs - 1 do
     t.orig.(i) <- Graph.original_capacity g (2 * i)
@@ -140,7 +120,6 @@ let check_forward name a =
   if a land 1 <> 0 then invalid_arg (name ^ ": residual arc")
 
 let capacity t a = check_arc t a; t.cap.(t.pos.(a))
-let cost t a = check_arc t a; t.cst.(t.pos.(a))
 
 let original_capacity t a =
   check_arc t a;
@@ -170,12 +149,6 @@ let set_capacity t a c =
   if f > c then invalid_arg "Csr.set_capacity: below current flow";
   t.orig.(i) <- c;
   t.cap.(j) <- c - f
-
-let set_cost t a c =
-  check_arc t a;
-  check_forward "Csr.set_cost" a;
-  t.cst.(t.pos.(a)) <- c;
-  t.cst.(t.pos.(a lxor 1)) <- -c
 
 let set_flow t a f =
   check_arc t a;
@@ -235,14 +208,6 @@ let rec flow_value_row t stop j acc =
 let flow_value t ~source =
   if source < 0 || source >= t.n then invalid_arg "Csr.flow_value: bad node";
   flow_value_row t t.row_ptr.(source + 1) t.row_ptr.(source) 0
-
-let rec total_cost_loop t i acc =
-  if i >= t.pairs then acc
-  else
-    let j = t.pos.(2 * i) in
-    total_cost_loop t (i + 1) (acc + (t.cst.(j) * (t.orig.(i) - t.cap.(j))))
-
-let total_cost t = total_cost_loop t 0 0
 
 let reset_stats t =
   t.stats.passes <- 0;
@@ -368,184 +333,7 @@ let source_side t v =
   t.level.(v) >= 0
 
 (* ------------------------------------------------------------------ *)
-(* Min-cost successive shortest paths with potentials.                 *)
-
-let rec has_negative_loop t i =
-  if i >= t.pairs then false
-  else if t.cst.(t.pos.(2 * i)) < 0 then true
-  else has_negative_loop t (i + 1)
-
-let rec bellman_relax t j changed =
-  if j >= t.m then changed
-  else begin
-    let du = t.dist.(t.tail.(j)) in
-    if t.cap.(j) > 0 && du < inf && du + t.cst.(j) < t.dist.(t.head.(j))
-    then begin
-      t.dist.(t.head.(j)) <- du + t.cst.(j);
-      bellman_relax t (j + 1) true
-    end
-    else bellman_relax t (j + 1) changed
-  end
-
-let rec bellman_rounds t k =
-  if k > 0 && bellman_relax t 0 false then bellman_rounds t (k - 1)
-
-(* Seed potentials with shortest distances over the residual graph so
-   every reduced cost Dijkstra sees is non-negative (unreached nodes
-   get 0 — no residual path can reach them anyway). *)
-let bellman_seed t ~source =
-  Array.fill t.dist 0 t.n inf;
-  t.dist.(source) <- 0;
-  bellman_rounds t t.n;
-  for v = 0 to t.n - 1 do
-    t.pot.(v) <- (if t.dist.(v) >= inf then 0 else t.dist.(v))
-  done
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if t.hk.(i) < t.hk.(p) then begin
-      let k = t.hk.(i) and v = t.hv.(i) in
-      t.hk.(i) <- t.hk.(p);
-      t.hv.(i) <- t.hv.(p);
-      t.hk.(p) <- k;
-      t.hv.(p) <- v;
-      sift_up t p
-    end
-  end
-
-let heap_push t k v =
-  let i = t.hsize in
-  t.hsize <- i + 1;
-  t.hk.(i) <- k;
-  t.hv.(i) <- v;
-  sift_up t i
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 in
-  if l < t.hsize then begin
-    let r = l + 1 in
-    let c = if r < t.hsize && t.hk.(r) < t.hk.(l) then r else l in
-    if t.hk.(c) < t.hk.(i) then begin
-      let k = t.hk.(i) and v = t.hv.(i) in
-      t.hk.(i) <- t.hk.(c);
-      t.hv.(i) <- t.hv.(c);
-      t.hk.(c) <- k;
-      t.hv.(c) <- v;
-      sift_down t c
-    end
-  end
-
-let heap_pop t =
-  if t.hsize = 0 then -1
-  else begin
-    let v = t.hv.(0) in
-    t.hsize <- t.hsize - 1;
-    t.hk.(0) <- t.hk.(t.hsize);
-    t.hv.(0) <- t.hv.(t.hsize);
-    sift_down t 0;
-    v
-  end
-
-(* Scans the row from its end, newest arc first — the order in which
-   Mincost relaxes Graph.iter_out, so equal-distance ties resolve to the
-   same predecessor arcs and both cores push the same paths. *)
-let rec dij_row t v start j =
-  if j >= start then begin
-    t.stats.arcs_scanned <- t.stats.arcs_scanned + 1;
-    (if t.cap.(j) > 0 then begin
-       let w = t.head.(j) in
-       if not t.final.(w) then begin
-         let nd = t.dist.(v) + t.cst.(j) + t.pot.(v) - t.pot.(w) in
-         if nd < t.dist.(w) then begin
-           t.dist.(w) <- nd;
-           t.pred.(w) <- j;
-           heap_push t nd w
-         end
-       end
-     end);
-    dij_row t v start (j - 1)
-  end
-
-let rec dij_loop t =
-  let v = heap_pop t in
-  if v >= 0 then begin
-    (* Lazy deletion: stale heap entries are skipped on pop. *)
-    if not t.final.(v) then begin
-      t.final.(v) <- true;
-      dij_row t v t.row_ptr.(v) (t.row_ptr.(v + 1) - 1)
-    end;
-    dij_loop t
-  end
-
-let dijkstra t ~source =
-  Array.fill t.dist 0 t.n inf;
-  Array.fill t.pred 0 t.n (-1);
-  Array.fill t.final 0 t.n false;
-  t.hsize <- 0;
-  t.dist.(source) <- 0;
-  heap_push t 0 source;
-  dij_loop t
-
-let rec walk_min t ~source v acc =
-  if v = source then acc
-  else
-    let j = t.pred.(v) in
-    let c = t.cap.(j) in
-    walk_min t ~source t.tail.(j) (if c < acc then c else acc)
-
-let rec walk_push t ~source v k =
-  if v <> source then begin
-    let j = t.pred.(v) in
-    t.cap.(j) <- t.cap.(j) - k;
-    let r = t.rev.(j) in
-    t.cap.(r) <- t.cap.(r) + k;
-    walk_push t ~source t.tail.(j) k
-  end
-
-let update_potentials t =
-  for v = 0 to t.n - 1 do
-    if t.dist.(v) < inf then t.pot.(v) <- t.pot.(v) + t.dist.(v)
-  done
-
-let rec ssp_rounds t ~source ~sink total =
-  dijkstra t ~source;
-  if t.dist.(sink) >= inf then total
-  else begin
-    update_potentials t;
-    let k = walk_min t ~source sink max_int in
-    walk_push t ~source sink k;
-    t.stats.passes <- t.stats.passes + 1;
-    t.stats.augmentations <- t.stats.augmentations + 1;
-    ssp_rounds t ~source ~sink (total + k)
-  end
-
-let mincost t ~source ~sink =
-  if source = sink then invalid_arg "Csr.mincost: source = sink";
-  reset_stats t;
-  if has_negative_loop t 0 then bellman_seed t ~source
-  else Array.fill t.pot 0 t.n 0;
-  ssp_rounds t ~source ~sink 0
-
-(* ------------------------------------------------------------------ *)
-(* Warm-cycle bulk operations.                                         *)
-
-let rec commit_loop t ~source i acc =
-  if i >= t.pairs then acc
-  else begin
-    let fa = t.pos.(2 * i) in
-    let f = t.orig.(i) - t.cap.(fa) in
-    if (not t.frozen.(i)) && f > 0 then begin
-      if t.cap.(fa) <> 0 then invalid_arg "Csr.commit_new: unsaturated arc";
-      t.cap.(t.rev.(fa)) <- 0;
-      t.frozen.(i) <- true;
-      commit_loop t ~source (i + 1)
-        (if t.tail.(fa) = source then acc + f else acc)
-    end
-    else commit_loop t ~source (i + 1) acc
-  end
-
-let commit_new t ~source = commit_loop t ~source 0 0
+(* Path extraction and rollback.                                       *)
 
 (* Freezes the arc at CSR position [j] and appends it to [arcs]. *)
 let take t arcs fill j =
@@ -584,15 +372,6 @@ let extract_paths t ~source ~sink ~arcs ~ends =
   extract_loop t ~source ~sink arcs ends t.row_ptr.(source)
     (t.row_ptr.(source + 1) - 1)
     0 0
-
-let release_all t =
-  for i = 0 to t.pairs - 1 do
-    if t.frozen.(i) then begin
-      t.frozen.(i) <- false;
-      t.cap.(t.pos.(2 * i)) <- t.orig.(i);
-      t.cap.(t.pos.(2 * i + 1)) <- 0
-    end
-  done
 
 let rollback t =
   for i = 0 to t.pairs - 1 do
@@ -635,8 +414,6 @@ let check_rev_pairing t =
       fail "rev disagrees with graph partner at arc %d" a;
     if t.head.(r) <> t.tail.(j) || t.tail.(r) <> t.head.(j) then
       fail "partner head/tail not mirrored at arc %d" a;
-    if t.cst.(r) <> -t.cst.(j) then
-      fail "partner cost not negated at arc %d" a;
     if t.cap.(j) < 0 then fail "negative residual capacity at arc %d" a;
     let v = t.tail.(j) in
     if not (t.row_ptr.(v) <= j && j < t.row_ptr.(v + 1)) then

@@ -3,43 +3,47 @@
     {!Graph} is the flexible builder representation: growable vectors, a
     first/next adjacency list, one bounds-checked accessor per field. It
     is what the snapshot transformations {e compile into}, and it stays
-    the reference implementation the from-scratch solvers run on. This
-    module is what a long-running scheduler {e executes on}: a residual
-    network in flat int arrays —
+    the reference implementation the from-scratch solvers run on,
+    Transformation 2's min-cost flows ({!Mincost}, {!Out_of_kilter})
+    included. This module is what a long-running scheduler
+    {e executes on}: a residual network in flat int arrays —
 
     - arcs sorted by source node ([row_ptr]/[head]/[tail], the classic
       CSR layout), so a node's out-arcs are one cache-friendly slice
       instead of a pointer chase;
-    - residual partners paired by index ([rev]), capacities and costs in
-      parallel int arrays mutated in place;
+    - residual partners paired by index ([rev]), capacities in a
+      parallel int array mutated in place;
     - every piece of solver scratch — layered-network BFS queue and
-      levels, current-arc cursors, the DFS path stack, Dijkstra
-      potentials/distances/heap — preallocated at construction.
+      levels, current-arc cursors, the DFS path stack — preallocated at
+      construction.
 
-    The two production solvers ({!dinic} for Transformation 1 /
-    [Maxflow], {!mincost} successive-shortest-paths for Transformation 2
-    / [Priority]) run on this layout with {b zero minor-heap
+    Its one solver, {!dinic}, runs on this layout with {b zero minor-heap
     allocation}: no closures, no options, no tuples, no refs on any
-    per-cycle path. A warm scheduling cycle — capacity toggles,
-    augment, {!commit_new}, eventually {!release_all} — therefore
-    allocates nothing at all, which [bench/csr_bench.ml] (E34) asserts
-    with a calibrated [Gc.minor_words] delta on a 1024-port network.
+    per-cycle path. The online engine ([Rsin_engine.Incremental]) serves
+    both disciplines with it: Transformation 1 as one run, and
+    priorities one class at a time, one run per class. A warm
+    scheduling cycle — capacity toggles, {!dinic}, {!extract_paths}
+    freezing the new circuits, a what-if probe undone by {!rollback},
+    and each circuit's release through {!thaw} and {!set_flow} —
+    therefore allocates nothing at all, which [bench/csr_bench.ml]
+    (E34) asserts with a calibrated [Gc.minor_words] delta on a
+    1024-port network.
 
     Arcs are addressed by {e graph} arc indices: forward arc [i] is
     [2 i] (the value {!Graph.add_arc} returns for the [i]-th arc) and
     its residual partner is [a lxor 1], so the link↔arc correspondence
     of {!Rsin_core.Netgraph} addresses either representation; the CSR
     position of an arc is an internal detail. Each row keeps the arcs in
-    graph-arc order, and {!mincost} and {!next_flow_arc} scan it from the
-    end — newest arc first, the order of {!Graph.iter_out} — so they
-    break ties exactly as {!Mincost} and graph-based path extraction
-    do. *)
+    graph-arc order, and {!next_flow_arc} and {!extract_paths} scan it
+    from the end — newest arc first, the order of {!Graph.iter_out} —
+    so they decompose a flow into the same paths as graph-based path
+    extraction does. *)
 
 type t
 
 type stats = {
-  mutable passes : int;        (** Dinic phases / SSP rounds of the last run *)
-  mutable augmentations : int; (** flow units pushed (Dinic) / paths (SSP) *)
+  mutable passes : int;        (** Dinic phases of the last run *)
+  mutable augmentations : int; (** flow units pushed *)
   mutable arcs_scanned : int;  (** residual arcs examined *)
 }
 
@@ -53,14 +57,15 @@ val create :
 (** [create ~nodes ~arcs ~src ~dst ~cap] lays out a network directly in
     CSR form, without building a {!Graph}: forward arc [i] (graph arc
     [2 i], for [0 <= i < arcs]) runs from node [src i] to node [dst i]
-    with capacity [cap i], cost 0 and no flow. Each function is called
+    with capacity [cap i] and no flow. Each function is called
     a bounded number of times per arc during construction only. This is
     how {!Rsin_core.Netgraph.compile_full} emits the online engine's
     network. O(nodes + arcs). *)
 
 val of_graph : Graph.t -> t
-(** Snapshots the graph — structure, residual capacities, costs — into
-    CSR form. O(nodes + arcs). The graph is not referenced afterwards;
+(** Snapshots the graph — structure and residual capacities — into
+    CSR form; arc costs are not copied, since no CSR solver reads
+    them. O(nodes + arcs). The graph is not referenced afterwards;
     {!write_flows} copies a solved flow back. *)
 
 val node_count : t -> int
@@ -70,23 +75,22 @@ val arc_count : t -> int
 (** {1 State access — graph arc indices}
 
     Same contracts as the {!Graph} namesakes: [flow], [set_capacity],
-    [set_cost], [set_flow], [freeze], [thaw] and [original_capacity]
-    accept {e forward} arc indices only; [capacity], [cost] and [push]
-    accept both sides. All mutators are O(1) int-array writes. *)
+    [set_flow], [freeze], [thaw] and [original_capacity] accept
+    {e forward} arc indices only; [capacity] and [push] accept both
+    sides. All mutators are O(1) int-array writes. *)
 
 val capacity : t -> Graph.arc -> int
 val original_capacity : t -> Graph.arc -> int
-val cost : t -> Graph.arc -> int
 val flow : t -> Graph.arc -> int
 val push : t -> Graph.arc -> int -> unit
 val set_capacity : t -> Graph.arc -> int -> unit
-val set_cost : t -> Graph.arc -> int -> unit
 val set_flow : t -> Graph.arc -> int -> unit
 
 val freeze : t -> Graph.arc -> unit
 (** [freeze t a] locks the flow on saturated forward arc [a] by removing
-    the residual (undo) capacity of its partner, and marks it committed
-    for {!commit_new}/{!release_all}. An augmenting path can then
+    the residual (undo) capacity of its partner, and marks it frozen
+    ({!is_frozen}), the state {!extract_paths} leaves every arc it
+    crosses in and {!rollback} leaves alone. An augmenting path can then
     neither use nor reroute the arc — exactly the status of a link
     carried by an {e established} circuit, which a later scheduling
     cycle must route around, not through. Raises [Invalid_argument]
@@ -112,48 +116,29 @@ val next_flow_arc : t -> int -> Graph.arc
     over the adjacency graph would. No allocation. *)
 
 val flow_value : t -> source:int -> int
-val total_cost : t -> int
+(** Net flow out of a node: out-flow minus in-flow over its row. *)
 
-(** {1 Solvers}
-
-    Both reset {!last_stats}, augment from the current residual state
-    (warm start: frozen flow is routed around, existing unfrozen flow is
-    kept), and return the flow {e added}. Zero minor-heap allocation. *)
+(** {1 Solver} *)
 
 val dinic : t -> source:int -> sink:int -> int
-(** Layered-network blocking flow (Dinic) with current-arc cursors. *)
+(** Layered-network blocking flow (Dinic) with current-arc cursors.
+    Resets {!last_stats}, augments from the current residual state
+    (warm start: frozen flow is routed around, existing unfrozen flow is
+    kept), and returns the flow {e added}. Zero minor-heap allocation. *)
 
 val source_side : t -> int -> bool
 (** [source_side t v], read after {!dinic}: whether the run's final BFS
     reached node [v], i.e. whether [v] is residual-reachable from the
     source. That set is the source side of the canonical minimum cut,
     the one {!Edmonds_karp.min_cut} reads; it does not depend on which
-    maximum flow was found. O(1), no allocation. Meaningless after
-    {!mincost}, which leaves the BFS levels alone. *)
-
-val mincost : t -> source:int -> sink:int -> int
-(** Successive shortest paths with potentials (Dijkstra on reduced
-    costs; one Bellman–Ford seed pass when negative costs are present).
-    The resulting maximum flow is cost-minimal among maximum flows given
-    a cost-feasible starting state (frozen flow exposes no residual arc,
-    so it cannot create a negative cycle). Rows are scanned newest arc
-    first, so on a snapshot it pushes the same paths as
-    {!Mincost.min_cost_max_flow}, arc for arc. *)
+    maximum flow was found. O(1), no allocation. *)
 
 val last_stats : t -> stats
 (** Work counters of the most recent solver run. The record is owned by
     [t] and overwritten by the next run — copy fields out, do not
     retain it. *)
 
-(** {1 Warm-cycle bulk operations — zero allocation} *)
-
-val commit_new : t -> source:int -> int
-(** Freezes every unfrozen arc carrying flow (they must be saturated —
-    always true on the unit-capacity scheduling graphs) and returns the
-    number of flow units committed, measured at [source]. One O(arcs)
-    scan, no allocation: the bulk form of per-circuit freezing for
-    benchmarks and steady-state loops that do not need the circuits
-    themselves. *)
+(** {1 Warm-cycle operations — zero allocation} *)
 
 val extract_paths :
   t -> source:int -> sink:int -> arcs:Graph.arc array -> ends:int array -> int
@@ -169,12 +154,6 @@ val extract_paths :
     an unsaturated arc or a buffer too small — each arc is crossed at
     most once, so [arcs] of length {!arc_count} always suffices. *)
 
-val release_all : t -> unit
-(** Thaws every frozen arc and zeroes its flow — the bulk inverse of
-    {!commit_new}. Endpoint capacities are left untouched; switch them
-    off separately if the released circuits' endpoints should go
-    idle. *)
-
 val rollback : t -> unit
 (** Zeroes the flow on every unfrozen arc, leaving frozen arcs and all
     capacities alone: it undoes every augmentation since the last
@@ -187,14 +166,14 @@ val rollback : t -> unit
 val write_flows : t -> Graph.t -> unit
 (** Copies the CSR flow assignment back onto the graph the snapshot was
     taken from ({!Graph.set_flow} per forward arc) — how the registry's
-    [dinic-csr]/[mincost-csr] solvers leave their result where every
+    [dinic-csr] solver leaves its result where every
     {!Graph}-based caller (extraction, conservation checks) expects it.
     Frozen arcs are skipped: the graph has no notion of them. *)
 
 val check_rev_pairing : t -> (unit, string) result
 (** Structural invariants tying the two representations together:
     [rev] is a fixed-point-free involution matching [a lxor 1] in graph
-    terms, partner head/tail/cost mirror each other, the graph↔CSR
+    terms, partner head/tail mirror each other, the graph↔CSR
     position maps are mutually inverse, each arc lies in its tail's
     [row_ptr] slice, and residual capacities of a pair sum to the
     original capacity (frozen pairs: residual side 0, flow within

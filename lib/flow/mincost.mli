@@ -34,6 +34,8 @@ val min_cost_max_flow :
   Graph.t -> source:Graph.node -> sink:Graph.node -> result
 (** Minimum-cost flow among maximum flows. With [obs], the stats are
     also added to the [flow.mincost.*] registry counters. Any flow
-    the graph already carries is kept and only augmented; the online
-    engine runs the same rounds warm on its {!Csr} network
-    ({!Csr.mincost}). *)
+    the graph already carries is kept and only augmented. The online
+    engine reaches the same optimum warm on its {!Csr} network by
+    running {!Csr.dinic} one priority class at a time
+    ([Rsin_engine.Incremental]); the tests check it against this
+    solver. *)

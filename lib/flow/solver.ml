@@ -86,8 +86,8 @@ module Out_of_kilter_s : S = struct
         arcs_scanned = s.Out_of_kilter.arcs_scanned } )
 end
 
-(* The CSR backends run on a flat snapshot (Csr.of_graph) and copy the
-   resulting flow back, so they satisfy the same Graph-in/Graph-out
+(* The CSR backend runs on a flat snapshot (Csr.of_graph) and copies
+   the resulting flow back, so it satisfies the same Graph-in/Graph-out
    contract as the mutable-adjacency engines. The snapshot conversion
    allocates; the zero-allocation claim is about the solve itself and
    about warm cycles that keep one Csr.t alive (the online engine's
@@ -111,31 +111,13 @@ module Dinic_csr_s : S = struct
         arcs_scanned = s.Csr.arcs_scanned } )
 end
 
-module Mincost_csr_s : S = struct
-  let name = "mincost-csr"
-
-  let max_flow ?obs g ~source ~sink =
-    let c = Csr.of_graph g in
-    let f = Csr.mincost c ~source ~sink in
-    Csr.write_flows c g;
-    let s = Csr.last_stats c in
-    Rsin_obs.Obs.count obs "flow.mincost_csr.runs" 1;
-    Rsin_obs.Obs.count obs "flow.mincost_csr.augmentations" s.Csr.augmentations;
-    Rsin_obs.Obs.count obs "flow.mincost_csr.arcs_scanned" s.Csr.arcs_scanned;
-    ( f,
-      { passes = s.Csr.passes;
-        augmentations = s.Csr.augmentations;
-        arcs_scanned = s.Csr.arcs_scanned } )
-end
-
 let all : (module S) list =
   [ (module Dinic_s);
     (module Edmonds_karp_s);
     (module Push_relabel_s);
     (module Mincost_s);
     (module Out_of_kilter_s);
-    (module Dinic_csr_s);
-    (module Mincost_csr_s) ]
+    (module Dinic_csr_s) ]
 
 let names () = List.map (fun (module M : S) -> M.name) all
 

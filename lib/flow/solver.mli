@@ -37,11 +37,11 @@ end
 val all : (module S) list
 (** Every registered solver, in registry order:
     dinic, edmonds-karp, push-relabel, mincost, out-of-kilter,
-    dinic-csr, mincost-csr. The [-csr] pair are the same algorithms as
-    [dinic]/[mincost] ported to the flat zero-allocation {!Csr} core,
-    with the same tie-breaks, so they leave the same flow on every arc;
-    they exist in the registry so every differential suite can compare
-    the two representations through one interface. *)
+    dinic-csr. [dinic-csr] is [dinic] on the flat zero-allocation
+    {!Csr} core the online engine runs, with the same tie-breaks, so
+    it leaves the same flow on every arc; it is in the registry so the
+    differential suites can compare the two representations through
+    one interface. *)
 
 val names : unit -> string list
 

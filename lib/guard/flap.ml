@@ -36,13 +36,18 @@ let record_fault t ~now e =
   end
 
 (* Canonical element order: links, then boxes, then resources, by index
-   — keeps snapshots byte-stable across hashtable layouts. *)
-let elt_rank = function
-  | Fault.Link i -> (0, i)
-  | Fault.Box i -> (1, i)
-  | Fault.Res i -> (2, i)
+   — keeps snapshots byte-stable across hashtable layouts. Compared as
+   two ints, so a comparison allocates nothing. *)
+let kind_rank = function
+  | Fault.Link _ -> 0
+  | Fault.Box _ -> 1
+  | Fault.Res _ -> 2
 
-let compare_elt a b = compare (elt_rank a) (elt_rank b)
+let index = function Fault.Link i | Fault.Box i | Fault.Res i -> i
+
+let compare_elt a b =
+  let c = Int.compare (kind_rank a) (kind_rank b) in
+  if c <> 0 then c else Int.compare (index a) (index b)
 
 let active t =
   Hashtbl.fold (fun e until acc -> (e, until) :: acc) t.quarantined []
@@ -50,15 +55,27 @@ let active t =
 
 let element_json e = Json.Obj (Fault.element_fields e)
 
-let to_json t =
-  let history =
-    Hashtbl.fold (fun e slots acc -> (e, slots) :: acc) t.history []
-    |> List.sort (fun (a, _) (b, _) -> compare_elt a b)
-    |> List.map (fun (e, slots) ->
-           Json.Obj
-             [ ("element", element_json e);
-               ("slots", Json.Arr (List.map Json.int slots)) ])
+(* The history's elements sorted in place in one array, its entries
+   then consed from the last: no list is built only to be sorted or
+   mapped. *)
+let history_json t =
+  let keys = Array.make (Hashtbl.length t.history) (Fault.Link 0) in
+  ignore (Hashtbl.fold (fun e _ i -> keys.(i) <- e; i + 1) t.history 0);
+  Array.sort compare_elt keys;
+  let rec entries k acc =
+    if k < 0 then acc
+    else
+      let e = keys.(k) in
+      entries (k - 1)
+        (Json.Obj
+           [ ("element", element_json e);
+             ("slots", Json.Arr (List.map Json.int (Hashtbl.find t.history e))) ]
+        :: acc)
   in
+  entries (Array.length keys - 1) []
+
+let to_json t =
+  let history = history_json t in
   let quarantined =
     List.map
       (fun (e, until) ->

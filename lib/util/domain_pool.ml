@@ -49,60 +49,95 @@ let wake s =
     Mutex.unlock s.mu
   end
 
-type job = Run of (int -> unit) | Quit
+(* A spawned worker waits for [go] to move past [seen], the last
+   generation it served, and then serves the pool's one batch or quits.
+   [moved] is that test, built once so a wait allocates nothing. *)
+type worker = {
+  go : int Atomic.t;
+  at : spot;
+  seen : int ref;
+  moved : unit -> bool;
+}
 
-(* A spawned worker waits for [go] to move past the last generation it
-   served, then runs the pool's [job]. *)
-type worker = { go : int Atomic.t; at : spot }
+let worker () =
+  let go = Atomic.make 0 and seen = ref 0 in
+  { go; at = spot (); seen; moved = (fun () -> Atomic.get go <> !seen) }
 
+(* The pool keeps its one batch: at most one is ever in flight, so the
+   task array, one claim cursor and one chunk end per worker (the
+   caller's included) and the first failure are made once, at [create],
+   and each [start] only rewrites them. *)
 type t = {
   workers : worker array;
   mutable domains : unit Domain.t array;
   spin : bool;
   (* Written before the workers' [go] is bumped, read after. *)
-  mutable job : job;
+  mutable tasks : (unit -> unit) array;
+  cursors : int Atomic.t array;   (* per worker: next index to claim *)
+  ends : int array;               (* per worker: end of its chunk *)
+  failed : (exn * Printexc.raw_backtrace) option Atomic.t;
+  mutable quit : bool;
   (* Spawned workers still inside the current batch; the last one out
-     wakes the caller from [caller]. *)
+     wakes the caller from [caller], where it waits for [all_out]. *)
   running : int Atomic.t;
   caller : spot;
-  mutable in_flight : batch option;
+  all_out : unit -> bool;
+  mutable in_flight : bool;
   mutable live : bool;
-}
-
-and batch = {
-  pool : t;
-  tasks : (unit -> unit) array;
-  (* One chunk per worker: next index to claim, end of the chunk. *)
-  cursors : (int Atomic.t * int) array;
-  failed : (exn * Printexc.raw_backtrace) option Atomic.t;
 }
 
 let size t = Array.length t.workers + 1
 
+(* Work stealing: a worker drains its own chunk first (no contention in
+   the common balanced case), then sweeps the other cursors;
+   fetch-and-add may overshoot a chunk's end, which is harmless — the
+   bound check rejects the claim. A task's exception is kept (the first
+   one raised wins) and the sweep goes on, so every task runs once
+   whatever fails. *)
+let drain t ~from =
+  let w = Array.length t.cursors in
+  for k = 0 to w - 1 do
+    let c = (from + k) mod w in
+    let cur = t.cursors.(c) and hi = t.ends.(c) in
+    let i = ref (Atomic.fetch_and_add cur 1) in
+    while !i < hi do
+      (try t.tasks.(!i) ()
+       with e ->
+         let bt = Printexc.get_raw_backtrace () in
+         ignore (Atomic.compare_and_set t.failed None (Some (e, bt))));
+      i := Atomic.fetch_and_add cur 1
+    done
+  done
+
 let worker_loop t me w =
-  let rec serve seen =
-    await w.at ~spin:t.spin (fun () -> Atomic.get w.go <> seen);
-    match t.job with
-    | Quit -> ()
-    | Run f ->
-      f me;
+  let rec serve () =
+    await w.at ~spin:t.spin w.moved;
+    w.seen := !(w.seen) + 1;
+    if not t.quit then begin
+      drain t ~from:me;
       if Atomic.fetch_and_add t.running (-1) = 1 then wake t.caller;
-      serve (seen + 1)
+      serve ()
+    end
   in
-  serve 0
+  serve ()
 
 let create n =
   if n < 1 then invalid_arg "Domain_pool.create: size must be >= 1";
+  let running = Atomic.make 0 in
   let t =
     {
-      workers =
-        Array.init (n - 1) (fun _ -> { go = Atomic.make 0; at = spot () });
+      workers = Array.init (n - 1) (fun _ -> worker ());
       domains = [||];
       spin = n <= Domain.recommended_domain_count ();
-      job = Quit;
-      running = Atomic.make 0;
+      tasks = [||];
+      cursors = Array.init n (fun _ -> Atomic.make 0);
+      ends = Array.make n 0;
+      failed = Atomic.make None;
+      quit = false;
+      running;
       caller = spot ();
-      in_flight = None;
+      all_out = (fun () -> Atomic.get running = 0);
+      in_flight = false;
       live = true;
     }
   in
@@ -112,72 +147,50 @@ let create n =
       t.workers;
   t
 
-let post t job =
-  t.job <- job;
+let post t =
   Array.iter
     (fun w ->
       Atomic.incr w.go;
       wake w.at)
     t.workers
 
-(* Work stealing: a worker drains its own chunk first (no contention in
-   the common balanced case), then sweeps the other cursors;
-   fetch-and-add may overshoot a chunk's end, which is harmless — the
-   bound check rejects the claim. A task's exception is kept (the first
-   one raised wins) and the sweep goes on, so every task runs once
-   whatever fails. *)
-let drain b ~from =
-  let w = Array.length b.cursors in
-  for k = 0 to w - 1 do
-    let cur, hi = b.cursors.((from + k) mod w) in
-    let i = ref (Atomic.fetch_and_add cur 1) in
-    while !i < hi do
-      (try b.tasks.(!i) ()
-       with e ->
-         let bt = Printexc.get_raw_backtrace () in
-         ignore (Atomic.compare_and_set b.failed None (Some (e, bt))));
-      i := Atomic.fetch_and_add cur 1
-    done
-  done
-
 let start t tasks =
   if not t.live then invalid_arg "Domain_pool.start: pool is shut down";
-  if Option.is_some t.in_flight then
+  if t.in_flight then
     invalid_arg "Domain_pool.start: a batch is already in flight";
   let n = Array.length tasks and w = size t in
   let chunk = (n + w - 1) / w in
-  let b =
-    {
-      pool = t;
-      tasks;
-      cursors =
-        Array.init w (fun i ->
-            (Atomic.make (i * chunk), min n ((i + 1) * chunk)));
-      failed = Atomic.make None;
-    }
-  in
-  t.in_flight <- Some b;
+  t.tasks <- tasks;
+  for i = 0 to w - 1 do
+    Atomic.set t.cursors.(i) (i * chunk);
+    t.ends.(i) <- min n ((i + 1) * chunk)
+  done;
+  t.in_flight <- true;
   if n > 0 && w > 1 then begin
     Atomic.set t.running (w - 1);
-    post t (Run (fun me -> drain b ~from:me))
-  end;
-  b
+    post t
+  end
 
-let finish b =
-  let t = b.pool in
-  drain b ~from:0;
-  await t.caller ~spin:t.spin (fun () -> Atomic.get t.running = 0);
-  t.in_flight <- None;
-  match Atomic.get b.failed with
+let finish t =
+  if not t.in_flight then invalid_arg "Domain_pool.finish: no batch in flight";
+  drain t ~from:0;
+  await t.caller ~spin:t.spin t.all_out;
+  t.in_flight <- false;
+  match Atomic.get t.failed with
   | None -> ()
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | Some (e, bt) ->
+    Atomic.set t.failed None;
+    Printexc.raise_with_backtrace e bt
 
-let run_tasks t tasks = finish (start t tasks)
+let run_tasks t tasks =
+  start t tasks;
+  finish t
 
 let shutdown t =
   if t.live then begin
-    Option.iter (fun b -> try finish b with _ -> ()) t.in_flight;
+    if t.in_flight then (try finish t with _ -> ());
     t.live <- false;
-    post t Quit;
+    t.quit <- true;
+    post t;
     Array.iter Domain.join t.domains
   end

@@ -27,11 +27,7 @@ val create : int -> t
 
 val size : t -> int
 
-type batch
-(** A set of tasks handed to the pool by {!start} and not yet
-    {!finish}ed. *)
-
-val start : t -> (unit -> unit) array -> batch
+val start : t -> (unit -> unit) array -> unit
 (** [start pool tasks] hands [tasks] to the spawned workers and returns
     at once, so the caller can do other work while they run. Tasks are
     split into one chunk per worker (the caller's included), each
@@ -41,19 +37,22 @@ val start : t -> (unit -> unit) array -> batch
     independent of each other and of whatever the caller does before
     {!finish}. At most one batch is in flight per pool: raises
     [Invalid_argument] when one already is, or when the pool is shut
-    down. *)
+    down. The pool keeps that one batch's cursors from {!create} on,
+    so a [start]/{!finish} round trip allocates nothing on the calling
+    domain. *)
 
-val finish : batch -> unit
-(** [finish b] makes the caller claim and run every task of [b] no
-    worker has claimed yet — its own chunk first, then the others' —
-    and then waits until the workers have finished theirs. Every task
-    runs exactly once, even when some raise; the first exception raised
-    is then re-raised here, with its backtrace, and the pool stays
-    usable. Call it exactly once per batch. *)
+val finish : t -> unit
+(** [finish pool] makes the caller claim and run every task of the
+    batch in flight that no worker has claimed yet — its own chunk
+    first, then the others' — and then waits until the workers have
+    finished theirs. Every task runs exactly once, even when some
+    raise; the first exception raised is then re-raised here, with its
+    backtrace, and the pool stays usable. Raises [Invalid_argument]
+    when no batch is in flight. *)
 
 val run_tasks : t -> (unit -> unit) array -> unit
-(** [run_tasks pool tasks] is [finish (start pool tasks)]: it runs every
-    task to completion across the pool. *)
+(** [run_tasks pool tasks] is [start pool tasks] then [finish pool]:
+    it runs every task to completion across the pool. *)
 
 val shutdown : t -> unit
 (** Finishes a batch still in flight (dropping its exception), then

@@ -95,13 +95,15 @@ let compare_slots h i j =
 
 (* Sorts slot numbers in place rather than a list of tuples: a
    checkpoint lists every entry, and a list sort allocates a fresh list
-   per merge level. *)
-let entries h =
+   per merge level. Folding from the last entry lets a caller cons its
+   own values in order, with no tuple or list in between. *)
+let fold_sorted h f init =
   let order = Array.init h.size Fun.id in
   Array.sort (compare_slots h) order;
-  let l = ref [] in
-  for k = h.size - 1 downto 0 do
-    let i = order.(k) in
-    l := (h.time.(i), h.seq.(i), h.value.(i)) :: !l
-  done;
-  !l
+  let rec fold k acc =
+    if k < 0 then acc
+    else
+      let i = order.(k) in
+      fold (k - 1) (f ~time:h.time.(i) ~seq:h.seq.(i) h.value.(i) acc)
+  in
+  fold (h.size - 1) init

@@ -30,6 +30,9 @@ val pop : t -> int
 (** Removes the minimum entry and returns its payload. Raises
     [Invalid_argument] on an empty heap. *)
 
-val entries : t -> (int * int * int) list
-(** Every [(time, seq, payload)] entry in pop order (ties by payload),
-    leaving the heap unchanged. Allocates; for checkpoints and tests. *)
+val fold_sorted : t -> (time:int -> seq:int -> int -> 'a -> 'a) -> 'a -> 'a
+(** [fold_sorted h f init] folds [f ~time ~seq payload] over every entry
+    from the last in pop order (ties by payload) to the first, leaving
+    the heap unchanged: consing in [f] builds the entries in pop order.
+    Allocates one int array of the heap's size; for checkpoints and
+    tests. *)

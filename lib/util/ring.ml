@@ -57,5 +57,3 @@ let remove q x =
     q.len <- q.len - 1;
     true
   end
-
-let to_list q = List.init q.len (fun i -> q.buf.(slot q i))

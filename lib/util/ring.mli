@@ -4,8 +4,8 @@
     like the fixed per-port buffers of a router: push at the back on
     admission, at the front for a re-admitted fault victim, pop the head
     into a circuit, and withdraw one id on a cancel or an expiry. Every
-    operation but {!to_list} allocates nothing once the buffer has grown
-    to the queue's high-water mark. *)
+    operation allocates nothing once the buffer has grown to the
+    queue's high-water mark. *)
 
 type t
 
@@ -32,6 +32,3 @@ val get : t -> int -> int
 val remove : t -> int -> bool
 (** [remove q x] removes the first occurrence of [x], keeping the order
     of the rest, and says whether there was one. O(length). *)
-
-val to_list : t -> int list
-(** Head first. *)

@@ -1,9 +1,8 @@
 (* The flat CSR flow core (Rsin_flow.Csr) vs the mutable-adjacency
    Graph: structural invariants of the emission (check_rev_pairing),
    state-accessor agreement under random mutation, and the differential
-   guarantees of the registry solvers (dinic-csr/mincost-csr) — the
-   same flow on every arc as their adjacency originals — and of the
-   warm engine, which runs on the CSR core only: the allocation and
+   guarantees of the registry solver dinic-csr — the same flow on
+   every arc as its adjacency original — and of the warm engine, which runs on the CSR core only: the allocation and
    total served priority of a from-scratch transformation on every
    topology family, including degraded (fault-masked) networks and
    hundreds of warm churn cycles. *)
@@ -99,15 +98,12 @@ let agree g c =
         (Graph.capacity g (a + 1))
         (Csr.capacity c (a + 1));
       expect "flow" a (Graph.flow g a) (Csr.flow c a);
-      expect "cost" a (Graph.cost g a) (Csr.cost c a);
-      expect "residual cost" a (Graph.cost g (a + 1)) (Csr.cost c (a + 1));
       expect "original" a
         (Graph.original_capacity g a)
         (Csr.original_capacity c a));
   for v = 0 to Graph.node_count g - 1 do
     expect "node out-flow" v (Graph.out_flow g v) (Csr.flow_value c ~source:v)
   done;
-  expect "total cost" (-1) (Graph.total_cost g) (Csr.total_cost c);
   !ok
 
 let test_of_graph_invariants =
@@ -130,20 +126,16 @@ let test_mutation_agreement =
       let pairs = Graph.arc_count g in
       for _ = 1 to 60 do
         let a = 2 * Prng.int rng pairs in
-        match Prng.int rng 5 with
+        match Prng.int rng 4 with
         | 0 ->
           let cap = Graph.flow g a + Prng.int rng 3 in
           Graph.set_capacity g a cap;
           Csr.set_capacity c a cap
         | 1 ->
-          let cost = Prng.int rng 9 - 4 in
-          Graph.set_cost g a cost;
-          Csr.set_cost c a cost
-        | 2 ->
           let f = Prng.int rng (Graph.original_capacity g a + 1) in
           Graph.set_flow g a f;
           Csr.set_flow c a f
-        | 3 ->
+        | 2 ->
           let side = if Prng.int rng 2 = 0 then a else a + 1 in
           let room = Graph.capacity g side in
           if room > 0 then begin
@@ -233,23 +225,9 @@ let test_dinic_csr_differential =
           true)
         topologies)
 
-let test_mincost_csr_differential =
-  qtest "mincost-csr = mincost: flow value and every arc's flow" ~count:80
-    QCheck.small_int (fun seed ->
-      List.for_all
-        (fun ((name, _) as topo) ->
-          let rng, net, requests, free = scenario seed topo in
-          let requests = Workload.with_priorities rng ~levels:4 requests in
-          let free = Workload.with_priorities rng ~levels:3 free in
-          let tr = T2.build net ~requests ~free in
-          same_flows ~what:"T2" ~name ~seed (T2.graph tr) "mincost"
-            "mincost-csr" ~source:(T2.source tr) ~sink:(T2.sink tr);
-          true)
-        topologies)
-
-(* Work records populated consistently: the CSR pair reports the same
-   kind of numbers as the originals (same augmentation totals — Dinic
-   counts flow units, SSP counts rounds — and nonzero scan work). *)
+(* Work records populated consistently: dinic-csr reports the same kind
+   of numbers as dinic (augmentations count flow units, and scan work
+   is nonzero). *)
 let test_work_record_consistency () =
   let _rng, net, requests, free = scenario ~faults:false 5 (List.hd topologies) in
   let tr = T1.build net ~requests ~free in
@@ -273,7 +251,7 @@ let test_work_record_consistency () =
    against a from-scratch transformation of the same snapshot, mirrored
    on a reference network where the committed circuits are established
    for real: each solve must be optimal — allocation count and, under
-   Mincost, total served priority — for its snapshot, cycle by cycle. *)
+   Priority, total served priority — for its snapshot, cycle by cycle. *)
 let churn discipline net seed rounds =
   let eng = Incremental.create ~discipline net in
   let refnet = Network.copy net in
@@ -354,7 +332,7 @@ let churn discipline net seed rounds =
   done;
   !cycles
 
-(* --- The class-by-class solve vs Csr.mincost on the same warm state ------- *)
+(* --- The class-by-class solve vs from-scratch Transformation 2 ---------- *)
 
 (* Priorities for [np] requests under one of four regimes: all equal,
    all distinct, a few small classes, and values near 2^53 mixed with
@@ -375,79 +353,77 @@ let priorities rng ~regime np =
     Array.init np (fun _ ->
         if Prng.int rng 4 = 0 then 0 else top - Prng.int rng 3)
 
-(* Two Incremental states on one network take the same churn: endpoint
-   switches, link faults and repairs, staggered releases. The Priority
-   one solves class by class. On the other, kept as the same warm
-   state, Csr.mincost runs with each request's source arc at cost
-   -priority and is rolled back; then the first one's circuits are
-   restored into it. Each cycle both must reach the same flow value and
-   the same total served priority. *)
-let class_solve_matches_mincost (name, build) =
-  qtest (name ^ ": class-by-class solve = Csr.mincost") ~count:12
+(* One Priority engine takes a random churn: endpoint switches, link
+   faults and repairs, staggered releases. Before each solve its
+   pre-solve snapshot goes to a from-scratch Transformation 2: the
+   pending requests and free resources no circuit holds, on a copy of
+   the network with every switched-off or frozen link taken down. The
+   class-by-class solve must reach the same allocation count and the
+   same total served priority. *)
+let class_solve_matches_t2 (name, build) =
+  qtest (name ^ ": class-by-class solve = from-scratch T2") ~count:12
     QCheck.(pair small_int (int_bound 3))
     (fun (seed, regime) ->
       let net = build () in
       let eng = Incremental.create ~discipline:Incremental.Priority net in
-      let twin = Incremental.create ~discipline:Incremental.Maxflow net in
-      let ng = Incremental.netgraph twin in
+      let ng = Incremental.netgraph eng in
       let c = Netgraph.graph ng in
-      let source = Netgraph.source ng and sink = Netgraph.sink ng in
       let np = Network.n_procs net and nr = Network.n_res net in
       let nl = Network.n_links net in
-      let sp = Array.init np (fun p -> Option.get (Netgraph.sp_arc ng p)) in
+      let link_arc l = Option.get (Netgraph.arc_of_link ng l) in
       let rng = Prng.create seed in
       let busy_res = Array.make nr false in
       for round = 1 to 16 do
         let prio = priorities rng ~regime np in
         for p = 0 to np - 1 do
-          if not (Incremental.holds eng p) then begin
-            let on = Prng.float rng 1.0 < 0.6 in
-            Incremental.set_requesting eng ~priority:prio.(p) p on;
-            Incremental.set_requesting twin ~priority:prio.(p) p on
-          end
+          if not (Incremental.holds eng p) then
+            Incremental.set_requesting eng ~priority:prio.(p) p
+              (Prng.float rng 1.0 < 0.6)
         done;
         for r = 0 to nr - 1 do
-          if not busy_res.(r) then begin
-            let on = Prng.float rng 1.0 < 0.5 in
-            Incremental.set_resource_free eng r on;
-            Incremental.set_resource_free twin r on
-          end
+          if not busy_res.(r) then
+            Incremental.set_resource_free eng r (Prng.float rng 1.0 < 0.5)
         done;
         for _ = 1 to 2 do
           let l = Prng.int rng nl in
-          let a = Option.get (Netgraph.arc_of_link ng l) in
-          if not (Csr.is_frozen c a) then begin
-            let on = Prng.float rng 1.0 < 0.7 in
-            Incremental.set_link_usable eng l on;
-            Incremental.set_link_usable twin l on
-          end
+          if not (Csr.is_frozen c (link_arc l)) then
+            Incremental.set_link_usable eng l (Prng.float rng 1.0 < 0.7)
         done;
-        Array.iteri
-          (fun p a ->
-            if not (Csr.is_frozen c a) then Csr.set_cost c a (-prio.(p)))
-          sp;
-        let want = Csr.mincost c ~source ~sink in
-        let want_served = ref 0 in
-        Array.iteri
-          (fun p a ->
-            if (not (Csr.is_frozen c a)) && Csr.flow c a = 1 then
-              want_served := !want_served + prio.(p))
-          sp;
-        Csr.rollback c;
+        let snap = Network.copy net in
+        for l = 0 to nl - 1 do
+          let a = link_arc l in
+          if Csr.is_frozen c a || Csr.original_capacity c a = 0 then
+            Network.set_link_up snap l false
+        done;
+        let requests =
+          List.filter_map
+            (fun p ->
+              if Incremental.requesting eng p && not (Incremental.holds eng p)
+              then Some (p, prio.(p))
+              else None)
+            (List.init np Fun.id)
+        and free =
+          List.filter_map
+            (fun r ->
+              if Incremental.resource_free eng r && not busy_res.(r) then
+                Some (r, 0)
+              else None)
+            (List.init nr Fun.id)
+        in
+        let want = T2.schedule snap ~requests ~free in
+        let want_served =
+          List.fold_left (fun acc (p, _) -> acc + prio.(p)) 0 want.T2.mapping
+        in
         let n = Incremental.solve eng in
         let found = List.init n (Incremental.found eng) in
         let served = List.fold_left (fun acc p -> acc + prio.(p)) 0 found in
-        if n <> want || served <> !want_served then
+        if n <> want.T2.allocated || served <> want_served then
           QCheck.Test.fail_reportf
-            "round %d: class by class %d circuits serving %d, mincost %d \
-             serving %d"
-            round n served want !want_served;
+            "round %d: class by class %d circuits serving %d, from-scratch \
+             T2 %d serving %d"
+            round n served want.T2.allocated want_served;
         List.iter
-          (fun p ->
-            let res = Incremental.circuit_res eng p in
-            busy_res.(res) <- true;
-            Incremental.restore_circuit twin ~proc:p ~res
-              ~links:(Incremental.circuit_links eng p))
+          (fun p -> busy_res.(Incremental.circuit_res eng p) <- true)
           found;
         (match Incremental.check eng with
         | Ok () -> ()
@@ -455,8 +431,7 @@ let class_solve_matches_mincost (name, build) =
         for p = 0 to np - 1 do
           if Incremental.holds eng p && Prng.float rng 1.0 < 0.4 then begin
             busy_res.(Incremental.circuit_res eng p) <- false;
-            Incremental.release eng p;
-            Incremental.release twin p
+            Incremental.release eng p
           end
         done
       done;
@@ -663,44 +638,12 @@ let test_engine_priority_differential () =
   check Alcotest.bool "at least 150 priority differential cycles" true
     (!total_cycles >= 150)
 
-(* --- Warm-cycle bulk operations ------------------------------------------- *)
-
-let test_commit_release_cycle () =
-  let net = Builders.omega 8 in
-  let ng = Netgraph.compile_full net in
-  let c = Netgraph.graph ng in
-  let source = Netgraph.source ng and sink = Netgraph.sink ng in
-  let np = Network.n_procs net and nr = Network.n_res net in
-  for p = 0 to np - 1 do
-    Csr.set_capacity c (Option.get (Netgraph.sp_arc ng p)) 1
-  done;
-  for r = 0 to nr - 1 do
-    Csr.set_capacity c (Option.get (Netgraph.rt_arc ng r)) 1
-  done;
-  let f = Csr.dinic c ~source ~sink in
-  check Alcotest.int "omega routes everything" np f;
-  check Alcotest.int "commit returns the committed units" f
-    (Csr.commit_new c ~source);
-  check Alcotest.bool "endpoint arcs frozen" true
-    (Csr.is_frozen c (Option.get (Netgraph.sp_arc ng 0)));
-  check Alcotest.int "nothing left to augment" 0 (Csr.dinic c ~source ~sink);
-  check Alcotest.int "flow survives the re-solve" f (Csr.flow_value c ~source);
-  check Alcotest.(result unit string) "conserved while frozen" (Ok ())
-    (Csr.check_conservation c ~source ~sink);
-  Csr.release_all c;
-  check Alcotest.int "release zeroes the flow" 0 (Csr.flow_value c ~source);
-  check Alcotest.(result unit string) "pairing after release" (Ok ())
-    (Csr.check_rev_pairing c);
-  let again = Csr.dinic c ~source ~sink in
-  check Alcotest.int "released capacity re-routes identically" f again
-
 let suite =
   [
     test_of_graph_invariants;
     test_mutation_agreement;
     Alcotest.test_case "Netgraph CSR emission" `Quick test_netgraph_emission;
     test_dinic_csr_differential;
-    test_mincost_csr_differential;
     Alcotest.test_case "work records populated consistently" `Quick
       test_work_record_consistency;
     Alcotest.test_case "warm churn: CSR core = from-scratch T1/T2" `Slow
@@ -709,11 +652,9 @@ let suite =
       test_engine_differential;
     Alcotest.test_case "engine priority differential vs from-scratch T2" `Slow
       test_engine_priority_differential;
-    Alcotest.test_case "commit_new/release_all round-trip" `Quick
-      test_commit_release_cycle;
     extraction_matches ("omega:64", fun () -> Builders.omega 64);
     extraction_matches ("clos:8,8,8", fun () -> Builders.clos ~m:8 ~n:8 ~r:8);
-    class_solve_matches_mincost ("omega:16", fun () -> Builders.omega 16);
-    class_solve_matches_mincost ("omega:64", fun () -> Builders.omega 64);
-    class_solve_matches_mincost ("clos:3,4,4", fun () -> Builders.clos ~m:3 ~n:4 ~r:4);
+    class_solve_matches_t2 ("omega:16", fun () -> Builders.omega 16);
+    class_solve_matches_t2 ("omega:64", fun () -> Builders.omega 64);
+    class_solve_matches_t2 ("clos:3,4,4", fun () -> Builders.clos ~m:3 ~n:4 ~r:4);
   ]

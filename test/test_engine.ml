@@ -506,8 +506,7 @@ let config_gen =
       else oneofl [ Engine.Uniform; Engine.Priority ]
     in
     let* solver =
-      oneofl [ "dinic"; "edmonds-karp"; "push-relabel"; "dinic-csr";
-               "mincost-csr" ]
+      oneofl [ "dinic"; "edmonds-karp"; "push-relabel"; "dinic-csr" ]
     in
     let* transmission_time = int_range 1 9 in
     let* batch_threshold = int_range 1 4 in

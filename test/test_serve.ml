@@ -165,11 +165,11 @@ let test_pool_run_tasks () =
       Domain_pool.run_tasks pool tasks;
       (* [start] returns at once; [finish] runs what no worker claimed
          and waits for the rest. A pool of one runs everything there. *)
-      let b = Domain_pool.start pool tasks in
+      Domain_pool.start pool tasks;
       if workers = 1 then
         check Alcotest.int "a pool of one runs no task before finish" n
           (Array.fold_left (fun acc a -> acc + Atomic.get a) 0 hits);
-      Domain_pool.finish b;
+      Domain_pool.finish pool;
       Domain_pool.shutdown pool;
       Array.iteri
         (fun i a ->
@@ -199,9 +199,9 @@ let test_pool_handoff_soak () =
               Atomic.incr runs)
         in
         if k mod 8 = 5 then nap ();
-        let b = Domain_pool.start pool tasks in
+        Domain_pool.start pool tasks;
         if k mod 8 = 7 then nap ();
-        Domain_pool.finish b
+        Domain_pool.finish pool
       done;
       Domain_pool.shutdown pool;
       check Alcotest.int
@@ -220,23 +220,32 @@ let test_pool_exception () =
   (* A started batch keeps a task's exception for [finish], after every
      other task has run. *)
   let ran = Atomic.make 0 in
-  let b =
-    Domain_pool.start pool
-      (Array.init 8 (fun i () ->
-           if i = 5 then failwith "late" else Atomic.incr ran))
-  in
+  Domain_pool.start pool
+    (Array.init 8 (fun i () ->
+         if i = 5 then failwith "late" else Atomic.incr ran));
   check Alcotest.bool "a started batch raises at finish" true
     (try
-       Domain_pool.finish b;
+       Domain_pool.finish pool;
        false
      with Failure m -> m = "late");
   check Alcotest.int "every other task ran" 7 (Atomic.get ran);
   (* The pool survives a failed batch. *)
   let ok = ref false in
   Domain_pool.run_tasks pool [| (fun () -> ok := true) |];
-  Domain_pool.finish (Domain_pool.start pool [| (fun () -> ()) |]);
+  check Alcotest.bool "pool usable after failure" true !ok;
+  (* The pool keeps one batch: a second start before its finish, a
+     finish with nothing started and a start after shutdown are
+     refused. *)
+  let refused what f =
+    check Alcotest.bool what true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  Domain_pool.start pool [| (fun () -> ()) |];
+  refused "a second batch in flight" (fun () -> Domain_pool.start pool [||]);
+  Domain_pool.finish pool;
+  refused "finish with no batch in flight" (fun () -> Domain_pool.finish pool);
   Domain_pool.shutdown pool;
-  check Alcotest.bool "pool usable after failure" true !ok
+  refused "start after shutdown" (fun () -> Domain_pool.start pool [||])
 
 (* --- Serve: merged differential ------------------------------------------- *)
 
@@ -699,10 +708,7 @@ let reference_runs pairs =
   |> List.rev
 
 let map_runs m =
-  let acc = ref [] in
-  Serve.Task_map.iter_runs m (fun first count s ->
-      acc := (first, count, s) :: !acc);
-  List.rev !acc
+  Serve.Task_map.fold_runs m (fun first count s acc -> (first, count, s) :: acc) []
 
 type order = Ascending | Descending | Shuffled
 
@@ -822,6 +828,11 @@ let test_out_of_order_ids () =
 
 (* --- Serve: checkpoint task_home runs -------------------------------------- *)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 (* A real checkpoint with borrowed tasks in it, and a way to swap one of
    its top-level fields. *)
 let borrowing_checkpoint () =
@@ -879,11 +890,6 @@ let test_checkpoint_task_home_runs () =
       Alcotest.failf "%s: restore accepted it" what
     | Error m -> m
   in
-  let contains s sub =
-    let n = String.length sub in
-    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
-    at 0
-  in
   let v1 =
     rejects "v1 document"
       (with_field
@@ -922,6 +928,41 @@ let test_checkpoint_task_home_runs () =
   let m = rejects "string cur_slot" (with_field j "cur_slot" (Json.Str "soon")) in
   check Alcotest.bool "the cur_slot error names the field" true
     (contains m "cur_slot")
+
+(* --- A solver name the registry no longer holds ----------------------------- *)
+
+(* "mincost-csr" left the registry. A config or a serve checkpoint that
+   names it, at the top or in one shard's engine document, comes back
+   as an Error that lists the registry, and nothing raises. *)
+let test_retired_solver_refused () =
+  let registry = String.concat ", " (Rsin_flow.Solver.names ()) in
+  let names_registry what = function
+    | Ok () -> Alcotest.failf "%s: accepted a retired solver" what
+    | Error m ->
+      if not (contains m "\"mincost-csr\"" && contains m registry) then
+        Alcotest.failf "%s: refused with %S, want the registry (%s)" what m
+          registry
+  in
+  let retired config = with_field config "solver" (Json.Str "mincost-csr") in
+  names_registry "Config.of_json"
+    (Result.map ignore
+       (Engine.Config.of_json (retired (Engine.Config.to_json Engine.Config.default))));
+  let net, j = borrowing_checkpoint () in
+  let restore doc =
+    Result.map Serve.abort (Serve.restore ~domains:1 net doc)
+  in
+  names_registry "Serve.restore, router config"
+    (restore (with_field j "config" (retired (Option.get (Json.member "config" j)))));
+  let shards =
+    match Json.member "shards" j with
+    | Some (Json.Arr (first :: rest)) ->
+      Json.Arr
+        (with_field first "config"
+           (retired (Option.get (Json.member "config" first)))
+        :: rest)
+    | _ -> Alcotest.fail "checkpoint without shards"
+  in
+  names_registry "Serve.restore, shard config" (restore (with_field j "shards" shards))
 
 (* --- Serve: feed-time validation ------------------------------------------ *)
 
@@ -1117,6 +1158,74 @@ let test_snapshot_bytes_every_domain_count () =
         one (checkpoints domains))
     [ 2; 4 ]
 
+(* The serving benchmark's overload workload at seed 1, as
+   perfbench/workloads.ml builds it, served at one domain. The
+   benchmark's twelfth checkpoint lands at slot 600; it and one at slot
+   601 are taken in the event hook and weighed. A checkpoint slot set
+   overload's slot p99, so a snapshot should allocate about what it
+   returns: at most 10% over the words reachable from the document. The
+   bytes are pinned by length and digest, as CI pins the benchmark's
+   checkpoint sizes. *)
+let test_overload_snapshot_words () =
+  let seed = 1 and mtbf = 1000. and mttr = 20. in
+  let net = Builders.multiplane ~planes:4 (Builders.omega 32) in
+  let config =
+    Engine.Config.v ~discipline:Engine.Priority ~transmission_time:2
+      ~faults:(Some { Engine.Config.mtbf; mttr; granularity = `Slot })
+      ~guard:
+        (Some
+           (Policy.v ~queue_bound:4 ~shed_policy:Policy.Deadline_aware ~seed
+              ~flap_k:2 ()))
+      ()
+  in
+  let arrivals =
+    Workload.synthesize ~mean_service:4.0 ~deadline_slack:24 ~cancel_prob:0.05
+      ~priority_levels:4 (Prng.create seed) net ~slots:1200 ~arrival_prob:0.2
+  in
+  let horizon =
+    List.fold_left (fun acc e -> max acc (Workload.event_time e)) 0 arrivals
+  in
+  let faults = Fault.inject (Prng.split (Prng.create seed)) net ~horizon ~mtbf ~mttr in
+  let trace = Workload.sort_trace (arrivals @ Workload.fault_events faults) in
+  let inst = ref None and taken = ref [] in
+  let event_hook ~events:_ ~time =
+    if time = 600 || time = 601 then begin
+      let t = Option.get !inst in
+      let doc = ref Json.Null in
+      let a = Gc.minor_words () in
+      let b = Gc.minor_words () in
+      doc := Serve.snapshot t;
+      let c = Gc.minor_words () in
+      taken := (time, c -. b -. (b -. a), !doc) :: !taken
+    end
+  in
+  (match Serve.create ~config ~domains:1 ~event_hook net with
+  | Error e -> Alcotest.fail e
+  | Ok t ->
+    inst := Some t;
+    List.iter (fun ev -> if Workload.event_time ev <= 602 then Serve.feed t ev) trace;
+    Serve.abort t);
+  let pins =
+    [ (600, (102568, "197929858414abc7407e728b55e349ef"));
+      (601, (103989, "f555f17b8bb6ade3302cf19d3bc37ce8")) ]
+  in
+  check Alcotest.(list int) "checkpoints at slots 600 and 601" [ 600; 601 ]
+    (List.rev_map (fun (time, _, _) -> time) !taken);
+  List.iter
+    (fun (time, words, doc) ->
+      let reachable = Obj.reachable_words (Obj.repr doc) in
+      let bytes = Json.to_string doc in
+      let what = Printf.sprintf "slot %d" time in
+      if words > 1.10 *. float_of_int reachable then
+        Alcotest.failf "%s: snapshot allocated %.0f minor words for a %d-word \
+                        document"
+          what words reachable;
+      check
+        Alcotest.(pair int string)
+        (what ^ ": bytes") (List.assoc time pins)
+        (String.length bytes, Digest.to_hex (Digest.string bytes)))
+    !taken
+
 let suite =
   [
     Alcotest.test_case "multiplane shape and isolation" `Quick
@@ -1156,6 +1265,8 @@ let suite =
     Alcotest.test_case "out-of-order task ids" `Quick test_out_of_order_ids;
     Alcotest.test_case "checkpoint task_home runs and their errors" `Quick
       test_checkpoint_task_home_runs;
+    Alcotest.test_case "a retired solver name is an Error" `Quick
+      test_retired_solver_refused;
     Alcotest.test_case "feed rejects out-of-range events alone" `Quick
       test_feed_rejects_out_of_range;
     Alcotest.test_case "feed rejects duplicate task ids" `Quick
@@ -1166,4 +1277,6 @@ let suite =
       test_serve_mid_slot_snapshot;
     Alcotest.test_case "checkpoint bytes at every domain count" `Quick
       test_snapshot_bytes_every_domain_count;
+    Alcotest.test_case "an overload checkpoint allocates what it returns" `Quick
+      test_overload_snapshot_words;
   ]

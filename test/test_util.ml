@@ -207,7 +207,10 @@ let event_heap_model =
         | None -> pop_both ()
       in
       List.for_all step ops
-      && Event_heap.entries h = !model
+      && Event_heap.fold_sorted h
+           (fun ~time ~seq v acc -> (time, seq, v) :: acc)
+           []
+         = !model
       && Event_heap.length h = List.length !model
       && List.for_all (fun _ -> pop_both ()) !model
       && Event_heap.is_empty h)
@@ -262,7 +265,6 @@ let ring_model =
             if not (Ring.remove q x) then QCheck.Test.fail_report "kept";
             model := rest));
         Ring.length q = List.length !model
-        && Ring.to_list q = !model
         && List.for_all Fun.id
              (List.mapi (fun i x -> Ring.get q i = x) !model)
         && (Ring.is_empty q || Ring.front q = List.hd !model)
